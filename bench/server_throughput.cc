@@ -1,19 +1,16 @@
 /**
  * @file
  * Networked-server throughput: a multi-connection client load
- * generator against the sharded TCP compile server, head-to-head
- * across both transports.
+ * generator against the sharded TCP compile server.
  *
  * This is the end-to-end serving measurement for the tier built in
  * src/server/: an in-process CompileServer (real loopback sockets, the
- * production code path) is driven by C concurrent client connections
- * issuing the repeated-request traffic the service tier targets.  Each
- * transport ("threads" = thread-per-connection, "epoll" = event-loop
- * multiplexing with the preserialized reply cache behind it) is
- * measured at pipeline depth 1 (pure request/reply round trips) and at
- * the configured pipeline depth (B requests per write, B replies per
- * round trip), in one run — so the committed baseline records the
- * head-to-head, not two incomparable files.  Measured per row:
+ * production code path: epoll event loops with the preserialized reply
+ * cache behind them) is driven by C concurrent client connections
+ * issuing the repeated-request traffic the service tier targets.  It
+ * is measured at pipeline depth 1 (pure request/reply round trips) and
+ * at the configured pipeline depth (B requests per write, B replies
+ * per round trip).  Measured per row:
  *
  *   - warm requests/s across all connections (every request after the
  *     cold phase is a content-addressed cache hit on its home shard;
@@ -28,14 +25,14 @@
  *     drift past (process exits non-zero on mismatch).
  *
  * With --cold-fraction=F (0 < F < 1) an additional mixed phase runs
- * per transport at depth 1: each request is, with probability F (one
- * seeded Rng per client), a COLD compile — a never-seen cache key
- * minted from a unique anchor_box_margin — and otherwise a warm hit.
- * Warm and cold latencies are split, and the phase enforces the
- * overload-safety contract of the async cold path: the warm p99 under
- * mixed traffic must stay within 5x of the same transport's pure-warm
- * depth-1 p99 (a cold compile stalls only its own connection, never
- * the event loop), or the bench exits non-zero.
+ * at depth 1: each request is, with probability F (one seeded Rng per
+ * client), a COLD compile — a never-seen cache key minted from a
+ * unique anchor_box_margin — and otherwise a warm hit.  Warm and cold
+ * latencies are split, and the phase enforces the overload-safety
+ * contract of the async cold path: the warm p99 under mixed traffic
+ * must stay within 5x of the pure-warm depth-1 p99 (a cold compile
+ * stalls only its own connection, never the event loop), or the bench
+ * exits non-zero.
  *
  * With --fabric=N an additional phase measures the multi-process shard
  * fabric: N real square_served processes are forked (one shard + one
@@ -43,18 +40,18 @@
  * key space over them, and the same cold/load/golden sequence runs
  * against the router port — so the "fabric" rows are directly
  * comparable to the in-process rows, and the depth-1 p50 delta against
- * the in-process epoll row IS the router hop cost (parse + ring lookup
+ * the in-process row IS the router hop cost (parse + ring lookup
  * + forward + demultiplex, one extra loopback round trip).  Aggregate
  * throughput is a scaling claim only on multi-core hosts; the JSON
  * records the host's cpu count either way.  Any warm miss — including
  * through the fabric, where hits depend on cross-process key stability
  * — exits non-zero.
  *
- * Two artifact-store phases ride along whenever the epoll transport is
- * measured.  The store-overhead phase is the persistence acceptance
- * gate: two fresh epoll servers — one appending to a --store log, one
- * without — run the identical warm pipelined load at the deepest depth
- * (interleaved, best-of), and warm throughput with the store on must
+ * Two artifact-store phases ride along.  The store-overhead phase is
+ * the persistence acceptance gate: two fresh servers — one appending
+ * to a --store log, one without — run the identical warm pipelined
+ * load at the deepest depth (interleaved, best-of), and warm
+ * throughput with the store on must
  * stay within 2% of off (publishes append asynchronously off the warm
  * path, and warm hits append nothing at all; the gate keeps it that
  * way) or the bench exits non-zero.  The restart phase measures the
@@ -68,11 +65,10 @@
  *
  * Pass --square_json=PATH for BENCH_server_throughput.json.  Flags:
  * --clients=N connections, --batches=N pipelined batches per client,
- * --pipeline-depth=B, --transport=threads|epoll|both, --shards=N,
- * --workers=N fleet workers per shard, --event-threads=N epoll loops,
- * --cold-fraction=F mixed-phase cold rate, --fabric=N shard daemons
- * (0 = skip), --served-bin=PATH shard binary (default: next to this
- * one), --smoke shrinks for CI.
+ * --pipeline-depth=B, --shards=N, --workers=N pool workers per shard,
+ * --event-threads=N epoll loops, --cold-fraction=F mixed-phase cold
+ * rate, --fabric=N shard daemons (0 = skip), --served-bin=PATH shard
+ * binary (default: next to this one), --smoke shrinks for CI.
  */
 
 #include <algorithm>
@@ -117,7 +113,7 @@ struct ClientResult
     std::string error;
 };
 
-/** One measured (transport x depth) row. */
+/** One measured (server x depth) row; transport is "epoll" or "fabric". */
 struct PhaseRow
 {
     std::string transport;
@@ -280,11 +276,11 @@ coldPhase(uint16_t port, double &cold_ms)
  * and flush-batch counters).
  */
 bool
-loadPhase(uint16_t port, const Transport *transport,
+loadPhase(uint16_t port, const EpollTransport &transport,
           const std::string &label, int clients, int batches,
           int depth, PhaseRow &row)
 {
-    const TransportStats before = transport->stats();
+    const TransportStats before = transport.stats();
     std::vector<ClientResult> results(static_cast<size_t>(clients));
     Clock::time_point t0 = Clock::now();
     {
@@ -298,7 +294,7 @@ loadPhase(uint16_t port, const Transport *transport,
             th.join();
     }
     const double load_ms = millisSince(t0);
-    const TransportStats after = transport->stats();
+    const TransportStats after = transport.stats();
 
     std::vector<double> latencies;
     int64_t total = 0, hits = 0;
@@ -355,9 +351,8 @@ loadPhase(uint16_t port, const Transport *transport,
                       : 0.0;
     // The transport's max-batch counter is cumulative since server
     // start and cannot be delta'd; phases MUST run shallow-to-deep on
-    // a fresh server per transport (they do: depths = {1, B}) so the
-    // cumulative value at the end of each phase equals that phase's
-    // own max.
+    // a fresh server (they do: depths = {1, B}) so the cumulative
+    // value at the end of each phase equals that phase's own max.
     row.maxFlushBatch = after.maxFlushBatch;
     return true;
 }
@@ -370,10 +365,9 @@ struct MixedClientResult
     std::string error;
 };
 
-/** One measured mixed-traffic row (per transport). */
+/** One measured mixed-traffic row. */
 struct MixedRow
 {
-    std::string transport;
     double coldFraction = 0;
     int64_t requests = 0;
     int64_t coldRequests = 0;
@@ -459,9 +453,8 @@ runMixedClient(uint16_t port, int rounds, double cold_fraction,
 
 /** The mixed warm/cold phase: C depth-1 clients, F cold rate. */
 bool
-mixedPhase(CompileServer &server, const std::string &transport,
-           int clients, int rounds, double cold_fraction,
-           double pure_warm_p99, MixedRow &row)
+mixedPhase(CompileServer &server, int clients, int rounds,
+           double cold_fraction, double pure_warm_p99, MixedRow &row)
 {
     std::vector<MixedClientResult> results(
         static_cast<size_t>(clients));
@@ -492,7 +485,6 @@ mixedPhase(CompileServer &server, const std::string &transport,
     std::sort(warm.begin(), warm.end());
     std::sort(cold.begin(), cold.end());
 
-    row.transport = transport;
     row.coldFraction = cold_fraction;
     row.requests = static_cast<int64_t>(warm.size() + cold.size());
     row.coldRequests = static_cast<int64_t>(cold.size());
@@ -509,79 +501,30 @@ mixedPhase(CompileServer &server, const std::string &transport,
     // the warm tail.  5x pure-warm p99 is deliberately loose — it
     // absorbs scheduler noise but still catches a cold path that
     // blocks the event loop (which inflates the warm tail by the
-    // compile time, orders of magnitude past 5x).  Enforced only for
-    // the epoll transport, whose async cold path makes the isolation
-    // promise: the threads transport compiles on the connection's own
-    // serving thread by design, so its mixed warm tail measures CPU
-    // contention (severe on a 1-core container), not a loop stall —
-    // its row is reported as the contrast, not gated.
+    // compile time, orders of magnitude past 5x).
     // The bound is floored at one scheduler quantum: with ~200 warm
     // samples the p99 IS the second-worst sample, and on a saturated
     // 1-core host a single involuntary preemption (~1-3 ms) is
     // indistinguishable from noise.  A real loop stall inflates the
     // tail to the compile duration (>= 10 ms), far past the floor.
-    const bool enforce = transport == "epoll";
     const double limit = std::max(5.0 * pure_warm_p99, 2.0);
     if (pure_warm_p99 > 0 && row.warmP99 > limit) {
         std::fprintf(stderr,
-                     "%s (%s, cold=%.2f): mixed warm p99 %.3f ms "
-                     "exceeds max(5x pure-warm p99 %.3f ms, 2 ms)\n",
-                     enforce ? "WARM-TAIL REGRESSION" : "note",
-                     transport.c_str(), cold_fraction, row.warmP99,
-                     pure_warm_p99);
-        return !enforce;
+                     "WARM-TAIL REGRESSION (cold=%.2f): mixed warm p99 "
+                     "%.3f ms exceeds max(5x pure-warm p99 %.3f ms, "
+                     "2 ms)\n",
+                     cold_fraction, row.warmP99, pure_warm_p99);
+        return false;
     }
     return true;
 }
 
 /**
- * Metrics-overhead phase: the telemetry acceptance gate.  Two fresh
- * epoll servers — metrics recording on (the default) vs off — run the
- * identical warm pipelined load at the deepest depth, interleaved
- * twice with best-of scoring so a stray scheduler hiccup cannot
- * charge its cost to either side.  The registry counters are always
- * live (they are the stats substrate); the toggle gates exactly what
- * the flag gates in production: per-request histogram recording.
- */
-bool
-metricsOverheadPhase(const ServerConfig &base, int clients, int batches,
-                     int depth, int trials, double &on_rps,
-                     double &off_rps)
-{
-    on_rps = off_rps = 0;
-    for (int trial = 0; trial < trials; ++trial) {
-        for (const bool metrics_on : {false, true}) {
-            ServerConfig cfg = base;
-            cfg.transport = "epoll";
-            cfg.metrics = metrics_on;
-            CompileServer server(cfg);
-            std::string error;
-            if (!server.start(error)) {
-                std::fprintf(stderr,
-                             "server start failed (metrics %s): %s\n",
-                             metrics_on ? "on" : "off", error.c_str());
-                return false;
-            }
-            double cold_ms = 0;
-            PhaseRow row;
-            if (!coldPhase(server.port(), cold_ms) ||
-                !loadPhase(server.port(), server.transport(),
-                           metrics_on ? "m-on" : "m-off", clients,
-                           batches, depth, row))
-                return false;
-            double &best = metrics_on ? on_rps : off_rps;
-            best = std::max(best, row.rps);
-            server.stop();
-        }
-    }
-    return true;
-}
-
-/**
- * Recorder-overhead phase: the flight recorder's acceptance gate,
- * mirroring metricsOverheadPhase.  Two fresh epoll servers — recorder
- * enabled (the default) vs disabled — run the identical warm pipelined
- * load at the deepest depth with best-of scoring.  The warm path
+ * Recorder-overhead phase: the flight recorder's acceptance gate.  Two
+ * fresh servers — recorder enabled (the default) vs disabled — run
+ * the identical warm pipelined load at the deepest depth, interleaved
+ * with best-of scoring so a stray scheduler hiccup cannot charge its
+ * cost to either side.  The warm path
  * records nothing per-request by design (admits, flushes, and traced
  * requests only), so the measured cost is the relaxed enabled-gate
  * loads on the hooks' paths; the gate keeps it that way.
@@ -596,9 +539,7 @@ recorderOverheadPhase(const ServerConfig &base, int clients,
     for (int trial = 0; trial < trials; ++trial) {
         for (const bool recorder_on : {false, true}) {
             recorder.setEnabled(recorder_on);
-            ServerConfig cfg = base;
-            cfg.transport = "epoll";
-            CompileServer server(cfg);
+            CompileServer server(base);
             std::string error;
             if (!server.start(error)) {
                 std::fprintf(stderr,
@@ -628,8 +569,8 @@ recorderOverheadPhase(const ServerConfig &base, int clients,
 
 /**
  * Store-overhead phase: the persistence acceptance gate, mirroring
- * metricsOverheadPhase.  Two fresh epoll servers — one with a --store
- * log behind the publish sink, one without — run the identical warm
+ * recorderOverheadPhase.  Two fresh servers — one with a --store log
+ * behind the publish sink, one without — run the identical warm
  * pipelined load at the deepest depth with best-of scoring.  Publishes
  * append asynchronously (a refcount bump and a queue push on the
  * worker thread, never the event loop) and warm hits publish nothing,
@@ -647,7 +588,6 @@ storeOverheadPhase(const ServerConfig &base, const std::string &path,
     for (int trial = 0; trial < trials; ++trial) {
         for (const bool store_on : {false, true}) {
             ServerConfig cfg = base;
-            cfg.transport = "epoll";
             if (store_on) {
                 unlink(path.c_str());
                 cfg.storePath = path;
@@ -765,12 +705,11 @@ restartPhase(const ServerConfig &base, const std::string &path,
             std::to_string(5000 + k / static_cast<int>(n)) + "}");
     }
     unlink(path.c_str());
+    ServerConfig cfg = base;
+    cfg.storePath = path;
 
     // Cold leg: empty log, every key compiles.
     {
-        ServerConfig cfg = base;
-        cfg.transport = "epoll";
-        cfg.storePath = path;
         CompileServer server(cfg);
         std::string error;
         Clock::time_point t0 = Clock::now();
@@ -792,9 +731,6 @@ restartPhase(const ServerConfig &base, const std::string &path,
 
     // Warm leg: same log, every key replays — zero compiles allowed.
     {
-        ServerConfig cfg = base;
-        cfg.transport = "epoll";
-        cfg.storePath = path;
         CompileServer server(cfg);
         std::string error;
         Clock::time_point t0 = Clock::now();
@@ -886,7 +822,7 @@ stopShards(std::vector<ShardProc> &shards)
 
 /**
  * Fork/exec N square_served shard daemons (one shard, @p workers
- * fleet workers each) and complete the --port-file handshake.  On any
+ * pool workers each) and complete the --port-file handshake.  On any
  * failure the already-started children are reaped before returning.
  */
 bool
@@ -904,8 +840,7 @@ spawnShards(const std::string &bin, int n, int workers,
         pid_t pid = fork();
         if (pid == 0) {
             execl(bin.c_str(), bin.c_str(), "--port=0", "--shards=1",
-                  workers_arg.c_str(), "--transport=epoll",
-                  port_file_arg.c_str(), "--quiet",
+                  workers_arg.c_str(), port_file_arg.c_str(), "--quiet",
                   static_cast<char *>(nullptr));
             _exit(127); // exec failed; the parent sees an empty port file
         }
@@ -966,7 +901,6 @@ main(int argc, char **argv)
     int fabric = 0;
     bool smoke = false;
     std::string served_bin;
-    std::string transport = "both";
     for (int i = 1; i < argc; ++i) {
         if (std::strncmp(argv[i], "--clients=", 10) == 0) {
             clients = std::atoi(argv[i] + 10);
@@ -980,8 +914,6 @@ main(int argc, char **argv)
             workers = std::atoi(argv[i] + 10);
         } else if (std::strncmp(argv[i], "--event-threads=", 16) == 0) {
             event_threads = std::atoi(argv[i] + 16);
-        } else if (std::strncmp(argv[i], "--transport=", 12) == 0) {
-            transport = argv[i] + 12;
         } else if (std::strncmp(argv[i], "--cold-fraction=", 16) == 0) {
             cold_fraction = std::atof(argv[i] + 16);
             if (cold_fraction < 0 || cold_fraction >= 1) {
@@ -1012,16 +944,6 @@ main(int argc, char **argv)
         std::fprintf(stderr, "all knobs must be >= 1\n");
         return 1;
     }
-    std::vector<std::string> transports;
-    if (transport == "both")
-        transports = {"threads", "epoll"};
-    else if (transport == "threads" || transport == "epoll")
-        transports = {transport};
-    else {
-        std::fprintf(stderr,
-                     "--transport must be threads|epoll|both\n");
-        return 1;
-    }
     std::vector<int> depths = {1};
     if (depth > 1)
         depths.push_back(depth);
@@ -1047,186 +969,126 @@ main(int argc, char **argv)
                 clients, batches, depth, shards, workers,
                 kWorkloads.size(), cpus);
 
+    ServerConfig base;
+    base.shards = shards;
+    base.workersPerShard = workers;
+    base.eventThreads = event_threads;
+
     std::vector<PhaseRow> rows;
-    std::vector<MixedRow> mixed_rows;
-    double cold_ms_first = 0;
+    MixedRow mixed;
+    double cold_ms = 0;
     bool golden_all = true;
-    for (const std::string &t : transports) {
-        ServerConfig cfg;
-        cfg.shards = shards;
-        cfg.workersPerShard = workers;
-        cfg.transport = t;
-        cfg.eventThreads = event_threads;
-        CompileServer server(cfg);
+    {
+        CompileServer server(base);
         std::string error;
         if (!server.start(error)) {
-            std::fprintf(stderr, "server start failed (%s): %s\n",
-                         t.c_str(), error.c_str());
+            std::fprintf(stderr, "server start failed: %s\n",
+                         error.c_str());
             return 1;
         }
-
-        double cold_ms = 0;
         if (!coldPhase(server.port(), cold_ms))
             return 1;
-        if (cold_ms_first == 0)
-            cold_ms_first = cold_ms;
 
         for (int d : depths) {
             PhaseRow row;
-            if (!loadPhase(server.port(), server.transport(), t,
+            if (!loadPhase(server.port(), server.transport(), "epoll",
                            clients, batches, d, row))
                 return 1;
             rows.push_back(row);
         }
 
         if (cold_fraction > 0) {
-            // rows.front() for this transport is the depth-1 pure-warm
-            // phase (depths always starts at 1), the baseline for the
-            // warm-tail isolation check.
-            const double pure_warm_p99 =
-                rows[rows.size() - depths.size()].p99;
-            MixedRow mrow;
-            if (!mixedPhase(server, t, clients, batches, cold_fraction,
-                            pure_warm_p99, mrow))
+            // rows.front() is the depth-1 pure-warm phase (depths always
+            // starts at 1), the baseline for the warm-tail isolation
+            // check.
+            if (!mixedPhase(server, clients, batches, cold_fraction,
+                            rows.front().p99, mixed))
                 return 1;
-            mixed_rows.push_back(mrow);
         }
 
-        const bool golden = goldenPhase(server.port());
-        golden_all = golden_all && golden;
+        golden_all = goldenPhase(server.port());
 
-        // Per-shard balance (key-affine routing) for this transport.
+        // Per-shard balance (key-affine routing).
         RouterStats rs = server.router().stats();
-        std::printf("[%s] per-shard balance:", t.c_str());
+        std::printf("per-shard balance:");
         for (size_t s = 0; s < rs.shards.size(); ++s)
             std::printf("  shard %zu: %lld reqs / %lld compiles", s,
                         static_cast<long long>(rs.shards[s].requests),
                         static_cast<long long>(rs.shards[s].compiles));
-        std::printf("  golden: %s\n", golden ? "yes" : "NO");
+        std::printf("  golden: %s\n", golden_all ? "yes" : "NO");
         server.stop();
     }
 
-    // Metrics-overhead phase: the telemetry subsystem's acceptance
-    // gate — warm throughput at the deepest pipeline depth with
-    // histogram recording on must stay within 2% of recording off.
-    double metrics_on_rps = 0, metrics_off_rps = 0;
-    double metrics_overhead = 0;
-    const bool ran_metrics_phase =
-        std::find(transports.begin(), transports.end(), "epoll") !=
-        transports.end();
-    if (ran_metrics_phase) {
-        ServerConfig base;
-        base.shards = shards;
-        base.workersPerShard = workers;
-        base.eventThreads = event_threads;
-        if (!metricsOverheadPhase(base, clients, batches, depth,
-                                  smoke ? 1 : 2, metrics_on_rps,
-                                  metrics_off_rps))
-            return 1;
-        metrics_overhead =
-            metrics_off_rps > 0
-                ? (metrics_off_rps - metrics_on_rps) / metrics_off_rps
-                : 0.0;
-        std::printf("\nmetrics overhead (epoll, depth %d): on %.0f "
-                    "req/s vs off %.0f req/s => %+.2f%%\n",
-                    depth, metrics_on_rps, metrics_off_rps,
-                    metrics_overhead * 100.0);
-        // Smoke runs are too short to resolve 2% — report, don't gate.
-        if (!smoke && metrics_overhead > 0.02) {
-            std::fprintf(stderr,
-                         "METRICS OVERHEAD REGRESSION: %.2f%% > 2%% "
-                         "at pipeline depth %d\n",
-                         metrics_overhead * 100.0, depth);
-            return 1;
-        }
-    }
-
     // Recorder-overhead phase: the flight recorder's acceptance gate —
-    // same shape, toggling the per-thread ring recording instead.
+    // warm throughput at the deepest pipeline depth with per-thread
+    // ring recording on must stay within 2% of recording off.
     double recorder_on_rps = 0, recorder_off_rps = 0;
-    double recorder_overhead = 0;
-    if (ran_metrics_phase) {
-        ServerConfig base;
-        base.shards = shards;
-        base.workersPerShard = workers;
-        base.eventThreads = event_threads;
-        if (!recorderOverheadPhase(base, clients, batches, depth,
-                                   smoke ? 1 : 2, recorder_on_rps,
-                                   recorder_off_rps))
-            return 1;
-        recorder_overhead =
-            recorder_off_rps > 0
-                ? (recorder_off_rps - recorder_on_rps) /
-                      recorder_off_rps
-                : 0.0;
-        std::printf("recorder overhead (epoll, depth %d): on %.0f "
-                    "req/s vs off %.0f req/s => %+.2f%%\n",
-                    depth, recorder_on_rps, recorder_off_rps,
-                    recorder_overhead * 100.0);
-        if (!smoke && recorder_overhead > 0.02) {
-            std::fprintf(stderr,
-                         "RECORDER OVERHEAD REGRESSION: %.2f%% > 2%% "
-                         "at pipeline depth %d\n",
-                         recorder_overhead * 100.0, depth);
-            return 1;
-        }
+    if (!recorderOverheadPhase(base, clients, batches, depth,
+                               smoke ? 1 : 2, recorder_on_rps,
+                               recorder_off_rps))
+        return 1;
+    const double recorder_overhead =
+        recorder_off_rps > 0
+            ? (recorder_off_rps - recorder_on_rps) / recorder_off_rps
+            : 0.0;
+    std::printf("\nrecorder overhead (depth %d): on %.0f req/s vs off "
+                "%.0f req/s => %+.2f%%\n",
+                depth, recorder_on_rps, recorder_off_rps,
+                recorder_overhead * 100.0);
+    // Smoke runs are too short to resolve 2% — report, don't gate.
+    if (!smoke && recorder_overhead > 0.02) {
+        std::fprintf(stderr,
+                     "RECORDER OVERHEAD REGRESSION: %.2f%% > 2%% at "
+                     "pipeline depth %d\n",
+                     recorder_overhead * 100.0, depth);
+        return 1;
     }
 
     // Store-overhead phase: the artifact store's acceptance gate —
     // warm throughput at the deepest pipeline depth with a store
     // behind the publish sink must stay within 2% of no store.
+    const std::string store_path =
+        "bench_store." + std::to_string(getpid()) + ".store";
     double store_on_rps = 0, store_off_rps = 0;
-    double store_overhead = 0;
+    if (!storeOverheadPhase(base, store_path, clients, batches, depth,
+                            smoke ? 1 : 2, store_on_rps, store_off_rps))
+        return 1;
+    const double store_overhead =
+        store_off_rps > 0 ? (store_off_rps - store_on_rps) / store_off_rps
+                          : 0.0;
+    std::printf("store overhead (depth %d): on %.0f req/s vs off %.0f "
+                "req/s => %+.2f%%\n",
+                depth, store_on_rps, store_off_rps,
+                store_overhead * 100.0);
+    if (!smoke && store_overhead > 0.02) {
+        std::fprintf(stderr,
+                     "STORE OVERHEAD REGRESSION: %.2f%% > 2%% at "
+                     "pipeline depth %d\n",
+                     store_overhead * 100.0, depth);
+        return 1;
+    }
+
+    // Restart phase: the store's headline — warm-restart
+    // time-to-hit-rate-1.0 vs recompiling the working set.
     RestartRow restart_cold, restart_warm;
     const int restart_keys = smoke ? 6 : 48;
-    if (ran_metrics_phase) {
-        const std::string store_path =
-            "bench_store." + std::to_string(getpid()) + ".store";
-        ServerConfig base;
-        base.shards = shards;
-        base.workersPerShard = workers;
-        base.eventThreads = event_threads;
-        if (!storeOverheadPhase(base, store_path, clients, batches,
-                                depth, smoke ? 1 : 2, store_on_rps,
-                                store_off_rps))
-            return 1;
-        store_overhead =
-            store_off_rps > 0
-                ? (store_off_rps - store_on_rps) / store_off_rps
-                : 0.0;
-        std::printf("store overhead (epoll, depth %d): on %.0f req/s "
-                    "vs off %.0f req/s => %+.2f%%\n",
-                    depth, store_on_rps, store_off_rps,
-                    store_overhead * 100.0);
-        if (!smoke && store_overhead > 0.02) {
-            std::fprintf(stderr,
-                         "STORE OVERHEAD REGRESSION: %.2f%% > 2%% at "
-                         "pipeline depth %d\n",
-                         store_overhead * 100.0, depth);
-            return 1;
-        }
-
-        // Restart phase: the store's headline — warm-restart
-        // time-to-hit-rate-1.0 vs recompiling the working set.
-        if (!restartPhase(base, store_path, restart_keys, restart_cold,
-                          restart_warm))
-            return 1;
-        std::printf(
-            "restart (%d unique keys): cold start %.1f ms to hit rate "
-            "1.0 (%lld compiles; start %.1f + serve %.1f) vs warm "
-            "restart %.1f ms (%lld compiles, %lld replayed; start "
-            "%.1f + serve %.1f) => %.1fx\n",
-            restart_keys, restart_cold.totalMs,
-            static_cast<long long>(restart_cold.compiles),
-            restart_cold.startMs, restart_cold.serveMs,
-            restart_warm.totalMs,
-            static_cast<long long>(restart_warm.compiles),
-            static_cast<long long>(restart_warm.replayed),
-            restart_warm.startMs, restart_warm.serveMs,
-            restart_warm.totalMs > 0
-                ? restart_cold.totalMs / restart_warm.totalMs
-                : 0.0);
-    }
+    if (!restartPhase(base, store_path, restart_keys, restart_cold,
+                      restart_warm))
+        return 1;
+    std::printf(
+        "restart (%d unique keys): cold start %.1f ms to hit rate 1.0 "
+        "(%lld compiles; start %.1f + serve %.1f) vs warm restart %.1f "
+        "ms (%lld compiles, %lld replayed; start %.1f + serve %.1f) => "
+        "%.1fx\n",
+        restart_keys, restart_cold.totalMs,
+        static_cast<long long>(restart_cold.compiles),
+        restart_cold.startMs, restart_cold.serveMs, restart_warm.totalMs,
+        static_cast<long long>(restart_warm.compiles),
+        static_cast<long long>(restart_warm.replayed),
+        restart_warm.startMs, restart_warm.serveMs,
+        restart_warm.totalMs > 0
+            ? restart_cold.totalMs / restart_warm.totalMs
+            : 0.0);
 
     // Fabric phase: N forked shard daemons behind an in-process
     // consistent-hash router, same cold/load/golden sequence.
@@ -1247,9 +1109,8 @@ main(int argc, char **argv)
             stopShards(shard_procs);
             return 1;
         }
-        bool ok = true;
-        double cold_ms = 0;
-        ok = ok && coldPhase(router.port(), cold_ms);
+        double fabric_cold_ms = 0;
+        bool ok = coldPhase(router.port(), fabric_cold_ms);
         for (int d : depths) {
             if (!ok)
                 break;
@@ -1316,31 +1177,27 @@ main(int argc, char **argv)
                         "price the router hop; aggregate-throughput "
                         "scaling needs cores for the shard processes\n");
     }
-    if (!mixed_rows.empty()) {
+    if (cold_fraction > 0) {
         std::printf("\nmixed warm/cold phase (depth 1; cold = unique "
                     "key => real compile):\n");
-        std::printf("%9s %6s %9s %7s %12s %9s %9s %9s %9s\n",
-                    "transport", "cold", "requests", "colds",
-                    "requests/s", "warm p50", "warm p99", "cold p50",
-                    "cold p99");
-        printRule(90);
-        for (const MixedRow &r : mixed_rows) {
-            std::printf(
-                "%9s %6.2f %9lld %7lld %12.0f %9.3f %9.3f %9.3f "
-                "%9.3f\n",
-                r.transport.c_str(), r.coldFraction,
-                static_cast<long long>(r.requests),
-                static_cast<long long>(r.coldRequests), r.rps,
-                r.warmP50, r.warmP99, r.coldP50, r.coldP99);
-        }
-        printRule(90);
+        std::printf("%6s %9s %7s %12s %9s %9s %9s %9s\n", "cold",
+                    "requests", "colds", "requests/s", "warm p50",
+                    "warm p99", "cold p50", "cold p99");
+        printRule(80);
+        std::printf("%6.2f %9lld %7lld %12.0f %9.3f %9.3f %9.3f %9.3f\n",
+                    mixed.coldFraction,
+                    static_cast<long long>(mixed.requests),
+                    static_cast<long long>(mixed.coldRequests), mixed.rps,
+                    mixed.warmP50, mixed.warmP99, mixed.coldP50,
+                    mixed.coldP99);
+        printRule(80);
         std::printf("(warm p99 under mixed traffic checked <= 5x the "
                     "pure-warm depth-1 p99)\n");
     }
     std::printf("cold compile phase: %.1f ms; cached replies "
                 "golden-checked (deserialized) vs fresh compile(): "
                 "%s\n",
-                cold_ms_first, golden_all ? "yes" : "NO");
+                cold_ms, golden_all ? "yes" : "NO");
     if (!golden_all)
         return 1;
 
@@ -1359,31 +1216,21 @@ main(int argc, char **argv)
             jsonInt("unique_requests",
                     static_cast<int64_t>(kWorkloads.size())));
         report.header.push_back(
-            jsonNum("cold_wall_ms", cold_ms_first, 1));
+            jsonNum("cold_wall_ms", cold_ms, 1));
         report.header.push_back(
             jsonInt("golden_identical", golden_all));
         report.header.push_back(jsonInt("fabric_shards", fabric));
-        if (ran_metrics_phase) {
-            report.header.push_back(
-                jsonNum("metrics_on_rps", metrics_on_rps, 0));
-            report.header.push_back(
-                jsonNum("metrics_off_rps", metrics_off_rps, 0));
-            report.header.push_back(jsonNum(
-                "metrics_overhead_pct", metrics_overhead * 100.0, 2));
-            report.header.push_back(
-                jsonNum("recorder_on_rps", recorder_on_rps, 0));
-            report.header.push_back(
-                jsonNum("recorder_off_rps", recorder_off_rps, 0));
-            report.header.push_back(
-                jsonNum("recorder_overhead_pct",
-                        recorder_overhead * 100.0, 2));
-            report.header.push_back(
-                jsonNum("store_on_rps", store_on_rps, 0));
-            report.header.push_back(
-                jsonNum("store_off_rps", store_off_rps, 0));
-            report.header.push_back(jsonNum(
-                "store_overhead_pct", store_overhead * 100.0, 2));
-        }
+        report.header.push_back(
+            jsonNum("recorder_on_rps", recorder_on_rps, 0));
+        report.header.push_back(
+            jsonNum("recorder_off_rps", recorder_off_rps, 0));
+        report.header.push_back(jsonNum(
+            "recorder_overhead_pct", recorder_overhead * 100.0, 2));
+        report.header.push_back(jsonNum("store_on_rps", store_on_rps, 0));
+        report.header.push_back(
+            jsonNum("store_off_rps", store_off_rps, 0));
+        report.header.push_back(
+            jsonNum("store_overhead_pct", store_overhead * 100.0, 2));
         if (fabric > 0) {
             report.header.push_back(
                 jsonInt("fabric_forwarded", fabric_stats.forwarded));
@@ -1406,39 +1253,35 @@ main(int argc, char **argv)
                  jsonNum("mean_flush_batch", r.meanFlushBatch, 1),
                  jsonInt("max_flush_batch", r.maxFlushBatch)});
         }
-        if (ran_metrics_phase) {
-            for (const RestartRow *r : {&restart_cold, &restart_warm}) {
-                report.addRow(
-                    {jsonStr("phase", "restart"),
-                     jsonStr("mode", r->mode),
-                     jsonInt("unique_keys", restart_keys),
-                     jsonNum("start_ms", r->startMs, 1),
-                     jsonNum("serve_ms", r->serveMs, 1),
-                     jsonNum("time_to_full_hit_ms", r->totalMs, 1),
-                     jsonInt("requests", r->requests),
-                     jsonNum("hit_rate",
-                             r->requests > 0
-                                 ? static_cast<double>(r->hits) /
-                                       static_cast<double>(r->requests)
-                                 : 0.0,
-                             3),
-                     jsonInt("compiles", r->compiles),
-                     jsonInt("replayed", r->replayed)});
-            }
-        }
-        for (const MixedRow &r : mixed_rows) {
+        for (const RestartRow *r : {&restart_cold, &restart_warm}) {
             report.addRow(
-                {jsonStr("transport", r.transport),
-                 jsonStr("phase", "mixed"),
-                 jsonNum("cold_fraction", r.coldFraction, 2),
-                 jsonInt("requests", r.requests),
-                 jsonInt("cold_requests", r.coldRequests),
-                 jsonNum("wall_ms", r.wallMs, 1),
-                 jsonNum("requests_per_s", r.rps, 0),
-                 jsonNum("warm_p50_ms", r.warmP50, 3),
-                 jsonNum("warm_p99_ms", r.warmP99, 3),
-                 jsonNum("cold_p50_ms", r.coldP50, 3),
-                 jsonNum("cold_p99_ms", r.coldP99, 3)});
+                {jsonStr("phase", "restart"), jsonStr("mode", r->mode),
+                 jsonInt("unique_keys", restart_keys),
+                 jsonNum("start_ms", r->startMs, 1),
+                 jsonNum("serve_ms", r->serveMs, 1),
+                 jsonNum("time_to_full_hit_ms", r->totalMs, 1),
+                 jsonInt("requests", r->requests),
+                 jsonNum("hit_rate",
+                         r->requests > 0
+                             ? static_cast<double>(r->hits) /
+                                   static_cast<double>(r->requests)
+                             : 0.0,
+                         3),
+                 jsonInt("compiles", r->compiles),
+                 jsonInt("replayed", r->replayed)});
+        }
+        if (cold_fraction > 0) {
+            report.addRow(
+                {jsonStr("transport", "epoll"), jsonStr("phase", "mixed"),
+                 jsonNum("cold_fraction", mixed.coldFraction, 2),
+                 jsonInt("requests", mixed.requests),
+                 jsonInt("cold_requests", mixed.coldRequests),
+                 jsonNum("wall_ms", mixed.wallMs, 1),
+                 jsonNum("requests_per_s", mixed.rps, 0),
+                 jsonNum("warm_p50_ms", mixed.warmP50, 3),
+                 jsonNum("warm_p99_ms", mixed.warmP99, 3),
+                 jsonNum("cold_p50_ms", mixed.coldP50, 3),
+                 jsonNum("cold_p99_ms", mixed.coldP99, 3)});
         }
         report.writeTo(json_path);
     }

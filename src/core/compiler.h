@@ -46,8 +46,8 @@ struct CompileOptions
     /**
      * Borrowed precomputed analysis of the program being compiled
      * (must be the analysis of exactly that program; nullptr means
-     * "compute internally").  The fleet and service layers share one
-     * const ProgramAnalysis per unique program fingerprint across jobs
+     * "compute internally").  The service layer shares one const
+     * ProgramAnalysis per unique program fingerprint across requests
      * (see ir/analysis_cache.h); the analysis is read-only during
      * compilation, so any number of concurrent compilations may borrow
      * the same instance.

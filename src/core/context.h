@@ -16,8 +16,8 @@
  *
  * A compilation is therefore a pure function of
  * (Program, Machine, SquareConfig): contexts on different threads never
- * alias, which is what lets the fleet compiler (src/fleet/) run one
- * compilation per worker with bit-identical per-job results.
+ * alias, which is what lets the compile service's worker pool run one
+ * compilation per worker with bit-identical per-request results.
  */
 
 #ifndef SQUARE_CORE_CONTEXT_H

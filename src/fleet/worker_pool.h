@@ -1,16 +1,15 @@
 /**
  * @file
- * Persistent cancellable worker pool for asynchronous compilations.
+ * Persistent cancellable worker pool: the one pool every compilation
+ * runs on.
  *
- * FleetCompiler (fleet.h) is a batch engine: it spawns threads per
- * run() and joins them before returning, which is the right shape for
- * offline benchmark sweeps but not for a server — the serving tier
- * needs a pool that outlives any one request, accepts work from event
- * loops without blocking them, and supports two operations batches
- * never need:
+ * The compile service (service.h) starts one pool with itself and
+ * posts every cache miss to it as one job, whether the requester waits
+ * (submit, submitBatch) or not (an event loop's async cold path).  The
+ * pool outlives any one request, accepts work without blocking the
+ * poster, and supports two operations beyond FIFO dispatch:
  *
- *  - cancel(id): remove a job that has not started yet (deadline
- *    expiry admission-controls the queue, see service.h);
+ *  - cancel(id): remove a job that has not started yet;
  *  - a death hook: a fault-injection probe consulted once per dequeued
  *    job.  When it fires, the worker "dies" — it pushes the job back
  *    to the FRONT of the queue (the job is never lost, never
@@ -25,8 +24,8 @@
  * Shutdown contract: stop() wakes and joins every worker (including
  * replaced ones) and ABANDONS jobs still queued.  Owners must
  * therefore quiesce producers first — the compile service only
- * destroys its pool after the transports that feed it have joined
- * (see CompileService::~CompileService).
+ * destroys its pool after the transports and callers that feed it are
+ * gone (see CompileService::~CompileService).
  */
 
 #ifndef SQUARE_FLEET_WORKER_POOL_H

@@ -4,7 +4,7 @@
  *
  * ProgramAnalysis is a pure function of the Program and dominates the
  * remaining per-compilation allocation cost (~86% after the arena
- * work), yet batch scenarios — a fleet compiling the same workload
+ * work), yet batch scenarios — a batch compiling the same workload
  * under many policies/machines, a service replaying cached request
  * shapes — recompute it per job.  An AnalysisCache keys the analysis
  * by Program::fingerprint() and hands every requester the same

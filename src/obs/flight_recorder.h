@@ -56,7 +56,7 @@ int64_t nowMonoUs();
 /** The tier a flight-recorder event was recorded by. */
 enum class Comp : uint16_t {
     Service,   ///< shard service (cache, admission, publish)
-    Transport, ///< epoll or thread-per-connection transport
+    Transport, ///< the epoll transport
     Worker,    ///< WorkerPool (async cold compiles)
     Upstream,  ///< the router's UpstreamPool (shard health)
     Router,    ///< router request forwarding

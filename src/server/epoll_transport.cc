@@ -279,8 +279,7 @@ EpollTransport::acceptReady(Loop &loop)
                 // Persistent accept failure (EMFILE under fd
                 // exhaustion, typically): the level-triggered
                 // listener would re-fire immediately, busy-spinning
-                // this loop.  Back off briefly, like the threaded
-                // transport's accept loop.
+                // this loop.  Back off briefly.
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(5));
             }
@@ -361,8 +360,7 @@ EpollTransport::adoptConn(Loop &loop, int fd)
     ev.events = EPOLLIN;
     ev.data.ptr = conn.get();
     if (::epoll_ctl(loop.epfd, EPOLL_CTL_ADD, fd, &ev) != 0) {
-        // Shed, matching the threaded transport's accounting: a
-        // connection that never became serviceable counts as
+        // Shed: a connection that never became serviceable counts as
         // rejected, not accepted.
         acceptedC_.add(-1);
         rejectedC_.add(1);

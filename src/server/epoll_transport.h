@@ -1,10 +1,11 @@
 /**
  * @file
- * Epoll-multiplexed event-loop transport: the wire-speed serving path.
+ * Epoll-multiplexed event-loop transport: the serving tier's only
+ * transport (the handler contract is in transport.h).
  *
- * Thread-per-connection (tcp_transport.h) pays a dedicated-thread
- * wakeup and at least one recv()+send() pair per request.  This
- * transport multiplexes all connections over N event-loop threads
+ * Thread-per-connection serving pays a dedicated-thread wakeup and at
+ * least one recv()+send() pair per request.  This transport
+ * multiplexes all connections over N event-loop threads
  * (memcached/redis lineage — see PAPERS.md):
  *
  *  - every socket is non-blocking; readiness is level-triggered epoll;
@@ -16,7 +17,7 @@
  *    parsed and handled back-to-back; the replies of that pipelined
  *    batch are corked into the connection's WriteBuffer and flushed
  *    with one gathered send() — syscalls per request approach 2/B for
- *    pipeline depth B, instead of the threaded transport's fixed 2;
+ *    pipeline depth B, instead of a fixed 2;
  *  - write interest (EPOLLOUT) is armed only while unsent bytes are
  *    pending, and re-disarmed on drain;
  *  - backpressure: when a connection's pending replies exceed the
@@ -24,12 +25,12 @@
  *    EPOLLIN is disarmed) until the peer drains below the low-water
  *    mark, so a slow reader bounds its own memory, not the server's.
  *
- * Teardown mirrors the threaded transport's framing contract: EOF with
- * a truncated trailing line still delivers the tail to the handler and
- * writes the reply; line-cap overflow answers a short prefix and
- * disconnects.  A connection being closed by the server first gets a
- * FIN (shutdown(SHUT_WR)) and has its remaining inbound bytes drained,
- * so the peer's kernel never RSTs away a reply it hasn't read yet.
+ * Framing at teardown: EOF with a truncated trailing line still
+ * delivers the tail to the handler and writes the reply; line-cap
+ * overflow answers a short prefix and disconnects.  A connection being
+ * closed by the server first gets a FIN (shutdown(SHUT_WR)) and has its
+ * remaining inbound bytes drained, so the peer's kernel never RSTs away
+ * a reply it hasn't read yet.
  *
  * Asynchronous completions: handlers still run on the event loop, so
  * a *blocking* handler would stall every connection mapped to that
@@ -64,7 +65,7 @@
 
 namespace square {
 
-class EpollTransport final : public Transport
+class EpollTransport final
 {
   public:
     /** Multiplexed connections are cheap; the cap is an fd budget. */
@@ -79,26 +80,36 @@ class EpollTransport final : public Transport
     explicit EpollTransport(
         int event_threads = 1,
         size_t max_connections = kDefaultMaxConnections);
-    ~EpollTransport() override;
+    ~EpollTransport();
 
     EpollTransport(const EpollTransport &) = delete;
     EpollTransport &operator=(const EpollTransport &) = delete;
 
+    /**
+     * Bind @p host:@p port (port 0 picks an ephemeral port) and start
+     * serving.  Returns false with a message on failure.
+     */
     bool start(const std::string &host, uint16_t port,
-               LineHandler handler, std::string &error) override;
+               LineHandler handler, std::string &error);
 
-    uint16_t port() const override { return port_; }
+    /** The actual bound port (after start()). */
+    uint16_t port() const { return port_; }
 
-    bool running() const override { return running_.load(); }
+    /**
+     * Shut down: close the listener and every live connection, join
+     * all event-loop threads.  Idempotent; must not be called from an
+     * event-loop thread.
+     */
+    void stop();
 
-    void stop() override;
+    TransportStats stats() const;
 
-    TransportStats stats() const override;
-
-    const obs::Registry *metricsRegistry() const override
-    {
-        return &metrics_;
-    }
+    /**
+     * The transport's metrics registry (obs/metrics.h), for the
+     * {"cmd": "metrics"} Prometheus exposition; stats() is the
+     * structured view of the same counters.
+     */
+    const obs::Registry &metricsRegistry() const { return metrics_; }
 
     int eventThreads() const { return static_cast<int>(loops_.size()); }
 

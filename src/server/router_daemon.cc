@@ -59,7 +59,7 @@ accumulateStats(const JsonRequest &json, ServiceStats &sum)
 } // namespace
 
 RouterServer::RouterServer(const RouterConfig &cfg)
-    : cfg_(cfg),
+    : cfg_(cfg), transport_(cfg.eventThreads),
       resolveFailuresC_(metrics_.counter("resolve_failures")),
       traceSampler_(cfg.traceSample)
 {
@@ -97,15 +97,7 @@ RouterServer::start(std::string &error)
     }
     if (!pool_->start(error))
         return false;
-    // Epoll only: a forwarded request completes out-of-band via the
-    // connection's AsyncReplySink, which the thread-per-connection
-    // transport does not provide.
-    TransportOptions opts;
-    opts.eventThreads = cfg_.eventThreads;
-    transport_ = makeTransport("epoll", opts, error);
-    if (transport_ == nullptr)
-        return false;
-    if (!transport_->start(
+    if (!transport_.start(
             cfg_.host, cfg_.port,
             [this](std::string_view line, std::string &out,
                    bool &close_conn,
@@ -117,8 +109,7 @@ RouterServer::start(std::string &error)
     obs::Postmortem &pm = obs::Postmortem::instance();
     pm.registerRegistry("router", &metrics_);
     pm.registerRegistry("upstream", &pool_->metricsRegistry());
-    if (transport_->metricsRegistry() != nullptr)
-        pm.registerRegistry("transport", transport_->metricsRegistry());
+    pm.registerRegistry("transport", &transport_.metricsRegistry());
     pm.registerRegistry("watchdog",
                         &obs::Watchdog::instance().metricsRegistry());
     return true;
@@ -137,19 +128,10 @@ RouterServer::stop()
     // Transport first: once its event threads are joined nothing can
     // call forward(), so the pool's teardown flush is the last word on
     // every in-flight request.
-    if (transport_ != nullptr) {
-        if (transport_->metricsRegistry() != nullptr)
-            pm.unregisterRegistry(transport_->metricsRegistry());
-        transport_->stop();
-    }
+    pm.unregisterRegistry(&transport_.metricsRegistry());
+    transport_.stop();
     if (pool_ != nullptr)
         pool_->stop();
-}
-
-uint16_t
-RouterServer::port() const
-{
-    return transport_ != nullptr ? transport_->port() : 0;
 }
 
 std::string
@@ -222,12 +204,8 @@ RouterServer::renderMetricsText()
     obs::renderPrometheus(text, "square_router", {{"", &metrics_}});
     obs::renderPrometheus(text, "square_upstream",
                           {{"", &pool_->metricsRegistry()}});
-    if (transport_ != nullptr &&
-        transport_->metricsRegistry() != nullptr) {
-        obs::renderPrometheus(
-            text, "square_transport",
-            {{"", transport_->metricsRegistry()}});
-    }
+    obs::renderPrometheus(text, "square_transport",
+                          {{"", &transport_.metricsRegistry()}});
     obs::renderPrometheus(
         text, "square_watchdog",
         {{"", &obs::Watchdog::instance().metricsRegistry()}});
@@ -379,12 +357,6 @@ RouterServer::handleLineTo(std::string_view line, std::string &out,
         // shard, so clients need one retry discipline.
         out += UpstreamPool::formatShardDown(replyIdPrefix(json),
                                              pool_->retryAfterMs());
-        out += '\n';
-        return;
-    }
-    if (async == nullptr) {
-        out += formatError(
-            json, "router requires an async-capable transport");
         out += '\n';
         return;
     }

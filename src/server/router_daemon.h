@@ -24,9 +24,8 @@
  * id; the resolved key rides along (protocol.h inter-tier framing) so
  * shard warm hits skip re-resolution; the upstream pool demultiplexes
  * the shard's reply back to the originating connection and restores
- * the client's framing.  The transport is epoll-only: a forwarded
- * request *must* complete out-of-band (AsyncReplySink), which the
- * thread-per-connection transport cannot do.
+ * the client's framing: a forwarded request completes out-of-band
+ * through the connection's AsyncReplySink.
  *
  * Administrative commands are answered locally: "ping" (health),
  * "stats" (fanned out to every up shard over short-lived connections
@@ -47,7 +46,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "server/transport.h"
+#include "server/epoll_transport.h"
 #include "server/upstream.h"
 #include "service/cache_key.h"
 #include "service/program_cache.h"
@@ -102,7 +101,7 @@ class RouterServer
     /** Stop the client transport first, then the upstream pool. */
     void stop();
 
-    uint16_t port() const;
+    uint16_t port() const { return transport_.port(); }
 
     /** True once a client sent {"cmd": "shutdown"}. */
     bool shutdownRequested() const
@@ -112,9 +111,9 @@ class RouterServer
 
     UpstreamStats upstreamStats() const { return pool_->stats(); }
 
-    /** The client-facing transport (null before start()); the fabric
-        bench reads its syscall/flush counters. */
-    const Transport *transport() const { return transport_.get(); }
+    /** The client-facing transport; the fabric bench reads its
+        syscall/flush counters. */
+    const EpollTransport &transport() const { return transport_; }
 
   private:
     void handleLineTo(std::string_view line, std::string &out,
@@ -132,7 +131,7 @@ class RouterServer
 
     RouterConfig cfg_;
     std::unique_ptr<UpstreamPool> pool_;
-    std::unique_ptr<Transport> transport_;
+    EpollTransport transport_;
     ProgramNameCache programs_;
     /**
      * The replayed edge cache (cfg_.storePath): immutable after

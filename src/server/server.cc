@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/latch.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/watchdog.h"
@@ -54,15 +55,43 @@ finishShardTrace(const std::shared_ptr<obs::Trace> &trace,
         obs::TraceLog::instance().emit(*trace, "shard");
 }
 
+/**
+ * The sink handleLineTo() uses when its caller has none: it holds the
+ * calling thread until the one deferred reply is posted, turning the
+ * async path into a synchronous one without a second code path.
+ */
+class BlockingSink final : public AsyncReplySink
+{
+  public:
+    void expectReply() override {}
+
+    void
+    post(std::string &&bytes) override
+    {
+        bytes_ = std::move(bytes);
+        posted_.arrive();
+    }
+
+    std::string
+    wait()
+    {
+        posted_.wait();
+        return std::move(bytes_);
+    }
+
+  private:
+    Latch posted_{1};
+    std::string bytes_;
+};
+
 } // namespace
 
 CompileServer::CompileServer(const ServerConfig &cfg)
     : router_(cfg.shards, cfg.workersPerShard, cfg.limits,
               cfg.admission),
-      cfg_(cfg), traceSampler_(cfg.traceSample)
+      transport_(cfg.eventThreads), cfg_(cfg),
+      traceSampler_(cfg.traceSample)
 {
-    for (int i = 0; i < router_.shards(); ++i)
-        router_.shard(i).setMetricsEnabled(cfg.metrics);
 }
 
 CompileServer::~CompileServer() { stop(); }
@@ -138,12 +167,7 @@ CompileServer::start(std::string &error)
                          replayed, good_bytes);
     }
 
-    TransportOptions opts;
-    opts.eventThreads = cfg_.eventThreads;
-    transport_ = makeTransport(cfg_.transport, opts, error);
-    if (transport_ == nullptr)
-        return false;
-    if (!transport_->start(
+    if (!transport_.start(
             cfg_.host, cfg_.port,
             [this](std::string_view line, std::string &out,
                    bool &close_conn,
@@ -161,8 +185,7 @@ CompileServer::start(std::string &error)
         pm.registerRegistry(prefix,
                             &router_.shard(i).metricsRegistry());
     }
-    if (transport_->metricsRegistry() != nullptr)
-        pm.registerRegistry("transport", transport_->metricsRegistry());
+    pm.registerRegistry("transport", &transport_.metricsRegistry());
     pm.registerRegistry("watchdog",
                         &obs::Watchdog::instance().metricsRegistry());
     if (store_ != nullptr)
@@ -179,11 +202,8 @@ CompileServer::stop()
     // registerRegistry does not dedupe: the watchdog's slot must be
     // released too, or start/stop churn (tests) fills the table.
     pm.unregisterRegistry(&obs::Watchdog::instance().metricsRegistry());
-    if (transport_ != nullptr) {
-        if (transport_->metricsRegistry() != nullptr)
-            pm.unregisterRegistry(transport_->metricsRegistry());
-        transport_->stop();
-    }
+    pm.unregisterRegistry(&transport_.metricsRegistry());
+    transport_.stop();
     if (store_ != nullptr) {
         pm.unregisterRegistry(&store_->metricsRegistry());
         // Drain the append queue before the fd closes: a clean
@@ -311,78 +331,63 @@ CompileServer::handleLineTo(std::string_view line, std::string &out,
         req.trace = trace;
     }
 
-    if (async != nullptr && cfg_.asyncColdPath) {
-        // Non-blocking serve: resolve here (cheap — the program comes
-        // from the router's shared name cache), then let the shard
-        // decide sync (hit / shed / expired) vs async (real compile).
-        std::shared_ptr<const Program> program;
-        uint64_t program_fp = 0;
-        CacheKey key;
-        obs::SpanClock resolve_t0;
-        if (trace != nullptr)
-            resolve_t0 = obs::SpanClock::now();
-        if (!router_.resolve(req, program, program_fp, key, error)) {
-            router_.noteResolveFailure();
-            out += formatError(json, error);
-            out += '\n';
-            return;
-        }
-        if (trace != nullptr)
-            trace->addSpan("resolve", resolve_t0.wallUs,
-                           obs::microsSince(resolve_t0));
-        // `json` is thread-local and will be reused for the next line
-        // on this loop; capture the only piece the completion needs —
-        // the id echo — by value before going asynchronous.
-        std::string id_prefix = replyIdPrefix(json);
-        CompileService &shard = router_.shard(router_.shardFor(key));
-        ServiceReply reply;
-        const double slow_ms = cfg_.traceSlowMs;
-        const bool sync = shard.submitPreparedAsync(
-            req, std::move(program), program_fp, key, reply,
-            [sink = async, prefix = std::move(id_prefix), trace,
-             slow_ms](ServiceReply &&r) {
-                obs::SpanClock write_t0;
-                if (trace != nullptr)
-                    write_t0 = obs::SpanClock::now();
-                std::string framed;
-                formatReplyLineTo(framed, prefix, r);
-                framed += '\n';
-                sink->post(std::move(framed));
-                if (trace != nullptr)
-                    finishShardTrace(trace, write_t0, r.millis,
-                                     slow_ms);
-            });
-        if (sync) {
+    // Resolve here (cheap — the program comes from the router's shared
+    // name cache), then let the shard decide sync (hit / shed) vs
+    // async (real compile).
+    std::shared_ptr<const Program> program;
+    uint64_t program_fp = 0;
+    CacheKey key;
+    obs::SpanClock resolve_t0;
+    if (trace != nullptr)
+        resolve_t0 = obs::SpanClock::now();
+    if (!router_.resolve(req, program, program_fp, key, error)) {
+        router_.noteResolveFailure();
+        out += formatError(json, error);
+        out += '\n';
+        return;
+    }
+    if (trace != nullptr)
+        trace->addSpan("resolve", resolve_t0.wallUs,
+                       obs::microsSince(resolve_t0));
+    // `json` is thread-local and will be reused for the next line on
+    // this loop; capture the only piece the completion needs — the id
+    // echo — by value before going asynchronous.
+    std::string id_prefix = replyIdPrefix(json);
+    std::shared_ptr<BlockingSink> blocking;
+    std::shared_ptr<AsyncReplySink> sink = async;
+    if (sink == nullptr) {
+        blocking = std::make_shared<BlockingSink>();
+        sink = blocking;
+    }
+    CompileService &shard = router_.shard(router_.shardFor(key));
+    ServiceReply reply;
+    const double slow_ms = cfg_.traceSlowMs;
+    const bool sync = shard.submitPreparedAsync(
+        req, std::move(program), program_fp, key, reply,
+        [sink, prefix = id_prefix, trace, slow_ms](ServiceReply &&r) {
             obs::SpanClock write_t0;
             if (trace != nullptr)
                 write_t0 = obs::SpanClock::now();
-            formatReplyLineTo(out, replyIdPrefix(json), reply);
-            out += '\n';
+            std::string framed;
+            formatReplyLineTo(framed, prefix, r);
+            framed += '\n';
+            sink->post(std::move(framed));
             if (trace != nullptr)
-                finishShardTrace(trace, write_t0, reply.millis,
-                                 cfg_.traceSlowMs);
-        } else {
-            async->expectReply();
-        }
+                finishShardTrace(trace, write_t0, r.millis, slow_ms);
+        });
+    if (!sync) {
+        sink->expectReply();
+        if (blocking != nullptr)
+            out += blocking->wait();
         return;
     }
-
-    ServiceReply reply = router_.submit(req);
     obs::SpanClock write_t0;
     if (trace != nullptr)
         write_t0 = obs::SpanClock::now();
-    formatReplyTo(out, json, reply);
+    formatReplyLineTo(out, id_prefix, reply);
     out += '\n';
     if (trace != nullptr)
-        finishShardTrace(trace, write_t0, reply.millis,
-                         cfg_.traceSlowMs);
-}
-
-void
-CompileServer::handleLineTo(std::string_view line, std::string &out,
-                            bool &close_conn)
-{
-    handleLineTo(line, out, close_conn, nullptr);
+        finishShardTrace(trace, write_t0, reply.millis, slow_ms);
 }
 
 std::string
@@ -398,12 +403,8 @@ CompileServer::renderMetricsText()
     }
     std::string text;
     obs::renderPrometheus(text, "square_service", regs);
-    if (transport_ != nullptr &&
-        transport_->metricsRegistry() != nullptr) {
-        obs::renderPrometheus(
-            text, "square_transport",
-            {{"", transport_->metricsRegistry()}});
-    }
+    obs::renderPrometheus(text, "square_transport",
+                          {{"", &transport_.metricsRegistry()}});
     obs::renderPrometheus(
         text, "square_watchdog",
         {{"", &obs::Watchdog::instance().metricsRegistry()}});
@@ -419,7 +420,7 @@ std::string
 CompileServer::handleLine(const std::string &line, bool &close_conn)
 {
     std::string out;
-    handleLineTo(line, out, close_conn);
+    handleLineTo(line, out, close_conn, nullptr);
     if (!out.empty() && out.back() == '\n')
         out.pop_back();
     return out;

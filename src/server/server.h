@@ -1,13 +1,16 @@
 /**
  * @file
- * The networked compile server: TcpTransport x ShardRouter x the
+ * The networked compile server: EpollTransport x ShardRouter x the
  * NDJSON protocol.
  *
  * CompileServer binds a loopback (or configured) address, frames the
  * existing src/service/protocol.h request/reply grammar over
  * persistent TCP connections, and serves every compile request through
  * a key-affine shard router (see shard_router.h for the affinity
- * rules).  On top of the pipe protocol it adds three commands:
+ * rules).  Every request takes one path: resolve, then the owning
+ * shard's CompileService::submitPreparedAsync — a warm hit or a shed
+ * replies at once, a miss replies when the shard's worker pool
+ * publishes it.  On top of the pipe protocol it adds these commands:
  *
  *   {"cmd": "stats"}     the global (summed) counters, plus "shards"
  *                        and "resolve_failures";
@@ -16,6 +19,8 @@
  *                        shard="i" labels, the transport registry,
  *                        and the fault-injection counters, \n-escaped
  *                        into the reply's "text" field;
+ *   {"cmd": "ping"}      a fixed liveness reply;
+ *   {"cmd": "dump"}      write a flight-recorder postmortem block;
  *   {"cmd": "shutdown"}  acknowledge, then ask the owning thread to
  *                        stop the server.
  *
@@ -27,7 +32,7 @@
  * is additionally staged into an unsampled trace that is emitted only
  * when it ran longer than the threshold.
  *
- * Shutdown discipline: connection threads must not join themselves, so
+ * Shutdown discipline: event-loop threads must not join themselves, so
  * an in-protocol shutdown only *requests* it — the thread that owns
  * the server (square_served's main, a test, the bench harness)
  * observes shutdownRequested() and calls stop().  stop() closes the
@@ -50,8 +55,8 @@
 #include <string_view>
 
 #include "obs/trace.h"
+#include "server/epoll_transport.h"
 #include "server/shard_router.h"
-#include "server/transport.h"
 #include "service/artifact_store.h"
 
 namespace square {
@@ -63,32 +68,14 @@ struct ServerConfig
     /** 0 picks an ephemeral port (read it back with port()). */
     uint16_t port = 0;
     int shards = 2;
+    /** Compile-pool workers per shard. */
     int workersPerShard = 1;
-    /**
-     * Transport kind (see transport.h): "epoll" (event-loop
-     * multiplexing, the wire-speed default) or "threads"
-     * (thread-per-connection).
-     */
-    std::string transport = "epoll";
     /** Event-loop threads for the epoll transport. */
     int eventThreads = 1;
     /** Per-shard LRU result-cache bound (zero = unbounded). */
     CacheLimits limits;
     /** Per-shard compile-queue bound (zero maxPending = admit all). */
     AdmissionLimits admission;
-    /**
-     * Dispatch cold misses onto the shard's worker pool and complete
-     * them through the transport's async sink (when the transport has
-     * one), so a compile never blocks an event loop.  Off = the PR-5
-     * behaviour: misses compile on the transport thread.
-     */
-    bool asyncColdPath = true;
-    /**
-     * Latency-histogram recording on the serving path (counters always
-     * run; see CompileService::setMetricsEnabled).  The warm-path
-     * bench gates the overhead of exactly what this toggles.
-     */
-    bool metrics = true;
     /** Head-sample 1 in N requests into traces (0 = off). */
     uint64_t traceSample = 0;
     /**
@@ -127,20 +114,16 @@ class CompileServer
     bool start(std::string &error);
 
     /** The actual bound port (after start()). */
-    uint16_t port() const
-    {
-        return transport_ ? transport_->port() : 0;
-    }
+    uint16_t port() const { return transport_.port(); }
 
-    /** Stop the transport (not callable from a connection thread). */
+    /** Stop the transport (not callable from an event-loop thread). */
     void stop();
 
     /** True once a {"cmd":"shutdown"} request was served. */
     bool shutdownRequested() const { return shutdownRequested_.load(); }
 
     ShardRouter &router() { return router_; }
-    /** The live transport (null before start()). */
-    const Transport *transport() const { return transport_.get(); }
+    const EpollTransport &transport() const { return transport_; }
     /** The artifact store (null without cfg.storePath). */
     ArtifactStore *store() { return store_.get(); }
 
@@ -148,25 +131,21 @@ class CompileServer
      * Serve one protocol line, appending the framed reply (with its
      * newline) to @p out — nothing for protocol no-ops.  This is the
      * transport's LineHandler: warm hits append the preserialized
-     * reply bytes straight into the connection's write buffer.  With
-     * a non-null @p async sink (the epoll transport) and the async
-     * cold path enabled, a miss appends nothing now — the reply
-     * arrives through the sink once a pool worker finishes the
-     * compile — while warm hits, sheds, and errors still reply
-     * synchronously.
+     * reply bytes straight into the connection's write buffer.  A miss
+     * appends nothing now — the reply arrives through the @p async
+     * sink once a pool worker finishes the compile — while warm hits,
+     * sheds, and errors reply synchronously.  A null @p async (callers
+     * without an event loop: tests, the layer bench) makes every reply
+     * synchronous: the call blocks until the miss publishes.
      */
     void handleLineTo(std::string_view line, std::string &out,
                       bool &close_conn,
                       const std::shared_ptr<AsyncReplySink> &async);
 
-    /** Synchronous-only overload (tests, threads transport). */
-    void handleLineTo(std::string_view line, std::string &out,
-                      bool &close_conn);
-
     /**
      * Serve one protocol line and return the reply line (without the
-     * newline).  Convenience wrapper over handleLineTo() so the
-     * protocol can be exercised without sockets (tests).
+     * newline): handleLineTo() with a null sink, so the protocol can
+     * be exercised without sockets (tests).
      */
     std::string handleLine(const std::string &line, bool &close_conn);
 
@@ -181,7 +160,7 @@ class CompileServer
         draining at teardown) append into it, so it must die last. */
     std::unique_ptr<ArtifactStore> store_;
     ShardRouter router_;
-    std::unique_ptr<Transport> transport_;
+    EpollTransport transport_;
     ServerConfig cfg_;
     /** Server-side head sampler (cfg_.traceSample). */
     obs::Sampler traceSampler_;

@@ -42,42 +42,10 @@ ShardRouter::resolve(const CompileRequest &req,
     }
 }
 
-bool
-ShardRouter::resolve(const CompileRequest &req,
-                     std::shared_ptr<const Program> &program,
-                     CacheKey &key, std::string &error)
-{
-    uint64_t ignored_fp = 0;
-    return resolve(req, program, ignored_fp, key, error);
-}
-
 int
 ShardRouter::shardFor(const CacheKey &key) const
 {
     return static_cast<int>(CacheKeyHash{}(key) % shards_.size());
-}
-
-ServiceReply
-ShardRouter::submit(const CompileRequest &req)
-{
-    std::shared_ptr<const Program> program;
-    uint64_t program_fp = 0;
-    CacheKey key;
-    std::string error;
-    if (!resolve(req, program, program_fp, key, error)) {
-        resolveFailures_.fetch_add(1, std::memory_order_relaxed);
-        ServiceReply reply;
-        reply.label = req.label;
-        reply.error = error;
-        return reply;
-    }
-    // Hand the shard the already-resolved program, fingerprint, and
-    // key: the shard neither re-fingerprints the program (a full
-    // content hash per request would dominate the warm hit) nor
-    // copies the request, and every shard shares one immutable
-    // Program instance.
-    return shards_[static_cast<size_t>(shardFor(key))]->submitPrepared(
-        req, std::move(program), program_fp, key);
 }
 
 RouterStats

@@ -3,7 +3,7 @@
  * Key-affine sharding over N CompileService instances.
  *
  * A long-running server wants more than one service shard: each shard
- * has its own mutex, result cache, and fleet pool, so unrelated
+ * has its own mutex, result cache, and worker pool, so unrelated
  * requests stop contending on one lock.  Routing is by CacheKey hash —
  * the *content address* of the compilation, not the connection — which
  * gives key affinity: a given program x machine x config always lands
@@ -22,7 +22,7 @@
  * shard at most) instead of building N copies.
  *
  * Requests that fail before routing (unknown workload, program build
- * failure) are answered by the router and counted in
+ * failure) are answered by the caller (CompileServer) and counted in
  * RouterStats::resolveFailures; everything else is shard-owned, so the
  * per-shard ServiceStats sum exactly to the global view.
  */
@@ -58,38 +58,29 @@ class ShardRouter
   public:
     /**
      * @param shards            number of CompileService shards (>= 1).
-     * @param workers_per_shard fleet workers per shard.
+     * @param workers_per_shard pool workers per shard.
      * @param limits            per-shard LRU cache bound.
      * @param admission         per-shard compile-queue bound.
      */
     ShardRouter(int shards, int workers_per_shard,
                 CacheLimits limits = {}, AdmissionLimits admission = {});
 
-    /** Route one request to its key-affine shard and serve it. */
-    ServiceReply submit(const CompileRequest &req);
-
     /**
      * Resolve a request to its shared program, program fingerprint,
-     * and cache key without serving it (the routing prefix of
-     * submit()).  The fingerprint comes from the name cache — never a
-     * per-request content hash.  Returns false with a message on
-     * failure.
+     * and cache key — the routing step ahead of the key-affine shard's
+     * CompileService::submitPreparedAsync.  The fingerprint comes from
+     * the name cache — never a per-request content hash.  Returns
+     * false with a message on failure.
      */
     bool resolve(const CompileRequest &req,
                  std::shared_ptr<const Program> &program,
                  uint64_t &program_fp, CacheKey &key,
                  std::string &error);
 
-    /** Convenience overload (tests pin key affinity with it). */
-    bool resolve(const CompileRequest &req,
-                 std::shared_ptr<const Program> &program, CacheKey &key,
-                 std::string &error);
-
     /** The shard @p key routes to (stable for the router's lifetime). */
     int shardFor(const CacheKey &key) const;
 
-    /** Count a caller-side resolve() failure (so resolve_failures
-        covers the server's async path, which resolves itself). */
+    /** Count a caller-side resolve() failure. */
     void noteResolveFailure()
     {
         resolveFailures_.fetch_add(1, std::memory_order_relaxed);

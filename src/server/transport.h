@@ -1,40 +1,29 @@
 /**
  * @file
- * The transport interface of the serving tier.
+ * The handler contract of the serving tier's transport.
  *
- * A Transport owns a listening socket and delivers newline-framed
- * request lines to a LineHandler, writing whatever the handler appends
- * back to the peer.  Two implementations exist behind this interface:
+ * The transport (EpollTransport, epoll_transport.h) owns a listening
+ * socket and delivers newline-framed request lines to a LineHandler,
+ * writing whatever the handler appends back to the peer.
  *
- *  - "threads": TcpTransport (tcp_transport.h) — one blocking thread
- *    per connection, the PR-4 shape.  Simple, and fine while
- *    connection counts stay below a few hundred.
- *  - "epoll": EpollTransport (epoll_transport.h) — N event-loop
- *    threads multiplexing non-blocking connections, with pipelined
- *    request parsing and corked batch writes.  The wire-speed warm
- *    path.
- *
- * Handler contract (same for both): called with one request line
- * (without the newline); the handler appends the complete framed reply
- * — including the trailing '\n' — to @p out, or appends nothing for
- * protocol no-ops.  Setting @p close_conn winds the connection down
- * after the pending replies are written.  Handlers are called
- * concurrently from transport threads and must be thread-safe.
+ * Handler contract: called with one request line (without the
+ * newline); the handler appends the complete framed reply — including
+ * the trailing '\n' — to @p out, or appends nothing for protocol
+ * no-ops.  Setting @p close_conn winds the connection down after the
+ * pending replies are written.  Handlers are called concurrently from
+ * event-loop threads and must be thread-safe.
  *
  * Asynchronous replies: the handler's fourth argument is the
- * connection's AsyncReplySink, or null when the transport cannot
- * complete replies out-of-band ("threads", where blocking the handler
- * stalls only its own connection and is therefore acceptable).  A
- * handler that wants to defer a reply (a cold compile dispatched to a
- * worker pool) calls expectReply() before returning — synchronously,
- * on the transport thread — and later, from any thread, post()s the
- * framed reply bytes.  The transport routes the bytes back to the
- * owning event loop (completion queue + eventfd wake), so a slow
- * compile no longer stalls the loop's other connections.  post() is
- * safe after the connection dies: the bytes are dropped, never
- * written to a closed or reused fd.  Replies on one connection may
- * interleave out of request order once a request goes asynchronous;
- * clients match replies by id.
+ * connection's AsyncReplySink.  A handler that wants to defer a reply
+ * (a cold compile dispatched to a worker pool) calls expectReply()
+ * before returning — synchronously, on the event-loop thread — and
+ * later, from any thread, post()s the framed reply bytes.  The
+ * transport routes the bytes back to the owning event loop (completion
+ * queue + eventfd wake), so a slow compile never stalls the loop's
+ * other connections.  post() is safe after the connection dies: the
+ * bytes are dropped, never written to a closed or reused fd.  Replies
+ * on one connection may interleave out of request order once a request
+ * goes asynchronous; clients match replies by id.
  */
 
 #ifndef SQUARE_SERVER_TRANSPORT_H
@@ -47,10 +36,6 @@
 #include <string_view>
 
 namespace square {
-
-namespace obs {
-class Registry;
-} // namespace obs
 
 /** Monotonic transport counters (syscall and batch accounting). */
 struct TransportStats
@@ -71,8 +56,8 @@ struct TransportStats
  * Per-connection sink for asynchronously completed replies.  Handed to
  * the LineHandler; see the handler contract in the file comment.
  *
- * Threading: expectReply() may only be called on the transport thread,
- * inside the handler invocation it was handed to (it marks the
+ * Threading: expectReply() may only be called on the event-loop
+ * thread, inside the handler invocation it was handed to (it marks the
  * connection as owing one more reply).  post() may be called from any
  * thread, any time — including after the connection is gone, in which
  * case the bytes are dropped.  Each expectReply() must be matched by
@@ -83,80 +68,22 @@ class AsyncReplySink
   public:
     virtual ~AsyncReplySink() = default;
 
-    /** Declare one pending async reply (transport thread only). */
+    /** Declare one pending async reply (event-loop thread only). */
     virtual void expectReply() = 0;
 
     /** Deliver one framed reply line, trailing '\n' included. */
     virtual void post(std::string &&bytes) = 0;
 };
 
-class Transport
-{
-  public:
-    /**
-     * Handler for one request line: append the framed reply (with the
-     * trailing newline) to @p out, or nothing for a no-op line.  Set
-     * @p close_conn to drop the connection once replies are written.
-     * @p async is the connection's completion sink, or null when the
-     * transport only supports synchronous replies.
-     */
-    using LineHandler = std::function<void(
-        std::string_view line, std::string &out, bool &close_conn,
-        const std::shared_ptr<AsyncReplySink> &async)>;
-
-    virtual ~Transport() = default;
-
-    /**
-     * Bind @p host:@p port (port 0 picks an ephemeral port) and start
-     * serving.  Returns false with a message on failure.
-     */
-    virtual bool start(const std::string &host, uint16_t port,
-                       LineHandler handler, std::string &error) = 0;
-
-    /** The actual bound port (after start()). */
-    virtual uint16_t port() const = 0;
-
-    /** True between a successful start() and stop(). */
-    virtual bool running() const = 0;
-
-    /**
-     * Shut down: close the listener and every live connection, join
-     * all transport threads.  Idempotent; must not be called from a
-     * transport thread.
-     */
-    virtual void stop() = 0;
-
-    virtual TransportStats stats() const = 0;
-
-    /**
-     * The transport's metrics registry (obs/metrics.h), for the
-     * {"cmd": "metrics"} Prometheus exposition; null when the
-     * implementation predates the registry.  stats() stays the
-     * structured view of the same counters.
-     */
-    virtual const obs::Registry *metricsRegistry() const
-    {
-        return nullptr;
-    }
-};
-
-/** Construction knobs shared by the transport implementations. */
-struct TransportOptions
-{
-    /** Event-loop threads ("epoll" only; >= 1). */
-    int eventThreads = 1;
-    /** Concurrent-connection cap; 0 = the implementation's default. */
-    size_t maxConnections = 0;
-};
-
 /**
- * Build a transport by kind: "threads" (thread-per-connection) or
- * "epoll" (event-loop multiplexing).  Returns null with a message for
- * an unknown kind.
+ * Handler for one request line: append the framed reply (with the
+ * trailing newline) to @p out, or nothing for a no-op line.  Set
+ * @p close_conn to drop the connection once replies are written.
+ * @p async is the connection's completion sink.
  */
-std::unique_ptr<Transport> makeTransport(const std::string &kind,
-                                         const TransportOptions &opts,
-                                         std::string &error);
+using LineHandler = std::function<void(
+    std::string_view line, std::string &out, bool &close_conn,
+    const std::shared_ptr<AsyncReplySink> &async)>;
 
 } // namespace square
 

@@ -142,6 +142,16 @@ MachineSpec::parse(const std::string &text, MachineSpec &out,
                 "' (nisq|nisq-macro|full|ft|ft-macro)";
         return false;
     }
+    // Each dimension is capped by parsePositive; their product is
+    // checked here, in 64 bits, before anything multiplies it as int.
+    const int64_t sites = spec.kind == Kind::FullyConnected
+                              ? int64_t{spec.width}
+                              : int64_t{spec.width} * spec.height;
+    if (sites > kMaxSites) {
+        error = "machine '" + text + "' has " + std::to_string(sites) +
+                " sites (max " + std::to_string(kMaxSites) + ")";
+        return false;
+    }
     out = spec;
     return true;
 }

@@ -33,6 +33,13 @@ namespace square {
 /** Copyable, fingerprintable description of a compilation target. */
 struct MachineSpec
 {
+    /**
+     * The largest machine parse() accepts, in sites.  Specs arrive off
+     * the wire, and topology site arithmetic is int; the largest
+     * registry machine (MUL64's 64x64) has 4096.
+     */
+    static constexpr int64_t kMaxSites = 65536;
+
     enum class Kind : uint8_t {
         NisqLattice,
         NisqLatticeMacro,
@@ -60,7 +67,7 @@ struct MachineSpec
 
     /**
      * Parse the textual form; returns false (with a message in
-     * @p error) on malformed input.
+     * @p error) on malformed input or a machine above kMaxSites.
      */
     static bool parse(const std::string &text, MachineSpec &out,
                       std::string &error);

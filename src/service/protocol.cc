@@ -543,18 +543,11 @@ formatReplyLineTo(std::string &out, const std::string &id_prefix,
         out += formatReplyTail(*reply.result, reply.key);
 }
 
-void
-formatReplyTo(std::string &out, const JsonRequest &json,
-              const ServiceReply &reply)
-{
-    formatReplyLineTo(out, idPrefix(json), reply);
-}
-
 std::string
 formatReply(const JsonRequest &json, const ServiceReply &reply)
 {
     std::string out;
-    formatReplyTo(out, json, reply);
+    formatReplyLineTo(out, idPrefix(json), reply);
     return out;
 }
 

@@ -199,16 +199,11 @@ void formatReplyLineTo(std::string &out, const std::string &id_prefix,
                        const ServiceReply &reply);
 
 /**
- * Append one reply line (no trailing newline) to @p out.  Success
- * replies are assembled as a small volatile prefix (id, label, cache
- * tag, service time) plus the preserialized tail when the reply
- * carries one — the wire-speed path; a fresh tail is encoded only
- * when it does not (direct submits that bypassed the cache).
+ * Render one reply line (no trailing newline).  Success replies are
+ * assembled as a small volatile prefix (id, label, cache tag, service
+ * time) plus the preserialized tail when the reply carries one — the
+ * wire-speed path; a fresh tail is encoded only when it does not.
  */
-void formatReplyTo(std::string &out, const JsonRequest &json,
-                   const ServiceReply &reply);
-
-/** Render one reply line (no trailing newline). */
 std::string formatReply(const JsonRequest &json, const ServiceReply &reply);
 
 /** Render the stats reply line (no trailing newline). */

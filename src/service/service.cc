@@ -4,6 +4,7 @@
 #include <exception>
 #include <utility>
 
+#include "common/latch.h"
 #include "common/logging.h"
 #include "common/stats.h"
 #include "obs/flight_recorder.h"
@@ -46,7 +47,7 @@ ServiceStats::operator+=(const ServiceStats &o)
 
 CompileService::CompileService(int workers, CacheLimits limits,
                                AdmissionLimits admission)
-    : fleet_(workers), limits_(limits), admission_(admission),
+    : limits_(limits), admission_(admission),
       requestsC_(metrics_.counter("requests")),
       hitsC_(metrics_.counter("hits")),
       missesC_(metrics_.counter("misses")),
@@ -58,7 +59,12 @@ CompileService::CompileService(int workers, CacheLimits limits,
       warmLatencyUs_(metrics_.histogram("warm_latency_us")),
       coldLatencyUs_(metrics_.histogram("cold_latency_us")),
       queueWaitUs_(metrics_.histogram("queue_wait_us")),
-      shedRetryMs_(metrics_.histogram("shed_retry_ms"))
+      shedRetryMs_(metrics_.histogram("shed_retry_ms")),
+      // Compiles are background work relative to the event loops
+      // serving warm hits: nice the workers so a compile on a saturated
+      // host yields the CPU to a waking loop thread instead of costing
+      // the warm tail whole scheduler quanta.
+      pool_(workers, /*niceness=*/10)
 {
 }
 
@@ -84,11 +90,10 @@ CompileService::syncMetricsGauges() const
 
 CompileService::~CompileService()
 {
-    // Producers (transports) must be quiesced by now: stop() abandons
-    // queued async jobs, so their waiters are never fired — safe only
-    // because no connection is left to read the replies.
-    if (pool_ != nullptr)
-        pool_->stop();
+    // Producers (transports, blocking callers) must be quiesced by
+    // now: stop() abandons queued jobs, so their waiters are never
+    // fired — safe only because no one is left to read the replies.
+    pool_.stop();
 }
 
 void
@@ -103,6 +108,12 @@ CompileService::setPublishSink(PublishSink sink)
 {
     std::lock_guard<std::mutex> lock(mu_);
     publishSink_ = std::move(sink);
+}
+
+void
+CompileService::setWorkerDeathHook(std::function<bool()> hook)
+{
+    pool_.setDeathHook(std::move(hook));
 }
 
 bool
@@ -127,42 +138,9 @@ CompileService::insertReplayed(const CacheKey &key,
             touchLocked(it->second);
         return false;
     }
-    Slot &slot = it->second;
-    slot.entry = std::move(entry);
-    slot.bytes = resultBytes(*slot.entry->result) +
-                 sizeof(std::string) + slot.entry->tail->capacity();
-    cachedBytes_ += slot.bytes;
-    lru_.push_front(key);
-    slot.lruIt = lru_.begin();
-    slot.inLru = true;
-    evictOverLimitLocked();
+    it->second.entry = entry;
+    noteReadyLocked(key, entry);
     return true;
-}
-
-void
-CompileService::setWorkerDeathHook(std::function<bool()> hook)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    workerDeathHook_ = std::move(hook);
-    if (pool_ != nullptr)
-        pool_->setDeathHook(workerDeathHook_);
-}
-
-WorkerPool &
-CompileService::asyncPool()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    if (pool_ == nullptr) {
-        // Async cold compiles are background work relative to the
-        // event loops serving warm hits: nice the workers so a compile
-        // on a saturated host yields the CPU to a waking loop thread
-        // instead of costing the warm tail whole scheduler quanta.
-        pool_ = std::make_unique<WorkerPool>(fleet_.workers(),
-                                             /*niceness=*/10);
-        if (workerDeathHook_)
-            pool_->setDeathHook(workerDeathHook_);
-    }
-    return *pool_;
 }
 
 size_t
@@ -208,26 +186,22 @@ CompileService::evictOverLimitLocked()
 }
 
 void
-CompileService::noteReady(const CacheKey &key,
-                          const std::shared_ptr<Entry> &entry)
+CompileService::noteReadyLocked(const CacheKey &key,
+                                const std::shared_ptr<Entry> &entry)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     auto it = cache_.find(key);
     if (it == cache_.end() || it->second.entry != entry)
-        return; // dropped (failure) or replaced; nothing to account
+        return; // dropped or replaced; nothing to account
     Slot &slot = it->second;
     if (slot.inLru)
         return;
-    // The publisher calls noteReady after publish() on the same
-    // thread, so reading entry->result without entry->m is ordered.
-    // The preserialized reply bytes count toward the byte bound
-    // too: they are resident cache state, evicted with the entry
-    // (refcounting keeps handed-out copies valid past eviction).
-    // (The publish sink already fired inside publish(), before any
-    // waiter was notified — see the ordering comment there.)
-    slot.bytes = resultBytes(*entry->result);
-    if (entry->tail != nullptr)
-        slot.bytes += sizeof(std::string) + entry->tail->capacity();
+    // The publisher runs this after setting the entry's fields on the
+    // same thread, so reading them without entry->m is ordered.  The
+    // preserialized reply bytes count toward the byte bound too: they
+    // are resident cache state, evicted with the entry (refcounting
+    // keeps handed-out copies valid past eviction).
+    slot.bytes = resultBytes(*entry->result) + sizeof(std::string) +
+                 entry->tail->capacity();
     cachedBytes_ += slot.bytes;
     lru_.push_front(key);
     slot.lruIt = lru_.begin();
@@ -275,7 +249,7 @@ CompileService::uncache(const CacheKey &key,
 }
 
 void
-CompileService::publish(Entry &entry,
+CompileService::publish(const std::shared_ptr<Entry> &entry,
                         std::shared_ptr<const CompileResult> result,
                         const CacheKey &key, std::string error,
                         double compile_millis,
@@ -291,102 +265,263 @@ CompileService::publish(Entry &entry,
         if (trace != nullptr)
             trace->addSpan("serialize", ser.wallUs,
                            obs::microsSince(ser));
+    } else {
+        // Uncached before the entry turns ready, so no later request
+        // can find the failed entry: it claims a fresh miss instead.
+        uncache(key, entry);
     }
     std::vector<Waiter> waiters;
     {
-        std::lock_guard<std::mutex> lock(entry.m);
-        entry.result = std::move(result);
-        entry.tail = std::move(tail);
-        entry.error = std::move(error);
-        entry.ready = true;
-        waiters.swap(entry.waiters);
+        std::lock_guard<std::mutex> lock(entry->m);
+        entry->result = std::move(result);
+        entry->tail = std::move(tail);
+        entry->error = std::move(error);
+        entry->ready = true;
+        waiters.swap(entry->waiters);
     }
-    // Persist BEFORE any waiter is notified: once a client holds the
-    // reply, the record must already sit in the store's append queue,
-    // so a shutdown right after the last acknowledged reply (close()
-    // drains the queue) can never lose it.  The sink only bumps
-    // refcounts and pushes onto a bounded queue — cheap enough to sit
-    // ahead of the wakeup, and it runs outside every lock.
-    if (entry.error.empty() && entry.result != nullptr &&
-        entry.tail != nullptr) {
-        PublishSink sink;
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            sink = publishSink_;
-        }
-        if (sink)
-            sink(key, entry.result, entry.tail);
-    }
-    entry.cv.notify_all();
-
+    // Settle everything a woken requester can observe before the first
+    // wakeup: LRU accounting (and any eviction it triggers), the
+    // pending-compile slot, and the publish sink.  The sink runs ahead
+    // of every waiter so that once a client holds the reply, the record
+    // already sits in the store's append queue — a shutdown right after
+    // the last acknowledged reply (close() drains the queue) can never
+    // lose it.  It only bumps refcounts and pushes onto a bounded
+    // queue, and it runs outside every lock.
+    PublishSink sink;
     {
         std::lock_guard<std::mutex> lock(mu_);
+        if (entry->result != nullptr) {
+            noteReadyLocked(key, entry);
+            sink = publishSink_;
+        }
         if (pendingCompiles_ > 0)
             --pendingCompiles_;
         if (compile_millis >= 0)
             ewmaCompileMs_ =
                 0.8 * ewmaCompileMs_ + 0.2 * compile_millis;
     }
+    if (sink)
+        sink(key, entry->result, entry->tail);
     obs::recordEvent(
         obs::Comp::Service, obs::Ev::Publish, waiters.size(),
         compile_millis >= 0 ? static_cast<uint64_t>(compile_millis)
                             : 0,
         trace != nullptr ? trace->id() : 0);
     for (size_t i = 0; i < waiters.size(); ++i) {
-        if (entry.expired)
+        if (entry->expired)
             deadlineExpiredC_.add();
-        else if (!entry.error.empty())
+        else if (!entry->error.empty())
             failuresC_.add();
     }
 
-    // Fire the async waiters outside every lock: the callbacks post to
-    // transport completion queues, which take their own mutexes.  The
-    // entry's fields are immutable once ready, so the unlocked reads
-    // below are ordered by the publish above (this is the publishing
-    // thread).
-    const bool record = metricsEnabled() && !entry.expired &&
-                        entry.error.empty();
+    // Fire the waiters outside every lock: the callbacks post to
+    // transport completion queues or release blocked callers, which
+    // take their own mutexes.  The entry's fields are immutable once
+    // ready, so the unlocked reads below are ordered by the publish
+    // above (this is the publishing thread).
+    const bool served = !entry->expired && entry->error.empty();
     for (Waiter &w : waiters) {
         ServiceReply r;
         r.label = std::move(w.label);
         r.key = key;
         r.hit = w.hit;
-        r.result = entry.result;
-        r.replyTail = entry.tail;
-        r.error = entry.error;
-        if (entry.expired)
+        r.result = entry->result;
+        r.replyTail = entry->tail;
+        r.error = entry->error;
+        if (entry->expired)
             r.status = "deadline_expired";
         r.millis = millisSince(w.t0);
         // Every parked waiter paid for (a share of) this compile:
         // their end-to-end time is a cold-path latency.
-        if (record)
+        if (served)
             coldLatencyUs_.record(microsFromMillis(r.millis));
         w.done(std::move(r));
     }
 }
 
-void
-CompileService::fillFromEntry(Entry &entry, ServiceReply &reply)
+bool
+CompileService::admitLocked(const CompileRequest &req,
+                            ServiceReply &reply)
 {
-    std::unique_lock<std::mutex> lock(entry.m);
-    if (!entry.ready) {
-        // A blocking waiter pins the in-flight compile against
-        // deadline cancellation (it has no deadline of its own).
-        ++entry.noDeadlineWaiters;
-        entry.cv.wait(lock, [&entry] { return entry.ready; });
-        --entry.noDeadlineWaiters;
-    }
+    if (admission_.maxPending == 0)
+        return true;
+    size_t cap = admission_.maxPending;
+    if (req.batch)
+        cap = static_cast<size_t>(static_cast<double>(cap) *
+                                  admission_.batchFraction);
+    if (pendingCompiles_ < cap)
+        return true;
+    reply.status = "overloaded";
+    reply.retryAfterMs = retryAfterLocked();
+    return false;
+}
+
+double
+CompileService::retryAfterLocked() const
+{
+    // How long until a worker frees up for one more compile: queue
+    // depth (plus this request) over the pool width, scaled by the
+    // observed compile-time EWMA.  Clamped so a cold-start estimate
+    // can neither hammer the server nor park clients for minutes.
+    double per_worker = static_cast<double>(pendingCompiles_ + 1) /
+                        static_cast<double>(pool_.workers());
+    double est = ewmaCompileMs_ * per_worker;
+    if (est < 25.0)
+        est = 25.0;
+    if (est > 5000.0)
+        est = 5000.0;
+    return est;
+}
+
+void
+CompileService::serveReady(const Entry &entry, Clock::time_point t0,
+                           ServiceReply &reply)
+{
+    // The entry is ready, so its fields are immutable: no lock needed.
+    reply.hit = true;
     reply.result = entry.result;
     reply.replyTail = entry.tail;
     reply.error = entry.error;
     if (entry.expired)
         reply.status = "deadline_expired";
+    if (!reply.error.empty())
+        failuresC_.add();
+    reply.millis = millisSince(t0);
+    if (reply.error.empty() && reply.status.empty())
+        warmLatencyUs_.record(microsFromMillis(reply.millis));
+}
+
+bool
+CompileService::claim(const CompileRequest &req, const CacheKey &key,
+                      Clock::time_point t0, ServiceReply &reply,
+                      AsyncDone &&done, std::shared_ptr<Entry> &owned)
+{
+    obs::SpanClock adm;
+    if (req.trace != nullptr)
+        adm = obs::SpanClock::now();
+
+    std::shared_ptr<Entry> entry;
+    bool owner = false;
+    bool published = false;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        requestsC_.add();
+        auto it = cache_.find(key);
+        if (it == cache_.end()) {
+            // A genuine miss consumes compile capacity: admission
+            // control applies (hits and duplicates are always free).
+            if (!admitLocked(req, reply)) {
+                shedC_.add();
+                obs::recordEvent(
+                    obs::Comp::Service, obs::Ev::Shed,
+                    static_cast<uint64_t>(reply.retryAfterMs),
+                    pendingCompiles_, req.traceId);
+                shedRetryMs_.record(
+                    static_cast<int64_t>(reply.retryAfterMs + 0.5));
+                reply.millis = millisSince(t0);
+                return true;
+            }
+            it = cache_.try_emplace(key).first;
+            it->second.entry = std::make_shared<Entry>();
+            owner = true;
+            missesC_.add();
+            ++pendingCompiles_;
+            obs::recordEvent(obs::Comp::Service, obs::Ev::Admit,
+                             pendingCompiles_, 0, req.traceId);
+        } else {
+            hitsC_.add();
+            touchLocked(it->second);
+            // In the LRU order means published and accounted: ready,
+            // with no need to take the entry's own lock.
+            published = it->second.inLru;
+        }
+        entry = it->second.entry;
+    }
+    // The admission span covers the cache lookup + admission decision
+    // (shed replies above are their own span-less fast exit).
+    if (req.trace != nullptr)
+        req.trace->addSpan("admission", adm.wallUs,
+                           obs::microsSince(adm));
+
+    if (!published) {
+        std::lock_guard<std::mutex> lock(entry->m);
+        if (!entry->ready) {
+            // In flight (or our own fresh claim): park the requester
+            // on the entry.  publish() fires it from the worker.
+            Waiter w;
+            w.done = std::move(done);
+            w.label = req.label;
+            w.t0 = t0;
+            w.hit = !owner;
+            if (req.deadlineMs > 0) {
+                Clock::time_point d =
+                    t0 + std::chrono::duration_cast<Clock::duration>(
+                             std::chrono::duration<double, std::milli>(
+                                 req.deadlineMs));
+                if (entry->deadlineWaiters == 0 ||
+                    d > entry->latestDeadline)
+                    entry->latestDeadline = d;
+                ++entry->deadlineWaiters;
+            } else {
+                ++entry->noDeadlineWaiters;
+            }
+            entry->waiters.push_back(std::move(w));
+            if (owner)
+                owned = std::move(entry);
+            return false;
+        }
+    }
+    serveReady(*entry, t0, reply);
+    return true;
 }
 
 void
-CompileService::compileAndPublish(const CompileRequest &req,
-                                  const Resolved &res, Entry &entry)
+CompileService::post(const CompileRequest &req, Resolved res,
+                     std::shared_ptr<Entry> entry)
 {
+    // Copy what the queued job needs: @p req is caller-owned and may
+    // die the moment the entry point returns.
+    CompileRequest job_req;
+    job_req.label = req.label;
+    job_req.machine = req.machine;
+    job_req.cfg = req.cfg;
+    job_req.traceId = req.traceId;
+    job_req.trace = req.trace;
+    const obs::SpanClock enq = obs::SpanClock::now();
+    pool_.post([this, job_req = std::move(job_req), res = std::move(res),
+                entry = std::move(entry), enq]() {
+        // Queue wait: enqueue to worker pickup, before deadline
+        // cancellation so shed-by-expiry waits are measured too.
+        const int64_t wait_us = obs::microsSince(enq);
+        queueWaitUs_.record(wait_us);
+        if (job_req.trace != nullptr)
+            job_req.trace->addSpan("queue", enq.wallUs, wait_us);
+        runQueuedCompile(job_req, res, entry);
+    });
+}
+
+void
+CompileService::runQueuedCompile(const CompileRequest &req,
+                                 const Resolved &res,
+                                 const std::shared_ptr<Entry> &entry)
+{
+    // Deadline cancellation, at dequeue time: if every waiter carried
+    // a deadline and all have passed, the compile is pointless — shed
+    // it before burning a worker.
+    {
+        std::lock_guard<std::mutex> lock(entry->m);
+        if (entry->noDeadlineWaiters == 0 && entry->deadlineWaiters > 0 &&
+            Clock::now() > entry->latestDeadline)
+            entry->expired = true;
+    }
+    if (entry->expired) {
+        obs::recordEvent(obs::Comp::Service, obs::Ev::DeadlineExpired,
+                         0, 0, req.traceId);
+        publish(entry, nullptr, res.key,
+                "deadline expired before compile started");
+        return;
+    }
+
     std::function<void()> hook;
     {
         std::lock_guard<std::mutex> lock(mu_);
@@ -423,342 +558,28 @@ CompileService::compileAndPublish(const CompileRequest &req,
 }
 
 bool
-CompileService::admitLocked(const CompileRequest &req,
-                            ServiceReply &reply)
-{
-    if (admission_.maxPending == 0)
-        return true;
-    size_t cap = admission_.maxPending;
-    if (req.batch)
-        cap = static_cast<size_t>(static_cast<double>(cap) *
-                                  admission_.batchFraction);
-    if (pendingCompiles_ < cap)
-        return true;
-    reply.status = "overloaded";
-    reply.retryAfterMs = retryAfterLocked();
-    return false;
-}
-
-double
-CompileService::retryAfterLocked() const
-{
-    // How long until a worker frees up for one more compile: queue
-    // depth (plus this request) over the pool width, scaled by the
-    // observed compile-time EWMA.  Clamped so a cold-start estimate
-    // can neither hammer the server nor park clients for minutes.
-    double per_worker = static_cast<double>(pendingCompiles_ + 1) /
-                        static_cast<double>(fleet_.workers());
-    double est = ewmaCompileMs_ * per_worker;
-    if (est < 25.0)
-        est = 25.0;
-    if (est > 5000.0)
-        est = 5000.0;
-    return est;
-}
-
-void
-CompileService::serveResolved(const CompileRequest &req,
-                              const Resolved &res,
-                              Clock::time_point t0,
-                              ServiceReply &reply)
-{
-    std::shared_ptr<Entry> entry;
-    bool owner = false;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        requestsC_.add();
-        auto it = cache_.find(res.key);
-        if (it == cache_.end()) {
-            // A genuine miss consumes compile capacity: admission
-            // control applies (hits and duplicates are always free).
-            if (!admitLocked(req, reply)) {
-                shedC_.add();
-                obs::recordEvent(
-                    obs::Comp::Service, obs::Ev::Shed,
-                    static_cast<uint64_t>(reply.retryAfterMs),
-                    pendingCompiles_, req.traceId);
-                if (metricsEnabled())
-                    shedRetryMs_.record(static_cast<int64_t>(
-                        reply.retryAfterMs + 0.5));
-                reply.millis = millisSince(t0);
-                return;
-            }
-            auto [ins, inserted] = cache_.try_emplace(res.key);
-            (void)inserted;
-            ins->second.entry = std::make_shared<Entry>();
-            owner = true;
-            missesC_.add();
-            ++pendingCompiles_;
-            obs::recordEvent(obs::Comp::Service, obs::Ev::Admit,
-                             pendingCompiles_, 0, req.traceId);
-            entry = ins->second.entry;
-        } else {
-            hitsC_.add();
-            touchLocked(it->second);
-            entry = it->second.entry;
-        }
-    }
-
-    if (owner)
-        compileAndPublish(req, res, *entry);
-    else
-        reply.hit = true;
-    fillFromEntry(*entry, reply);
-    if (!reply.error.empty()) {
-        if (owner)
-            uncache(res.key, entry);
-        failuresC_.add();
-    } else if (owner) {
-        noteReady(res.key, entry);
-    }
-    reply.millis = millisSince(t0);
-    if (metricsEnabled() && reply.error.empty() &&
-        reply.status.empty())
-        (owner ? coldLatencyUs_ : warmLatencyUs_)
-            .record(microsFromMillis(reply.millis));
-}
-
-bool
 CompileService::submitPreparedAsync(
     const CompileRequest &req, std::shared_ptr<const Program> program,
     uint64_t program_fp, const CacheKey &key, ServiceReply &reply,
     AsyncDone done)
 {
-    Clock::time_point t0 = Clock::now();
+    const Clock::time_point t0 = Clock::now();
     reply.label = req.label;
     reply.key = key;
-    obs::SpanClock adm;
-    if (req.trace != nullptr)
-        adm = obs::SpanClock::now();
-
-    std::shared_ptr<Entry> entry;
-    bool owner = false;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        requestsC_.add();
-        auto it = cache_.find(key);
-        if (it == cache_.end()) {
-            if (!admitLocked(req, reply)) {
-                shedC_.add();
-                obs::recordEvent(
-                    obs::Comp::Service, obs::Ev::Shed,
-                    static_cast<uint64_t>(reply.retryAfterMs),
-                    pendingCompiles_, req.traceId);
-                if (metricsEnabled())
-                    shedRetryMs_.record(static_cast<int64_t>(
-                        reply.retryAfterMs + 0.5));
-                reply.millis = millisSince(t0);
-                return true;
-            }
-            auto [ins, inserted] = cache_.try_emplace(key);
-            (void)inserted;
-            ins->second.entry = std::make_shared<Entry>();
-            owner = true;
-            missesC_.add();
-            ++pendingCompiles_;
-            obs::recordEvent(obs::Comp::Service, obs::Ev::Admit,
-                             pendingCompiles_, 0, req.traceId);
-            entry = ins->second.entry;
-        } else {
-            hitsC_.add();
-            touchLocked(it->second);
-            entry = it->second.entry;
-        }
-    }
-    // The admission span covers the cache lookup + admission decision
-    // (shed replies above are their own span-less fast exit).
-    if (req.trace != nullptr)
-        req.trace->addSpan("admission", adm.wallUs,
-                           obs::microsSince(adm));
-
-    {
-        std::unique_lock<std::mutex> lock(entry->m);
-        if (entry->ready) {
-            // Published already: the synchronous warm path — no pool
-            // round-trip, no callback.
-            reply.hit = true;
-            reply.result = entry->result;
-            reply.replyTail = entry->tail;
-            reply.error = entry->error;
-            if (entry->expired)
-                reply.status = "deadline_expired";
-            lock.unlock();
-            if (!reply.error.empty())
-                failuresC_.add();
-            reply.millis = millisSince(t0);
-            if (metricsEnabled() && reply.error.empty() &&
-                reply.status.empty())
-                warmLatencyUs_.record(microsFromMillis(reply.millis));
-            return true;
-        }
-        // In flight (or our own fresh claim): park the requester on
-        // the entry.  publish() fires it from the worker thread.
-        Waiter w;
-        w.done = std::move(done);
-        w.label = req.label;
-        w.t0 = t0;
-        w.hit = !owner;
-        if (req.deadlineMs > 0) {
-            Clock::time_point d =
-                t0 + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double, std::milli>(
-                             req.deadlineMs));
-            if (entry->deadlineWaiters == 0 || d > entry->latestDeadline)
-                entry->latestDeadline = d;
-            ++entry->deadlineWaiters;
-        } else {
-            ++entry->noDeadlineWaiters;
-        }
-        entry->waiters.push_back(std::move(w));
-    }
-
-    if (owner) {
-        // Copy what the queued job needs: @p req is caller-owned and
-        // may die the moment this call returns.
-        CompileRequest job_req;
-        job_req.label = req.label;
-        job_req.machine = req.machine;
-        job_req.cfg = req.cfg;
-        job_req.trace = req.trace;
-        Resolved res;
-        res.program = std::move(program);
-        res.programFp = program_fp;
-        res.key = key;
-        const obs::SpanClock enq = obs::SpanClock::now();
-        asyncPool().post([this, job_req = std::move(job_req),
-                          res = std::move(res), entry,
-                          enq]() mutable {
-            // Queue wait: enqueue to worker pickup, before deadline
-            // cancellation so shed-by-expiry waits are measured too.
-            const int64_t wait_us = obs::microsSince(enq);
-            if (metricsEnabled())
-                queueWaitUs_.record(wait_us);
-            if (job_req.trace != nullptr)
-                job_req.trace->addSpan("queue", enq.wallUs, wait_us);
-            runQueuedCompile(job_req, res, entry);
-        });
-    }
+    std::shared_ptr<Entry> owned;
+    if (claim(req, key, t0, reply, std::move(done), owned))
+        return true;
+    if (owned != nullptr)
+        post(req, Resolved{std::move(program), program_fp, key, {}},
+             std::move(owned));
     return false;
-}
-
-void
-CompileService::runQueuedCompile(const CompileRequest &req,
-                                 const Resolved &res,
-                                 const std::shared_ptr<Entry> &entry)
-{
-    // Deadline cancellation, at dequeue time: if every waiter carried
-    // a deadline and all have passed, the compile is pointless — shed
-    // it before burning a worker.  The key is uncached first so a
-    // later request retries cleanly.
-    bool cancel = false;
-    {
-        std::lock_guard<std::mutex> lock(entry->m);
-        if (entry->noDeadlineWaiters == 0 && entry->deadlineWaiters > 0 &&
-            Clock::now() > entry->latestDeadline)
-            cancel = true;
-    }
-    if (cancel) {
-        entry->expired = true;
-        obs::recordEvent(obs::Comp::Service, obs::Ev::DeadlineExpired,
-                         0, 0, req.traceId);
-        uncache(res.key, entry);
-        publish(*entry, nullptr, res.key,
-                "deadline expired before compile started");
-        return;
-    }
-
-    compileAndPublish(req, res, *entry);
-    // Same post-publish bookkeeping as the sync owner path: failures
-    // stay retriable, successes join the LRU order.  (entry->error is
-    // safe to read unlocked: this thread just published it.)
-    if (!entry->error.empty())
-        uncache(res.key, entry);
-    else
-        noteReady(res.key, entry);
 }
 
 ServiceReply
 CompileService::submit(const CompileRequest &req)
 {
-    Clock::time_point t0 = Clock::now();
     ServiceReply reply;
-    reply.label = req.label;
-
-    Resolved res = resolve(req);
-    if (!res.error.empty()) {
-        reply.error = res.error;
-        reply.millis = millisSince(t0);
-        requestsC_.add();
-        failuresC_.add();
-        return reply;
-    }
-    reply.key = res.key;
-    serveResolved(req, res, t0, reply);
-    return reply;
-}
-
-bool
-CompileService::tryServePublished(const std::string &label,
-                                  const CacheKey &key,
-                                  ServiceReply &reply)
-{
-    Clock::time_point t0 = Clock::now();
-    std::shared_ptr<Entry> entry;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = cache_.find(key);
-        if (it == cache_.end())
-            return false;
-        entry = it->second.entry;
-    }
-    {
-        std::lock_guard<std::mutex> lock(entry->m);
-        // Only a ready, successful publish qualifies: in-flight and
-        // failed entries need the full path's dedup/retry semantics.
-        if (!entry->ready || !entry->error.empty() ||
-            entry->expired || entry->result == nullptr)
-            return false;
-        reply.result = entry->result;
-        reply.replyTail = entry->tail;
-    }
-    {
-        // Count and refresh recency only once the hit is certain (the
-        // declined paths above must leave the stats untouched).  The
-        // slot may have been evicted or replaced between the locks;
-        // touch only the entry we actually served.
-        std::lock_guard<std::mutex> lock(mu_);
-        requestsC_.add();
-        hitsC_.add();
-        auto it = cache_.find(key);
-        if (it != cache_.end() && it->second.entry == entry &&
-            it->second.inLru)
-            touchLocked(it->second);
-    }
-    reply.label = label;
-    reply.hit = true;
-    reply.key = key;
-    reply.millis = millisSince(t0);
-    // The wire-speed warm path: this record (plus the transport's
-    // counters) is exactly what the metrics-off bench row toggles.
-    if (metricsEnabled())
-        warmLatencyUs_.record(microsFromMillis(reply.millis));
-    return true;
-}
-
-ServiceReply
-CompileService::submitPrepared(const CompileRequest &req,
-                               std::shared_ptr<const Program> program,
-                               uint64_t program_fp, const CacheKey &key)
-{
-    Clock::time_point t0 = Clock::now();
-    ServiceReply reply;
-    reply.label = req.label;
-    reply.key = key;
-    Resolved res;
-    res.program = std::move(program);
-    res.programFp = program_fp;
-    res.key = key;
-    serveResolved(req, res, t0, reply);
+    serveBlocking({&req, 1}, {&reply, 1});
     return reply;
 }
 
@@ -766,98 +587,83 @@ std::vector<ServiceReply>
 CompileService::submitBatch(const std::vector<CompileRequest> &reqs)
 {
     std::vector<ServiceReply> replies(reqs.size());
+    serveBlocking(reqs, replies);
+    return replies;
+}
 
-    // Phase 1: resolve every request and claim ownership of the keys
-    // this batch sees first.  Duplicates inside the batch (and keys
-    // already cached or in flight) become hits.
-    struct Claim
+void
+CompileService::serveBlocking(std::span<const CompileRequest> reqs,
+                              std::span<ServiceReply> replies)
+{
+    // One arrival per request: immediate replies arrive here, parked
+    // ones from their Waiter once publish() fills them in.
+    Latch latch(reqs.size());
+
+    // Claim every request before posting any compile, so in-batch
+    // duplicates deterministically join the first occurrence's claim.
+    struct Claimed
     {
-        size_t reqIndex;
+        size_t index;
         Resolved res;
         std::shared_ptr<Entry> entry;
     };
-    std::vector<Claim> owned;
-    std::vector<std::shared_ptr<Entry>> entries(reqs.size());
-    std::vector<bool> is_owner(reqs.size(), false);
+    std::vector<Claimed> owned;
     for (size_t i = 0; i < reqs.size(); ++i) {
+        const Clock::time_point t0 = Clock::now();
         ServiceReply &reply = replies[i];
         reply.label = reqs[i].label;
         Resolved res = resolve(reqs[i]);
         if (!res.error.empty()) {
             reply.error = res.error;
+            reply.millis = millisSince(t0);
             requestsC_.add();
             failuresC_.add();
+            latch.arrive();
             continue;
         }
         reply.key = res.key;
+        std::shared_ptr<Entry> entry;
+        if (claim(reqs[i], res.key, t0, reply,
+                  [out = &reply, done = &latch](ServiceReply &&r) {
+                      *out = std::move(r);
+                      done->arrive();
+                  },
+                  entry)) {
+            latch.arrive();
+            continue;
+        }
+        if (entry != nullptr)
+            owned.push_back({i, std::move(res), std::move(entry)});
+    }
+    for (Claimed &c : owned)
+        post(reqs[c.index], std::move(c.res), std::move(c.entry));
+    latch.wait();
+}
+
+bool
+CompileService::tryServePublished(const std::string &label,
+                                  const CacheKey &key,
+                                  ServiceReply &reply)
+{
+    const Clock::time_point t0 = Clock::now();
+    std::shared_ptr<Entry> entry;
+    {
+        // Only a published (LRU-accounted) entry qualifies: an absent
+        // or in-flight key needs the full path's claim, so decline
+        // without counting anything.
         std::lock_guard<std::mutex> lock(mu_);
+        auto it = cache_.find(key);
+        if (it == cache_.end() || !it->second.inLru)
+            return false;
         requestsC_.add();
-        auto [it, inserted] = cache_.try_emplace(res.key);
-        if (inserted) {
-            it->second.entry = std::make_shared<Entry>();
-            missesC_.add();
-            ++pendingCompiles_;
-            obs::recordEvent(obs::Comp::Service, obs::Ev::Admit,
-                             pendingCompiles_, 0,
-                             reqs[i].traceId);
-            is_owner[i] = true;
-            owned.push_back(Claim{i, std::move(res), it->second.entry});
-        } else {
-            hitsC_.add();
-            touchLocked(it->second);
-            replies[i].hit = true;
-        }
-        entries[i] = it->second.entry;
+        hitsC_.add();
+        touchLocked(it->second);
+        entry = it->second.entry;
     }
-
-    // Phase 2: dispatch the unique misses onto the fleet worker pool,
-    // sharing the service's analysis cache across the batch.
-    if (!owned.empty()) {
-        std::vector<FleetJob> jobs;
-        jobs.reserve(owned.size());
-        for (const Claim &c : owned) {
-            const CompileRequest &req = reqs[c.reqIndex];
-            FleetJob job;
-            job.label = req.label;
-            job.program = c.res.program;
-            MachineSpec spec = req.machine;
-            job.machine = [spec] { return spec.build(); };
-            job.cfg = req.cfg;
-            jobs.push_back(std::move(job));
-        }
-        FleetResult fleet = fleet_.run(jobs, &analysis_);
-        compilesC_.add(static_cast<int64_t>(owned.size()));
-        for (size_t k = 0; k < owned.size(); ++k) {
-            FleetJobResult &jr = fleet.jobs[k];
-            std::shared_ptr<const CompileResult> result;
-            if (jr.error.empty())
-                result = std::make_shared<const CompileResult>(
-                    std::move(jr.result));
-            else
-                uncache(owned[k].res.key, owned[k].entry);
-            const bool ok = jr.error.empty();
-            publish(*owned[k].entry, std::move(result),
-                    owned[k].res.key, jr.error, jr.millis);
-            if (ok)
-                noteReady(owned[k].res.key, owned[k].entry);
-            // The miss's service time is its compile time on the pool.
-            replies[owned[k].reqIndex].millis = jr.millis;
-        }
-    }
-
-    // Phase 3: collect every reply (hits may wait on another thread's
-    // in-flight compile; the batch's own misses are ready).
-    for (size_t i = 0; i < reqs.size(); ++i) {
-        if (!entries[i])
-            continue; // resolve error, reply already filled
-        Clock::time_point t0 = Clock::now();
-        fillFromEntry(*entries[i], replies[i]);
-        if (!is_owner[i])
-            replies[i].millis = millisSince(t0);
-        if (!replies[i].error.empty())
-            failuresC_.add();
-    }
-    return replies;
+    reply.label = label;
+    reply.key = key;
+    serveReady(*entry, t0, reply);
+    return true;
 }
 
 ServiceStats
@@ -869,8 +675,6 @@ CompileService::stats() const
         s.cachedResults = cache_.size();
         s.cachedBytes = cachedBytes_;
         s.pendingCompiles = pendingCompiles_;
-        if (pool_ != nullptr)
-            s.workerDeaths = pool_->deaths();
     }
     // Monotonic counters come from the metrics registry — stats() is a
     // snapshot view over the same cells {"cmd": "metrics"} renders.
@@ -884,6 +688,7 @@ CompileService::stats() const
     s.deadlineExpired = deadlineExpiredC_.value();
     s.cachedPrograms = programs_.size();
     s.analysisComputes = analysis_.computeCount();
+    s.workerDeaths = pool_.deaths();
     return s;
 }
 

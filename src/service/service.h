@@ -1,7 +1,7 @@
 /**
  * @file
- * Compile-as-a-service: content-addressed result caching over the
- * fleet compiler.
+ * Compile-as-a-service: content-addressed result caching in front of
+ * one persistent compile pool.
  *
  * SQUARE's production shape is many clients compiling the *same*
  * modular programs under many policy/machine configurations.  Because
@@ -13,24 +13,30 @@
  *            x MachineSpec::fingerprint()
  *            x configFingerprint()   (canonicalized; see cache_key.h)
  *
- * Request lifecycle:
+ * Request lifecycle (one core behind every entry point):
  *
  *   1. resolve the program: an explicit shared Program, or a registry
  *      workload name (programs built from names are themselves cached
  *      by name, so replicas share one immutable instance);
  *   2. compute the cache key;
- *   3. hit        -> return the shared const CompileResult, no work;
- *      in flight  -> block until the owning request publishes, then
- *                    share its result (concurrent duplicates compile
+ *   3. claim: one locked step looks the key up, applies admission
+ *      control to a would-be miss, claims the miss, and counts;
+ *   4. published  -> reply now with the shared const CompileResult;
+ *      shed       -> reply now with status "overloaded";
+ *      in flight  -> park on the entry's Waiter list and share the
+ *                    owner's result (concurrent duplicates compile
  *                    exactly once);
- *      miss       -> compile and publish.  submit() compiles on the
- *                    caller's thread; submitBatch() collects the
- *                    batch's unique misses and dispatches them onto
- *                    the FleetCompiler worker pool.
+ *      miss       -> park, and post one compile job onto the service's
+ *                    WorkerPool; publish() wakes every waiter.
  *
- * Compilations triggered by misses share one const ProgramAnalysis per
- * unique program fingerprint through the service's AnalysisCache,
- * which persists across requests and batches.
+ * submitPreparedAsync() is the core itself.  submit() and submitBatch()
+ * are waits on it: they park like any async requester and block until
+ * their Waiters fire, so admission, deadline cancellation, the compile
+ * hook, and the latency histograms apply to every caller alike.
+ *
+ * Compilations share one const ProgramAnalysis per unique program
+ * fingerprint through the service's AnalysisCache, which persists
+ * across requests and batches.
  *
  * Results are shared immutable artifacts (shared_ptr<const
  * CompileResult>): hits are pointer-equal to the first computation,
@@ -43,26 +49,26 @@
  * return — keeps its artifact alive regardless of eviction (pinning is
  * structural, not a lock).  In-flight entries are never evicted; they
  * join the LRU order when their result is published.  The server tier
- * (src/server/) shards this service by CacheKey hash and puts a TCP
- * transport in front of the pipe protocol (see ROADMAP.md).
+ * (src/server/) shards this service by CacheKey hash and puts the epoll
+ * transport in front of the pipe protocol.
  */
 
 #ifndef SQUARE_SERVICE_SERVICE_H
 #define SQUARE_SERVICE_SERVICE_H
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "core/compiler.h"
 #include "core/policy.h"
-#include "fleet/fleet.h"
 #include "fleet/worker_pool.h"
 #include "ir/analysis_cache.h"
 #include "obs/metrics.h"
@@ -220,9 +226,9 @@ struct ServiceStats
 };
 
 /**
- * The batching, deduplicating compile server.  Thread-safe: submit()
- * may be called from any number of threads concurrently (the
- * square_serve binary and the TSan-covered tests do).
+ * The deduplicating compile service.  Thread-safe: every entry point
+ * may be called from any number of threads concurrently (the server
+ * tier and the TSan-covered tests do).
  */
 class CompileService
 {
@@ -236,8 +242,9 @@ class CompileService
     using AsyncDone = std::function<void(ServiceReply &&reply)>;
 
     /**
-     * @param workers   fleet worker threads for submitBatch misses and
-     *                  the async compile pool.
+     * Starts the service's compile pool: @p workers threads, niced so
+     * compiles yield the CPU to latency-critical serving threads.
+     *
      * @param limits    LRU bound on the result cache (default unbounded).
      * @param admission compile-queue bound (default: admit everything).
      */
@@ -246,48 +253,38 @@ class CompileService
     ~CompileService();
 
     /**
-     * Serve one request.  Misses compile on the calling thread;
-     * concurrent duplicates of an in-flight key block and share the
-     * one result.
+     * Serve one request, blocking until its reply is ready: a wait on
+     * submitPreparedAsync.  Concurrent duplicates of an in-flight key
+     * share the one result.
      */
     ServiceReply submit(const CompileRequest &req);
-
-    /**
-     * Serve a request that the caller (the shard router) has already
-     * resolved to its shared program, program fingerprint, and cache
-     * key.  Skips re-resolution — re-fingerprinting the whole program
-     * per request would dominate the warm hit — and copies nothing
-     * from @p req but the label.
-     */
-    ServiceReply submitPrepared(
-        const CompileRequest &req,
-        std::shared_ptr<const Program> program, uint64_t program_fp,
-        const CacheKey &key);
 
     /**
      * Serve @p key from the published cache if (and only if) it holds
      * a ready successful result: fills @p reply as a warm hit (shared
      * result + preserialized tail), counts the request, refreshes LRU
-     * recency, and returns true.  Any other state — absent, in
-     * flight, failed, expired — returns false WITHOUT counting
-     * anything, so the caller falls through to the full submit path.
-     * This is the shard daemon's fast path for router-forwarded keys:
-     * no machine parse, no config canonicalization, no name lookup.
+     * recency, and returns true.  Any other state — absent or in
+     * flight — returns false WITHOUT counting anything, so the caller
+     * falls through to the full submit path.  This is the shard
+     * daemon's fast path for router-forwarded keys: no machine parse,
+     * no config canonicalization, no name lookup.
      */
     bool tryServePublished(const std::string &label, const CacheKey &key,
                            ServiceReply &reply);
 
     /**
-     * The non-blocking variant of submitPrepared, for callers that
-     * must never stall (epoll event loops).  Returns true when the
-     * request was served synchronously — a published cache hit, an
-     * admission-control shed (reply.status == "overloaded"), or an
-     * error — with @p reply filled and @p done never invoked.  Returns
-     * false when the request went asynchronous: the miss was queued on
-     * the worker pool (or joined an in-flight compile) and @p done
-     * fires exactly once from a worker thread with the finished reply.
-     * Concurrent duplicates — async and blocking alike — still dedup
-     * to one compilation.
+     * The service core, for a request the caller has already resolved
+     * to its shared program, program fingerprint, and cache key (the
+     * shard router does, once, in its own name cache — re-fingerprinting
+     * the whole program per request would dominate the warm hit).
+     * Never blocks.  Returns true when the request was served
+     * synchronously — a published cache hit or an admission-control
+     * shed (reply.status == "overloaded") — with @p reply filled and
+     * @p done never invoked.  Returns false when the request went
+     * asynchronous: the miss was queued on the worker pool (or joined
+     * an in-flight compile) and @p done fires exactly once from a
+     * worker thread with the finished reply.  Concurrent duplicates
+     * dedup to one compilation whichever entry point they came through.
      */
     bool submitPreparedAsync(const CompileRequest &req,
                              std::shared_ptr<const Program> program,
@@ -295,9 +292,11 @@ class CompileService
                              ServiceReply &reply, AsyncDone done);
 
     /**
-     * Serve a batch: replies in request order.  The batch's unique
-     * misses run on the fleet worker pool; duplicates inside the batch
-     * (and keys already cached) are hits.
+     * Serve a batch, blocking until every reply is ready; replies in
+     * request order.  Every request is claimed before any compile is
+     * posted, so duplicates inside the batch (and keys already cached)
+     * are hits, and the unique misses then run in parallel on the
+     * pool.
      */
     std::vector<ServiceReply> submitBatch(
         const std::vector<CompileRequest> &reqs);
@@ -317,22 +316,7 @@ class CompileService
     /** Refresh the registry's gauges from the mutex-guarded state. */
     void syncMetricsGauges() const;
 
-    /**
-     * Toggle histogram recording (counters always run: they are the
-     * stats() substrate).  The warm-path bench gates the overhead of
-     * exactly what this toggles.
-     */
-    void setMetricsEnabled(bool on)
-    {
-        metricsEnabled_.store(on, std::memory_order_relaxed);
-    }
-
-    bool metricsEnabled() const
-    {
-        return metricsEnabled_.load(std::memory_order_relaxed);
-    }
-
-    int workers() const { return fleet_.workers(); }
+    int workers() const { return pool_.workers(); }
 
     const CacheLimits &limits() const { return limits_; }
 
@@ -369,15 +353,15 @@ class CompileService
                         std::string &&tail);
 
     /**
-     * Fault-injection probe run at the start of every compilation
-     * (sync and async).  Installed by the server tier so this layer
-     * stays free of src/server includes.  Thread-safe to set before
-     * traffic; the hook itself must be thread-safe.
+     * Fault-injection probe run at the start of every compilation.
+     * Installed by the server tier so this layer stays free of
+     * src/server includes.  Thread-safe to set before traffic; the
+     * hook itself must be thread-safe.
      */
     void setCompileHook(std::function<void()> hook);
 
     /**
-     * Fault-injection probe consulted per dequeued async job; true
+     * Fault-injection probe consulted per dequeued compile job; true
      * kills (and replaces) the worker.  See WorkerPool::setDeathHook.
      */
     void setWorkerDeathHook(std::function<bool()> hook);
@@ -388,7 +372,7 @@ class CompileService
   private:
     using Clock = std::chrono::steady_clock;
 
-    /** One parked async requester, woken at publish time. */
+    /** One parked requester, woken at publish time. */
     struct Waiter
     {
         AsyncDone done;
@@ -401,21 +385,19 @@ class CompileService
     struct Entry
     {
         std::mutex m;
-        std::condition_variable cv;
         bool ready = false;
         std::shared_ptr<const CompileResult> result;
         /** Preserialized reply bytes (see ServiceReply::replyTail). */
         std::shared_ptr<const std::string> tail;
         std::string error;
-        /** True when publish() cancelled the compile (deadline). */
+        /** True when the compile was cancelled (deadline). */
         bool expired = false;
-        /** Async requesters parked on this in-flight entry. */
+        /** Requesters parked on this in-flight entry. */
         std::vector<Waiter> waiters;
         /**
          * Deadline bookkeeping for pre-worker cancellation: the entry
          * may be cancelled only when every waiter carries a deadline
-         * and all of them have passed.  Blocking waiters
-         * (fillFromEntry) count as deadline-free.
+         * and all of them have passed.
          */
         int noDeadlineWaiters = 0;
         int deadlineWaiters = 0;
@@ -444,28 +426,53 @@ class CompileService
     /** Resolve program + key (building/caching by name as needed). */
     Resolved resolve(const CompileRequest &req);
 
-    /** The post-resolution body shared by submit/submitPrepared. */
-    void serveResolved(const CompileRequest &req, const Resolved &res,
-                       std::chrono::steady_clock::time_point t0,
-                       ServiceReply &reply);
+    /**
+     * The claim step every entry point shares: cache lookup, admission
+     * control for a would-be miss, the miss claim, the request
+     * counters, and the admit/shed events.  Returns true when the
+     * request was answered synchronously (published hit or shed) into
+     * @p reply; otherwise parks @p done on the entry's Waiter list and
+     * returns false, with @p owned set when this request claimed the
+     * miss — the caller then post()s the compile.  @p reply is never
+     * touched after the waiter is parked: its done callback may
+     * already be writing it.
+     */
+    bool claim(const CompileRequest &req, const CacheKey &key,
+               Clock::time_point t0, ServiceReply &reply, AsyncDone &&done,
+               std::shared_ptr<Entry> &owned);
 
-    /** Wait for @p entry and turn it into a reply (counted a hit). */
-    static void fillFromEntry(Entry &entry, ServiceReply &reply);
-
-    /** Compile one miss on the calling thread and publish it. */
-    void compileAndPublish(const CompileRequest &req,
-                           const Resolved &res, Entry &entry);
+    /** Fill @p reply from a published entry: a warm hit. */
+    void serveReady(const Entry &entry, Clock::time_point t0,
+                    ServiceReply &reply);
 
     /**
-     * Publish a finished result (or error) and wake every waiter —
-     * blocking waiters via the entry's cv, async waiters by invoking
-     * their AsyncDone callbacks on this (the publishing) thread.
-     * Success carries the preserialized reply tail for @p key —
-     * encoded once here, never on the hit path.  Also retires the
-     * entry's pending-compile slot and folds @p compile_millis into
-     * the retry_after EWMA when non-negative.
+     * The blocking entry points' body: resolve and claim every
+     * request, post the owned misses, then wait until every parked
+     * request's Waiter has filled its slot of @p replies.
      */
-    void publish(Entry &entry,
+    void serveBlocking(std::span<const CompileRequest> reqs,
+                       std::span<ServiceReply> replies);
+
+    /** Queue the compile of a claimed miss on the worker pool. */
+    void post(const CompileRequest &req, Resolved res,
+              std::shared_ptr<Entry> entry);
+
+    /** The worker-side body of one queued compile. */
+    void runQueuedCompile(const CompileRequest &req, const Resolved &res,
+                          const std::shared_ptr<Entry> &entry);
+
+    /**
+     * Publish a finished result (or error) and wake every waiter by
+     * invoking its AsyncDone callback on this (the publishing) thread.
+     * Everything a woken requester can observe is settled first: a
+     * failed or cancelled key is uncached (later requests retry it), a
+     * success joins the LRU order (evicting over-limit entries) and
+     * reaches the publish sink, and the entry's pending-compile slot
+     * is retired.  Success carries the preserialized reply tail for
+     * @p key — encoded once here, never on the hit path.
+     * @p compile_millis, when non-negative, feeds the retry_after EWMA.
+     */
+    void publish(const std::shared_ptr<Entry> &entry,
                  std::shared_ptr<const CompileResult> result,
                  const CacheKey &key, std::string error,
                  double compile_millis = -1,
@@ -480,13 +487,6 @@ class CompileService
     /** retry_after_ms estimate from queue depth x compile EWMA. */
     double retryAfterLocked() const;
 
-    /** The async compile pool, created on first use. */
-    WorkerPool &asyncPool();
-
-    /** The worker-side body of one queued async compile. */
-    void runQueuedCompile(const CompileRequest &req, const Resolved &res,
-                          const std::shared_ptr<Entry> &entry);
-
     /**
      * Drop a failed entry (if @p key still maps to it) so later
      * requests for the key retry instead of replaying the error.
@@ -496,11 +496,11 @@ class CompileService
 
     /**
      * Account a freshly published result: enter it into the LRU order,
-     * add its bytes, and evict over-limit entries.  No-op if the key
-     * was dropped (failed) or replaced meanwhile.
+     * add its bytes, and evict over-limit entries; caller holds mu_.
+     * No-op if the key was dropped or replaced meanwhile.
      */
-    void noteReady(const CacheKey &key,
-                   const std::shared_ptr<Entry> &entry);
+    void noteReadyLocked(const CacheKey &key,
+                         const std::shared_ptr<Entry> &entry);
 
     /** Move an already-published slot to the front of the LRU order. */
     void touchLocked(Slot &slot);
@@ -508,7 +508,6 @@ class CompileService
     /** Evict LRU published entries until within limits_. */
     void evictOverLimitLocked();
 
-    FleetCompiler fleet_;
     AnalysisCache analysis_;
     const CacheLimits limits_;
     const AdmissionLimits admission_;
@@ -535,7 +534,6 @@ class CompileService
     obs::Histogram &coldLatencyUs_;
     obs::Histogram &queueWaitUs_;
     obs::Histogram &shedRetryMs_;
-    std::atomic<bool> metricsEnabled_{true};
 
     mutable std::mutex mu_;
     std::unordered_map<CacheKey, Slot, CacheKeyHash> cache_;
@@ -544,15 +542,15 @@ class CompileService
     size_t cachedBytes_ = 0;
     /** Workload names resolved once to shared immutable programs. */
     ProgramNameCache programs_;
-    /** Gauge: compiles claimed (queued or running), sync and async. */
+    /** Gauge: compiles claimed (queued or running). */
     size_t pendingCompiles_ = 0;
     /** EWMA of observed compile wall times, for retry_after_ms. */
     double ewmaCompileMs_ = 50.0;
-    /** Lazily created async pool (guarded by mu_ for creation). */
-    std::unique_ptr<WorkerPool> pool_;
     std::function<void()> compileHook_;
-    std::function<bool()> workerDeathHook_;
     PublishSink publishSink_;
+    /** Runs every compile.  Last member: its workers start after, and
+        are joined before, everything their jobs touch. */
+    WorkerPool pool_;
 };
 
 } // namespace square

@@ -1,15 +1,13 @@
 /**
  * @file
- * Server-tier correctness, parameterized over both transports: the
- * thread-per-connection TcpTransport and the epoll event-loop
- * transport must frame the NDJSON protocol identically (truncated
- * trailing lines, line-cap overflow, fragmented and pipelined input,
- * write backpressure) and shut down cleanly; the shard router must be
- * key-affine (a given program x machine x config always lands on the
- * same shard) with per-shard stats that sum exactly to the global
- * view.  This binary runs under the CI ThreadSanitizer job — the
- * epoll transport's one-loop-owns-a-connection invariant is enforced
- * there.
+ * Server-tier correctness: the epoll transport must frame the NDJSON
+ * protocol (truncated trailing lines, line-cap overflow, fragmented
+ * and pipelined input, write backpressure) and shut down cleanly with
+ * one event loop or several; the shard router must be key-affine (a
+ * given program x machine x config always lands on the same shard)
+ * with per-shard stats that sum exactly to the global view.  This
+ * binary runs under the CI ThreadSanitizer job — the epoll transport's
+ * one-loop-owns-a-connection invariant is enforced there.
  */
 
 #include <gtest/gtest.h>
@@ -33,10 +31,10 @@
 #include "obs/trace.h"
 #include "obs/watchdog.h"
 #include "server/client.h"
+#include "server/epoll_transport.h"
 #include "server/faults.h"
 #include "server/server.h"
 #include "server/shard_router.h"
-#include "server/transport.h"
 #include "service/protocol.h"
 #include "service/service.h"
 #include "workloads/registry.h"
@@ -56,48 +54,21 @@ namedRequest(const std::string &workload, const SquareConfig &cfg)
 }
 
 // -------------------------------------------------------------------
-// Transport framing and shutdown (both kinds, via the interface)
+// Transport framing and shutdown (one event loop and two)
 // -------------------------------------------------------------------
 
-struct TransportCase
-{
-    const char *kind;
-    int eventThreads;
-};
-
-std::string
-transportCaseName(const ::testing::TestParamInfo<TransportCase> &info)
-{
-    std::string name = info.param.kind;
-    if (info.param.eventThreads > 1)
-        name += "_" + std::to_string(info.param.eventThreads) + "loops";
-    return name;
-}
-
-class TransportSuite : public ::testing::TestWithParam<TransportCase>
+class TransportSuite : public ::testing::TestWithParam<int>
 {
   protected:
-    std::unique_ptr<Transport>
+    std::unique_ptr<EpollTransport>
     make()
     {
-        TransportOptions opts;
-        opts.eventThreads = GetParam().eventThreads;
-        std::string error;
-        std::unique_ptr<Transport> t =
-            makeTransport(GetParam().kind, opts, error);
-        EXPECT_NE(t, nullptr) << error;
-        return t;
-    }
-
-    bool
-    isEpoll() const
-    {
-        return std::string_view(GetParam().kind) == "epoll";
+        return std::make_unique<EpollTransport>(GetParam());
     }
 };
 
 /** The echo handler used by most framing tests. */
-Transport::LineHandler
+LineHandler
 echoHandler()
 {
     return [](std::string_view line, std::string &out, bool &,
@@ -110,7 +81,7 @@ echoHandler()
 
 TEST_P(TransportSuite, LinesRoundTripOnPersistentConnections)
 {
-    std::unique_ptr<Transport> transport = make();
+    std::unique_ptr<EpollTransport> transport = make();
     std::string error;
     ASSERT_TRUE(
         transport->start("127.0.0.1", 0, echoHandler(), error))
@@ -149,7 +120,7 @@ TEST_P(TransportSuite, LinesRoundTripOnPersistentConnections)
 
 TEST_P(TransportSuite, TruncatedTrailingLineStillGetsAReply)
 {
-    std::unique_ptr<Transport> transport = make();
+    std::unique_ptr<EpollTransport> transport = make();
     std::string error;
     ASSERT_TRUE(transport->start(
         "127.0.0.1", 0,
@@ -182,7 +153,7 @@ TEST_P(TransportSuite, NewlinelessFloodIsBoundedAndDisconnected)
     // A peer streaming bytes with no newline must not grow server
     // memory without bound: past the line cap it gets a reply for a
     // short prefix and is disconnected.
-    std::unique_ptr<Transport> transport = make();
+    std::unique_ptr<EpollTransport> transport = make();
     std::string error;
     std::atomic<size_t> seen_len{0};
     ASSERT_TRUE(transport->start(
@@ -217,7 +188,7 @@ TEST_P(TransportSuite, PipelinedBatchIsAnsweredInOrder)
     // Many requests in ONE write: every complete line must be parsed
     // and answered, in order, on the same connection — the syscall-
     // amortizing traffic shape the epoll transport batches.
-    std::unique_ptr<Transport> transport = make();
+    std::unique_ptr<EpollTransport> transport = make();
     std::string error;
     ASSERT_TRUE(
         transport->start("127.0.0.1", 0, echoHandler(), error))
@@ -255,7 +226,7 @@ TEST_P(TransportSuite, SingleByteFragmentedWritesAcrossABatch)
     // The opposite extreme of pipelining: a batch of requests trickled
     // one byte per write.  Framing must reassemble lines across
     // arbitrarily many reads.
-    std::unique_ptr<Transport> transport = make();
+    std::unique_ptr<EpollTransport> transport = make();
     std::string error;
     ASSERT_TRUE(
         transport->start("127.0.0.1", 0, echoHandler(), error))
@@ -279,7 +250,7 @@ TEST_P(TransportSuite, HalfLineStraddlingTwoReadsThenShutdown)
 {
     // A line torn across two reads must reassemble; the half-line
     // left when the write half closes is answered as a partial.
-    std::unique_ptr<Transport> transport = make();
+    std::unique_ptr<EpollTransport> transport = make();
     std::string error;
     ASSERT_TRUE(
         transport->start("127.0.0.1", 0, echoHandler(), error))
@@ -308,7 +279,7 @@ TEST_P(TransportSuite, SlowReaderBackpressureDeliversEverything)
     // (the epoll transport pauses reads past the high-water mark) and
     // still deliver every reply, intact and in order, once the client
     // drains.
-    std::unique_ptr<Transport> transport = make();
+    std::unique_ptr<EpollTransport> transport = make();
     std::string error;
     const std::string payload(64 * 1024, 'x');
     ASSERT_TRUE(transport->start(
@@ -341,17 +312,15 @@ TEST_P(TransportSuite, SlowReaderBackpressureDeliversEverything)
         EXPECT_EQ(reply.substr(0, prefix.size()), prefix);
         EXPECT_EQ(reply.size(), prefix.size() + payload.size());
     }
-    if (isEpoll()) {
-        // 4 MiB owed >> 1 MiB high-water mark: the loop must have
-        // paused reading at least once.
-        EXPECT_GT(transport->stats().backpressured, 0);
-    }
+    // 4 MiB owed >> 1 MiB high-water mark: the loop must have paused
+    // reading at least once.
+    EXPECT_GT(transport->stats().backpressured, 0);
     transport->stop();
 }
 
 TEST_P(TransportSuite, SyscallAndBatchStatsAreCounted)
 {
-    std::unique_ptr<Transport> transport = make();
+    std::unique_ptr<EpollTransport> transport = make();
     std::string error;
     ASSERT_TRUE(
         transport->start("127.0.0.1", 0, echoHandler(), error))
@@ -376,35 +345,59 @@ TEST_P(TransportSuite, SyscallAndBatchStatsAreCounted)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Transports, TransportSuite,
-    ::testing::Values(TransportCase{"threads", 1},
-                      TransportCase{"epoll", 1},
-                      TransportCase{"epoll", 2}),
-    transportCaseName);
+    EventLoops, TransportSuite, ::testing::Values(1, 2),
+    [](const ::testing::TestParamInfo<int> &info) {
+        return std::to_string(info.param) + "loops";
+    });
 
 // -------------------------------------------------------------------
-// ShardRouter key affinity and stats
+// ShardRouter key affinity and stats (through CompileServer::handleLine)
 // -------------------------------------------------------------------
+
+/** A socket-less server with @p shards shards. */
+ServerConfig
+shardedConfig(int shards, int workers_per_shard = 1)
+{
+    ServerConfig cfg;
+    cfg.shards = shards;
+    cfg.workersPerShard = workers_per_shard;
+    return cfg;
+}
+
+std::string
+serveLine(CompileServer &server, const std::string &line)
+{
+    bool close_conn = false;
+    return server.handleLine(line, close_conn);
+}
 
 TEST(ShardRouter, SameKeyAlwaysLandsOnSameShard)
 {
-    ShardRouter router(4, 1);
+    CompileServer server(shardedConfig(4));
+    ShardRouter &router = server.router();
     CompileRequest req = namedRequest("ADDER4", SquareConfig::square());
 
     std::shared_ptr<const Program> program;
+    uint64_t program_fp = 0;
     CacheKey key;
     std::string error;
-    ASSERT_TRUE(router.resolve(req, program, key, error)) << error;
+    ASSERT_TRUE(router.resolve(req, program, program_fp, key, error))
+        << error;
     const int home = router.shardFor(key);
     ASSERT_GE(home, 0);
     ASSERT_LT(home, router.shards());
 
     const int repeats = 5;
     for (int i = 0; i < repeats; ++i) {
-        ServiceReply r = router.submit(req);
-        ASSERT_TRUE(r.error.empty());
-        EXPECT_TRUE(r.key == key);
-        EXPECT_EQ(r.hit, i > 0); // one miss, then affine hits
+        const std::string reply = serveLine(
+            server, R"({"workload":"ADDER4","policy":"square"})");
+        EXPECT_NE(reply.find("\"ok\": true"), std::string::npos) << reply;
+        EXPECT_NE(reply.find(formatCacheKeyHex(key)), std::string::npos);
+        // One miss, then affine hits.
+        EXPECT_NE(reply.find(i > 0 ? "\"cache\": \"hit\""
+                                   : "\"cache\": \"miss\""),
+                  std::string::npos)
+            << reply;
     }
 
     // Every request hit exactly the home shard; the others are idle.
@@ -419,18 +412,19 @@ TEST(ShardRouter, SameKeyAlwaysLandsOnSameShard)
 
 TEST(ShardRouter, ShardStatsSumToGlobalStats)
 {
-    ShardRouter router(3, 1);
+    CompileServer server(shardedConfig(3));
     // A mix of keys (two workloads x two policies), each repeated.
-    std::vector<CompileRequest> reqs;
-    for (const char *w : {"ADDER4", "RD53"}) {
-        reqs.push_back(namedRequest(w, SquareConfig::square()));
-        reqs.push_back(namedRequest(w, SquareConfig::eager()));
-    }
+    std::vector<std::string> lines;
+    for (const char *w : {"ADDER4", "RD53"})
+        for (const char *policy : {"square", "eager"})
+            lines.push_back(std::string(R"({"workload":")") + w +
+                            R"(","policy":")" + policy + R"("})");
     for (int round = 0; round < 3; ++round)
-        for (const CompileRequest &req : reqs)
-            ASSERT_TRUE(router.submit(req).error.empty());
+        for (const std::string &line : lines)
+            ASSERT_NE(serveLine(server, line).find("\"ok\": true"),
+                      std::string::npos);
 
-    RouterStats stats = router.stats();
+    RouterStats stats = server.router().stats();
     ServiceStats sum;
     for (const ServiceStats &shard : stats.shards)
         sum += shard;
@@ -454,16 +448,13 @@ TEST(ShardRouter, ShardStatsSumToGlobalStats)
 
 TEST(ShardRouter, ResolveFailuresAnsweredBeforeRouting)
 {
-    ShardRouter router(2, 1);
-    CompileRequest bogus;
-    bogus.label = "bogus";
-    bogus.workload = "NO-SUCH-WORKLOAD";
-    bogus.cfg = SquareConfig::square();
-    ServiceReply r = router.submit(bogus);
-    EXPECT_FALSE(r.error.empty());
-    EXPECT_EQ(r.result, nullptr);
+    CompileServer server(shardedConfig(2));
+    const std::string reply =
+        serveLine(server, R"({"workload":"NO-SUCH-WORKLOAD"})");
+    EXPECT_NE(reply.find("\"ok\": false"), std::string::npos) << reply;
+    EXPECT_NE(reply.find("\"error\""), std::string::npos);
 
-    RouterStats stats = router.stats();
+    RouterStats stats = server.router().stats();
     EXPECT_EQ(stats.resolveFailures, 1);
     EXPECT_EQ(stats.global.requests, 0); // never reached a shard
 }
@@ -472,250 +463,42 @@ TEST(ShardRouter, ConcurrentDuplicatesAcrossConnectionsCompileOnce)
 {
     // Key affinity is what preserves in-flight dedup under sharding:
     // concurrent duplicates meet on the owning shard.  TSan-covered.
-    ShardRouter router(2, 2);
-    CompileRequest req = namedRequest("RD53", SquareConfig::square());
+    CompileServer server(shardedConfig(2, 2));
+    const std::string line = R"({"workload":"RD53","policy":"square"})";
 
     const int n_threads = 8;
-    std::vector<ServiceReply> replies(n_threads);
+    std::vector<std::string> replies(n_threads);
     {
         std::vector<std::thread> pool;
         pool.reserve(n_threads);
         for (int t = 0; t < n_threads; ++t) {
-            pool.emplace_back([&router, &req, &replies, t] {
-                replies[static_cast<size_t>(t)] = router.submit(req);
+            pool.emplace_back([&server, &line, &replies, t] {
+                replies[static_cast<size_t>(t)] = serveLine(server, line);
             });
         }
         for (std::thread &th : pool)
             th.join();
     }
-    const CompileResult *shared = replies[0].result.get();
-    ASSERT_NE(shared, nullptr);
-    for (const ServiceReply &r : replies) {
-        EXPECT_TRUE(r.error.empty());
-        EXPECT_EQ(r.result.get(), shared);
-        // The preserialized reply bytes are shared exactly like the
-        // result artifact: encoded once, refcounted everywhere.
-        EXPECT_EQ(r.replyTail.get(), replies[0].replyTail.get());
+    // Every connection gets the same preserialized result bytes.
+    auto tailOf = [](const std::string &reply) {
+        size_t gates = reply.find("\"gates\"");
+        EXPECT_NE(gates, std::string::npos) << reply;
+        return reply.substr(gates);
+    };
+    int misses = 0;
+    for (const std::string &r : replies) {
+        EXPECT_NE(r.find("\"ok\": true"), std::string::npos) << r;
+        EXPECT_EQ(tailOf(r), tailOf(replies[0]));
+        misses += r.find("\"cache\": \"miss\"") != std::string::npos;
     }
-    RouterStats stats = router.stats();
+    EXPECT_EQ(misses, 1);
+    RouterStats stats = server.router().stats();
     EXPECT_EQ(stats.global.requests, n_threads);
     EXPECT_EQ(stats.global.compiles, 1);
 }
 
 // -------------------------------------------------------------------
-// CompileServer: the protocol over real sockets (both transports)
-// -------------------------------------------------------------------
-
-class ServerSuite : public ::testing::TestWithParam<const char *>
-{
-  protected:
-    ServerConfig
-    config()
-    {
-        ServerConfig cfg;
-        cfg.transport = GetParam();
-        return cfg;
-    }
-};
-
-TEST_P(ServerSuite, DuplicateRequestIsAHitOverTcp)
-{
-    ServerConfig cfg = config();
-    cfg.shards = 2;
-    CompileServer server(cfg);
-    std::string error;
-    ASSERT_TRUE(server.start(error)) << error;
-
-    LineClient client;
-    ASSERT_TRUE(client.connect("127.0.0.1", server.port(), error))
-        << error;
-    std::string reply;
-
-    ASSERT_TRUE(client.sendLine(
-        R"({"id":1,"workload":"ADDER4","policy":"square"})"));
-    ASSERT_TRUE(client.recvLine(reply));
-    EXPECT_NE(reply.find("\"ok\": true"), std::string::npos);
-    EXPECT_NE(reply.find("\"cache\": \"miss\""), std::string::npos);
-
-    ASSERT_TRUE(client.sendLine(
-        R"({"id":2,"workload":"ADDER4","policy":"square"})"));
-    ASSERT_TRUE(client.recvLine(reply));
-    EXPECT_NE(reply.find("\"cache\": \"hit\""), std::string::npos);
-
-    ASSERT_TRUE(client.sendLine(R"({"cmd":"stats"})"));
-    ASSERT_TRUE(client.recvLine(reply));
-    EXPECT_NE(reply.find("\"requests\": 2"), std::string::npos);
-    EXPECT_NE(reply.find("\"hits\": 1"), std::string::npos);
-    EXPECT_NE(reply.find("\"shards\": 2"), std::string::npos);
-
-    // In-protocol shutdown: acknowledged, then the owning thread stops.
-    ASSERT_TRUE(client.sendLine(R"({"cmd":"shutdown"})"));
-    ASSERT_TRUE(client.recvLine(reply));
-    EXPECT_NE(reply.find("\"cmd\": \"shutdown\""), std::string::npos);
-    EXPECT_TRUE(server.shutdownRequested());
-    server.stop();
-}
-
-TEST_P(ServerSuite, PipelinedWarmRequestsShareOneWriteBatch)
-{
-    // The full wire-speed path: pipelined duplicate requests on one
-    // connection; every reply after the first is a preserialized
-    // cache hit, answered in order.
-    CompileServer server(config());
-    std::string error;
-    ASSERT_TRUE(server.start(error)) << error;
-
-    LineClient client;
-    ASSERT_TRUE(client.connect("127.0.0.1", server.port(), error))
-        << error;
-    std::string batch;
-    for (int id = 1; id <= 4; ++id)
-        batch += "{\"id\":" + std::to_string(id) +
-                 ",\"workload\":\"ADDER4\",\"policy\":\"square\"}\n";
-    ASSERT_TRUE(client.sendRaw(batch));
-    std::string reply;
-    for (int id = 1; id <= 4; ++id) {
-        ASSERT_TRUE(client.recvLine(reply)) << "reply " << id;
-        EXPECT_NE(reply.find("\"id\": " + std::to_string(id)),
-                  std::string::npos);
-        EXPECT_NE(reply.find("\"ok\": true"), std::string::npos);
-        EXPECT_NE(reply.find(id == 1 ? "\"cache\": \"miss\""
-                                     : "\"cache\": \"hit\""),
-                  std::string::npos)
-            << reply;
-    }
-    server.stop();
-}
-
-TEST_P(ServerSuite, MalformedInputIsAStructuredReplyNotAClosedConnection)
-{
-    CompileServer server(config());
-    std::string error;
-    ASSERT_TRUE(server.start(error)) << error;
-
-    LineClient client;
-    ASSERT_TRUE(client.connect("127.0.0.1", server.port(), error))
-        << error;
-    std::string reply;
-
-    // Malformed machine specs: structured errors, connection lives on.
-    for (const char *bad :
-         {R"({"workload":"ADDER4","machine":"nisq:0x5"})",
-          R"({"workload":"ADDER4","machine":"ft:16x16@"})",
-          R"({"workload":"ADDER4","machine":"warp:3x3"})",
-          R"({"workload":"ADDER4","oops":1})", R"(not json)",
-          R"({"a": {"b": 1}})"}) {
-        SCOPED_TRACE(bad);
-        ASSERT_TRUE(client.sendLine(bad));
-        ASSERT_TRUE(client.recvLine(reply));
-        EXPECT_NE(reply.find("\"ok\": false"), std::string::npos);
-        EXPECT_NE(reply.find("\"error\""), std::string::npos);
-    }
-
-    // The same connection still serves a good request afterwards.
-    ASSERT_TRUE(client.sendLine(R"({"workload":"ADDER4"})"));
-    ASSERT_TRUE(client.recvLine(reply));
-    EXPECT_NE(reply.find("\"ok\": true"), std::string::npos);
-    server.stop();
-}
-
-TEST_P(ServerSuite, TruncatedNdjsonLineGetsAStructuredError)
-{
-    CompileServer server(config());
-    std::string error;
-    ASSERT_TRUE(server.start(error)) << error;
-
-    // A request torn mid-string by the client dying: the reply is a
-    // parse error object, not silence or an aborted connection.
-    LineClient client;
-    ASSERT_TRUE(client.connect("127.0.0.1", server.port(), error))
-        << error;
-    ASSERT_TRUE(client.sendRaw(R"({"workload": "ADD)"));
-    client.shutdownWrite();
-    std::string reply;
-    ASSERT_TRUE(client.recvLine(reply));
-    EXPECT_NE(reply.find("\"ok\": false"), std::string::npos);
-
-    // The server survives; a fresh connection compiles fine.
-    LineClient next;
-    ASSERT_TRUE(next.connect("127.0.0.1", server.port(), error)) << error;
-    ASSERT_TRUE(next.sendLine(R"({"workload":"ADDER4"})"));
-    ASSERT_TRUE(next.recvLine(reply));
-    EXPECT_NE(reply.find("\"ok\": true"), std::string::npos);
-    server.stop();
-}
-
-TEST_P(ServerSuite, CachedResponsesAreBitIdenticalAcrossConnections)
-{
-    // The network path must not perturb results: the same request over
-    // two different connections (miss, then cross-connection hit)
-    // renders byte-identical metric payloads — on the hit, those
-    // bytes come from the preserialized reply cache.
-    ServerConfig cfg = config();
-    cfg.shards = 2;
-    CompileServer server(cfg);
-    std::string error;
-    ASSERT_TRUE(server.start(error)) << error;
-
-    auto metricsOf = [](const std::string &reply) {
-        // Strip the fields that legitimately differ between serves
-        // (id, cache tag, service time); keep the immutable metric
-        // tail ("gates" through "key").
-        size_t gates = reply.find("\"gates\"");
-        EXPECT_NE(gates, std::string::npos) << reply;
-        return reply.substr(gates);
-    };
-
-    std::string first, second;
-    {
-        LineClient client;
-        ASSERT_TRUE(client.connect("127.0.0.1", server.port(), error));
-        ASSERT_TRUE(client.sendLine(
-            R"({"workload":"RD53","policy":"square"})"));
-        ASSERT_TRUE(client.recvLine(first));
-        EXPECT_NE(first.find("\"cache\": \"miss\""), std::string::npos);
-    }
-    {
-        LineClient client;
-        ASSERT_TRUE(client.connect("127.0.0.1", server.port(), error));
-        ASSERT_TRUE(client.sendLine(
-            R"({"workload":"RD53","policy":"square"})"));
-        ASSERT_TRUE(client.recvLine(second));
-        EXPECT_NE(second.find("\"cache\": \"hit\""), std::string::npos);
-    }
-    EXPECT_EQ(metricsOf(first), metricsOf(second));
-    server.stop();
-}
-
-INSTANTIATE_TEST_SUITE_P(Transports, ServerSuite,
-                         ::testing::Values("threads", "epoll"),
-                         [](const ::testing::TestParamInfo<const char *>
-                                &info) {
-                             return std::string(info.param);
-                         });
-
-TEST(Server, HandleLineDispatchWithoutSockets)
-{
-    CompileServer server(ServerConfig{});
-    bool close_conn = false;
-
-    // Blank lines and comments are protocol no-ops.
-    EXPECT_EQ(server.handleLine("", close_conn), "");
-    EXPECT_EQ(server.handleLine("   # comment", close_conn), "");
-
-    std::string reply =
-        server.handleLine(R"({"cmd":"nope"})", close_conn);
-    EXPECT_NE(reply.find("unknown cmd"), std::string::npos);
-    EXPECT_FALSE(close_conn);
-
-    reply = server.handleLine(R"({"cmd":"shutdown"})", close_conn);
-    EXPECT_NE(reply.find("\"ok\": true"), std::string::npos);
-    EXPECT_TRUE(close_conn);
-    EXPECT_TRUE(server.shutdownRequested());
-}
-
-// -------------------------------------------------------------------
-// Overload safety and fault recovery (the async cold path on epoll)
+// CompileServer: the protocol over real sockets
 // -------------------------------------------------------------------
 
 /** A gate the tests use to hold compiles inside the compile hook. */
@@ -753,16 +536,236 @@ struct CompileGate
     }
 };
 
-/** One-event-loop epoll server: the config every overload test uses. */
+TEST(Server, DuplicateRequestIsAHitOverTcp)
+{
+    CompileServer server(shardedConfig(2));
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+
+    LineClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port(), error))
+        << error;
+    std::string reply;
+
+    ASSERT_TRUE(client.sendLine(
+        R"({"id":1,"workload":"ADDER4","policy":"square"})"));
+    ASSERT_TRUE(client.recvLine(reply));
+    EXPECT_NE(reply.find("\"ok\": true"), std::string::npos);
+    EXPECT_NE(reply.find("\"cache\": \"miss\""), std::string::npos);
+
+    ASSERT_TRUE(client.sendLine(
+        R"({"id":2,"workload":"ADDER4","policy":"square"})"));
+    ASSERT_TRUE(client.recvLine(reply));
+    EXPECT_NE(reply.find("\"cache\": \"hit\""), std::string::npos);
+
+    ASSERT_TRUE(client.sendLine(R"({"cmd":"stats"})"));
+    ASSERT_TRUE(client.recvLine(reply));
+    EXPECT_NE(reply.find("\"requests\": 2"), std::string::npos);
+    EXPECT_NE(reply.find("\"hits\": 1"), std::string::npos);
+    EXPECT_NE(reply.find("\"shards\": 2"), std::string::npos);
+
+    // In-protocol shutdown: acknowledged, then the owning thread stops.
+    ASSERT_TRUE(client.sendLine(R"({"cmd":"shutdown"})"));
+    ASSERT_TRUE(client.recvLine(reply));
+    EXPECT_NE(reply.find("\"cmd\": \"shutdown\""), std::string::npos);
+    EXPECT_TRUE(server.shutdownRequested());
+    server.stop();
+}
+
+TEST(Server, PipelinedWarmRequestsShareOneWriteBatch)
+{
+    // The full wire-speed path on one connection.  A cold key and three
+    // pipelined duplicates compile once: the first request claims the
+    // miss, the other three park on its in-flight entry, and all four
+    // replies are owed through this connection's async sink, in any
+    // order (clients match by id).  Once the key is warm, a pipelined
+    // batch is all preserialized hits, answered synchronously and
+    // therefore in order.
+    CompileServer server(shardedConfig(1));
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+    CompileGate gate;
+    server.router().shard(0).setCompileHook(gate.hook());
+
+    LineClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port(), error))
+        << error;
+    auto batchOf = [](int first, int last) {
+        std::string batch;
+        for (int id = first; id <= last; ++id)
+            batch += "{\"id\":" + std::to_string(id) +
+                     ",\"workload\":\"ADDER4\",\"policy\":\"square\"}\n";
+        return batch;
+    };
+    ASSERT_TRUE(client.sendRaw(batchOf(1, 4)));
+
+    // Hold the compile until all four requests are claimed, so the
+    // duplicates are parked waiters rather than late hits.
+    gate.waitParked(1);
+    for (int i = 0; i < 1000; ++i) {
+        if (server.router().stats().global.requests == 4)
+            break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    gate.release();
+    ASSERT_EQ(server.router().stats().global.requests, 4);
+
+    std::string reply;
+    std::vector<bool> seen(5, false);
+    int misses = 0;
+    for (int k = 0; k < 4; ++k) {
+        ASSERT_TRUE(client.recvLine(reply)) << "reply " << k;
+        EXPECT_NE(reply.find("\"ok\": true"), std::string::npos) << reply;
+        misses += reply.find("\"cache\": \"miss\"") != std::string::npos;
+        for (int id = 1; id <= 4; ++id)
+            if (reply.find("\"id\": " + std::to_string(id) + ",") !=
+                std::string::npos)
+                seen[static_cast<size_t>(id)] = true;
+    }
+    for (int id = 1; id <= 4; ++id)
+        EXPECT_TRUE(seen[static_cast<size_t>(id)]) << "no reply for " << id;
+    EXPECT_EQ(misses, 1);
+    EXPECT_EQ(server.router().stats().global.compiles, 1);
+
+    ASSERT_TRUE(client.sendRaw(batchOf(5, 8)));
+    for (int id = 5; id <= 8; ++id) {
+        ASSERT_TRUE(client.recvLine(reply)) << "reply " << id;
+        EXPECT_NE(reply.find("\"id\": " + std::to_string(id)),
+                  std::string::npos);
+        EXPECT_NE(reply.find("\"ok\": true"), std::string::npos);
+        EXPECT_NE(reply.find("\"cache\": \"hit\""), std::string::npos)
+            << reply;
+    }
+    server.stop();
+}
+
+TEST(Server, MalformedInputIsAStructuredReplyNotAClosedConnection)
+{
+    CompileServer server(ServerConfig{});
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+
+    LineClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port(), error))
+        << error;
+    std::string reply;
+
+    // Malformed machine specs: structured errors, connection lives on.
+    for (const char *bad :
+         {R"({"workload":"ADDER4","machine":"nisq:0x5"})",
+          R"({"workload":"ADDER4","machine":"ft:16x16@"})",
+          R"({"workload":"ADDER4","machine":"warp:3x3"})",
+          R"({"workload":"ADDER4","oops":1})", R"(not json)",
+          R"({"a": {"b": 1}})"}) {
+        SCOPED_TRACE(bad);
+        ASSERT_TRUE(client.sendLine(bad));
+        ASSERT_TRUE(client.recvLine(reply));
+        EXPECT_NE(reply.find("\"ok\": false"), std::string::npos);
+        EXPECT_NE(reply.find("\"error\""), std::string::npos);
+    }
+
+    // The same connection still serves a good request afterwards.
+    ASSERT_TRUE(client.sendLine(R"({"workload":"ADDER4"})"));
+    ASSERT_TRUE(client.recvLine(reply));
+    EXPECT_NE(reply.find("\"ok\": true"), std::string::npos);
+    server.stop();
+}
+
+TEST(Server, TruncatedNdjsonLineGetsAStructuredError)
+{
+    CompileServer server(ServerConfig{});
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+
+    // A request torn mid-string by the client dying: the reply is a
+    // parse error object, not silence or an aborted connection.
+    LineClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port(), error))
+        << error;
+    ASSERT_TRUE(client.sendRaw(R"({"workload": "ADD)"));
+    client.shutdownWrite();
+    std::string reply;
+    ASSERT_TRUE(client.recvLine(reply));
+    EXPECT_NE(reply.find("\"ok\": false"), std::string::npos);
+
+    // The server survives; a fresh connection compiles fine.
+    LineClient next;
+    ASSERT_TRUE(next.connect("127.0.0.1", server.port(), error)) << error;
+    ASSERT_TRUE(next.sendLine(R"({"workload":"ADDER4"})"));
+    ASSERT_TRUE(next.recvLine(reply));
+    EXPECT_NE(reply.find("\"ok\": true"), std::string::npos);
+    server.stop();
+}
+
+TEST(Server, CachedResponsesAreBitIdenticalAcrossConnections)
+{
+    // The network path must not perturb results: the same request over
+    // two different connections (miss, then cross-connection hit)
+    // renders byte-identical metric payloads — on the hit, those
+    // bytes come from the preserialized reply cache.
+    CompileServer server(shardedConfig(2));
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+
+    auto metricsOf = [](const std::string &reply) {
+        // Strip the fields that legitimately differ between serves
+        // (id, cache tag, service time); keep the immutable metric
+        // tail ("gates" through "key").
+        size_t gates = reply.find("\"gates\"");
+        EXPECT_NE(gates, std::string::npos) << reply;
+        return reply.substr(gates);
+    };
+
+    std::string first, second;
+    {
+        LineClient client;
+        ASSERT_TRUE(client.connect("127.0.0.1", server.port(), error));
+        ASSERT_TRUE(client.sendLine(
+            R"({"workload":"RD53","policy":"square"})"));
+        ASSERT_TRUE(client.recvLine(first));
+        EXPECT_NE(first.find("\"cache\": \"miss\""), std::string::npos);
+    }
+    {
+        LineClient client;
+        ASSERT_TRUE(client.connect("127.0.0.1", server.port(), error));
+        ASSERT_TRUE(client.sendLine(
+            R"({"workload":"RD53","policy":"square"})"));
+        ASSERT_TRUE(client.recvLine(second));
+        EXPECT_NE(second.find("\"cache\": \"hit\""), std::string::npos);
+    }
+    EXPECT_EQ(metricsOf(first), metricsOf(second));
+    server.stop();
+}
+
+TEST(Server, HandleLineDispatchWithoutSockets)
+{
+    CompileServer server(ServerConfig{});
+    bool close_conn = false;
+
+    // Blank lines and comments are protocol no-ops.
+    EXPECT_EQ(server.handleLine("", close_conn), "");
+    EXPECT_EQ(server.handleLine("   # comment", close_conn), "");
+
+    std::string reply =
+        server.handleLine(R"({"cmd":"nope"})", close_conn);
+    EXPECT_NE(reply.find("unknown cmd"), std::string::npos);
+    EXPECT_FALSE(close_conn);
+
+    reply = server.handleLine(R"({"cmd":"shutdown"})", close_conn);
+    EXPECT_NE(reply.find("\"ok\": true"), std::string::npos);
+    EXPECT_TRUE(close_conn);
+    EXPECT_TRUE(server.shutdownRequested());
+}
+
+// -------------------------------------------------------------------
+// Overload safety and fault recovery (the async cold path on epoll)
+// -------------------------------------------------------------------
+
+/** One event loop, one shard: the config every overload test uses. */
 ServerConfig
 overloadConfig()
 {
-    ServerConfig cfg;
-    cfg.transport = "epoll";
-    cfg.eventThreads = 1;
-    cfg.shards = 1;
-    cfg.workersPerShard = 1;
-    return cfg;
+    return shardedConfig(1);
 }
 
 std::string

@@ -390,6 +390,118 @@ TEST(Service, ReplyTailIsPreserializedOnceAndShared)
     EXPECT_EQ(second.replyTail.get(), first.replyTail.get());
 }
 
+/** The service's histogram sample counts, by name. */
+uint64_t
+histogramCount(const CompileService &service, const std::string &name)
+{
+    for (const auto &[hname, snap] :
+         service.metricsRegistry().histogramValues())
+        if (hname == name)
+            return snap.total;
+    return 0;
+}
+
+/** The three entry points, driven one request at a time. */
+enum class EntryPoint { Submit, Batch, Async };
+
+/**
+ * Serve @p rounds through @p entry on @p service, each request (each
+ * batch, for submitBatch) finishing before the next one starts.
+ */
+void
+serveSequentially(CompileService &service, EntryPoint entry,
+                  const std::vector<std::vector<CompileRequest>> &rounds)
+{
+    for (const std::vector<CompileRequest> &round : rounds) {
+        if (entry == EntryPoint::Batch) {
+            service.submitBatch(round);
+            continue;
+        }
+        for (const CompileRequest &req : round) {
+            if (entry == EntryPoint::Submit) {
+                service.submit(req);
+                continue;
+            }
+            const uint64_t fp = req.program->fingerprint();
+            const CacheKey key = makeCacheKey(fp, req.machine, req.cfg);
+            std::promise<ServiceReply> done;
+            ServiceReply reply;
+            if (!service.submitPreparedAsync(
+                    req, req.program, fp, key, reply,
+                    [&done](ServiceReply &&r) {
+                        done.set_value(std::move(r));
+                    }))
+                done.get_future().wait();
+        }
+    }
+}
+
+TEST(Service, EveryEntryPointSharesOneCore)
+{
+    // One request mix — fresh misses, warm hits, and a compile that
+    // fails (and stays retriable) — through submit, submitBatch, and
+    // submitPreparedAsync on three fresh services.  One core behind all
+    // three means identical counters and identical warm/cold latency
+    // sample counts.  Programs ride along explicitly so every entry
+    // point resolves them alike (no name-cache residency).
+    auto explicitRequest = [](const std::string &workload,
+                              const SquareConfig &cfg) {
+        CompileRequest req = namedRequest(workload, cfg);
+        req.program =
+            std::make_shared<const Program>(makeBenchmark(workload));
+        req.workload.clear();
+        return req;
+    };
+    const CompileRequest a = explicitRequest("ADDER4", SquareConfig::square());
+    const CompileRequest b = explicitRequest("ADDER4", SquareConfig::eager());
+    const CompileRequest c = explicitRequest("RD53", SquareConfig::square());
+    CompileRequest fails = explicitRequest("SHA2", SquareConfig::lazy());
+    fails.machine = MachineSpec::nisqLattice(2, 2); // cannot fit
+    // Keys are unique within a round, so a batch holds no in-flight
+    // duplicates and every round sees the previous one published.
+    const std::vector<std::vector<CompileRequest>> rounds = {
+        {a, b, fails}, {a, c, fails}, {b, c, a}};
+
+    std::vector<ServiceStats> stats;
+    std::vector<uint64_t> warm, cold;
+    for (EntryPoint entry :
+         {EntryPoint::Submit, EntryPoint::Batch, EntryPoint::Async}) {
+        CompileService service(1);
+        serveSequentially(service, entry, rounds);
+        stats.push_back(service.stats());
+        warm.push_back(histogramCount(service, "warm_latency_us"));
+        cold.push_back(histogramCount(service, "cold_latency_us"));
+    }
+
+    EXPECT_EQ(stats[0].requests, 9);
+    EXPECT_EQ(stats[0].hits, 4);
+    EXPECT_EQ(stats[0].misses, 5);
+    EXPECT_EQ(stats[0].compiles, 5);
+    EXPECT_EQ(stats[0].failures, 2);
+    EXPECT_EQ(stats[0].cachedResults, 3u);
+    EXPECT_EQ(warm[0], 4u);
+    EXPECT_EQ(cold[0], 3u);
+    for (size_t i = 1; i < stats.size(); ++i) {
+        SCOPED_TRACE(i == 1 ? "submitBatch" : "submitPreparedAsync");
+        EXPECT_EQ(stats[i].requests, stats[0].requests);
+        EXPECT_EQ(stats[i].hits, stats[0].hits);
+        EXPECT_EQ(stats[i].misses, stats[0].misses);
+        EXPECT_EQ(stats[i].compiles, stats[0].compiles);
+        EXPECT_EQ(stats[i].failures, stats[0].failures);
+        EXPECT_EQ(stats[i].evictions, stats[0].evictions);
+        EXPECT_EQ(stats[i].analysisComputes, stats[0].analysisComputes);
+        EXPECT_EQ(stats[i].cachedResults, stats[0].cachedResults);
+        EXPECT_EQ(stats[i].cachedBytes, stats[0].cachedBytes);
+        EXPECT_EQ(stats[i].cachedPrograms, stats[0].cachedPrograms);
+        EXPECT_EQ(stats[i].shed, stats[0].shed);
+        EXPECT_EQ(stats[i].deadlineExpired, stats[0].deadlineExpired);
+        EXPECT_EQ(stats[i].workerDeaths, stats[0].workerDeaths);
+        EXPECT_EQ(stats[i].pendingCompiles, stats[0].pendingCompiles);
+        EXPECT_EQ(warm[i], warm[0]);
+        EXPECT_EQ(cold[i], cold[0]);
+    }
+}
+
 // -------------------------------------------------------------------
 // LRU cache bound (CacheLimits)
 // -------------------------------------------------------------------
@@ -691,6 +803,10 @@ TEST(MachineSpec, MalformedSpecsRejectWithMessages)
         "nisq:5x",   "nisq:x5",   "nisq:5x5x5", "nisq:5x5@10",
         "ft:16x16@", "ft:16x16@0", "ft:16x@8",  "ft:@",
         "full:",     "full:0",    "full:2x2",   "nisq-macro:7",
+        // Every dimension in range, the machine far too large: the
+        // site count must not overflow int, and compile time must stay
+        // bounded.
+        "nisq:50000x50000", "ft:100000x100000", "full:1000000",
     };
     for (const char *text : bad) {
         SCOPED_TRACE(std::string("spec '") + text + "'");
@@ -700,8 +816,17 @@ TEST(MachineSpec, MalformedSpecsRejectWithMessages)
         EXPECT_FALSE(error.empty());
     }
 
+    // The cap itself: the largest accepted machine, then one site more.
+    MachineSpec spec;
+    std::string error;
+    EXPECT_TRUE(MachineSpec::parse("nisq:256x256", spec, error)) << error;
+    EXPECT_TRUE(MachineSpec::parse("full:65536", spec, error)) << error;
+    EXPECT_FALSE(MachineSpec::parse("full:65537", spec, error));
+    EXPECT_NE(error.find("65537 sites"), std::string::npos) << error;
+
     // And through the protocol: a structured buildRequest failure.
-    for (const char *machine : {"nisq:0x5", "ft:16x16@"}) {
+    for (const char *machine :
+         {"nisq:0x5", "ft:16x16@", "nisq:50000x50000"}) {
         SCOPED_TRACE(machine);
         JsonRequest json;
         std::string error;
@@ -1099,6 +1224,75 @@ TEST(AsyncService, BatchTierShedsBeforeInteractive)
     EXPECT_EQ(s.compiles, 3);
 }
 
+TEST(AsyncService, EveryEntryPointShedsOverMaxPending)
+{
+    // With the one compile slot held by a parked compile, a fresh miss
+    // is shed the same way through every entry point: a structured
+    // "overloaded" reply with a backoff hint, counted once.
+    for (EntryPoint entry :
+         {EntryPoint::Submit, EntryPoint::Batch, EntryPoint::Async}) {
+        SCOPED_TRACE(static_cast<int>(entry));
+        AdmissionLimits admission;
+        admission.maxPending = 1;
+        CompileService service(1, {}, admission);
+        CompileGate gate;
+        service.setCompileHook(gate.hook());
+        PreparedRequest held = prepared("ADDER4", SquareConfig::square());
+        std::promise<ServiceReply> held_done;
+        ServiceReply sync_reply;
+        ASSERT_FALSE(service.submitPreparedAsync(
+            held.req, held.program, held.fp, held.key, sync_reply,
+            [&held_done](ServiceReply &&r) {
+                held_done.set_value(std::move(r));
+            }));
+        gate.waitParked(1);
+
+        PreparedRequest fresh = prepared("ADDER4", SquareConfig::eager());
+        ServiceReply shed;
+        if (entry == EntryPoint::Submit) {
+            shed = service.submit(fresh.req);
+        } else if (entry == EntryPoint::Batch) {
+            std::vector<ServiceReply> replies =
+                service.submitBatch({fresh.req});
+            ASSERT_EQ(replies.size(), 1u);
+            shed = replies[0];
+        } else {
+            EXPECT_TRUE(service.submitPreparedAsync(
+                fresh.req, fresh.program, fresh.fp, fresh.key, shed,
+                [](ServiceReply &&) {}));
+        }
+        EXPECT_EQ(shed.status, "overloaded");
+        EXPECT_GT(shed.retryAfterMs, 0.0);
+        EXPECT_EQ(shed.result, nullptr);
+
+        gate.release();
+        EXPECT_TRUE(held_done.get_future().get().error.empty());
+        ServiceStats s = service.stats();
+        EXPECT_EQ(s.shed, 1);
+        EXPECT_EQ(s.compiles, 1);
+        EXPECT_EQ(histogramCount(service, "shed_retry_ms"), 1u);
+    }
+
+    // A batch whose own unique misses exceed the bound sheds the
+    // excess: every request is claimed before any compile starts.
+    AdmissionLimits admission;
+    admission.maxPending = 1;
+    CompileService service(1, {}, admission);
+    std::vector<ServiceReply> replies = service.submitBatch(
+        {namedRequest("ADDER4", SquareConfig::square()),
+         namedRequest("ADDER4", SquareConfig::eager()),
+         namedRequest("ADDER4", SquareConfig::lazy())});
+    ASSERT_EQ(replies.size(), 3u);
+    EXPECT_TRUE(replies[0].status.empty());
+    ASSERT_NE(replies[0].result, nullptr);
+    for (size_t i = 1; i < replies.size(); ++i) {
+        EXPECT_EQ(replies[i].status, "overloaded");
+        EXPECT_EQ(replies[i].result, nullptr);
+    }
+    EXPECT_EQ(service.stats().shed, 2);
+    EXPECT_EQ(service.stats().compiles, 1);
+}
+
 TEST(AsyncService, ExpiredDeadlineCancelsBeforeCompiling)
 {
     CompileService service(1);
@@ -1135,7 +1329,10 @@ TEST(AsyncService, ExpiredDeadlineCancelsBeforeCompiling)
     EXPECT_EQ(expired.status, "deadline_expired");
     EXPECT_EQ(expired.result, nullptr);
 
-    // The cancelled key stays retriable and compiles cleanly now.
+    // The cancelled key stays retriable and compiles cleanly now.  The
+    // retry drops the lapsed budget: a blocking submit honors deadlines
+    // exactly like the async path.
+    b.req.deadlineMs = 0;
     ServiceReply retried = service.submit(b.req);
     EXPECT_TRUE(retried.error.empty());
     EXPECT_TRUE(retried.status.empty());

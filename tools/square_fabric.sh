@@ -17,7 +17,7 @@
 #   --port=N          router listen port (default 0 = ephemeral)
 #   --dir=PATH        state directory for port/pid files (default: a
 #                     fresh mktemp -d under TMPDIR)
-#   --workers=N       fleet workers per shard daemon (default 1)
+#   --workers=N       compile-pool workers per shard daemon (default 1)
 #   --cache-entries=N per-shard-daemon LRU bound (default unbounded)
 #   --no-store        do NOT give each shard a persistent artifact
 #                     store (default: shard i appends to

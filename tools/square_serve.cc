@@ -6,7 +6,9 @@
  * src/service/protocol.h for the request/reply grammar), serves each
  * through a process-lifetime CompileService — so repeated requests hit
  * the content-addressed result cache — and writes one JSON reply line
- * per request.  Scriptable with no network dependency:
+ * per request.  Requests are served one at a time, in order, each
+ * through CompileService::submit, so the service runs one compile
+ * worker.  Scriptable with no network dependency:
  *
  *   printf '%s\n' \
  *     '{"id":1,"workload":"ADDER4","policy":"square"}' \
@@ -15,7 +17,6 @@
  *     '{"cmd":"stats"}' | square_serve
  *
  * Flags:
- *   --workers=N   fleet workers for batch dispatch (default: cores)
  *   --quiet       suppress the startup banner on stderr
  */
 
@@ -23,7 +24,6 @@
 #include <cstring>
 #include <iostream>
 #include <string>
-#include <thread>
 
 #include "service/protocol.h"
 #include "service/service.h"
@@ -33,33 +33,21 @@ using namespace square;
 int
 main(int argc, char **argv)
 {
-    int workers =
-        static_cast<int>(std::thread::hardware_concurrency());
-    if (workers < 1)
-        workers = 1;
     bool quiet = false;
     for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--workers=", 10) == 0) {
-            workers = std::atoi(argv[i] + 10);
-            if (workers < 1) {
-                std::fprintf(stderr, "bad --workers value\n");
-                return 1;
-            }
-        } else if (std::strcmp(argv[i], "--quiet") == 0) {
+        if (std::strcmp(argv[i], "--quiet") == 0) {
             quiet = true;
         } else {
-            std::fprintf(stderr,
-                         "usage: square_serve [--workers=N] [--quiet]\n");
+            std::fprintf(stderr, "usage: square_serve [--quiet]\n");
             return 1;
         }
     }
 
-    CompileService service(workers);
+    CompileService service(1);
     if (!quiet) {
         std::fprintf(stderr,
-                     "square_serve: %d workers; one JSON request per "
-                     "line on stdin ({\"cmd\":\"stats\"} for counters)\n",
-                     workers);
+                     "square_serve: one JSON request per line on stdin "
+                     "({\"cmd\":\"stats\"} for counters)\n");
     }
 
     std::string line;

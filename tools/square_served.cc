@@ -4,9 +4,11 @@
  *
  * The network face of the serving tier: square_serve's NDJSON protocol
  * (one JSON request per line, one JSON reply per line; see
- * src/service/protocol.h) over persistent loopback TCP connections,
- * served by a key-affine shard router with an LRU-bounded result cache
- * per shard (src/server/server.h).
+ * src/service/protocol.h) over persistent loopback TCP connections
+ * multiplexed by epoll event loops, served by a key-affine shard
+ * router with an LRU-bounded result cache per shard.  Cold misses
+ * compile on each shard's worker pool and never block an event loop
+ * (src/server/server.h).
  *
  *   square_served --port=7801 --shards=2 &
  *   printf '%s\n' \
@@ -20,9 +22,7 @@
  *                      port is announced on stderr and in --port-file)
  *   --host=A           IPv4 bind address (default 127.0.0.1)
  *   --shards=N         CompileService shards (default 2)
- *   --workers=N        fleet workers per shard (default 1)
- *   --transport=K      "epoll" (event-loop multiplexing, default) or
- *                      "threads" (thread-per-connection)
+ *   --workers=N        compile-pool workers per shard (default 1)
  *   --event-threads=N  epoll event-loop threads (default 1)
  *   --cache-entries=N  per-shard LRU bound, results (default unbounded)
  *   --cache-bytes=N    per-shard LRU bound, bytes (default unbounded)
@@ -31,11 +31,6 @@
  *                      "retry_after_ms":...} (default 0 = admit all)
  *   --batch-fraction=F fraction of --max-pending admitted to
  *                      priority=batch requests (default 0.5)
- *   --no-async-cold    compile misses on the transport thread (the
- *                      PR-5 behaviour) instead of the shard's pool
- *   --no-metrics       disable latency-histogram recording (counters
- *                      always run); the throughput bench's
- *                      metrics-off row uses it
  *   --trace-sample=N   head-sample 1 in N requests into traces (see
  *                      src/obs/trace.h; 0 = off, the default)
  *   --trace-slow-ms=T  always emit a trace for requests slower than
@@ -169,8 +164,6 @@ main(int argc, char **argv)
                 return 1;
             }
             cfg.workersPerShard = int_value;
-        } else if (std::strncmp(arg, "--transport=", 12) == 0) {
-            cfg.transport = arg + 12; // validated by makeTransport
         } else if (std::strncmp(arg, "--event-threads=", 16) == 0) {
             if (!parseInt(arg + 16, 1, 256, int_value)) {
                 std::fprintf(stderr, "bad --event-threads value\n");
@@ -191,10 +184,6 @@ main(int argc, char **argv)
                 std::fprintf(stderr, "bad --batch-fraction value\n");
                 return 1;
             }
-        } else if (std::strcmp(arg, "--no-async-cold") == 0) {
-            cfg.asyncColdPath = false;
-        } else if (std::strcmp(arg, "--no-metrics") == 0) {
-            cfg.metrics = false;
         } else if (std::strncmp(arg, "--trace-sample=", 15) == 0) {
             if (!parseSize(arg + 15, size_value)) {
                 std::fprintf(stderr, "bad --trace-sample value\n");
@@ -246,11 +235,10 @@ main(int argc, char **argv)
             std::fprintf(
                 stderr,
                 "usage: square_served [--port=N] [--host=A] "
-                "[--shards=N] [--workers=N] [--transport=epoll|threads] "
+                "[--shards=N] [--workers=N] "
                 "[--event-threads=N] [--cache-entries=N] "
                 "[--cache-bytes=N] [--max-pending=N] "
-                "[--batch-fraction=F] [--no-async-cold] "
-                "[--no-metrics] [--trace-sample=N] "
+                "[--batch-fraction=F] [--trace-sample=N] "
                 "[--trace-slow-ms=T] [--trace-log=PATH] "
                 "[--faults=SPEC] [--postmortem=PATH] "
                 "[--store=PATH] [--store-fsync] [--prewarm=PATH] "
@@ -313,13 +301,12 @@ main(int argc, char **argv)
     }
     if (!quiet) {
         std::fprintf(stderr,
-                     "square_served: listening on %s:%u (%s transport, "
-                     "%d shards x %d workers; cache bound: %zu entries, "
-                     "%zu bytes; 0 = unbounded)\n",
-                     cfg.host.c_str(), server.port(),
-                     cfg.transport.c_str(), cfg.shards,
-                     cfg.workersPerShard, cfg.limits.maxEntries,
-                     cfg.limits.maxBytes);
+                     "square_served: listening on %s:%u (%d event "
+                     "threads, %d shards x %d workers; cache bound: %zu "
+                     "entries, %zu bytes; 0 = unbounded)\n",
+                     cfg.host.c_str(), server.port(), cfg.eventThreads,
+                     cfg.shards, cfg.workersPerShard,
+                     cfg.limits.maxEntries, cfg.limits.maxBytes);
         if (server.store() != nullptr) {
             RouterStats warm = server.router().stats();
             std::fprintf(
