@@ -8,7 +8,7 @@ namespace square {
 
 Layout::Layout(int num_sites)
     : site_to_logical_(static_cast<size_t>(num_sites), kNoLogical),
-      ever_used_(static_cast<size_t>(num_sites), false)
+      ever_used_(static_cast<size_t>(num_sites), 0)
 {
     if (num_sites <= 0)
         fatal("layout needs a positive number of sites");
@@ -32,7 +32,7 @@ Layout::place(PhysQubit site)
     logical_to_site_.push_back(site);
     site_to_logical_[static_cast<size_t>(site)] = q;
     if (!ever_used_[static_cast<size_t>(site)]) {
-        ever_used_[static_cast<size_t>(site)] = true;
+        ever_used_[static_cast<size_t>(site)] = 1;
         ++sites_touched_;
     }
     ++num_live_;
@@ -68,7 +68,7 @@ Layout::swapSites(PhysQubit a, PhysQubit b)
     for (PhysQubit s : {a, b}) {
         if (site_to_logical_[static_cast<size_t>(s)] != kNoLogical &&
             !ever_used_[static_cast<size_t>(s)]) {
-            ever_used_[static_cast<size_t>(s)] = true;
+            ever_used_[static_cast<size_t>(s)] = 1;
             ++sites_touched_;
         }
     }

@@ -61,7 +61,7 @@ class Layout
     bool
     everUsed(PhysQubit site) const
     {
-        return ever_used_.at(static_cast<size_t>(site));
+        return ever_used_.at(static_cast<size_t>(site)) != 0;
     }
 
     /** Allocate a fresh logical qubit at an empty @p site. */
@@ -86,7 +86,8 @@ class Layout
     SwapObserver swap_observer_;
     std::vector<LogicalQubit> site_to_logical_;
     std::vector<PhysQubit> logical_to_site_;
-    std::vector<bool> ever_used_;
+    /** One byte per site (not vector<bool>): read per sweep visit. */
+    std::vector<uint8_t> ever_used_;
     LogicalQubit next_logical_ = 0;
     int num_live_ = 0;
     int peak_live_ = 0;

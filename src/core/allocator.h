@@ -16,18 +16,25 @@
  *    their distance from the active centroid.
  *
  * closest_qubit_in_heap() and closest_qubit_new() are realized as a
- * bounded breadth-first sweep outward from an anchor site, scoring up to
- * candidateCap sites of each class and taking the minimum.  One
- * templated kernel (sweepChoose) carries the whole decision procedure -
- * visit order, candidate classification, score arithmetic, fallback -
- * and is instantiated twice: over the virtual Topology interface for
- * arbitrary machines, and over an inline Manhattan-distance geometry
- * for lattice machines (the single hottest loop in the compiler).  The
- * AllocatorParity test pins the two instantiations to bit-identical
- * decisions.
+ * bounded sweep outward from an anchor site, scoring up to candidateCap
+ * sites of each class and taking the minimum.  The sweep has one scoring
+ * step - candidate classification, score arithmetic, the visit budget
+ * and the admissible ring early exit - fed by one of two traversals that
+ * visit sites in the same order:
  *
- * chooseSite() runs once per allocated ancilla, so its BFS frontier and
- * the per-ancilla anchor list are reused member buffers: steady-state
+ *  - on lattice machines (the single hottest loop in the compiler), a
+ *    ring walk that enumerates each Manhattan ring around the start in
+ *    the closed-form order a W, E, N, S breadth-first search reaches it,
+ *    with no queue, visit marks or per-site division;
+ *  - on any other topology, that breadth-first search over the virtual
+ *    Topology interface.
+ *
+ * The AllocatorParity tests pin the two traversals to bit-identical
+ * decisions on lattice geometry.
+ *
+ * chooseSite() runs once per allocated ancilla, so the per-ancilla
+ * anchor list and anchor coordinates (and, for the generic search, the
+ * frontier and visit marks) are reused member buffers: steady-state
  * allocation performs no heap allocation.  When cfg.anchorBoxCutoff is
  * set, the sweep never leaves the anchor bounding box (inflated by
  * cfg.anchorBoxMargin), which caps the per-allocation visit cost on
@@ -93,16 +100,20 @@ class Allocator
     PhysQubit chooseSite(const std::vector<PhysQubit> &anchor_sites,
                          int64_t t_ready);
 
+    /** The candidate sweep (Alg. 1) as a ring walk on a lattice. */
+    PhysQubit ringSweep(const std::vector<PhysQubit> &anchor_sites,
+                        int64_t t_ready);
+
+    /** The candidate sweep as a breadth-first search on any topology. */
+    PhysQubit bfsSweep(const std::vector<PhysQubit> &anchor_sites,
+                       int64_t t_ready);
+
     /**
-     * The candidate sweep (Alg. 1), generic over a Geom providing
-     * coords/anchor-distance/neighbor iteration.  Instantiated for the
-     * virtual-Topology geometry and the lattice fast path; both make
-     * bit-identical decisions (AllocatorParity).
+     * Take the sweep's pick out of the heap or the fresh pool; when the
+     * sweep found none (@p site is kNoQubit), fall back to any reclaimed
+     * or fresh site on the machine.
      */
-    template <typename Geom>
-    PhysQubit sweepChoose(const Geom &g,
-                          const std::vector<PhysQubit> &anchor_sites,
-                          int64_t t_ready);
+    PhysQubit claim(PhysQubit site, bool in_heap);
 
     const SquareConfig &cfg_;
     const Machine &machine_;
@@ -110,7 +121,7 @@ class Allocator
     const GateScheduler &sched_;
     AncillaHeap &heap_;
 
-    /** Non-null when the machine topology is a lattice (fast path). */
+    /** Non-null when the machine topology is a lattice (ring walk). */
     const LatticeTopology *lattice_ = nullptr;
 
     /** All sites ordered by distance from the machine center. */
@@ -118,14 +129,14 @@ class Allocator
     size_t fresh_cursor_ = 0;
     int fresh_cursor_used_ = 0;
 
-    // scratch for the BFS candidate sweep: visit stamps make the marks
-    // reusable without clearing, and the frontier is a flat vector
-    // consumed by cursor (each site enters at most once per sweep).
-    mutable std::vector<int64_t> visit_mark_;
-    mutable int64_t visit_stamp_ = 0;
+    // scratch for the generic breadth-first sweep (empty on lattices):
+    // visit stamps make the marks reusable without clearing, and the
+    // frontier is a flat vector consumed by cursor.
+    std::vector<int64_t> visit_mark_;
+    int64_t visit_stamp_ = 0;
     std::vector<PhysQubit> bfs_queue_;
     std::vector<PhysQubit> anchor_scratch_;
-    // anchor coordinates, precomputed once per lattice sweep so the
+    // anchor coordinates, precomputed once per ring walk so the
     // per-candidate communication score is pure integer arithmetic
     std::vector<int> anchor_x_;
     std::vector<int> anchor_y_;

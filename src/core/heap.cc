@@ -60,7 +60,11 @@ AncillaHeap::compact()
 void
 AncillaHeap::onSwap(PhysQubit a, PhysQubit b, const Layout &layout)
 {
-    // After the swap, membership must match "free and ever-used".
+    // After the swap, membership must match "free and ever-used".  Two
+    // occupied sites were occupied before the swap too, so neither is
+    // (or may become) a member.
+    if (!layout.isFree(a) && !layout.isFree(b))
+        return;
     for (PhysQubit s : {a, b}) {
         bool should = layout.isFree(s) && layout.everUsed(s);
         bool has = contains(s);

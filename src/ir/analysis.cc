@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
-#include <set>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -29,27 +28,36 @@ ProgramAnalysis::ProgramAnalysis(const Program &prog)
     computeInteractions(prog);
 }
 
+namespace {
+
+/** Post-order DFS over the call graph, appending callees first. */
+void
+visitCallees(const Program &prog, ModuleId id, std::vector<bool> &done,
+             std::vector<ModuleId> &order)
+{
+    if (done[id])
+        return;
+    done[id] = true;
+    const Module &m = prog.module(id);
+    for (const auto *block : {&m.compute, &m.store, &m.uncompute}) {
+        for (const Stmt &s : *block) {
+            if (s.isCall())
+                visitCallees(prog, s.callee, done, order);
+        }
+    }
+    order.push_back(id);
+}
+
+} // namespace
+
 void
 ProgramAnalysis::computeTopoOrder(const Program &prog)
 {
     // Post-order DFS over the (validated, acyclic) call graph yields a
     // callees-first order.
     std::vector<bool> done(prog.modules.size(), false);
-    std::function<void(ModuleId)> visit = [&](ModuleId id) {
-        if (done[id])
-            return;
-        done[id] = true;
-        const Module &m = prog.module(id);
-        for (const auto *block : {&m.compute, &m.store, &m.uncompute}) {
-            for (const Stmt &s : *block) {
-                if (s.isCall())
-                    visit(s.callee);
-            }
-        }
-        topo_.push_back(id);
-    };
     for (size_t i = 0; i < prog.modules.size(); ++i)
-        visit(static_cast<ModuleId>(i));
+        visitCallees(prog, static_cast<ModuleId>(i), done, topo_);
 }
 
 void
@@ -148,18 +156,25 @@ ProgramAnalysis::computeLevels(const Program &prog)
 void
 ProgramAnalysis::computeInteractions(const Program &prog)
 {
+    // Each module's links are collected as a flat list of directed
+    // pairs (both directions), bucketed by row with one counting pass,
+    // then every short row is sorted and deduplicated.  Memory stays
+    // proportional to the links, whatever the module's width.
+    std::vector<std::pair<int, int>> pairs;
+    std::vector<int> row_start;
+    std::vector<int> cols;
     for (ModuleId id : topo_) {
         const Module &m = prog.module(id);
         ModuleStats &st = stats_[id];
         const int P = m.numParams;
         const int L = m.numLocal();
 
-        std::vector<std::set<int>> adj(L);
+        pairs.clear();
         auto link = [&](int a, int b) {
             if (a == b)
                 return;
-            adj[a].insert(b);
-            adj[b].insert(a);
+            pairs.emplace_back(a, b);
+            pairs.emplace_back(b, a);
         };
 
         auto scan_block = [&](const std::vector<Stmt> &block) {
@@ -190,9 +205,24 @@ ProgramAnalysis::computeInteractions(const Program &prog)
         scan_block(m.compute);
         scan_block(m.store);
 
-        st.interact.assign(L, {});
+        row_start.assign(static_cast<size_t>(L) + 1, 0);
+        for (const auto &[a, b] : pairs)
+            ++row_start[static_cast<size_t>(a) + 1];
         for (int i = 0; i < L; ++i)
-            st.interact[i].assign(adj[i].begin(), adj[i].end());
+            row_start[i + 1] += row_start[i];
+        cols.resize(pairs.size());
+        for (const auto &[a, b] : pairs)
+            cols[static_cast<size_t>(row_start[a]++)] = b;
+
+        st.interact.assign(L, {});
+        for (int i = 0, begin = 0; i < L; ++i) {
+            // The fill pass advanced row_start[i] to the end of row i.
+            const auto first = cols.begin() + begin;
+            const auto last = cols.begin() + row_start[i];
+            std::sort(first, last);
+            st.interact[i].assign(first, std::unique(first, last));
+            begin = row_start[i];
+        }
 
         st.ancillaParams.assign(m.numAncilla, {});
         for (int a = 0; a < m.numAncilla; ++a) {

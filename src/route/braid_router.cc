@@ -7,17 +7,24 @@
 namespace square {
 
 bool
-BraidRouter::CellOccupancy::busy(int64_t t, int dur, int64_t &release) const
+BraidRouter::CellOccupancy::busy(int64_t t, int dur) const
 {
-    bool blocked = false;
     for (int i = 0; i < count; ++i) {
-        const Interval &iv = slots[i];
-        if (iv.start < t + dur && t < iv.end) {
-            blocked = true;
-            release = std::max(release, iv.end);
-        }
+        if (slots[i].start < t + dur && t < slots[i].end)
+            return true;
     }
-    return blocked;
+    return false;
+}
+
+int64_t
+BraidRouter::CellOccupancy::release(int64_t t, int dur) const
+{
+    int64_t out = 0;
+    for (int i = 0; i < count; ++i) {
+        if (slots[i].start < t + dur && t < slots[i].end)
+            out = std::max(out, slots[i].end);
+    }
+    return out;
 }
 
 BraidRouter::BraidRouter(const LatticeTopology &topo)
@@ -25,6 +32,7 @@ BraidRouter::BraidRouter(const LatticeTopology &topo)
       cells_w_(2 * topo.width() + 1),
       cells_h_(2 * topo.height() + 1),
       cells_(static_cast<size_t>(cells_w_) * cells_h_),
+      busy_until_(cells_.size(), 0),
       bfs_mark_(cells_.size(), 0),
       bfs_parent_(cells_.size(), -1)
 {
@@ -88,15 +96,28 @@ BraidRouter::directPathInto(PhysQubit a, PhysQubit b, bool horizontal_first,
 }
 
 bool
-BraidRouter::pathFree(const std::vector<int> &path, int64_t t, int dur,
-                      int64_t &release) const
+BraidRouter::pathClear(const std::vector<int> &path, int64_t t,
+                       int dur) const
 {
-    bool blocked = false;
     for (int id : path) {
-        if (cells_[static_cast<size_t>(id)].busy(t, dur, release))
-            blocked = true;
+        if (cellBusy(id, t, dur))
+            return false;
     }
-    return !blocked;
+    return true;
+}
+
+int64_t
+BraidRouter::stallUntil(int64_t t, int dur) const
+{
+    int64_t until = t + 1;
+    for (const std::vector<int> *path : {&path_h_, &path_v_}) {
+        for (int id : *path) {
+            if (t < busy_until_[static_cast<size_t>(id)])
+                until = std::max(
+                    until, cells_[static_cast<size_t>(id)].release(t, dur));
+        }
+    }
+    return until;
 }
 
 void
@@ -119,53 +140,61 @@ BraidRouter::searchPathInto(PhysQubit a, PhysQubit b, int64_t t, int dur,
     bfs_queue_.clear();
     size_t q_head = 0;
 
+    // Enqueue a free unvisited channel cell; true when it borders the
+    // target tile.  FIFO order dequeues goals in the order they are
+    // enqueued, so the first goal enqueued ends the search with the
+    // same parent chain a dequeue-time test would find.
     auto try_visit = [&](int cx, int cy, int parent) -> bool {
         if (cx < x_lo || cx > x_hi || cy < y_lo || cy > y_hi)
             return false;
-        if (!isChannel(cx, cy))
-            return false;
-        int id = cellId(cx, cy);
-        if (bfs_mark_[static_cast<size_t>(id)] == bfs_stamp_)
-            return false;
-        int64_t release = 0;
-        if (cells_[static_cast<size_t>(id)].busy(t, dur, release))
+        const int id = cellId(cx, cy);
+        if (bfs_mark_[static_cast<size_t>(id)] == bfs_stamp_ ||
+            cellBusy(id, t, dur))
             return false;
         bfs_mark_[static_cast<size_t>(id)] = bfs_stamp_;
         bfs_parent_[static_cast<size_t>(id)] = parent;
         bfs_queue_.push_back(id);
-        return true;
+        return (std::abs(cx - bx) == 1 && cy == by) ||
+               (std::abs(cy - by) == 1 && cx == bx);
+    };
+    auto found = [&]() {
+        for (int cur = bfs_queue_.back(); cur != -1;
+             cur = bfs_parent_[static_cast<size_t>(cur)]) {
+            out.push_back(cur);
+        }
+        std::reverse(out.begin(), out.end());
     };
 
-    // Seed with the free channel cells bordering the source tile.
-    for (auto [dx, dy] : {std::pair{0, -1}, {0, 1}, {-1, 0}, {1, 0}}) {
-        try_visit(ax + dx, ay + dy, -1);
-    }
+    // Seed with the free channel cells bordering the source tile (N, S,
+    // W, E; every one is a channel cell).
+    if (try_visit(ax, ay - 1, -1) || try_visit(ax, ay + 1, -1) ||
+        try_visit(ax - 1, ay, -1) || try_visit(ax + 1, ay, -1))
+        return found();
 
+    // Expand in N, S, W, E order, skipping site tiles: a horizontal
+    // channel segment (odd x) only has channel neighbours west and
+    // east, a vertical one (odd y) only north and south.
     while (q_head < bfs_queue_.size()) {
-        int id = bfs_queue_[q_head++];
-        int cx = id % cells_w_;
-        int cy = id / cells_w_;
-        // Goal: a channel cell bordering the target tile.
-        if ((std::abs(cx - bx) == 1 && cy == by) ||
-            (std::abs(cy - by) == 1 && cx == bx)) {
-            for (int cur = id; cur != -1;
-                 cur = bfs_parent_[static_cast<size_t>(cur)]) {
-                out.push_back(cur);
-            }
-            std::reverse(out.begin(), out.end());
-            return;
-        }
-        for (auto [dx, dy] : {std::pair{0, -1}, {0, 1}, {-1, 0}, {1, 0}}) {
-            try_visit(cx + dx, cy + dy, id);
-        }
+        const int id = bfs_queue_[q_head++];
+        const int cx = id % cells_w_;
+        const int cy = id / cells_w_;
+        if (cx % 2 == 0 &&
+            (try_visit(cx, cy - 1, id) || try_visit(cx, cy + 1, id)))
+            return found();
+        if (cy % 2 == 0 &&
+            (try_visit(cx - 1, cy, id) || try_visit(cx + 1, cy, id)))
+            return found();
     }
 }
 
 void
 BraidRouter::claim(const std::vector<int> &path, int64_t t, int dur)
 {
-    for (int id : path)
+    for (int id : path) {
         cells_[static_cast<size_t>(id)].add({t, t + dur});
+        int64_t &until = busy_until_[static_cast<size_t>(id)];
+        until = std::max(until, t + dur);
+    }
     total_path_cells_ += static_cast<int64_t>(path.size());
 }
 
@@ -179,11 +208,12 @@ BraidRouter::reserve(PhysQubit a, PhysQubit b, int64_t ready, int dur)
     int64_t t = ready;
     constexpr int kMaxStalls = 4096;
 
-    // The two L-shaped candidates depend only on the endpoints; hoist
-    // them out of the stall loop (only their availability changes as t
-    // advances).
+    // The L-shaped candidates depend only on the endpoints; hoist them
+    // out of the stall loop (only their availability changes as t
+    // advances).  The horizontal-first one usually wins, so the
+    // vertical-first one is built only once it is needed.
     directPathInto(a, b, true, path_h_);
-    directPathInto(a, b, false, path_v_);
+    path_v_.clear();
 
     auto grant = [&](const std::vector<int> &path) {
         claim(path, t, dur);
@@ -194,22 +224,23 @@ BraidRouter::reserve(PhysQubit a, PhysQubit b, int64_t ready, int dur)
     };
 
     for (int attempt = 0; attempt < kMaxStalls; ++attempt) {
-        int64_t release = t + 1;
-        if (pathFree(path_h_, t, dur, release))
+        if (pathClear(path_h_, t, dur))
             return grant(path_h_);
         ++res.conflicts;
         ++total_conflicts_;
 
-        if (pathFree(path_v_, t, dur, release))
+        if (path_v_.empty())
+            directPathInto(a, b, false, path_v_);
+        if (pathClear(path_v_, t, dur))
             return grant(path_v_);
 
         searchPathInto(a, b, t, dur, path_scratch_);
         if (!path_scratch_.empty())
             return grant(path_scratch_);
 
-        // Everything overlapping is busy: stall until the earliest
-        // blocking braid releases its cells.
-        t = std::max(release, t + 1);
+        // No route at t: stall until the latest braid blocking either L
+        // path releases its cells.
+        t = stallUntil(t, dur);
     }
     panic("braid router livelock between sites ", a, " and ", b);
 }

@@ -9,7 +9,8 @@
  * time but may NOT cross an active braid (Sec. II-C1), so congestion -
  * not distance - is the communication cost.  The router:
  *
- *  1. tries the two L-shaped channel paths between the operands;
+ *  1. tries the two L-shaped channel paths between the operands,
+ *     horizontal-first, then vertical-first;
  *  2. falls back to a BFS through free channel cells;
  *  3. when no route exists, stalls the gate until a blocking braid
  *     releases its cells, counting one conflict per stall.
@@ -89,7 +90,10 @@ class BraidRouter
         }
 
         /** True when [t, t+dur) overlaps a recorded reservation. */
-        bool busy(int64_t t, int dur, int64_t &release) const;
+        bool busy(int64_t t, int dur) const;
+
+        /** Latest end of a reservation overlapping [t, t+dur), or 0. */
+        int64_t release(int64_t t, int dur) const;
     };
 
     int cellId(int cx, int cy) const { return cy * cells_w_ + cx; }
@@ -109,9 +113,26 @@ class BraidRouter
     void searchPathInto(PhysQubit a, PhysQubit b, int64_t t, int dur,
                         std::vector<int> &out);
 
+    /**
+     * True when channel cell @p id is busy during [t, t+dur).  A cell
+     * whose every reservation ends by t (t >= busy_until_) is free
+     * without a scan of its ring.
+     */
+    bool
+    cellBusy(int id, int64_t t, int dur) const
+    {
+        return t < busy_until_[static_cast<size_t>(id)] &&
+               cells_[static_cast<size_t>(id)].busy(t, dur);
+    }
+
     /** True when every cell of @p path is free during [t, t+dur). */
-    bool pathFree(const std::vector<int> &path, int64_t t, int dur,
-                  int64_t &release) const;
+    bool pathClear(const std::vector<int> &path, int64_t t, int dur) const;
+
+    /**
+     * Stall target when no route exists at t: the latest end of any
+     * reservation blocking either L path, and at least t + 1.
+     */
+    int64_t stallUntil(int64_t t, int dur) const;
 
     void claim(const std::vector<int> &path, int64_t t, int dur);
 
@@ -119,11 +140,13 @@ class BraidRouter
     int cells_w_;
     int cells_h_;
     std::vector<CellOccupancy> cells_;
+    // per cell, an upper bound of every reservation end it recorded
+    std::vector<int64_t> busy_until_;
     std::vector<int64_t> bfs_mark_; // visit stamps for searchPathInto
     std::vector<int> bfs_parent_;
     std::vector<int> bfs_queue_;    // reused BFS frontier storage
     std::vector<int> path_h_;       // reused horizontal-first L-path
-    std::vector<int> path_v_;       // reused vertical-first L-path
+    std::vector<int> path_v_;       // vertical-first L-path, built lazily
     std::vector<int> path_scratch_; // reused BFS result path
     int64_t bfs_stamp_ = 0;
     int64_t total_conflicts_ = 0;

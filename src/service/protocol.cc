@@ -1,8 +1,10 @@
 #include "service/protocol.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string_view>
 
 #include "obs/trace.h"
@@ -130,6 +132,17 @@ parseNumber(const std::string &text, double &out)
     char *end = nullptr;
     out = std::strtod(text.c_str(), &end);
     return end != text.c_str() && *end == '\0';
+}
+
+/** Parse a finite number in [0, max] into @p out (untouched on failure). */
+bool
+parseBoundedNumber(const std::string &text, double max, double &out)
+{
+    double v = 0;
+    if (!parseNumber(text, v) || !std::isfinite(v) || v < 0 || v > max)
+        return false;
+    out = v;
+    return true;
 }
 
 /**
@@ -303,30 +316,28 @@ buildRequest(const JsonRequest &json, CompileRequest &out,
             return false;
         }
     }
+    // Numeric fields must be finite and non-negative: the sweep's ring
+    // early exit assumes non-negative weights, hold_horizon * gates must
+    // fit the executor's int64_t, and the deadline must fit a
+    // steady_clock duration.  deadline_ms is an admission-control field
+    // (not part of the cache key).
+    constexpr double kMaxWeight = std::numeric_limits<double>::max();
     struct NumField
     {
         const char *key;
+        double max;
         double *dst;
     } const numeric[] = {
-        {"comm_weight", &out.cfg.commWeight},
-        {"serialization_weight", &out.cfg.serializationWeight},
-        {"area_weight", &out.cfg.areaWeight},
-        {"hold_horizon", &out.cfg.holdHorizon},
+        {"comm_weight", kMaxWeight, &out.cfg.commWeight},
+        {"serialization_weight", kMaxWeight, &out.cfg.serializationWeight},
+        {"area_weight", kMaxWeight, &out.cfg.areaWeight},
+        {"hold_horizon", 1e6, &out.cfg.holdHorizon},
+        {"deadline_ms", 1e9, &out.deadlineMs},
     };
     for (const NumField &f : numeric) {
-        if (!json.has(f.key))
-            continue;
-        if (!parseNumber(json.get(f.key), *f.dst)) {
+        if (json.has(f.key) &&
+            !parseBoundedNumber(json.get(f.key), f.max, *f.dst)) {
             error = std::string("bad ") + f.key;
-            return false;
-        }
-    }
-
-    // Admission-control fields (not part of the cache key).
-    if (json.has("deadline_ms")) {
-        if (!parseNumber(json.get("deadline_ms"), out.deadlineMs) ||
-            out.deadlineMs < 0) {
-            error = "bad deadline_ms";
             return false;
         }
     }

@@ -24,9 +24,12 @@
  *    "comm_weight": 1.0,
  *    "serialization_weight": 0.5,
  *    "area_weight": 0.3,
- *    "hold_horizon": 1.0,
+ *    "hold_horizon": 1.0,                         (all four finite and
+ *                                                  >= 0; hold_horizon
+ *                                                  <= 1e6)
  *    "deadline_ms": 250,                          latency budget, ms
- *                                                 (0 = none; a queued
+ *                                                 (0 = none, at most
+ *                                                  1e9; a queued
  *                                                  compile whose
  *                                                  waiters all expired
  *                                                  is cancelled)

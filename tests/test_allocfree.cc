@@ -7,13 +7,14 @@
  * on reused member buffers, and Invocation records — including their
  * child-record and ancilla arrays — are trivially-destructible arena
  * slices.  What remains is one-time per-compilation setup (dominated
- * by ProgramAnalysis building the interaction sets, ~86% of the count
+ * by ProgramAnalysis building its per-module tables, ~96% of the count
  * on SHA2, plus arena chunk growth and AQV event-vector doubling), so
  * the total is bound by program structure, not by issued gates.
  *
  * For scale: the pre-refactor seed performed ~4.8 heap allocations per
- * issued gate on SHA2 (321k total); with the arena-backed executor and
- * arena kid/ancilla lists the whole compile performs ~0.15 (9.7k).
+ * issued gate on SHA2 (321k total); with the arena-backed executor,
+ * arena kid/ancilla lists and pair-bucketed interaction rows the whole
+ * compile performs ~0.04 (2.8k).
  * The asserted bound of issued/5 keeps margin for stdlib growth-policy
  * differences while tripping immediately on any reintroduced per-gate
  * allocation (one vector per routed gate pushes the ratio above 1.0).

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/logging.h"
 
 #include "core/allocator.h"
@@ -323,55 +327,260 @@ class OpaqueLattice final : public Topology
     LatticeTopology inner_;
 };
 
+/**
+ * Two allocators driven in lockstep over identical lattice geometry:
+ * one on a real LatticeTopology (the ring walk) and one behind
+ * OpaqueLattice (the generic breadth-first sweep).  Every operation
+ * is applied to both sides, so logical qubit ids agree and one id
+ * names the same qubit on either side.
+ */
+class ParityRig
+{
+  public:
+    ParityRig(int w, int h, const SquareConfig &cfg)
+        : cfg_(cfg),
+          fast_(Machine::nisqLattice(w, h)),
+          generic_(opaque(w, h)),
+          lf_(w * h),
+          lg_(w * h),
+          sf_(fast_, lf_, nullptr),
+          sg_(generic_, lg_, nullptr),
+          af_(cfg_, fast_, lf_, sf_, hf_),
+          ag_(cfg_, generic_, lg_, sg_, hg_)
+    {
+    }
+
+    /** Place a qubit on @p site on both sides. */
+    LogicalQubit
+    place(PhysQubit site)
+    {
+        LogicalQubit q = lf_.place(site);
+        EXPECT_EQ(lg_.place(site), q);
+        return q;
+    }
+
+    /** Free @p q on both sides; its site joins the heap. */
+    void
+    reclaim(LogicalQubit q)
+    {
+        for (auto [layout, heap] :
+             {std::pair{&lf_, &hf_}, std::pair{&lg_, &hg_}}) {
+            PhysQubit s = layout->siteOf(q);
+            layout->remove(q);
+            heap->push(s);
+        }
+    }
+
+    /** Advance @p q's site clock by @p gates single-qubit gates. */
+    void
+    busy(LogicalQubit q, int gates)
+    {
+        LogicalQubit ops[1] = {q};
+        for (int i = 0; i < gates; ++i) {
+            sf_.apply(GateKind::X, ops);
+            sg_.apply(GateKind::X, ops);
+        }
+    }
+
+    std::vector<LogicalQubit>
+    primaries(int n)
+    {
+        auto pf = af_.allocPrimaries(n);
+        auto pg = ag_.allocPrimaries(n);
+        EXPECT_EQ(pf, pg);
+        for (LogicalQubit q : pf)
+            EXPECT_EQ(lf_.siteOf(q), lg_.siteOf(q));
+        return pf;
+    }
+
+    /** Allocate @p n ancilla on both sides; the sites must agree. */
+    std::vector<LogicalQubit>
+    alloc(int n, const ModuleStats &st,
+          const std::vector<LogicalQubit> &args, int64_t t_ready = 0)
+    {
+        auto ancf = af_.allocAncilla(n, st, args, t_ready);
+        auto ancg = ag_.allocAncilla(n, st, args, t_ready);
+        EXPECT_EQ(ancf, ancg);
+        for (int i = 0; i < n; ++i) {
+            EXPECT_EQ(lf_.siteOf(ancf[i]), lg_.siteOf(ancg[i]))
+                << "ancilla " << i << " of " << n;
+        }
+        return ancf;
+    }
+
+  private:
+    static Machine
+    opaque(int w, int h)
+    {
+        Machine m = Machine::nisqLattice(w, h);
+        m.topology = std::make_unique<OpaqueLattice>(w, h);
+        return m;
+    }
+
+    SquareConfig cfg_;
+    Machine fast_, generic_;
+    Layout lf_, lg_;
+    AncillaHeap hf_, hg_;
+    GateScheduler sf_, sg_;
+    Allocator af_, ag_;
+};
+
 TEST(AllocatorParity, LatticeFastPathMatchesGenericSweep)
 {
-    // chooseSiteLattice must make bit-identical decisions to the
-    // generic chooseSite sweep; drive both through the same scripted
-    // allocate/free sequence and compare every placement.
-    const int kW = 8, kH = 8;
-    SquareConfig cfg = SquareConfig::square();
-
-    Machine fast = Machine::nisqLattice(kW, kH);
-    Machine generic = Machine::nisqLattice(kW, kH);
-    generic.topology = std::make_unique<OpaqueLattice>(kW, kH);
-
-    Layout lf(kW * kH), lg(kW * kH);
-    AncillaHeap hf, hg;
-    GateScheduler sf(fast, lf, nullptr), sg(generic, lg, nullptr);
-    Allocator af(cfg, fast, lf, sf, hf), ag(cfg, generic, lg, sg, hg);
-
-    auto pf = af.allocPrimaries(6);
-    auto pg = ag.allocPrimaries(6);
-    ASSERT_EQ(pf.size(), pg.size());
-    for (size_t i = 0; i < pf.size(); ++i)
-        ASSERT_EQ(lf.siteOf(pf[i]), lg.siteOf(pg[i]));
+    // Drive both sweeps through the same scripted allocate/free
+    // sequence on a lattice small enough that the anchor box always
+    // covers it, and compare every placement.
+    ParityRig rig(8, 8, SquareConfig::square());
+    auto prim = rig.primaries(6);
 
     // Busy one primary's site so the serialization term is exercised.
-    LogicalQubit busy_f[1] = {pf[1]}, busy_g[1] = {pg[1]};
-    for (int i = 0; i < 20; ++i) {
-        sf.apply(GateKind::X, busy_f);
-        sg.apply(GateKind::X, busy_g);
-    }
+    rig.busy(prim[1], 20);
 
     ModuleStats st;
     st.ancillaParams = {{0}, {1, 2}, {3}, {0, 5}, {2, 4}};
     for (int round = 0; round < 8; ++round) {
-        auto ancf = af.allocAncilla(5, st, pf, 0);
-        auto ancg = ag.allocAncilla(5, st, pg, 0);
-        for (int i = 0; i < 5; ++i) {
-            ASSERT_EQ(lf.siteOf(ancf[i]), lg.siteOf(ancg[i]))
-                << "round " << round << " ancilla " << i;
-        }
+        SCOPED_TRACE("round " + std::to_string(round));
+        auto anc = rig.alloc(5, st, prim);
         // Return a prefix to the heap so later rounds score reclaimed
         // sites against fresh ones.
-        for (int i = 0; i < 3; ++i) {
-            PhysQubit s = lf.siteOf(ancf[i]);
-            lf.remove(ancf[i]);
-            hf.push(s);
-            s = lg.siteOf(ancg[i]);
-            lg.remove(ancg[i]);
-            hg.push(s);
-        }
+        for (int i = 0; i < 3; ++i)
+            rig.reclaim(anc[i]);
+    }
+}
+
+/**
+ * Anchors on the corners and edges of a 24x24 lattice, heap sites
+ * sprinkled over it, and rounds of allocations anchored on one to
+ * three of them.  With a small anchorBoxMargin the sweep region is the
+ * lattice cut to a box around the anchors, so the ring walk's clipping
+ * decides which sites are seen at all.
+ */
+void
+runEdgeAnchorScript(const SquareConfig &cfg)
+{
+    const int kW = 24, kH = 24;
+    ParityRig rig(kW, kH, cfg);
+    LatticeTopology topo(kW, kH);
+    std::vector<LogicalQubit> anchors;
+    std::vector<bool> taken(kW * kH, false);
+    for (auto [x, y] : {std::pair{0, 0}, {kW - 1, 0}, {0, kH - 1},
+                        {kW - 1, kH - 1}, {12, 0}, {0, 11}, {kW - 1, 12},
+                        {11, kH - 1}, {1, 5}, {22, 17}}) {
+        anchors.push_back(rig.place(topo.siteAt(x, y)));
+        taken[topo.siteAt(x, y)] = true;
+    }
+    for (PhysQubit s = 0; s < kW * kH; ++s) {
+        if (!taken[s] && (topo.xOf(s) * 7 + topo.yOf(s) * 13) % 11 == 0)
+            rig.reclaim(rig.place(s));
+    }
+    rig.busy(anchors[0], 30);
+    rig.busy(anchors[5], 12);
+
+    ModuleStats st;
+    st.ancillaParams = {{0}, {1}, {2, 3}, {4, 0}, {5, 6, 7}, {3}, {8}, {9, 1}};
+    for (int round = 0; round < 12; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        auto anc = rig.alloc(8, st, anchors, /*t_ready=*/round * 3);
+        for (int i = 0; i < 8; i += 2)
+            rig.reclaim(anc[i]);
+    }
+}
+
+TEST(AllocatorParity, ClippedAnchorBoxOnEdgesAndCorners)
+{
+    for (int margin : {1, 2}) {
+        SCOPED_TRACE("margin " + std::to_string(margin));
+        SquareConfig cfg = SquareConfig::square();
+        cfg.anchorBoxMargin = margin;
+        runEdgeAnchorScript(cfg);
+    }
+}
+
+TEST(AllocatorParity, NoAnchorBoxCutoff)
+{
+    // The margin must be ignored when the cutoff is off.
+    SquareConfig cfg = SquareConfig::square();
+    cfg.anchorBoxCutoff = false;
+    cfg.anchorBoxMargin = 1;
+    runEdgeAnchorScript(cfg);
+}
+
+TEST(AllocatorParity, OneWideLattice)
+{
+    ParityRig rig(40, 1, SquareConfig::square());
+    auto prim = rig.primaries(5);
+    rig.busy(prim[2], 9);
+    ModuleStats st;
+    st.ancillaParams = {{0}, {4}, {1, 3}, {2}};
+    for (int round = 0; round < 6; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        auto anc = rig.alloc(4, st, prim);
+        rig.reclaim(anc[0]);
+        rig.reclaim(anc[3]);
+    }
+}
+
+TEST(AllocatorParity, VisitBudgetStop)
+{
+    // candidateCap = 1 gives the minimum visit budget of 256 sites,
+    // which a sweep from the center of a 32x32 lattice spends 35 sites
+    // into ring 11.  The lattice is full except a fresh site at the very
+    // end of that ring, (16, 27), a patch of fresh sites in the far
+    // corner and a column of heap sites on the far edge.  Anchors spread
+    // over the lattice keep the ring early exit from firing, so every
+    // sweep ends on its budget: first with no candidate (the heap
+    // fallback), then with a busy heap site near the start as its pick
+    // although the fresh site just past the budget would score better.
+    const int kW = 32, kH = 32;
+    SquareConfig cfg = SquareConfig::square();
+    cfg.candidateCap = 1;
+    ParityRig rig(kW, kH, cfg);
+    LatticeTopology topo(kW, kH);
+    std::vector<LogicalQubit> anchors;
+    for (auto [x, y] : {std::pair{16, 16}, {0, 31}, {31, 0}})
+        anchors.push_back(rig.place(topo.siteAt(x, y)));
+    std::vector<LogicalQubit> edge;
+    LogicalQubit near = kNoLogical;
+    for (PhysQubit s = 0; s < kW * kH; ++s) {
+        const int x = topo.xOf(s), y = topo.yOf(s);
+        const bool fresh = (x == 16 && y == 27) ||
+                           (x >= 28 && y >= 28 && (x + y) % 2 == 0);
+        if (fresh || s == topo.siteAt(16, 16) || s == topo.siteAt(0, 31) ||
+            s == topo.siteAt(31, 0))
+            continue;
+        LogicalQubit q = rig.place(s);
+        if (x == 0 && y % 3 == 0)
+            edge.push_back(q);
+        if (x == 16 && y == 14)
+            near = q;
+    }
+    for (LogicalQubit q : edge)
+        rig.reclaim(q);
+
+    ModuleStats st;
+    st.ancillaParams = {{0, 1, 2}};
+    rig.alloc(1, st, anchors);
+
+    rig.busy(near, 100);
+    rig.reclaim(near);
+    rig.alloc(1, st, anchors);
+}
+
+TEST(AllocatorParity, EmptyAnchorList)
+{
+    // No arguments: the sweep starts at the machine center, without an
+    // anchor box, and scores fresh sites by their distance from it.
+    ParityRig rig(12, 12, SquareConfig::square());
+    auto prim = rig.primaries(9);
+    rig.busy(prim[4], 15);
+    rig.reclaim(prim[4]);
+    rig.reclaim(prim[7]);
+    ModuleStats st;
+    for (int round = 0; round < 6; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        auto anc = rig.alloc(4, st, {}, /*t_ready=*/round * 5);
+        rig.reclaim(anc[1]);
+        rig.reclaim(anc[2]);
     }
 }
 

@@ -5,11 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "common/logging.h"
 
 #include "ir/analysis.h"
 #include "ir/builder.h"
 #include "ir/validate.h"
+#include "workloads/registry.h"
+#include "workloads/synthetic.h"
 
 namespace square {
 namespace {
@@ -262,6 +268,104 @@ TEST(Analysis, InteractionSets)
     EXPECT_EQ(st.ancillaParams[0], (std::vector<int>{0, 1}));
     // ancilla 1 interacts with param 2 (through the call).
     EXPECT_EQ(st.ancillaParams[1], (std::vector<int>{2}));
+}
+
+/**
+ * Reference interaction sets: a plain std::set recomputation of
+ * ModuleStats::interact, callees first, independent of the analysis'
+ * own results except for its module order.
+ */
+std::vector<std::vector<std::set<int>>>
+referenceInteractions(const Program &prog, const ProgramAnalysis &pa)
+{
+    std::vector<std::vector<std::set<int>>> adj(prog.modules.size());
+    for (ModuleId id : pa.topoOrder()) {
+        const Module &m = prog.module(id);
+        const int P = m.numParams;
+        std::vector<std::set<int>> &rows = adj[static_cast<size_t>(id)];
+        rows.assign(static_cast<size_t>(m.numLocal()), {});
+        auto link = [&](int a, int b) {
+            if (a != b) {
+                rows[static_cast<size_t>(a)].insert(b);
+                rows[static_cast<size_t>(b)].insert(a);
+            }
+        };
+        for (const auto *block : {&m.compute, &m.store}) {
+            for (const Stmt &s : *block) {
+                if (s.isGate()) {
+                    const int arity = gateArity(s.gate);
+                    for (int i = 0; i < arity; ++i) {
+                        for (int j = i + 1; j < arity; ++j)
+                            link(s.operands[i].local(P),
+                                 s.operands[j].local(P));
+                    }
+                    continue;
+                }
+                const auto &callee = adj[static_cast<size_t>(s.callee)];
+                const int cp = prog.module(s.callee).numParams;
+                for (int i = 0; i < cp; ++i) {
+                    for (int j : callee[static_cast<size_t>(i)]) {
+                        if (j > i && j < cp)
+                            link(s.args[i].local(P), s.args[j].local(P));
+                    }
+                }
+            }
+        }
+    }
+    return adj;
+}
+
+void
+expectReferenceInteractions(const Program &prog)
+{
+    ProgramAnalysis pa(prog);
+    const auto ref = referenceInteractions(prog, pa);
+    for (size_t id = 0; id < prog.modules.size(); ++id) {
+        const Module &m = prog.modules[id];
+        SCOPED_TRACE("module " + m.name);
+        const ModuleStats &st = pa.stats(static_cast<ModuleId>(id));
+        ASSERT_EQ(st.interact.size(), ref[id].size());
+        for (size_t i = 0; i < ref[id].size(); ++i) {
+            EXPECT_EQ(st.interact[i],
+                      std::vector<int>(ref[id][i].begin(), ref[id][i].end()))
+                << "local " << i;
+        }
+        ASSERT_EQ(st.ancillaParams.size(),
+                  static_cast<size_t>(m.numAncilla));
+        for (int a = 0; a < m.numAncilla; ++a) {
+            const std::set<int> &row =
+                ref[id][static_cast<size_t>(m.numParams + a)];
+            EXPECT_EQ(st.ancillaParams[static_cast<size_t>(a)],
+                      std::vector<int>(row.begin(),
+                                       row.lower_bound(m.numParams)))
+                << "ancilla " << a;
+        }
+    }
+}
+
+TEST(Analysis, InteractionSetsMatchReferenceOnRegistry)
+{
+    for (const BenchmarkInfo &info : benchmarkRegistry()) {
+        SCOPED_TRACE(info.name);
+        expectReferenceInteractions(info.build());
+    }
+}
+
+TEST(Analysis, InteractionSetsMatchReferenceOnSyntheticShapes)
+{
+    for (int i = 0; i < 24; ++i) {
+        SynthParams p;
+        p.levels = 1 + i % 4;
+        p.callees = 1 + (i / 4) % 3;
+        p.dataParams = 2 + i % 5;
+        p.outParams = 1 + (i / 3) % 3;
+        p.ancilla = p.outParams + i % 4;
+        p.gates = 2 + (i * 5) % 17;
+        p.seed = 0xA11CE + 31ull * static_cast<uint64_t>(i);
+        SCOPED_TRACE("shape " + std::to_string(i));
+        expectReferenceInteractions(
+            makeSynthetic("shape" + std::to_string(i), p));
+    }
 }
 
 TEST(Analysis, TopoOrderCalleesFirst)

@@ -913,6 +913,35 @@ TEST(Protocol, ParseAndBuildRequest)
     EXPECT_FALSE(buildRequest(json, req, error));
     ASSERT_TRUE(parseJsonLine(R"({"policy": "square"})", json, error));
     EXPECT_FALSE(buildRequest(json, req, error)); // missing workload
+
+    // Config doubles must be finite and non-negative, and hold_horizon
+    // small enough that hold_horizon * gates fits an int64_t.
+    for (const char *key : {"comm_weight", "serialization_weight",
+                            "area_weight", "hold_horizon"}) {
+        for (const char *bad : {"-1", "-0.25", "nan", "inf", "-inf",
+                                "1e999"}) {
+            SCOPED_TRACE(std::string(key) + " = " + bad);
+            const std::string line =
+                std::string(R"({"workload": "Belle-s", ")") + key +
+                "\": " + bad + "}";
+            ASSERT_TRUE(parseJsonLine(line, json, error)) << error;
+            EXPECT_FALSE(buildRequest(json, req, error));
+            EXPECT_EQ(error, std::string("bad ") + key);
+        }
+    }
+    for (const char *bad : {"1e300", "1000000.5"}) {
+        ASSERT_TRUE(parseJsonLine(
+            std::string(R"({"workload": "Belle-s", "hold_horizon": )") +
+                bad + "}",
+            json, error));
+        EXPECT_FALSE(buildRequest(json, req, error)) << bad;
+    }
+    ASSERT_TRUE(parseJsonLine(
+        R"({"workload": "Belle-s", "hold_horizon": 1e6, "comm_weight": 0})",
+        json, error));
+    ASSERT_TRUE(buildRequest(json, req, error)) << error;
+    EXPECT_EQ(req.cfg.holdHorizon, 1e6);
+    EXPECT_EQ(req.cfg.commWeight, 0.0);
 }
 
 TEST(Protocol, DeadlineAndPriorityFieldsParse)
@@ -942,6 +971,20 @@ TEST(Protocol, DeadlineAndPriorityFieldsParse)
     ASSERT_TRUE(parseJsonLine(
         R"({"workload": "ADDER4", "deadline_ms": -1})", json, error));
     EXPECT_FALSE(buildRequest(json, req, error));
+
+    // The deadline must be finite and fit a steady_clock duration.
+    for (const char *bad : {"1e300", "1e10", "inf", "nan", "-inf"}) {
+        ASSERT_TRUE(parseJsonLine(
+            std::string(R"({"workload": "ADDER4", "deadline_ms": )") + bad +
+                "}",
+            json, error));
+        EXPECT_FALSE(buildRequest(json, req, error)) << bad;
+        EXPECT_EQ(error, "bad deadline_ms");
+    }
+    ASSERT_TRUE(parseJsonLine(
+        R"({"workload": "ADDER4", "deadline_ms": 1e9})", json, error));
+    ASSERT_TRUE(buildRequest(json, req, error)) << error;
+    EXPECT_EQ(req.deadlineMs, 1e9);
 }
 
 // -------------------------------------------------------------------
