@@ -64,9 +64,9 @@ ftMachine(const BenchmarkInfo &info)
 // JSON baseline emission
 //
 // Every bench binary can write a compact BENCH_*.json with one row per
-// measured cell so results are diffable across PRs (the trajectory
-// started by compile_throughput).  Fields are pre-rendered key/value
-// cells; rows keep insertion order.
+// measured cell so the reproduced tables and figures are diffable
+// across changes.  Fields are pre-rendered key/value cells; rows keep
+// insertion order.
 // ---------------------------------------------------------------------
 
 /** One pre-rendered key/value cell of a JSON row. */
@@ -183,30 +183,6 @@ printRule(int width)
     for (int i = 0; i < width; ++i)
         std::putchar('-');
     std::putchar('\n');
-}
-
-/**
- * Prominent warning when the host exposes a single core: parallel
- * throughput numbers measured here are serialization baselines, not
- * scaling results, and must not be compared against multi-core runs.
- * The emitting benches also record "cpus" in their JSON so committed
- * baselines stay interpretable.
- */
-inline void
-warnIfSingleCore(unsigned cpus)
-{
-    if (cpus > 1)
-        return;
-    std::printf("\n");
-    printRule(72);
-    std::printf("*** WARNING: hardware_concurrency() == %u ***\n"
-                "*** Worker pools serialize on this host: the numbers "
-                "below are a\n*** 1-core baseline, NOT scaling results. "
-                "Rerun on a multi-core host\n*** before quoting speedups "
-                "(the JSON records \"cpus\" for this reason).\n",
-                cpus);
-    printRule(72);
-    std::printf("\n");
 }
 
 /** Print the standard bench header. */

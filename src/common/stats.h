@@ -1,9 +1,9 @@
 /**
  * @file
- * Small timing/statistics helpers shared by the service layer and the
- * throughput benches (one definition, so a
- * change to percentile semantics cannot silently diverge between the
- * library and the benches).
+ * Small timing/statistics helpers shared by the service layer, the
+ * tools and the repository benchmark (one definition, so a change to
+ * percentile semantics cannot silently diverge between the library
+ * and perfbench/).
  */
 
 #ifndef SQUARE_COMMON_STATS_H

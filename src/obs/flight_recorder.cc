@@ -147,8 +147,6 @@ void
 FlightRecorder::record(Comp comp, Ev code, uint64_t a0, uint64_t a1,
                        uint64_t trace)
 {
-    if (!enabled_.load(std::memory_order_relaxed))
-        return;
     Ring *ring = localRing();
     if (ring == nullptr)
         return;

@@ -9,9 +9,10 @@
  * request's trace id when one is present — into per-thread lock-free
  * ring buffers.  The rings are small (kRingEvents per thread), cheap
  * to write (one clock read plus plain stores and a release bump of
- * the ring head), and never synchronize writers with each other: the
- * recorder's cost on the epoll warm path is gated at <= 2% by
- * bench/server_throughput.cc alongside the metrics-overhead phase.
+ * the ring head), and never synchronize writers with each other.
+ * Recording is always on, so its cost on the serving paths is part of
+ * what the repository benchmark's serve_warm and serve_mixed
+ * workloads measure (perfbench/README.md).
  *
  * Two consumers read the rings:
  *
@@ -143,16 +144,6 @@ class FlightRecorder
 
     static FlightRecorder &instance();
 
-    /** Recording gate (default on); the bench toggles this. */
-    void setEnabled(bool on)
-    {
-        enabled_.store(on, std::memory_order_relaxed);
-    }
-    bool enabled() const
-    {
-        return enabled_.load(std::memory_order_relaxed);
-    }
-
     void record(Comp comp, Ev code, uint64_t a0 = 0, uint64_t a1 = 0,
                 uint64_t trace = 0);
 
@@ -180,14 +171,13 @@ class FlightRecorder
     Ring *localRing();
     void releaseSlot(int slot);
 
-    std::atomic<bool> enabled_{true};
     std::atomic<Ring *> rings_[kMaxRings] = {};
     std::atomic<int> ringCount_{0};
     std::mutex slotMu_;
     std::vector<int> freeSlots_;
 };
 
-/** Record one event on the calling thread's ring (no-op when off). */
+/** Record one event on the calling thread's ring. */
 inline void
 recordEvent(Comp comp, Ev code, uint64_t a0 = 0, uint64_t a1 = 0,
             uint64_t trace = 0)

@@ -43,7 +43,10 @@ Histogram::bucketUpper(int index)
         return index;
     const int p = (index - 64) / 32 + 6;
     const int sub = (index - 64) % 32;
-    return ((static_cast<int64_t>(sub) + 33) << (p - 5)) - 1;
+    // Unsigned: the last bucket's bound, 2^63 - 1, passes through
+    // 2^63, which int64_t cannot hold.
+    return static_cast<int64_t>(
+        ((static_cast<uint64_t>(sub) + 33) << (p - 5)) - 1);
 }
 
 void

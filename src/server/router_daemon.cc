@@ -5,14 +5,12 @@
 #include <exception>
 #include <utility>
 
-#include "common/stats.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/watchdog.h"
 #include "server/client.h"
 #include "server/faults.h"
-#include "service/artifact_store.h"
 #include "service/cache_key.h"
 #include "service/protocol.h"
 
@@ -71,30 +69,6 @@ RouterServer::~RouterServer() { stop(); }
 bool
 RouterServer::start(std::string &error)
 {
-    // Edge cache: replay the artifact log read-only into the
-    // key -> tail map before the transport accepts connections.  The
-    // router never truncates or appends — the log belongs to a shard
-    // daemon; a torn tail just ends the replay early.
-    if (!cfg_.storePath.empty()) {
-        uint64_t good_bytes = 0, replayed = 0, corrupt = 0;
-        if (!replayStoreFile(
-                cfg_.storePath,
-                [this](StoreRecord &&rec) {
-                    warmTails_.emplace(
-                        rec.key, std::make_shared<const std::string>(
-                                     std::move(rec.tail)));
-                },
-                good_bytes, replayed, corrupt, error))
-            return false;
-        storeMetrics_.counter("replayed")
-            .add(static_cast<int64_t>(replayed));
-        storeMetrics_.counter("corrupt_records")
-            .add(static_cast<int64_t>(corrupt));
-        storeMetrics_.gauge("log_bytes")
-            .set(static_cast<int64_t>(good_bytes));
-        obs::recordEvent(obs::Comp::Store, obs::Ev::StoreReplay,
-                         replayed, good_bytes);
-    }
     if (!pool_->start(error))
         return false;
     if (!transport_.start(
@@ -209,9 +183,6 @@ RouterServer::renderMetricsText()
     obs::renderPrometheus(
         text, "square_watchdog",
         {{"", &obs::Watchdog::instance().metricsRegistry()}});
-    if (!cfg_.storePath.empty())
-        obs::renderPrometheus(text, "square_store",
-                              {{"", &storeMetrics_}});
     FaultInjector::instance().renderMetrics(text);
     obs::renderBuildInfo(text);
     return text;
@@ -330,27 +301,6 @@ RouterServer::handleLineTo(std::string_view line, std::string &out,
     }
     const CacheKey key =
         makeCacheKey(program_fp, req.machine, req.cfg);
-    // Edge-cache hit: answer from the replayed tail map without
-    // touching a shard.  Content addressing makes this safe — the key
-    // is derived from the same content fingerprints the shards use,
-    // so the stored bytes are exactly what the owning shard would
-    // serve (and the map keeps serving through shard_down windows).
-    if (!warmTails_.empty()) {
-        const auto t0 = std::chrono::steady_clock::now();
-        auto warm = warmTails_.find(key);
-        if (warm != warmTails_.end()) {
-            ServiceReply reply;
-            reply.label = req.label;
-            reply.replyTail = warm->second;
-            reply.hit = true;
-            reply.key = key;
-            reply.millis = millisSince(t0);
-            storeMetrics_.counter("router_warm_hits").add();
-            formatReplyLineTo(out, replyIdPrefix(json), reply);
-            out += '\n';
-            return;
-        }
-    }
     const int shard = pool_->ownerOf(key);
     if (shard < 0) {
         // Whole fabric down: same structured shape as a single dead

@@ -43,12 +43,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "server/epoll_transport.h"
 #include "server/upstream.h"
-#include "service/cache_key.h"
 #include "service/program_cache.h"
 
 namespace square {
@@ -73,17 +71,6 @@ struct RouterConfig
      * always traced regardless of this knob.
      */
     uint64_t traceSample = 0;
-    /**
-     * An artifact log (service/artifact_store.h) to replay read-only
-     * at startup into a router-local key -> preserialized-reply-tail
-     * map: requests whose key is in the map are answered at the
-     * router tier without touching a shard — an edge cache that keeps
-     * a restarted (cold) fabric serving its working set, and keeps
-     * serving it even through shard_down windows.  The map is
-     * immutable after start (the router never compiles, so it has
-     * nothing to append); "" = off.
-     */
-    std::string storePath;
 };
 
 class RouterServer
@@ -111,10 +98,6 @@ class RouterServer
 
     UpstreamStats upstreamStats() const { return pool_->stats(); }
 
-    /** The client-facing transport; the fabric bench reads its
-        syscall/flush counters. */
-    const EpollTransport &transport() const { return transport_; }
-
   private:
     void handleLineTo(std::string_view line, std::string &out,
                       bool &close_conn,
@@ -133,17 +116,6 @@ class RouterServer
     std::unique_ptr<UpstreamPool> pool_;
     EpollTransport transport_;
     ProgramNameCache programs_;
-    /**
-     * The replayed edge cache (cfg_.storePath): immutable after
-     * start(), so lookups on the event threads take no lock.  Tails
-     * are shared refcounted with in-flight replies, same as the
-     * service tier's.
-     */
-    std::unordered_map<CacheKey, std::shared_ptr<const std::string>,
-                       CacheKeyHash>
-        warmTails_;
-    /** square_store_* telemetry for the edge cache (replay + hits). */
-    obs::Registry storeMetrics_;
     /** Router-tier telemetry (obs/metrics.h) + head sampler. */
     obs::Registry metrics_;
     obs::Counter &resolveFailuresC_;

@@ -123,7 +123,6 @@ class CompileServer
     bool shutdownRequested() const { return shutdownRequested_.load(); }
 
     ShardRouter &router() { return router_; }
-    const EpollTransport &transport() const { return transport_; }
     /** The artifact store (null without cfg.storePath). */
     ArtifactStore *store() { return store_.get(); }
 

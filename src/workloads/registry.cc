@@ -70,13 +70,4 @@ makeBenchmark(const std::string &name)
     return findBenchmark(name).build();
 }
 
-Machine
-paperNisqMachine(const BenchmarkInfo &info)
-{
-    return info.nisqScale
-               ? Machine::nisqLattice(5, 5)
-               : Machine::nisqLattice(info.boundaryEdge,
-                                      info.boundaryEdge);
-}
-
 } // namespace square

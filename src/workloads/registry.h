@@ -41,12 +41,6 @@ const BenchmarkInfo &findBenchmark(const std::string &name);
 /** Build a benchmark program by name (fatal on unknown name). */
 Program makeBenchmark(const std::string &name);
 
-/**
- * The paper-scale NISQ machine for @p info: the 5x5 lattice for the
- * Sec. V-C NISQ benchmarks, the boundaryEdge^2 lattice otherwise.
- */
-Machine paperNisqMachine(const BenchmarkInfo &info);
-
 } // namespace square
 
 #endif // SQUARE_WORKLOADS_REGISTRY_H

@@ -474,7 +474,6 @@ TEST(FlightRecorderTest, NameTablesCoverEveryCode)
 TEST(FlightRecorderTest, RecordedEventsAppearInSnapshotInOrder)
 {
     obs::FlightRecorder &fr = obs::FlightRecorder::instance();
-    fr.setEnabled(true);
     const uint64_t marker = 0xfee1500000000001ull;
     obs::recordEvent(obs::Comp::Service, obs::Ev::Admit, marker, 1);
     obs::recordEvent(obs::Comp::Transport, obs::Ev::Flush, marker, 2,
@@ -495,22 +494,9 @@ TEST(FlightRecorderTest, RecordedEventsAppearInSnapshotInOrder)
     EXPECT_EQ(mine[0].tid, mine[1].tid); // same recording thread
 }
 
-TEST(FlightRecorderTest, DisabledGateSwallowsRecords)
-{
-    obs::FlightRecorder &fr = obs::FlightRecorder::instance();
-    fr.setEnabled(false);
-    const uint64_t before = fr.recorded();
-    obs::recordEvent(obs::Comp::Service, obs::Ev::Shed, 1, 2);
-    EXPECT_EQ(fr.recorded(), before);
-    fr.setEnabled(true);
-    obs::recordEvent(obs::Comp::Service, obs::Ev::Shed, 1, 2);
-    EXPECT_EQ(fr.recorded(), before + 1);
-}
-
 TEST(FlightRecorderTest, RingWrapKeepsTheNewestEvents)
 {
     obs::FlightRecorder &fr = obs::FlightRecorder::instance();
-    fr.setEnabled(true);
     const uint64_t marker = 0xfee1500000000002ull;
     constexpr uint64_t kExtra = 100;
     // A dedicated thread owns one ring for the whole burst.
@@ -540,7 +526,6 @@ TEST(FlightRecorderTest, ConcurrentWritersAndSnapshotReaders)
     // them by design.  Under TSan (CI) this pins the ring's
     // release/acquire publication protocol.
     obs::FlightRecorder &fr = obs::FlightRecorder::instance();
-    fr.setEnabled(true);
     const uint64_t marker = 0xfee1500000000003ull;
     constexpr int kThreads = 4;
     constexpr uint64_t kEach = 1500; // < kRingEvents: nothing wraps
@@ -600,7 +585,6 @@ TEST(PostmortemTest, DumpRoundTripsThroughNdjson)
     reg.gauge("depth").set(7);
     reg.histogram("lat_us").record(42);
     pm.registerRegistry("unit", &reg);
-    obs::FlightRecorder::instance().setEnabled(true);
     obs::recordEvent(obs::Comp::Router, obs::Ev::Forward, 2, 9,
                      0x1234abcd);
     const int64_t events = pm.dump("command");
@@ -691,7 +675,6 @@ TEST(PostmortemDeathTest, CrashHandlerWritesParseablePostmortem)
             if (pm_path == nullptr || !pm.configure(pm_path, err))
                 ::_exit(42);
             pm.installCrashHandler();
-            obs::FlightRecorder::instance().setEnabled(true);
             obs::recordEvent(obs::Comp::Service, obs::Ev::Request, 7,
                              0, 0xdeadbeef);
             std::abort();

@@ -4,9 +4,11 @@
  * must round-trip bit-identically (a replayed artifact and its
  * preserialized reply tail golden-check against a fresh compile), the
  * replay must be crash-safe (torn tails and bit-flipped checksums are
- * detected, skipped, and truncated — never replayed), and replayed
+ * detected, skipped, and truncated — never replayed), replayed
  * entries must join the service LRU as ordinary resident entries
- * (warm hits, recency order, eviction under CacheLimits).
+ * (warm hits, recency order, eviction under CacheLimits), and a
+ * CompileServer restarted over its own log — or pre-warmed from a
+ * donor's — must serve its working set with zero compiles.
  */
 
 #include <gtest/gtest.h>
@@ -17,10 +19,12 @@
 #include <memory>
 #include <string>
 #include <sys/stat.h>
+#include <thread>
 #include <vector>
 
 #include "core/compiler.h"
 #include "obs/metrics.h"
+#include "server/server.h"
 #include "service/artifact_store.h"
 #include "service/cache_key.h"
 #include "service/protocol.h"
@@ -451,6 +455,184 @@ TEST(Service, ReplayRespectsCacheLimitsInRecencyOrder)
     EXPECT_FALSE(
         cold.submit(namedRequest("ADDER4", SquareConfig::square()))
             .hit);
+}
+
+TEST(Service, ConcurrentPublishesAppendOneRecordPerKey)
+{
+    // Four pool workers publish distinct keys at once into one store:
+    // the appender must serialize them into whole frames, one each.
+    ScratchFile scratch("concurrent.store");
+    ArtifactStore store;
+    ArtifactStore::Options opts;
+    opts.path = scratch.path;
+    std::string error;
+    ASSERT_TRUE(store.open(
+        opts, [](StoreRecord &&) {}, error))
+        << error;
+
+    CompileService service(4);
+    service.setPublishSink(
+        [&store](const CacheKey &key,
+                 const std::shared_ptr<const CompileResult> &result,
+                 const std::shared_ptr<const std::string> &tail) {
+            store.append(key, result, tail);
+        });
+    constexpr int kThreads = 4;
+    constexpr int kKeysEach = 4;
+    std::vector<CacheKey> keys(kThreads * kKeysEach);
+    std::vector<std::thread> clients;
+    for (int t = 0; t < kThreads; ++t)
+        clients.emplace_back([&service, &keys, t] {
+            for (int k = 0; k < kKeysEach; ++k) {
+                const int slot = t * kKeysEach + k;
+                CompileRequest req =
+                    namedRequest("ADDER4", SquareConfig::square());
+                req.cfg.anchorBoxMargin = 100 + slot;
+                ServiceReply r = service.submit(req);
+                EXPECT_TRUE(r.error.empty()) << r.error;
+                keys[static_cast<size_t>(slot)] = r.key;
+            }
+        });
+    for (std::thread &client : clients)
+        client.join();
+    store.close();
+
+    uint64_t good_bytes = 0;
+    uint64_t corrupt = 0;
+    std::vector<StoreRecord> records =
+        replayAll(scratch.path, good_bytes, corrupt);
+    EXPECT_EQ(corrupt, 0u);
+    EXPECT_EQ(good_bytes, scratch.size());
+    ASSERT_EQ(records.size(), keys.size());
+    for (const CacheKey &key : keys) {
+        int found = 0;
+        for (const StoreRecord &rec : records)
+            found += rec.key == key ? 1 : 0;
+        EXPECT_EQ(found, 1) << formatCacheKeyHex(key);
+    }
+}
+
+// -------------------------------------------------------------------
+// Server-level warm restart and pre-warm
+// -------------------------------------------------------------------
+
+/** The working set: distinct keys minted from anchor_box_margin. */
+std::vector<std::string>
+restartLines()
+{
+    std::vector<std::string> lines;
+    for (int k = 0; k < 8; ++k)
+        lines.push_back(R"({"id":)" + std::to_string(k) +
+                        R"(,"workload":"ADDER4","policy":"square",)"
+                        R"("anchor_box_margin":)" +
+                        std::to_string(200 + k) + "}");
+    return lines;
+}
+
+/** A started 2-shard server over @p store (and @p prewarm). */
+std::unique_ptr<CompileServer>
+startStoreServer(const std::string &store, const std::string &prewarm)
+{
+    ServerConfig cfg;
+    cfg.shards = 2;
+    cfg.storePath = store;
+    cfg.prewarmPath = prewarm;
+    auto server = std::make_unique<CompileServer>(cfg);
+    std::string error;
+    EXPECT_TRUE(server->start(error)) << error;
+    return server;
+}
+
+std::string
+serveLine(CompileServer &server, const std::string &line)
+{
+    bool close_conn = false;
+    return server.handleLine(line, close_conn);
+}
+
+/** The preserialized tail of a compile reply (after "millis"). */
+std::string
+replyTailOf(const std::string &reply)
+{
+    const size_t millis = reply.find("\"millis\": ");
+    const size_t tail = reply.find(", ", millis);
+    if (millis == std::string::npos || tail == std::string::npos)
+        return "";
+    return reply.substr(tail + 2);
+}
+
+/** Every line answered warm, tails identical to @p golden. */
+void
+expectWarmReplies(CompileServer &server,
+                  const std::vector<std::string> &lines,
+                  const std::vector<std::string> &golden)
+{
+    for (size_t i = 0; i < lines.size(); ++i) {
+        SCOPED_TRACE(lines[i]);
+        const std::string reply = serveLine(server, lines[i]);
+        EXPECT_NE(reply.find("\"cache\": \"hit\""), std::string::npos)
+            << reply;
+        EXPECT_EQ(replyTailOf(reply), golden[i]);
+    }
+    const std::string stats = serveLine(server, R"({"cmd":"stats"})");
+    EXPECT_NE(stats.find("\"compiles\": 0,"), std::string::npos)
+        << stats;
+}
+
+TEST(CompileServerStore, RestartOverOwnLogServesEveryKeyWarm)
+{
+    ScratchFile own("restart.store");
+    const std::vector<std::string> lines = restartLines();
+    std::vector<std::string> golden;
+    {
+        auto server = startStoreServer(own.path, "");
+        for (const std::string &line : lines) {
+            const std::string reply = serveLine(*server, line);
+            ASSERT_NE(reply.find("\"cache\": \"miss\""),
+                      std::string::npos)
+                << reply;
+            golden.push_back(replyTailOf(reply));
+            ASSERT_FALSE(golden.back().empty()) << reply;
+        }
+        // The working set spans both shards, so the restart exercises
+        // the key-affine replay and both shards' publish sinks.
+        for (int i = 0; i < server->router().shards(); ++i)
+            EXPECT_GT(server->router().shard(i).stats().cachedResults,
+                      0u)
+                << "shard " << i;
+        server->stop(); // drains the appender
+    }
+    const uint64_t log_bytes = own.size();
+    ASSERT_GT(log_bytes, 0u);
+
+    auto restarted = startStoreServer(own.path, "");
+    expectWarmReplies(*restarted, lines, golden);
+    restarted->stop();
+    EXPECT_EQ(own.size(), log_bytes); // hits append nothing
+}
+
+TEST(CompileServerStore, PrewarmFromDonorLogServesEveryKeyWarm)
+{
+    ScratchFile donor("donor.store");
+    ScratchFile own("prewarmed.store");
+    const std::vector<std::string> lines = restartLines();
+    std::vector<std::string> golden;
+    {
+        auto server = startStoreServer(donor.path, "");
+        for (const std::string &line : lines)
+            golden.push_back(replyTailOf(serveLine(*server, line)));
+        server->stop();
+    }
+    const uint64_t donor_bytes = donor.size();
+    ASSERT_GT(donor_bytes, 0u);
+
+    auto prewarmed = startStoreServer(own.path, donor.path);
+    expectWarmReplies(*prewarmed, lines, golden);
+    prewarmed->stop();
+    // Pre-warmed entries are not re-appended to the own log, and the
+    // donor log is read-only.
+    EXPECT_EQ(own.size(), 0u);
+    EXPECT_EQ(donor.size(), donor_bytes);
 }
 
 } // namespace

@@ -139,6 +139,11 @@ if [ -n "$QUIET" ]; then
     SERVED_ARGS+=("$QUIET")
 fi
 
+# square_served falls back to $SQUARE_STORE when it gets no --store:
+# exported into every shard, it would point them all at one log (and
+# persist under --no-store).  Each shard's store is passed explicitly.
+unset SQUARE_STORE
+
 SHARD_ADDRS=()
 for i in $(seq 1 "$SHARDS"); do
     # Per-shard persistence: each daemon owns its own append-only log

@@ -45,11 +45,6 @@
  *   --postmortem=PATH     append flight-recorder postmortem dumps to
  *                         PATH and install the crash handler (env
  *                         fallback: SQUARE_POSTMORTEM)
- *   --store=PATH          replay an artifact log (read-only) into a
- *                         router-local edge cache: requests whose key
- *                         is in the log are answered at this tier
- *                         without touching a shard (env fallback:
- *                         SQUARE_STORE)
  *   --watchdog-ms=N       stall-watchdog threshold in ms (default
  *                         5000; 0 disables)
  *   --port-file=PATH      write the bound port once listening
@@ -179,8 +174,6 @@ main(int argc, char **argv)
             }
         } else if (std::strncmp(arg, "--postmortem=", 13) == 0) {
             postmortem_path = arg + 13;
-        } else if (std::strncmp(arg, "--store=", 8) == 0) {
-            cfg.storePath = arg + 8;
         } else if (std::strncmp(arg, "--watchdog-ms=", 14) == 0) {
             if (!parseInt(arg + 14, 0, 3600000, watchdog_ms)) {
                 std::fprintf(stderr, "bad --watchdog-ms value\n");
@@ -199,7 +192,7 @@ main(int argc, char **argv)
                 "[--failure-threshold=N] [--retry-after-ms=N] "
                 "[--cascade-shutdown] [--faults=SPEC] "
                 "[--trace-sample=N] [--trace-log=PATH] "
-                "[--postmortem=PATH] [--store=PATH] "
+                "[--postmortem=PATH] "
                 "[--watchdog-ms=N] "
                 "[--port-file=PATH] [--quiet]\n");
             return 1;
@@ -242,11 +235,6 @@ main(int argc, char **argv)
         obs::WatchdogConfig wcfg;
         wcfg.thresholdMs = watchdog_ms;
         obs::Watchdog::instance().configure(wcfg);
-    }
-    if (cfg.storePath.empty()) {
-        const char *env = std::getenv("SQUARE_STORE");
-        if (env != nullptr)
-            cfg.storePath = env;
     }
 
     std::string error;
