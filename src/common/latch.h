@@ -3,8 +3,8 @@
  * A counted wait: the caller blocks until N arrivals.
  *
  * The serving stack uses it wherever a synchronous caller parks on a
- * reply that another thread delivers (CompileService::submit and
- * submitBatch, CompileServer::handleLineTo with no async sink).
+ * reply that another thread delivers (CompileService::submit,
+ * CompileServer::handleLineTo with no async sink).
  */
 
 #ifndef SQUARE_COMMON_LATCH_H

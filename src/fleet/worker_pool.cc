@@ -43,31 +43,14 @@ WorkerPool::WorkerPool(int workers, int niceness)
 
 WorkerPool::~WorkerPool() { stop(); }
 
-uint64_t
+void
 WorkerPool::post(std::function<void()> job)
 {
-    uint64_t id = 0;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        id = nextId_++;
-        queue_.push_back(Item{id, std::move(job)});
+        queue_.push_back(Item{nextId_++, std::move(job)});
     }
     cv_.notify_one();
-    return id;
-}
-
-bool
-WorkerPool::cancel(uint64_t id)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-        if (it->id == id) {
-            queue_.erase(it);
-            obs::recordEvent(obs::Comp::Worker, obs::Ev::Cancel, id);
-            return true;
-        }
-    }
-    return false;
 }
 
 void
@@ -152,13 +135,6 @@ WorkerPool::stop()
                 t.join();
         }
     }
-}
-
-size_t
-WorkerPool::queued() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return queue_.size();
 }
 
 int64_t

@@ -1,21 +1,18 @@
 /**
  * @file
- * Persistent cancellable worker pool: the one pool every compilation
- * runs on.
+ * Persistent worker pool: the one pool every compilation runs on.
  *
  * The compile service (service.h) starts one pool with itself and
  * posts every cache miss to it as one job, whether the requester waits
- * (submit, submitBatch) or not (an event loop's async cold path).  The
- * pool outlives any one request, accepts work without blocking the
- * poster, and supports two operations beyond FIFO dispatch:
- *
- *  - cancel(id): remove a job that has not started yet;
- *  - a death hook: a fault-injection probe consulted once per dequeued
- *    job.  When it fires, the worker "dies" — it pushes the job back
- *    to the FRONT of the queue (the job is never lost, never
- *    reordered behind newer work), spawns a replacement thread, bumps
- *    the death counter, and exits.  Recovery is therefore part of the
- *    pool's contract, not something callers build on top.
+ * (submit) or not (an event loop's async cold path).  The pool
+ * outlives any one request, accepts work without blocking the poster,
+ * and supports one operation beyond FIFO dispatch: a death hook, a
+ * fault-injection probe consulted once per dequeued job.  When it
+ * fires, the worker "dies" — it pushes the job back to the FRONT of
+ * the queue (the job is never lost, never reordered behind newer
+ * work), spawns a replacement thread, bumps the death counter, and
+ * exits.  Recovery is therefore part of the pool's contract, not
+ * something callers build on top.
  *
  * Jobs are opaque std::function<void()> thunks: the pool knows nothing
  * about compilations, so it lives in src/fleet/ with no dependency on
@@ -59,18 +56,11 @@ class WorkerPool
     WorkerPool &operator=(const WorkerPool &) = delete;
 
     /**
-     * Enqueue one job; returns its id (monotonic, never zero).  Jobs
-     * run in FIFO order, one per worker at a time.
+     * Enqueue one job.  Jobs run in FIFO order, one per worker at a
+     * time; each gets a monotonic id for the flight recorder's
+     * dequeue and death events.
      */
-    uint64_t post(std::function<void()> job);
-
-    /**
-     * Remove a job that has not been picked up by a worker yet.
-     * Returns true when the job was still queued (and will never
-     * run); false when it already started, finished, or never
-     * existed.
-     */
-    bool cancel(uint64_t id);
+    void post(std::function<void()> job);
 
     /**
      * Install the fault-injection death probe, consulted once per
@@ -87,9 +77,6 @@ class WorkerPool
     void stop();
 
     int workers() const { return workers_; }
-
-    /** Jobs queued and not yet started. */
-    size_t queued() const;
 
     /** Workers killed by the death hook (each one was replaced). */
     int64_t deaths() const;

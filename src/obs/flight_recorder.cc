@@ -48,7 +48,6 @@ evName(Ev ev)
         "backpressure",
         "flush",
         "dequeue",
-        "cancel",
         "death",
         "respawn",
         "shard_down",

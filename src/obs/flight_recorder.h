@@ -83,7 +83,6 @@ enum class Ev : uint16_t {
     Flush,        ///< corked write flushed (a0 = replies in batch)
     // WorkerPool
     Dequeue, ///< job left the queue (a0 = job id, a1 = backlog)
-    Cancel,  ///< queued job cancelled (a0 = job id)
     Death,   ///< injected worker death (a0 = requeued job id)
     Respawn, ///< replacement worker spawned
     // UpstreamPool

@@ -216,19 +216,15 @@ namespace {
 void
 appendSeries(std::string &out, std::string_view prefix,
              std::string_view name, std::string_view suffix,
-             std::string_view labels, std::string_view extra_label,
-             long long value)
+             std::string_view label, long long value)
 {
     out += prefix;
     out += '_';
     out += name;
     out += suffix;
-    if (!labels.empty() || !extra_label.empty()) {
+    if (!label.empty()) {
         out += '{';
-        out += labels;
-        if (!labels.empty() && !extra_label.empty())
-            out += ',';
-        out += extra_label;
+        out += label;
         out += '}';
     }
     char buf[32];
@@ -255,57 +251,31 @@ appendType(std::string &out, std::string_view prefix,
 
 void
 renderPrometheus(std::string &out, std::string_view prefix,
-                 const std::vector<LabeledRegistry> &registries)
+                 const Registry &registry)
 {
-    // One family per metric name: emit the # TYPE header once (first
-    // registry that carries the name) and every labelled series after
-    // it, so shards of one tier render as one family.
-    std::vector<std::string> seen;
-    auto first_use = [&seen](const std::string &name) {
-        for (const std::string &s : seen)
-            if (s == name)
-                return false;
-        seen.push_back(name);
-        return true;
-    };
-
-    for (size_t r = 0; r < registries.size(); ++r) {
-        const Registry *reg = registries[r].registry;
-        if (reg == nullptr)
-            continue;
-        for (const auto &[name, value] : reg->counterValues()) {
-            if (first_use(name + "#c"))
-                appendType(out, prefix, name, "_total", "counter");
-            appendSeries(out, prefix, name, "_total",
-                         registries[r].labels, {}, value);
-        }
-        for (const auto &[name, value] : reg->gaugeValues()) {
-            if (first_use(name + "#g"))
-                appendType(out, prefix, name, "", "gauge");
-            appendSeries(out, prefix, name, "", registries[r].labels,
-                         {}, value);
-        }
-        for (const auto &[name, snap] : reg->histogramValues()) {
-            if (first_use(name + "#h"))
-                appendType(out, prefix, name, "", "summary");
-            static constexpr struct {
-                const char *label;
-                double p;
-            } kQuantiles[] = {{"quantile=\"0.5\"", 50.0},
-                              {"quantile=\"0.99\"", 99.0},
-                              {"quantile=\"0.999\"", 99.9}};
-            for (const auto &q : kQuantiles)
-                appendSeries(out, prefix, name, "",
-                             registries[r].labels, q.label,
-                             static_cast<long long>(
-                                 snap.percentile(q.p)));
-            appendSeries(out, prefix, name, "_count",
-                         registries[r].labels, {},
-                         static_cast<long long>(snap.total));
-            appendSeries(out, prefix, name, "_sum",
-                         registries[r].labels, {},
-                         static_cast<long long>(snap.sum));
-        }
+    for (const auto &[name, value] : registry.counterValues()) {
+        appendType(out, prefix, name, "_total", "counter");
+        appendSeries(out, prefix, name, "_total", {}, value);
+    }
+    for (const auto &[name, value] : registry.gaugeValues()) {
+        appendType(out, prefix, name, "", "gauge");
+        appendSeries(out, prefix, name, "", {}, value);
+    }
+    for (const auto &[name, snap] : registry.histogramValues()) {
+        appendType(out, prefix, name, "", "summary");
+        static constexpr struct {
+            const char *label;
+            double p;
+        } kQuantiles[] = {{"quantile=\"0.5\"", 50.0},
+                          {"quantile=\"0.99\"", 99.0},
+                          {"quantile=\"0.999\"", 99.9}};
+        for (const auto &q : kQuantiles)
+            appendSeries(out, prefix, name, "", q.label,
+                         static_cast<long long>(snap.percentile(q.p)));
+        appendSeries(out, prefix, name, "_count", {},
+                     static_cast<long long>(snap.total));
+        appendSeries(out, prefix, name, "_sum", {},
+                     static_cast<long long>(snap.sum));
     }
 }
 

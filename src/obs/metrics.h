@@ -15,8 +15,8 @@
  *     across cache-line-padded cells indexed by a thread-local slot so
  *     concurrent event loops do not bounce one line.
  *
- *  2. *Histograms must merge exactly.*  Stats fan out across shard
- *     services, transports, and (via the router) whole processes;
+ *  2. *Histograms must merge exactly.*  Stats fan out across
+ *     transports and (via the router) whole shard processes;
  *     percentiles must survive aggregation.  The histogram is
  *     log-linear — exact integer buckets below 64, then 32 sub-buckets
  *     per power of two (<= 1/32 relative error) — so merging is
@@ -32,8 +32,8 @@
  * Registries are deliberately *per component*, not process-global:
  * tests and benches construct several servers in one process and
  * assert exact counts, which process-global named metrics would
- * cross-contaminate.  Aggregation happens at render time — the server
- * renders each shard's registry under a distinct label set.
+ * cross-contaminate.  Each registry renders under its own metric-name
+ * prefix; aggregating across shard processes is the scraper's job.
  */
 
 #ifndef SQUARE_OBS_METRICS_H
@@ -222,24 +222,13 @@ class Registry
 };
 
 /**
- * One registry to render under one label set, e.g.
- * {"shard=\"0\"", &service_registry}.  An empty label string renders
- * unlabelled series.
- */
-struct LabeledRegistry {
-    std::string labels;
-    const Registry *registry = nullptr;
-};
-
-/**
- * Append Prometheus text exposition for the registries.  Series are
+ * Append Prometheus text exposition for @p registry.  Series are
  * named <prefix>_<metric>; counters gain a _total suffix; histograms
  * render as summaries (p50/p99/p99.9 quantile series plus _count and
- * _sum).  Registries sharing metric names (shards of one tier) render
- * as one family with per-registry labels.
+ * _sum).
  */
 void renderPrometheus(std::string &out, std::string_view prefix,
-                      const std::vector<LabeledRegistry> &registries);
+                      const Registry &registry);
 
 /** Seconds since the process started (static-init anchor). */
 int64_t uptimeSeconds();

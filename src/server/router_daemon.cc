@@ -175,14 +175,13 @@ RouterServer::renderMetricsText()
     metrics_.gauge("programs").set(
         static_cast<int64_t>(programs_.size()));
     std::string text;
-    obs::renderPrometheus(text, "square_router", {{"", &metrics_}});
+    obs::renderPrometheus(text, "square_router", metrics_);
     obs::renderPrometheus(text, "square_upstream",
-                          {{"", &pool_->metricsRegistry()}});
+                          pool_->metricsRegistry());
     obs::renderPrometheus(text, "square_transport",
-                          {{"", &transport_.metricsRegistry()}});
-    obs::renderPrometheus(
-        text, "square_watchdog",
-        {{"", &obs::Watchdog::instance().metricsRegistry()}});
+                          transport_.metricsRegistry());
+    obs::renderPrometheus(text, "square_watchdog",
+                          obs::Watchdog::instance().metricsRegistry());
     FaultInjector::instance().renderMetrics(text);
     obs::renderBuildInfo(text);
     return text;

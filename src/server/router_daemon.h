@@ -1,12 +1,10 @@
 /**
  * @file
  * The fabric router daemon: the thin tier that turns N single-process
- * shard daemons into one scale-out serving endpoint.
- *
- * The in-process ShardRouter (shard_router.h) already buys lock
- * isolation, but every shard still shares the process — one allocator,
- * one set of cores under one scheduler.  The fabric splits the tiers
- * across processes:
+ * shard daemons into one scale-out serving endpoint, and the only
+ * sharding scheme the serving tier has.  Each shard daemon
+ * (square_served) serves through exactly one CompileService; the
+ * router spreads the CacheKey space over them:
  *
  *   client ──► RouterServer ──► shard daemon 0 (square_served)
  *                          └──► shard daemon 1
@@ -16,7 +14,7 @@
  * (its own ProgramNameCache), compute the content-addressed CacheKey,
  * pick the owning shard on the consistent-hash ring, forward — and
  * never compiles, so one router multiplexes many compile-heavy shards.
- * Key affinity survives the process split because the key is derived
+ * Key affinity holds across processes because the key is derived
  * from fingerprints that are stable across processes (common/hash.h
  * FNV over content, never pointer identity).
  *

@@ -1,8 +1,6 @@
 #include "server/server.h"
 
-#include <cstdio>
 #include <utility>
-#include <vector>
 
 #include "common/latch.h"
 #include "obs/flight_recorder.h"
@@ -14,29 +12,6 @@
 namespace square {
 
 namespace {
-
-/**
- * The stats reply for the sharded server: the service-layer stats line
- * (global = summed shard counters) extended with the router fields.
- * Stays a flat JSON object so protocol.h's parser can read it back.
- */
-std::string
-formatServerStats(const RouterStats &stats, int shards)
-{
-    // Shards receive pre-resolved programs and cache none themselves;
-    // fold the router's name cache into the operator-facing counter so
-    // "cached_programs" reports the programs actually resident.
-    ServiceStats global = stats.global;
-    global.cachedPrograms += stats.routerPrograms;
-    std::string line = formatStats(global);
-    char extra[128];
-    std::snprintf(extra, sizeof extra,
-                  ", \"shards\": %d, \"resolve_failures\": %lld}",
-                  shards,
-                  static_cast<long long>(stats.resolveFailures));
-    line.pop_back(); // replace the closing '}' with the extension
-    return line + extra;
-}
 
 /**
  * Close out one traced request on the shard tier: record the "write"
@@ -87,8 +62,7 @@ class BlockingSink final : public AsyncReplySink
 } // namespace
 
 CompileServer::CompileServer(const ServerConfig &cfg)
-    : router_(cfg.shards, cfg.workersPerShard, cfg.limits,
-              cfg.admission),
+    : service_(cfg.workers, cfg.limits, cfg.admission),
       transport_(cfg.eventThreads), cfg_(cfg),
       traceSampler_(cfg.traceSample)
 {
@@ -96,56 +70,50 @@ CompileServer::CompileServer(const ServerConfig &cfg)
 
 CompileServer::~CompileServer() { stop(); }
 
-void
-CompileServer::replayIntoShards(StoreRecord &&rec, uint64_t &inserted)
-{
-    if (router_.shard(router_.shardFor(rec.key))
-            .insertReplayed(rec.key, std::move(rec.result),
-                            std::move(rec.tail)))
-        ++inserted;
-}
-
 bool
 CompileServer::start(std::string &error)
 {
-    // Wire the fault-injection probes into every shard.  The service
-    // layer carries the hooks so it stays free of src/server includes;
-    // both probes gate on one relaxed atomic load when faults are off.
-    for (int i = 0; i < router_.shards(); ++i) {
-        router_.shard(i).setCompileHook(
-            [] { FaultInjector::instance().onCompileStart(); });
-        router_.shard(i).setWorkerDeathHook(
-            [] { return FaultInjector::instance().shouldKillWorker(); });
+    if (cfg_.shards != 1) {
+        error = "shards must be 1: a square_served daemon is one shard; "
+                "run several behind square_router to shard";
+        return false;
     }
 
+    // Wire the fault-injection probes into the service.  The service
+    // layer carries the hooks so it stays free of src/server includes;
+    // both probes gate on one relaxed atomic load when faults are off.
+    service_.setCompileHook(
+        [] { FaultInjector::instance().onCompileStart(); });
+    service_.setWorkerDeathHook(
+        [] { return FaultInjector::instance().shouldKillWorker(); });
+
+    uint64_t inserted = 0;
+    const auto replay = [this, &inserted](StoreRecord &&rec) {
+        if (service_.insertReplayed(rec.key, std::move(rec.result),
+                                    std::move(rec.tail)))
+            ++inserted;
+    };
     // Warm restart, strictly before the transport accepts its first
-    // connection: replay this server's own log into the key-affine
-    // shard caches (entries beyond CacheLimits evict normally — log
-    // order is recency order), truncate any torn tail, and point
-    // every shard's publish sink at the store's append queue.
+    // connection: replay this server's own log into the result cache
+    // (entries beyond CacheLimits evict normally — log order is
+    // recency order), truncate any torn tail, and point the service's
+    // publish sink at the store's append queue.
     if (!cfg_.storePath.empty()) {
         store_ = std::make_unique<ArtifactStore>();
         ArtifactStore::Options sopts;
         sopts.path = cfg_.storePath;
         sopts.fsyncEachRecord = cfg_.storeFsync;
-        uint64_t inserted = 0;
-        if (!store_->open(sopts,
-                          [this, &inserted](StoreRecord &&rec) {
-                              replayIntoShards(std::move(rec),
-                                               inserted);
-                          },
-                          error)) {
+        if (!store_->open(sopts, replay, error)) {
             store_.reset();
             return false;
         }
         ArtifactStore *store = store_.get();
-        for (int i = 0; i < router_.shards(); ++i)
-            router_.shard(i).setPublishSink(
-                [store](const CacheKey &key,
-                        const std::shared_ptr<const CompileResult> &r,
-                        const std::shared_ptr<const std::string> &t) {
-                    store->append(key, r, t);
-                });
+        service_.setPublishSink(
+            [store](const CacheKey &key,
+                    const std::shared_ptr<const CompileResult> &r,
+                    const std::shared_ptr<const std::string> &t) {
+                store->append(key, r, t);
+            });
     }
     // Shard pre-warming: bulk-load a donor shard's log read-only.
     // Runs after the own-store replay, so a key present in both keeps
@@ -153,13 +121,9 @@ CompileServer::start(std::string &error)
     // re-appended — content addressing makes over-replay harmless.
     if (!cfg_.prewarmPath.empty()) {
         uint64_t good_bytes = 0, replayed = 0, corrupt = 0;
-        uint64_t inserted = 0;
-        if (!replayStoreFile(cfg_.prewarmPath,
-                             [this, &inserted](StoreRecord &&rec) {
-                                 replayIntoShards(std::move(rec),
-                                                  inserted);
-                             },
-                             good_bytes, replayed, corrupt, error))
+        inserted = 0; // the store's prewarm counter: donor keys only
+        if (!replayStoreFile(cfg_.prewarmPath, replay, good_bytes,
+                             replayed, corrupt, error))
             return false;
         if (store_ != nullptr)
             store_->notePrewarm(inserted, corrupt);
@@ -177,14 +141,9 @@ CompileServer::start(std::string &error)
             error))
         return false;
     // Postmortem dumps carry a final metrics snapshot; every registry
-    // this server owns is labelled into it while it is alive.
+    // this server owns is registered into it while it is alive.
     obs::Postmortem &pm = obs::Postmortem::instance();
-    for (int i = 0; i < router_.shards(); ++i) {
-        char prefix[32];
-        std::snprintf(prefix, sizeof prefix, "service%d", i);
-        pm.registerRegistry(prefix,
-                            &router_.shard(i).metricsRegistry());
-    }
+    pm.registerRegistry("service", &service_.metricsRegistry());
     pm.registerRegistry("transport", &transport_.metricsRegistry());
     pm.registerRegistry("watchdog",
                         &obs::Watchdog::instance().metricsRegistry());
@@ -197,8 +156,7 @@ void
 CompileServer::stop()
 {
     obs::Postmortem &pm = obs::Postmortem::instance();
-    for (int i = 0; i < router_.shards(); ++i)
-        pm.unregisterRegistry(&router_.shard(i).metricsRegistry());
+    pm.unregisterRegistry(&service_.metricsRegistry());
     // registerRegistry does not dedupe: the watchdog's slot must be
     // released too, or start/stop churn (tests) fills the table.
     pm.unregisterRegistry(&obs::Watchdog::instance().metricsRegistry());
@@ -235,7 +193,7 @@ CompileServer::handleLineTo(std::string_view line, std::string &out,
     if (json.has("cmd")) {
         const std::string cmd = json.get("cmd");
         if (cmd == "stats") {
-            out += formatServerStats(router_.stats(), router_.shards());
+            out += formatStats(service_.stats());
         } else if (cmd == "metrics") {
             out += formatTextReply(json, "metrics",
                                    renderMetricsText());
@@ -300,19 +258,18 @@ CompileServer::handleLineTo(std::string_view line, std::string &out,
                          trace->id());
 
     // Router-forwarded fast path: a "key" field carries the CacheKey
-    // the router already resolved.  A published hit on the key's home
-    // shard skips resolution entirely (no machine parse, no config
-    // canonicalization, no name-cache lookup); anything else — miss,
-    // in-flight, failed, malformed key — falls through to the full
-    // path below, whose own computed key always wins.
+    // the router already resolved.  A published hit skips resolution
+    // entirely (no machine parse, no config canonicalization, no
+    // name-cache lookup); anything else — miss, in-flight, failed,
+    // malformed key — falls through to the full path below, whose own
+    // computed key always wins.
     if (const std::string *key_hex =
             trace == nullptr ? json.find("key") : nullptr) {
         CacheKey fwd_key;
         if (parseCacheKeyHex(*key_hex, fwd_key)) {
             ServiceReply reply;
-            if (router_.shard(router_.shardFor(fwd_key))
-                    .tryServePublished(requestLabel(json), fwd_key,
-                                       reply)) {
+            if (service_.tryServePublished(requestLabel(json), fwd_key,
+                                           reply)) {
                 formatReplyLineTo(out, replyIdPrefix(json), reply);
                 out += '\n';
                 return;
@@ -331,24 +288,6 @@ CompileServer::handleLineTo(std::string_view line, std::string &out,
         req.trace = trace;
     }
 
-    // Resolve here (cheap — the program comes from the router's shared
-    // name cache), then let the shard decide sync (hit / shed) vs
-    // async (real compile).
-    std::shared_ptr<const Program> program;
-    uint64_t program_fp = 0;
-    CacheKey key;
-    obs::SpanClock resolve_t0;
-    if (trace != nullptr)
-        resolve_t0 = obs::SpanClock::now();
-    if (!router_.resolve(req, program, program_fp, key, error)) {
-        router_.noteResolveFailure();
-        out += formatError(json, error);
-        out += '\n';
-        return;
-    }
-    if (trace != nullptr)
-        trace->addSpan("resolve", resolve_t0.wallUs,
-                       obs::microsSince(resolve_t0));
     // `json` is thread-local and will be reused for the next line on
     // this loop; capture the only piece the completion needs — the id
     // echo — by value before going asynchronous.
@@ -359,11 +298,12 @@ CompileServer::handleLineTo(std::string_view line, std::string &out,
         blocking = std::make_shared<BlockingSink>();
         sink = blocking;
     }
-    CompileService &shard = router_.shard(router_.shardFor(key));
+    // The service resolves (its own name cache) and decides: sync for
+    // a hit, a shed, or a resolve failure, async for a real compile.
     ServiceReply reply;
     const double slow_ms = cfg_.traceSlowMs;
-    const bool sync = shard.submitPreparedAsync(
-        req, std::move(program), program_fp, key, reply,
+    const bool sync = service_.submitAsync(
+        req, reply,
         [sink, prefix = id_prefix, trace, slow_ms](ServiceReply &&r) {
             obs::SpanClock write_t0;
             if (trace != nullptr)
@@ -393,24 +333,17 @@ CompileServer::handleLineTo(std::string_view line, std::string &out,
 std::string
 CompileServer::renderMetricsText()
 {
-    std::vector<obs::LabeledRegistry> regs;
-    regs.reserve(static_cast<size_t>(router_.shards()));
-    for (int i = 0; i < router_.shards(); ++i) {
-        CompileService &shard = router_.shard(i);
-        shard.syncMetricsGauges();
-        regs.push_back({"shard=\"" + std::to_string(i) + "\"",
-                        &shard.metricsRegistry()});
-    }
+    service_.syncMetricsGauges();
     std::string text;
-    obs::renderPrometheus(text, "square_service", regs);
+    obs::renderPrometheus(text, "square_service",
+                          service_.metricsRegistry());
     obs::renderPrometheus(text, "square_transport",
-                          {{"", &transport_.metricsRegistry()}});
-    obs::renderPrometheus(
-        text, "square_watchdog",
-        {{"", &obs::Watchdog::instance().metricsRegistry()}});
+                          transport_.metricsRegistry());
+    obs::renderPrometheus(text, "square_watchdog",
+                          obs::Watchdog::instance().metricsRegistry());
     if (store_ != nullptr)
         obs::renderPrometheus(text, "square_store",
-                              {{"", &store_->metricsRegistry()}});
+                              store_->metricsRegistry());
     FaultInjector::instance().renderMetrics(text);
     obs::renderBuildInfo(text);
     return text;

@@ -1,24 +1,24 @@
 /**
  * @file
- * The networked compile server: EpollTransport x ShardRouter x the
+ * The networked compile server: EpollTransport x CompileService x the
  * NDJSON protocol.
  *
  * CompileServer binds a loopback (or configured) address, frames the
  * existing src/service/protocol.h request/reply grammar over
  * persistent TCP connections, and serves every compile request through
- * a key-affine shard router (see shard_router.h for the affinity
- * rules).  Every request takes one path: resolve, then the owning
- * shard's CompileService::submitPreparedAsync — a warm hit or a shed
- * replies at once, a miss replies when the shard's worker pool
- * publishes it.  On top of the pipe protocol it adds these commands:
+ * one CompileService.  One daemon is one shard: the fabric router's
+ * consistent-hash ring (router_daemon.h) is the only sharding scheme.
+ * Every request takes one path, CompileService::submitAsync — a warm
+ * hit, a shed, or a resolve failure replies at once, a miss replies
+ * when the worker pool publishes it.  On top of the pipe protocol it
+ * adds these commands:
  *
- *   {"cmd": "stats"}     the global (summed) counters, plus "shards"
- *                        and "resolve_failures";
+ *   {"cmd": "stats"}     the service counters (the square_serve line);
  *   {"cmd": "metrics"}   Prometheus text exposition (obs/metrics.h):
- *                        every shard's service registry under
- *                        shard="i" labels, the transport registry,
- *                        and the fault-injection counters, \n-escaped
- *                        into the reply's "text" field;
+ *                        the service, transport, watchdog, and store
+ *                        registries plus the fault-injection
+ *                        counters, \n-escaped into the reply's "text"
+ *                        field;
  *   {"cmd": "ping"}      a fixed liveness reply;
  *   {"cmd": "dump"}      write a flight-recorder postmortem block;
  *   {"cmd": "shutdown"}  acknowledge, then ask the owning thread to
@@ -56,8 +56,8 @@
 
 #include "obs/trace.h"
 #include "server/epoll_transport.h"
-#include "server/shard_router.h"
 #include "service/artifact_store.h"
+#include "service/service.h"
 
 namespace square {
 
@@ -67,21 +67,25 @@ struct ServerConfig
     std::string host = "127.0.0.1";
     /** 0 picks an ephemeral port (read it back with port()). */
     uint16_t port = 0;
-    int shards = 2;
-    /** Compile-pool workers per shard. */
-    int workersPerShard = 1;
+    /**
+     * Must be 1 (start() rejects anything else): a daemon is one
+     * shard, and square_router shards across daemons.
+     */
+    int shards = 1;
+    /** Compile-pool workers. */
+    int workers = 1;
     /** Event-loop threads for the epoll transport. */
     int eventThreads = 1;
-    /** Per-shard LRU result-cache bound (zero = unbounded). */
+    /** LRU result-cache bound (zero = unbounded). */
     CacheLimits limits;
-    /** Per-shard compile-queue bound (zero maxPending = admit all). */
+    /** Compile-queue bound (zero maxPending = admit all). */
     AdmissionLimits admission;
     /** Head-sample 1 in N requests into traces (0 = off). */
     uint64_t traceSample = 0;
     /**
      * Persistent artifact store (service/artifact_store.h).  When
-     * set, the log at this path is mmap'd and replayed into the shard
-     * caches before the transport accepts its first connection, and
+     * set, the log at this path is mmap'd and replayed into the result
+     * cache before the transport accepts its first connection, and
      * every successful publish appends asynchronously — a restart
      * starts warm instead of re-paying the working set's compiles.
      * "" = no persistence (the pre-PR-10 behaviour).
@@ -110,7 +114,10 @@ class CompileServer
     explicit CompileServer(const ServerConfig &cfg);
     ~CompileServer();
 
-    /** Bind and start serving; false with a message on failure. */
+    /**
+     * Bind and start serving; false with a message on failure
+     * (including cfg.shards != 1).
+     */
     bool start(std::string &error);
 
     /** The actual bound port (after start()). */
@@ -122,7 +129,7 @@ class CompileServer
     /** True once a {"cmd":"shutdown"} request was served. */
     bool shutdownRequested() const { return shutdownRequested_.load(); }
 
-    ShardRouter &router() { return router_; }
+    CompileService &service() { return service_; }
     /** The artifact store (null without cfg.storePath). */
     ArtifactStore *store() { return store_.get(); }
 
@@ -152,13 +159,10 @@ class CompileServer
     /** The {"cmd": "metrics"} payload (unescaped Prometheus text). */
     std::string renderMetricsText();
 
-    /** Replay one log into the key-affine shard caches. */
-    void replayIntoShards(StoreRecord &&rec, uint64_t &inserted);
-
-    /** Declared before router_: publish sinks (worker threads still
+    /** Declared before service_: publish sinks (worker threads still
         draining at teardown) append into it, so it must die last. */
     std::unique_ptr<ArtifactStore> store_;
-    ShardRouter router_;
+    CompileService service_;
     EpollTransport transport_;
     ServerConfig cfg_;
     /** Server-side head sampler (cfg_.traceSample). */

@@ -145,23 +145,100 @@ parseBoundedNumber(const std::string &text, double max, double &out)
     return true;
 }
 
+/** True when @p s matches RFC 8259's number grammar exactly. */
+bool
+isJsonNumber(std::string_view s)
+{
+    size_t pos = 0;
+    auto digits = [&s, &pos] {
+        const size_t start = pos;
+        while (pos < s.size() && s[pos] >= '0' && s[pos] <= '9')
+            ++pos;
+        return pos > start;
+    };
+    if (pos < s.size() && s[pos] == '-')
+        ++pos;
+    if (pos < s.size() && s[pos] == '0')
+        ++pos;
+    else if (!digits())
+        return false;
+    if (pos < s.size() && s[pos] == '.') {
+        ++pos;
+        if (!digits())
+            return false;
+    }
+    if (pos < s.size() && (s[pos] == 'e' || s[pos] == 'E')) {
+        ++pos;
+        if (pos < s.size() && (s[pos] == '+' || s[pos] == '-'))
+            ++pos;
+        if (!digits())
+            return false;
+    }
+    return pos == s.size();
+}
+
 /**
- * The id field rendered for replies ("id": N, or nothing).  The parsed
- * token lost its original quoting, so re-derive it: numeric and
- * boolean tokens echo raw, anything else is re-quoted and re-escaped
- * (a string id must not be able to break — or inject fields into —
- * the reply object).
+ * Append a parsed field value back as JSON.  The parse lost the
+ * original quoting and keeps any strtod token as a scalar (nan, inf,
+ * 0x1F, +7, .5), so only JSON numbers and booleans echo raw; anything
+ * else is re-quoted and re-escaped (a string must not be able to
+ * break — or inject fields into — the object).
  */
+void
+appendJsonValue(std::string &out, const std::string &token)
+{
+    if (token == "true" || token == "false" || isJsonNumber(token)) {
+        out += token;
+        return;
+    }
+    out += '"';
+    out += escape(token);
+    out += '"';
+}
+
+/** The id field rendered for replies ("id": N, or nothing). */
 std::string
 idPrefix(const JsonRequest &json)
 {
-    if (!json.has("id"))
+    const std::string *id = json.find("id");
+    if (id == nullptr)
         return "";
-    const std::string id = json.get("id");
-    double ignored = 0;
-    if (id == "true" || id == "false" || parseNumber(id, ignored))
-        return "\"id\": " + id + ", ";
-    return "\"id\": \"" + escape(id) + "\", ";
+    std::string out = "\"id\": ";
+    appendJsonValue(out, *id);
+    out += ", ";
+    return out;
+}
+
+/**
+ * The SquareConfig a "policy" token names; false with a message for
+ * an unknown policy or a bad measure-reset latency.  buildRequest and
+ * requestLabel both read this one table.
+ */
+bool
+policyConfig(const std::string &policy, SquareConfig &out,
+             std::string &error)
+{
+    if (policy == "square") {
+        out = SquareConfig::square();
+    } else if (policy == "eager") {
+        out = SquareConfig::eager();
+    } else if (policy == "lazy") {
+        out = SquareConfig::lazy();
+    } else if (policy == "laa") {
+        out = SquareConfig::squareLaaOnly();
+    } else if (policy.rfind("mr:", 0) == 0) {
+        int latency = 0;
+        if (!parsePositiveInt(policy.substr(3), latency)) {
+            error = "bad measure-reset latency in \"" + policy + "\"";
+            return false;
+        }
+        out = SquareConfig::measureReset(latency);
+    } else {
+        error = "unknown policy \"" + policy +
+                "\" (square|eager|lazy|laa|mr:<latency>)";
+        return false;
+    }
+    return true;
 }
 
 } // namespace
@@ -278,27 +355,8 @@ buildRequest(const JsonRequest &json, CompileRequest &out,
         }
     }
 
-    const std::string policy = json.get("policy", "square");
-    if (policy == "square") {
-        out.cfg = SquareConfig::square();
-    } else if (policy == "eager") {
-        out.cfg = SquareConfig::eager();
-    } else if (policy == "lazy") {
-        out.cfg = SquareConfig::lazy();
-    } else if (policy == "laa") {
-        out.cfg = SquareConfig::squareLaaOnly();
-    } else if (policy.rfind("mr:", 0) == 0) {
-        int latency = 0;
-        if (!parsePositiveInt(policy.substr(3), latency)) {
-            error = "bad measure-reset latency in \"" + policy + "\"";
-            return false;
-        }
-        out.cfg = SquareConfig::measureReset(latency);
-    } else {
-        error = "unknown policy \"" + policy +
-                "\" (square|eager|lazy|laa|mr:<latency>)";
+    if (!policyConfig(json.get("policy", "square"), out.cfg, error))
         return false;
-    }
     out.label += "/" + out.cfg.name;
 
     // Optional config overrides.
@@ -369,24 +427,12 @@ buildRequest(const JsonRequest &json, CompileRequest &out,
 std::string
 requestLabel(const JsonRequest &json)
 {
-    // Mirrors buildRequest's label assembly (workload + "/" +
-    // SquareConfig::name) from the raw tokens; must track the policy
-    // table there.
     const std::string policy = json.get("policy", "square");
-    std::string name;
-    if (policy == "square")
-        name = "SQUARE";
-    else if (policy == "eager")
-        name = "EAGER";
-    else if (policy == "lazy")
-        name = "LAZY";
-    else if (policy == "laa")
-        name = "SQUARE(LAA only)";
-    else if (policy.rfind("mr:", 0) == 0)
-        name = "M&R(" + policy.substr(3) + ")";
-    else
-        name = policy; // unknown policies never reach a warm hit
-    return json.get("workload") + "/" + name;
+    SquareConfig cfg;
+    std::string ignored;
+    // An unknown policy never reaches a warm hit; its token stands in.
+    return json.get("workload") + "/" +
+           (policyConfig(policy, cfg, ignored) ? cfg.name : policy);
 }
 
 std::string
@@ -455,18 +501,9 @@ formatForwardedRequestTo(std::string &out, const JsonRequest &json,
         out += ", \"";
         out += k; // keys passed buildRequest's allowlist: no escapes
         out += "\": ";
-        // The parse lost the original quoting; re-derive it the way
-        // the id echo does (numbers/booleans raw, everything else
-        // re-quoted and re-escaped).  A numeric-looking string field
-        // round-trips to the same token either way.
-        double ignored = 0;
-        if (v == "true" || v == "false" || parseNumber(v, ignored)) {
-            out += v;
-        } else {
-            out += '"';
-            out += escape(v);
-            out += '"';
-        }
+        // Re-derived like the id echo: a field's token round-trips to
+        // the same text whether it went out raw or quoted.
+        appendJsonValue(out, v);
     }
     if (trace_id != 0 && !json.has("trace_id")) {
         out += ", \"trace_id\": \"";

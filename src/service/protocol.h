@@ -222,9 +222,10 @@ std::string formatTextReply(const JsonRequest &json,
                             std::string_view cmd, const std::string &text);
 
 /**
- * The reply label buildRequest would assign ("workload/POLICYNAME"),
- * derived without constructing the config — so the forwarded-key warm
- * path labels its replies identically to the full path.
+ * The reply label buildRequest assigns ("workload/" + the policy's
+ * SquareConfig::name), read from the same policy table without
+ * building the rest of the request — so a forwarded-key warm hit is
+ * labelled exactly like the full path's reply.
  */
 std::string requestLabel(const JsonRequest &json);
 
@@ -239,7 +240,8 @@ bool parseCacheKeyHex(std::string_view text, CacheKey &out);
  * newline): the original fields with "id" rewritten to @p rid and the
  * resolved @p key appended, so the shard's warm path skips request
  * re-resolution entirely.  Field values round-trip by the same
- * number/boolean-vs-string re-derivation the id echo uses.  A
+ * re-derivation the id echo uses: RFC 8259 numbers and booleans raw,
+ * everything else quoted.  A
  * non-zero @p trace_id is appended as a "trace_id" field when the
  * request does not already carry one — how a router-originated trace
  * (its own --trace-sample) reaches the owning shard.

@@ -25,26 +25,6 @@ microsFromMillis(double millis)
 
 } // namespace
 
-ServiceStats &
-ServiceStats::operator+=(const ServiceStats &o)
-{
-    requests += o.requests;
-    hits += o.hits;
-    misses += o.misses;
-    compiles += o.compiles;
-    failures += o.failures;
-    evictions += o.evictions;
-    analysisComputes += o.analysisComputes;
-    cachedResults += o.cachedResults;
-    cachedBytes += o.cachedBytes;
-    cachedPrograms += o.cachedPrograms;
-    shed += o.shed;
-    deadlineExpired += o.deadlineExpired;
-    workerDeaths += o.workerDeaths;
-    pendingCompiles += o.pendingCompiles;
-    return *this;
-}
-
 CompileService::CompileService(int workers, CacheLimits limits,
                                AdmissionLimits admission)
     : limits_(limits), admission_(admission),
@@ -558,20 +538,32 @@ CompileService::runQueuedCompile(const CompileRequest &req,
 }
 
 bool
-CompileService::submitPreparedAsync(
-    const CompileRequest &req, std::shared_ptr<const Program> program,
-    uint64_t program_fp, const CacheKey &key, ServiceReply &reply,
-    AsyncDone done)
+CompileService::submitAsync(const CompileRequest &req, ServiceReply &reply,
+                            AsyncDone done)
 {
     const Clock::time_point t0 = Clock::now();
     reply.label = req.label;
-    reply.key = key;
+    obs::SpanClock resolve_t0;
+    if (req.trace != nullptr)
+        resolve_t0 = obs::SpanClock::now();
+    Resolved res = resolve(req);
+    if (!res.error.empty()) {
+        // Never claimed: one request, one failure, answered here.
+        reply.error = std::move(res.error);
+        reply.millis = millisSince(t0);
+        requestsC_.add();
+        failuresC_.add();
+        return true;
+    }
+    if (req.trace != nullptr)
+        req.trace->addSpan("resolve", resolve_t0.wallUs,
+                           obs::microsSince(resolve_t0));
+    reply.key = res.key;
     std::shared_ptr<Entry> owned;
-    if (claim(req, key, t0, reply, std::move(done), owned))
+    if (claim(req, res.key, t0, reply, std::move(done), owned))
         return true;
     if (owned != nullptr)
-        post(req, Resolved{std::move(program), program_fp, key, {}},
-             std::move(owned));
+        post(req, std::move(res), std::move(owned));
     return false;
 }
 
@@ -579,65 +571,14 @@ ServiceReply
 CompileService::submit(const CompileRequest &req)
 {
     ServiceReply reply;
-    serveBlocking({&req, 1}, {&reply, 1});
+    Latch published(1);
+    if (!submitAsync(req, reply,
+                     [&reply, &published](ServiceReply &&r) {
+                         reply = std::move(r);
+                         published.arrive();
+                     }))
+        published.wait();
     return reply;
-}
-
-std::vector<ServiceReply>
-CompileService::submitBatch(const std::vector<CompileRequest> &reqs)
-{
-    std::vector<ServiceReply> replies(reqs.size());
-    serveBlocking(reqs, replies);
-    return replies;
-}
-
-void
-CompileService::serveBlocking(std::span<const CompileRequest> reqs,
-                              std::span<ServiceReply> replies)
-{
-    // One arrival per request: immediate replies arrive here, parked
-    // ones from their Waiter once publish() fills them in.
-    Latch latch(reqs.size());
-
-    // Claim every request before posting any compile, so in-batch
-    // duplicates deterministically join the first occurrence's claim.
-    struct Claimed
-    {
-        size_t index;
-        Resolved res;
-        std::shared_ptr<Entry> entry;
-    };
-    std::vector<Claimed> owned;
-    for (size_t i = 0; i < reqs.size(); ++i) {
-        const Clock::time_point t0 = Clock::now();
-        ServiceReply &reply = replies[i];
-        reply.label = reqs[i].label;
-        Resolved res = resolve(reqs[i]);
-        if (!res.error.empty()) {
-            reply.error = res.error;
-            reply.millis = millisSince(t0);
-            requestsC_.add();
-            failuresC_.add();
-            latch.arrive();
-            continue;
-        }
-        reply.key = res.key;
-        std::shared_ptr<Entry> entry;
-        if (claim(reqs[i], res.key, t0, reply,
-                  [out = &reply, done = &latch](ServiceReply &&r) {
-                      *out = std::move(r);
-                      done->arrive();
-                  },
-                  entry)) {
-            latch.arrive();
-            continue;
-        }
-        if (entry != nullptr)
-            owned.push_back({i, std::move(res), std::move(entry)});
-    }
-    for (Claimed &c : owned)
-        post(reqs[c.index], std::move(c.res), std::move(c.entry));
-    latch.wait();
 }
 
 bool

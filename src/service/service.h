@@ -17,7 +17,8 @@
  *
  *   1. resolve the program: an explicit shared Program, or a registry
  *      workload name (programs built from names are themselves cached
- *      by name, so replicas share one immutable instance);
+ *      by name, so replicas share one immutable instance); a request
+ *      that fails to resolve is answered at once as a failure;
  *   2. compute the cache key;
  *   3. claim: one locked step looks the key up, applies admission
  *      control to a would-be miss, claims the miss, and counts;
@@ -29,14 +30,14 @@
  *      miss       -> park, and post one compile job onto the service's
  *                    WorkerPool; publish() wakes every waiter.
  *
- * submitPreparedAsync() is the core itself.  submit() and submitBatch()
- * are waits on it: they park like any async requester and block until
- * their Waiters fire, so admission, deadline cancellation, the compile
- * hook, and the latency histograms apply to every caller alike.
+ * submitAsync() is the core itself.  submit() is a wait on it: it
+ * parks like any async requester and blocks until its Waiter fires,
+ * so admission, deadline cancellation, the compile hook, and the
+ * latency histograms apply to every caller alike.
  *
  * Compilations share one const ProgramAnalysis per unique program
  * fingerprint through the service's AnalysisCache, which persists
- * across requests and batches.
+ * across requests.
  *
  * Results are shared immutable artifacts (shared_ptr<const
  * CompileResult>): hits are pointer-equal to the first computation,
@@ -49,8 +50,8 @@
  * return — keeps its artifact alive regardless of eviction (pinning is
  * structural, not a lock).  In-flight entries are never evicted; they
  * join the LRU order when their result is published.  The server tier
- * (src/server/) shards this service by CacheKey hash and puts the epoll
- * transport in front of the pipe protocol.
+ * (src/server/) puts the epoll transport in front of one service per
+ * daemon; sharding across daemons is the fabric router's job.
  */
 
 #ifndef SQUARE_SERVICE_SERVICE_H
@@ -62,7 +63,6 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -220,9 +220,6 @@ struct ServiceStats
     int64_t deadlineExpired = 0; ///< waiters cancelled by deadline expiry
     int64_t workerDeaths = 0;    ///< async workers killed (fault inj.)
     size_t pendingCompiles = 0;  ///< gauge: compiles queued or running
-
-    /** Element-wise sum (used by the shard router's global view). */
-    ServiceStats &operator+=(const ServiceStats &o);
 };
 
 /**
@@ -234,7 +231,7 @@ class CompileService
 {
   public:
     /**
-     * Completion callback for submitPreparedAsync.  Fires exactly once,
+     * Completion callback for submitAsync.  Fires exactly once,
      * from a worker-pool thread (never the submitting thread), after
      * the compile publishes.  The callback must be fast and must not
      * re-enter the service.
@@ -254,10 +251,28 @@ class CompileService
 
     /**
      * Serve one request, blocking until its reply is ready: a wait on
-     * submitPreparedAsync.  Concurrent duplicates of an in-flight key
-     * share the one result.
+     * submitAsync.  Concurrent duplicates of an in-flight key share the
+     * one result.
      */
     ServiceReply submit(const CompileRequest &req);
+
+    /**
+     * The service core.  Never blocks: resolves the request (an
+     * explicit program, or a workload name through the service's own
+     * name cache), records the "resolve" span when traced, and claims
+     * its cache key.  Returns true when the request was answered
+     * synchronously — a resolve failure (reply.error set), a published
+     * cache hit, or an admission-control shed (reply.status ==
+     * "overloaded") — with @p reply filled and @p done never invoked.
+     * Returns false when the request went asynchronous: the miss was
+     * queued on the worker pool (or joined an in-flight compile) and
+     * @p done fires exactly once from a worker thread with the
+     * finished reply; @p reply is not touched again.  Concurrent
+     * duplicates dedup to one compilation whichever entry point they
+     * came through.
+     */
+    bool submitAsync(const CompileRequest &req, ServiceReply &reply,
+                     AsyncDone done);
 
     /**
      * Serve @p key from the published cache if (and only if) it holds
@@ -271,35 +286,6 @@ class CompileService
      */
     bool tryServePublished(const std::string &label, const CacheKey &key,
                            ServiceReply &reply);
-
-    /**
-     * The service core, for a request the caller has already resolved
-     * to its shared program, program fingerprint, and cache key (the
-     * shard router does, once, in its own name cache — re-fingerprinting
-     * the whole program per request would dominate the warm hit).
-     * Never blocks.  Returns true when the request was served
-     * synchronously — a published cache hit or an admission-control
-     * shed (reply.status == "overloaded") — with @p reply filled and
-     * @p done never invoked.  Returns false when the request went
-     * asynchronous: the miss was queued on the worker pool (or joined
-     * an in-flight compile) and @p done fires exactly once from a
-     * worker thread with the finished reply.  Concurrent duplicates
-     * dedup to one compilation whichever entry point they came through.
-     */
-    bool submitPreparedAsync(const CompileRequest &req,
-                             std::shared_ptr<const Program> program,
-                             uint64_t program_fp, const CacheKey &key,
-                             ServiceReply &reply, AsyncDone done);
-
-    /**
-     * Serve a batch, blocking until every reply is ready; replies in
-     * request order.  Every request is claimed before any compile is
-     * posted, so duplicates inside the batch (and keys already cached)
-     * are hits, and the unique misses then run in parallel on the
-     * pool.
-     */
-    std::vector<ServiceReply> submitBatch(
-        const std::vector<CompileRequest> &reqs);
 
     ServiceStats stats() const;
 
@@ -427,9 +413,9 @@ class CompileService
     Resolved resolve(const CompileRequest &req);
 
     /**
-     * The claim step every entry point shares: cache lookup, admission
-     * control for a would-be miss, the miss claim, the request
-     * counters, and the admit/shed events.  Returns true when the
+     * submitAsync's claim step: cache lookup, admission control for a
+     * would-be miss, the miss claim, the request counters, and the
+     * admit/shed events.  Returns true when the
      * request was answered synchronously (published hit or shed) into
      * @p reply; otherwise parks @p done on the entry's Waiter list and
      * returns false, with @p owned set when this request claimed the
@@ -444,14 +430,6 @@ class CompileService
     /** Fill @p reply from a published entry: a warm hit. */
     void serveReady(const Entry &entry, Clock::time_point t0,
                     ServiceReply &reply);
-
-    /**
-     * The blocking entry points' body: resolve and claim every
-     * request, post the owned misses, then wait until every parked
-     * request's Waiter has filled its slot of @p replies.
-     */
-    void serveBlocking(std::span<const CompileRequest> reqs,
-                       std::span<ServiceReply> replies);
 
     /** Queue the compile of a claimed miss on the worker pool. */
     void post(const CompileRequest &req, Resolved res,

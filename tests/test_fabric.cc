@@ -232,8 +232,6 @@ struct ShardProc
     {
         ServerConfig cfg;
         cfg.port = fixed_port;
-        cfg.shards = 1;
-        cfg.workersPerShard = 1;
         std::string error;
         server = std::make_unique<CompileServer>(cfg);
         ASSERT_TRUE(server->start(error)) << error;

@@ -1,10 +1,10 @@
 /**
  * @file
- * Batch compilation determinism: CompileService::submitBatch runs a
- * batch's unique misses in parallel on the service's worker pool, and
- * every result must be bit-identical to a serial run of the same
- * requests, in request order, regardless of worker count or thread
- * scheduling.  This is the contract that makes the re-entrant
+ * Parallel compilation determinism: requests submitted through
+ * CompileService::submitAsync without waiting run their unique misses
+ * in parallel on the service's worker pool, and every result must be
+ * bit-identical to a serial run of the same requests, regardless of
+ * worker count or thread scheduling.  This is the contract that makes the re-entrant
  * CompileContext design observable: any hidden shared mutable state
  * between concurrent compilations shows up here (and under the CI
  * ThreadSanitizer job, which runs exactly this binary).
@@ -18,6 +18,7 @@
 #include <map>
 #include <string>
 
+#include "common/latch.h"
 #include "core/compiler.h"
 #include "core/policy.h"
 #include "ir/analysis.h"
@@ -85,6 +86,28 @@ expectIdentical(const CompileResult &a, const CompileResult &b)
     }
 }
 
+/**
+ * Submit every request before waiting on any, so the unique misses
+ * compile in parallel on the pool; replies in request order.
+ */
+std::vector<ServiceReply>
+submitAll(CompileService &service, const std::vector<CompileRequest> &reqs)
+{
+    std::vector<ServiceReply> replies(reqs.size());
+    Latch done(reqs.size());
+    for (size_t i = 0; i < reqs.size(); ++i) {
+        ServiceReply &reply = replies[i];
+        if (service.submitAsync(reqs[i], reply,
+                                [&reply, &done](ServiceReply &&r) {
+                                    reply = std::move(r);
+                                    done.arrive();
+                                }))
+            done.arrive();
+    }
+    done.wait();
+    return replies;
+}
+
 /** A direct compile() of @p req with a freshly rebuilt Program. */
 CompileResult
 rebuiltCompile(const CompileRequest &req)
@@ -95,14 +118,14 @@ rebuiltCompile(const CompileRequest &req)
     return compile(rebuilt, machine, req.cfg, {});
 }
 
-TEST(Batch, ParallelMatchesSerialBitIdentically)
+TEST(ParallelCompile, MatchesSerialBitIdentically)
 {
     std::vector<CompileRequest> reqs = mixedBatch();
 
     CompileService serial(1);
     CompileService parallel(8);
-    std::vector<ServiceReply> one = serial.submitBatch(reqs);
-    std::vector<ServiceReply> eight = parallel.submitBatch(reqs);
+    std::vector<ServiceReply> one = submitAll(serial, reqs);
+    std::vector<ServiceReply> eight = submitAll(parallel, reqs);
 
     ASSERT_EQ(one.size(), reqs.size());
     ASSERT_EQ(eight.size(), reqs.size());
@@ -124,16 +147,16 @@ TEST(Batch, ParallelMatchesSerialBitIdentically)
     }
 }
 
-TEST(Batch, ParallelMatchesDirectCompile)
+TEST(ParallelCompile, MatchesDirectCompile)
 {
-    // The batch path adds no hidden state: each reply equals a direct
+    // The service adds no hidden state: each reply equals a direct
     // compile() of the same (program, machine, policy).
     std::vector<CompileRequest> reqs = {
         registryRequest("SALSA20", SquareConfig::square()),
         registryRequest("Belle-s", SquareConfig::eager()),
     };
     CompileService service(4);
-    std::vector<ServiceReply> replies = service.submitBatch(reqs);
+    std::vector<ServiceReply> replies = submitAll(service, reqs);
     ASSERT_EQ(replies.size(), 2u);
     for (size_t i = 0; i < reqs.size(); ++i) {
         SCOPED_TRACE(reqs[i].label);
@@ -144,7 +167,7 @@ TEST(Batch, ParallelMatchesDirectCompile)
     }
 }
 
-TEST(Batch, SharedProgramMatchesRebuildPathBitIdentically)
+TEST(ParallelCompile, SharedProgramMatchesRebuildPathBitIdentically)
 {
     // Sharing one immutable Program (and one ProgramAnalysis) across
     // replicas must change nothing observable: every reply is
@@ -158,7 +181,7 @@ TEST(Batch, SharedProgramMatchesRebuildPathBitIdentically)
         reqs.push_back(registryRequest("ADDER32", SquareConfig::eager()));
     }
     CompileService service(4);
-    std::vector<ServiceReply> shared = service.submitBatch(reqs);
+    std::vector<ServiceReply> shared = submitAll(service, reqs);
     ASSERT_EQ(shared.size(), reqs.size());
     EXPECT_EQ(service.stats().failures, 0);
 
@@ -170,10 +193,11 @@ TEST(Batch, SharedProgramMatchesRebuildPathBitIdentically)
     }
 }
 
-TEST(Batch, AnalysisComputedOncePerUniqueProgram)
+TEST(ParallelCompile, AnalysisComputedOncePerUniqueProgram)
 {
     // 4 replicas x 3 policies per workload, 2 unique workloads: the
-    // batch must analyze each unique program fingerprint exactly once.
+    // service must analyze each unique program fingerprint exactly
+    // once.
     std::vector<CompileRequest> reqs;
     for (int r = 0; r < 4; ++r) {
         for (const char *name : {"SALSA20", "Belle-s"}) {
@@ -184,7 +208,7 @@ TEST(Batch, AnalysisComputedOncePerUniqueProgram)
     }
     CompileService service(8);
     int64_t before = ProgramAnalysis::constructionCount();
-    std::vector<ServiceReply> first = service.submitBatch(reqs);
+    std::vector<ServiceReply> first = submitAll(service, reqs);
     int64_t after = ProgramAnalysis::constructionCount();
     for (const ServiceReply &r : first)
         EXPECT_TRUE(r.error.empty()) << r.error;
@@ -192,18 +216,18 @@ TEST(Batch, AnalysisComputedOncePerUniqueProgram)
     EXPECT_EQ(service.stats().compiles, 6); // 2 workloads x 3 policies
     EXPECT_EQ(service.stats().analysisComputes, 2);
 
-    // The service's analysis cache carries across batches: a second
-    // batch of fresh keys (another machine) over the same programs
+    // The service's analysis cache carries across requests: a second
+    // round of fresh keys (another machine) over the same programs
     // compiles again but analyzes nothing.
     for (CompileRequest &req : reqs)
         req.machine.kind = MachineSpec::Kind::NisqLatticeMacro;
-    service.submitBatch(reqs);
+    submitAll(service, reqs);
     EXPECT_EQ(service.stats().compiles, 12);
     EXPECT_EQ(service.stats().analysisComputes, 2);
     EXPECT_EQ(ProgramAnalysis::constructionCount(), after);
 }
 
-TEST(Batch, FailedRequestFailsAlone)
+TEST(ParallelCompile, FailedRequestFailsAlone)
 {
     // A program that cannot fit its machine fails its own request only.
     std::vector<CompileRequest> reqs = {
@@ -213,7 +237,7 @@ TEST(Batch, FailedRequestFailsAlone)
     // SHA2 under LAZY on a tiny machine cannot fit: 4 sites.
     reqs[1].machine = MachineSpec::nisqLattice(2, 2);
     CompileService service(2);
-    std::vector<ServiceReply> replies = service.submitBatch(reqs);
+    std::vector<ServiceReply> replies = submitAll(service, reqs);
     ASSERT_EQ(replies.size(), 2u);
     EXPECT_TRUE(replies[0].error.empty());
     ASSERT_NE(replies[0].result, nullptr);

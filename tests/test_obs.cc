@@ -269,7 +269,7 @@ TEST(Prometheus, RendersCountersGaugesAndSummaries)
     for (int64_t v = 0; v < 100; ++v)
         reg.histogram("latency_us").record(v);
     std::string out;
-    obs::renderPrometheus(out, "square_test", {{"", &reg}});
+    obs::renderPrometheus(out, "square_test", reg);
     EXPECT_NE(out.find("# TYPE square_test_requests_total counter\n"),
               std::string::npos)
         << out;
@@ -288,26 +288,6 @@ TEST(Prometheus, RendersCountersGaugesAndSummaries)
               std::string::npos)
         << out;
     EXPECT_NE(out.find("square_test_latency_us_sum 4950\n"),
-              std::string::npos)
-        << out;
-}
-
-TEST(Prometheus, ShardedRegistriesRenderAsOneLabelledFamily)
-{
-    obs::Registry shard0, shard1;
-    shard0.counter("hits").add(1);
-    shard1.counter("hits").add(2);
-    std::string out;
-    obs::renderPrometheus(out, "square_svc",
-                          {{"shard=\"0\"", &shard0},
-                           {"shard=\"1\"", &shard1}});
-    // One # TYPE header, two labelled series.
-    EXPECT_EQ(out.find("# TYPE square_svc_hits_total"),
-              out.rfind("# TYPE square_svc_hits_total"));
-    EXPECT_NE(out.find("square_svc_hits_total{shard=\"0\"} 1\n"),
-              std::string::npos)
-        << out;
-    EXPECT_NE(out.find("square_svc_hits_total{shard=\"1\"} 2\n"),
               std::string::npos)
         << out;
 }

@@ -3,11 +3,11 @@
  * Server-tier correctness: the epoll transport must frame the NDJSON
  * protocol (truncated trailing lines, line-cap overflow, fragmented
  * and pipelined input, write backpressure) and shut down cleanly with
- * one event loop or several; the shard router must be key-affine (a
- * given program x machine x config always lands on the same shard)
- * with per-shard stats that sum exactly to the global view.  This
- * binary runs under the CI ThreadSanitizer job — the epoll transport's
- * one-loop-owns-a-connection invariant is enforced there.
+ * one event loop or several; every connection must share the server's
+ * one CompileService (concurrent duplicates compile once, forwarded
+ * warm hits label like the full path).  This binary runs under the CI
+ * ThreadSanitizer job — the epoll transport's one-loop-owns-a-connection
+ * invariant is enforced there.
  */
 
 #include <gtest/gtest.h>
@@ -34,24 +34,11 @@
 #include "server/epoll_transport.h"
 #include "server/faults.h"
 #include "server/server.h"
-#include "server/shard_router.h"
 #include "service/protocol.h"
 #include "service/service.h"
-#include "workloads/registry.h"
 
 namespace square {
 namespace {
-
-CompileRequest
-namedRequest(const std::string &workload, const SquareConfig &cfg)
-{
-    CompileRequest req;
-    req.label = workload + "/" + cfg.name;
-    req.workload = workload;
-    req.machine = MachineSpec::paperFor(findBenchmark(workload));
-    req.cfg = cfg;
-    return req;
-}
 
 // -------------------------------------------------------------------
 // Transport framing and shutdown (one event loop and two)
@@ -351,18 +338,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // -------------------------------------------------------------------
-// ShardRouter key affinity and stats (through CompileServer::handleLine)
+// CompileServer::handleLine: one service behind every connection
 // -------------------------------------------------------------------
-
-/** A socket-less server with @p shards shards. */
-ServerConfig
-shardedConfig(int shards, int workers_per_shard = 1)
-{
-    ServerConfig cfg;
-    cfg.shards = shards;
-    cfg.workersPerShard = workers_per_shard;
-    return cfg;
-}
 
 std::string
 serveLine(CompileServer &server, const std::string &line)
@@ -371,99 +348,68 @@ serveLine(CompileServer &server, const std::string &line)
     return server.handleLine(line, close_conn);
 }
 
-TEST(ShardRouter, SameKeyAlwaysLandsOnSameShard)
+TEST(Server, StartRejectsMoreThanOneShard)
 {
-    CompileServer server(shardedConfig(4));
-    ShardRouter &router = server.router();
-    CompileRequest req = namedRequest("ADDER4", SquareConfig::square());
-
-    std::shared_ptr<const Program> program;
-    uint64_t program_fp = 0;
-    CacheKey key;
+    ServerConfig cfg;
+    cfg.shards = 2;
+    CompileServer server(cfg);
     std::string error;
-    ASSERT_TRUE(router.resolve(req, program, program_fp, key, error))
-        << error;
-    const int home = router.shardFor(key);
-    ASSERT_GE(home, 0);
-    ASSERT_LT(home, router.shards());
-
-    const int repeats = 5;
-    for (int i = 0; i < repeats; ++i) {
-        const std::string reply = serveLine(
-            server, R"({"workload":"ADDER4","policy":"square"})");
-        EXPECT_NE(reply.find("\"ok\": true"), std::string::npos) << reply;
-        EXPECT_NE(reply.find(formatCacheKeyHex(key)), std::string::npos);
-        // One miss, then affine hits.
-        EXPECT_NE(reply.find(i > 0 ? "\"cache\": \"hit\""
-                                   : "\"cache\": \"miss\""),
-                  std::string::npos)
-            << reply;
-    }
-
-    // Every request hit exactly the home shard; the others are idle.
-    RouterStats stats = router.stats();
-    for (int s = 0; s < router.shards(); ++s) {
-        SCOPED_TRACE("shard " + std::to_string(s));
-        EXPECT_EQ(stats.shards[static_cast<size_t>(s)].requests,
-                  s == home ? repeats : 0);
-    }
-    EXPECT_EQ(stats.shards[static_cast<size_t>(home)].compiles, 1);
+    EXPECT_FALSE(server.start(error));
+    EXPECT_NE(error.find("square_router"), std::string::npos) << error;
 }
 
-TEST(ShardRouter, ShardStatsSumToGlobalStats)
+TEST(Server, UnknownWorkloadIsOneFailedRequest)
 {
-    CompileServer server(shardedConfig(3));
-    // A mix of keys (two workloads x two policies), each repeated.
-    std::vector<std::string> lines;
-    for (const char *w : {"ADDER4", "RD53"})
-        for (const char *policy : {"square", "eager"})
-            lines.push_back(std::string(R"({"workload":")") + w +
-                            R"(","policy":")" + policy + R"("})");
-    for (int round = 0; round < 3; ++round)
-        for (const std::string &line : lines)
-            ASSERT_NE(serveLine(server, line).find("\"ok\": true"),
-                      std::string::npos);
-
-    RouterStats stats = server.router().stats();
-    ServiceStats sum;
-    for (const ServiceStats &shard : stats.shards)
-        sum += shard;
-    EXPECT_EQ(sum.requests, stats.global.requests);
-    EXPECT_EQ(sum.hits, stats.global.hits);
-    EXPECT_EQ(sum.misses, stats.global.misses);
-    EXPECT_EQ(sum.compiles, stats.global.compiles);
-    EXPECT_EQ(sum.failures, stats.global.failures);
-    EXPECT_EQ(sum.evictions, stats.global.evictions);
-    EXPECT_EQ(sum.cachedResults, stats.global.cachedResults);
-    EXPECT_EQ(sum.cachedBytes, stats.global.cachedBytes);
-
-    EXPECT_EQ(stats.global.requests, 12);
-    EXPECT_EQ(stats.global.compiles, 4); // 4 unique keys
-    EXPECT_EQ(stats.global.hits, 8);
-    // The router resolved both programs once, in its own cache; the
-    // shards received explicit programs and built none themselves.
-    EXPECT_EQ(stats.routerPrograms, 2u);
-    EXPECT_EQ(sum.cachedPrograms, 0u);
-}
-
-TEST(ShardRouter, ResolveFailuresAnsweredBeforeRouting)
-{
-    CompileServer server(shardedConfig(2));
+    CompileServer server(ServerConfig{});
     const std::string reply =
-        serveLine(server, R"({"workload":"NO-SUCH-WORKLOAD"})");
-    EXPECT_NE(reply.find("\"ok\": false"), std::string::npos) << reply;
-    EXPECT_NE(reply.find("\"error\""), std::string::npos);
+        serveLine(server, R"({"id":4,"workload":"NO-SUCH-WORKLOAD"})");
+    EXPECT_NE(reply.find(R"({"id": 4, "ok": false, "error": )"),
+              std::string::npos)
+        << reply;
 
-    RouterStats stats = server.router().stats();
-    EXPECT_EQ(stats.resolveFailures, 1);
-    EXPECT_EQ(stats.global.requests, 0); // never reached a shard
+    const ServiceStats stats = server.service().stats();
+    EXPECT_EQ(stats.requests, 1);
+    EXPECT_EQ(stats.failures, 1);
+    // The stats command is the service's own line, nothing appended.
+    EXPECT_EQ(serveLine(server, R"({"cmd":"stats"})"), formatStats(stats));
 }
 
-TEST(ShardRouter, ConcurrentDuplicatesAcrossConnectionsCompileOnce)
+TEST(Server, ForwardedWarmHitLabelsLikeTheFullPath)
 {
-    // Key affinity is what preserves in-flight dedup under sharding:
-    // concurrent duplicates meet on the owning shard.  TSan-covered.
-    CompileServer server(shardedConfig(2, 2));
+    // A router-forwarded "key" takes the fast path, which labels the
+    // hit without building the request; both paths must name the
+    // policy alike however the token spells it (mr:0100 is mr:100).
+    CompileServer server(ServerConfig{});
+    for (const char *policy : {"square", "eager", "lazy", "laa", "mr:100",
+                               "mr:0100", "mr:+100"}) {
+        SCOPED_TRACE(policy);
+        const std::string line =
+            std::string(R"({"workload":"ADDER4","policy":")") + policy +
+            "\"";
+        std::string error;
+        JsonRequest full;
+        ASSERT_TRUE(parseJsonLine(serveLine(server, line + "}"), full,
+                                  error))
+            << error;
+        ASSERT_EQ(full.get("ok"), "true");
+        JsonRequest forwarded;
+        ASSERT_TRUE(parseJsonLine(
+            serveLine(server,
+                      line + R"(,"key":")" + full.get("key") + "\"}"),
+            forwarded, error))
+            << error;
+        EXPECT_EQ(forwarded.get("cache"), "hit");
+        EXPECT_EQ(forwarded.get("label"), full.get("label"));
+    }
+}
+
+TEST(Server, ConcurrentDuplicatesAcrossConnectionsCompileOnce)
+{
+    // Concurrent duplicates from many connections meet on one in-flight
+    // entry.  TSan-covered.
+    ServerConfig cfg;
+    cfg.workers = 2;
+    CompileServer server(cfg);
     const std::string line = R"({"workload":"RD53","policy":"square"})";
 
     const int n_threads = 8;
@@ -492,9 +438,9 @@ TEST(ShardRouter, ConcurrentDuplicatesAcrossConnectionsCompileOnce)
         misses += r.find("\"cache\": \"miss\"") != std::string::npos;
     }
     EXPECT_EQ(misses, 1);
-    RouterStats stats = server.router().stats();
-    EXPECT_EQ(stats.global.requests, n_threads);
-    EXPECT_EQ(stats.global.compiles, 1);
+    ServiceStats stats = server.service().stats();
+    EXPECT_EQ(stats.requests, n_threads);
+    EXPECT_EQ(stats.compiles, 1);
 }
 
 // -------------------------------------------------------------------
@@ -538,7 +484,7 @@ struct CompileGate
 
 TEST(Server, DuplicateRequestIsAHitOverTcp)
 {
-    CompileServer server(shardedConfig(2));
+    CompileServer server(ServerConfig{});
     std::string error;
     ASSERT_TRUE(server.start(error)) << error;
 
@@ -562,7 +508,6 @@ TEST(Server, DuplicateRequestIsAHitOverTcp)
     ASSERT_TRUE(client.recvLine(reply));
     EXPECT_NE(reply.find("\"requests\": 2"), std::string::npos);
     EXPECT_NE(reply.find("\"hits\": 1"), std::string::npos);
-    EXPECT_NE(reply.find("\"shards\": 2"), std::string::npos);
 
     // In-protocol shutdown: acknowledged, then the owning thread stops.
     ASSERT_TRUE(client.sendLine(R"({"cmd":"shutdown"})"));
@@ -581,11 +526,11 @@ TEST(Server, PipelinedWarmRequestsShareOneWriteBatch)
     // order (clients match by id).  Once the key is warm, a pipelined
     // batch is all preserialized hits, answered synchronously and
     // therefore in order.
-    CompileServer server(shardedConfig(1));
+    CompileServer server(ServerConfig{});
     std::string error;
     ASSERT_TRUE(server.start(error)) << error;
     CompileGate gate;
-    server.router().shard(0).setCompileHook(gate.hook());
+    server.service().setCompileHook(gate.hook());
 
     LineClient client;
     ASSERT_TRUE(client.connect("127.0.0.1", server.port(), error))
@@ -603,12 +548,12 @@ TEST(Server, PipelinedWarmRequestsShareOneWriteBatch)
     // duplicates are parked waiters rather than late hits.
     gate.waitParked(1);
     for (int i = 0; i < 1000; ++i) {
-        if (server.router().stats().global.requests == 4)
+        if (server.service().stats().requests == 4)
             break;
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
     gate.release();
-    ASSERT_EQ(server.router().stats().global.requests, 4);
+    ASSERT_EQ(server.service().stats().requests, 4);
 
     std::string reply;
     std::vector<bool> seen(5, false);
@@ -625,7 +570,7 @@ TEST(Server, PipelinedWarmRequestsShareOneWriteBatch)
     for (int id = 1; id <= 4; ++id)
         EXPECT_TRUE(seen[static_cast<size_t>(id)]) << "no reply for " << id;
     EXPECT_EQ(misses, 1);
-    EXPECT_EQ(server.router().stats().global.compiles, 1);
+    EXPECT_EQ(server.service().stats().compiles, 1);
 
     ASSERT_TRUE(client.sendRaw(batchOf(5, 8)));
     for (int id = 5; id <= 8; ++id) {
@@ -703,7 +648,7 @@ TEST(Server, CachedResponsesAreBitIdenticalAcrossConnections)
     // two different connections (miss, then cross-connection hit)
     // renders byte-identical metric payloads — on the hit, those
     // bytes come from the preserialized reply cache.
-    CompileServer server(shardedConfig(2));
+    CompileServer server(ServerConfig{});
     std::string error;
     ASSERT_TRUE(server.start(error)) << error;
 
@@ -761,13 +706,6 @@ TEST(Server, HandleLineDispatchWithoutSockets)
 // Overload safety and fault recovery (the async cold path on epoll)
 // -------------------------------------------------------------------
 
-/** One event loop, one shard: the config every overload test uses. */
-ServerConfig
-overloadConfig()
-{
-    return shardedConfig(1);
-}
-
 std::string
 coldRequest(int id, int margin)
 {
@@ -784,7 +722,7 @@ TEST(Robustness, ColdMissDoesNotStallOtherConnectionsOnEpoll)
     // to that loop.  Deterministic — the compile is held in a gate, so
     // if the cold path ever ran on the loop thread this test would
     // deadlock rather than flake.
-    CompileServer server(overloadConfig());
+    CompileServer server(ServerConfig{});
     std::string error;
     ASSERT_TRUE(server.start(error)) << error;
 
@@ -799,7 +737,7 @@ TEST(Robustness, ColdMissDoesNotStallOtherConnectionsOnEpoll)
     // Replace the fault-injection hook installed by start() with the
     // test's gate: the next compile parks until release().
     CompileGate gate;
-    server.router().shard(0).setCompileHook(gate.hook());
+    server.service().setCompileHook(gate.hook());
 
     LineClient cold;
     ASSERT_TRUE(cold.connect("127.0.0.1", server.port(), error));
@@ -829,11 +767,11 @@ TEST(Robustness, DisconnectMidCompileDoesNotWedgeOrLeak)
     // the waiter list, leak the pending entry, or provoke a write to a
     // closed fd (ASan/TSan cover the latter).  The orphaned result is
     // still published and cached.
-    CompileServer server(overloadConfig());
+    CompileServer server(ServerConfig{});
     std::string error;
     ASSERT_TRUE(server.start(error)) << error;
     CompileGate gate;
-    server.router().shard(0).setCompileHook(gate.hook());
+    server.service().setCompileHook(gate.hook());
 
     {
         LineClient doomed;
@@ -846,11 +784,11 @@ TEST(Robustness, DisconnectMidCompileDoesNotWedgeOrLeak)
 
     // The compile still publishes; poll the service until it retires.
     for (int i = 0; i < 200; ++i) {
-        if (server.router().stats().global.pendingCompiles == 0)
+        if (server.service().stats().pendingCompiles == 0)
             break;
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
-    ServiceStats s = server.router().stats().global;
+    ServiceStats s = server.service().stats();
     EXPECT_EQ(s.pendingCompiles, 0u);
     EXPECT_EQ(s.compiles, 1);
 
@@ -871,13 +809,13 @@ TEST(Robustness, OverloadFloodShedsStructuredRepliesAndRecovers)
     // {"status":"overloaded"} replies with a retry hint — never a
     // dropped connection — and once the queue drains, every shed key
     // compiles and then serves at hit-rate 1.0.
-    ServerConfig cfg = overloadConfig();
+    ServerConfig cfg;
     cfg.admission.maxPending = 1;
     CompileServer server(cfg);
     std::string error;
     ASSERT_TRUE(server.start(error)) << error;
     CompileGate gate;
-    server.router().shard(0).setCompileHook(gate.hook());
+    server.service().setCompileHook(gate.hook());
 
     LineClient client;
     ASSERT_TRUE(client.connect("127.0.0.1", server.port(), error));
@@ -908,7 +846,7 @@ TEST(Robustness, OverloadFloodShedsStructuredRepliesAndRecovers)
     EXPECT_NE(reply.find("\"ok\": true"), std::string::npos);
     EXPECT_NE(reply.find("\"cache\": \"miss\""), std::string::npos);
 
-    ServiceStats after = server.router().stats().global;
+    ServiceStats after = server.service().stats();
     EXPECT_EQ(after.shed, n - 1);
 
     // Recovery: every shed key is admitted now, then serves warm.
@@ -923,7 +861,7 @@ TEST(Robustness, OverloadFloodShedsStructuredRepliesAndRecovers)
                           std::string::npos);
         }
     }
-    EXPECT_EQ(server.router().stats().global.shed, n - 1); // no new sheds
+    EXPECT_EQ(server.service().stats().shed, n - 1); // no new sheds
     server.stop();
 }
 
@@ -933,7 +871,7 @@ TEST(Robustness, PipelinedWarmRepliesOvertakeAColdCompile)
     // batch [cold, warm], the warm reply is written synchronously and
     // arrives FIRST; the cold reply arrives after its compile, matched
     // by id.
-    CompileServer server(overloadConfig());
+    CompileServer server(ServerConfig{});
     std::string error;
     ASSERT_TRUE(server.start(error)) << error;
 
@@ -945,7 +883,7 @@ TEST(Robustness, PipelinedWarmRepliesOvertakeAColdCompile)
     ASSERT_TRUE(client.recvLine(reply)); // warm the key
 
     CompileGate gate;
-    server.router().shard(0).setCompileHook(gate.hook());
+    server.service().setCompileHook(gate.hook());
     ASSERT_TRUE(client.sendRaw(
         coldRequest(1, 203) + "\n" +
         R"({"id":2,"workload":"ADDER4","policy":"square"})" "\n"));
@@ -966,7 +904,7 @@ TEST(Robustness, WriteFaultsDropConnectionsNeverTheServer)
     // Injected flush failures look like broken sockets: the afflicted
     // connection dies, the server does not — and once the injector is
     // disabled, fresh connections serve normally.
-    CompileServer server(overloadConfig());
+    CompileServer server(ServerConfig{});
     std::string error;
     ASSERT_TRUE(server.start(error)) << error;
 
@@ -1002,7 +940,7 @@ TEST(Robustness, WorkerDeathsRecoverWithIdenticalResults)
     // Deterministically seeded worker deaths: every death requeues the
     // job and respawns the worker, so the flood completes with the
     // same results a fault-free server would produce.
-    CompileServer server(overloadConfig());
+    CompileServer server(ServerConfig{});
     std::string error;
     ASSERT_TRUE(server.start(error)) << error;
     ASSERT_TRUE(FaultInjector::instance().configureFromSpec(
@@ -1024,7 +962,7 @@ TEST(Robustness, WorkerDeathsRecoverWithIdenticalResults)
     }
     EXPECT_GE(FaultInjector::instance().stats().workerDeaths,
               deaths_before + 1);
-    EXPECT_GE(server.router().stats().global.workerDeaths, 1);
+    EXPECT_GE(server.service().stats().workerDeaths, 1);
     FaultInjector::instance().disable();
 
     // Post-recovery determinism: the cached artifacts' metric bytes
@@ -1051,7 +989,7 @@ TEST(Robustness, WorkerDeathsRecoverWithIdenticalResults)
 
 TEST(Observability, MetricsCommandRendersEveryTier)
 {
-    CompileServer server(overloadConfig());
+    CompileServer server(ServerConfig{});
     std::string error;
     ASSERT_TRUE(server.start(error)) << error;
     LineClient client;
@@ -1066,12 +1004,12 @@ TEST(Observability, MetricsCommandRendersEveryTier)
     EXPECT_EQ(parsed.get("id"), "3");
     EXPECT_EQ(parsed.get("cmd"), "metrics");
     const std::string text = parsed.get("text");
-    // Service counters (labelled per shard), transport counters, and
-    // the fault-injection gauge all render in one exposition.
+    // Service counters, transport counters, and the fault-injection
+    // gauge all render in one exposition.
     EXPECT_NE(text.find("# TYPE square_service_requests_total counter"),
               std::string::npos)
         << text;
-    EXPECT_NE(text.find("square_service_requests_total{shard=\"0\"} 1"),
+    EXPECT_NE(text.find("square_service_requests_total 1\n"),
               std::string::npos)
         << text;
     EXPECT_NE(text.find("square_service_warm_latency_us"),
@@ -1144,7 +1082,7 @@ TEST(Observability, SampledColdRequestTracesEveryPhase)
     ASSERT_TRUE(obs::TraceLog::instance().configure(path, error))
         << error;
 
-    ServerConfig cfg = overloadConfig();
+    ServerConfig cfg;
     cfg.traceSample = 1; // every request is head-sampled
     CompileServer server(cfg);
     ASSERT_TRUE(server.start(error)) << error;
@@ -1181,7 +1119,7 @@ TEST(Observability, UnsampledFastRequestsEmitNothing)
     ASSERT_TRUE(obs::TraceLog::instance().configure(path, error))
         << error;
 
-    CompileServer server(overloadConfig()); // traceSample = 0
+    CompileServer server(ServerConfig{}); // traceSample = 0
     ASSERT_TRUE(server.start(error)) << error;
     LineClient client;
     ASSERT_TRUE(client.connect("127.0.0.1", server.port(), error));
@@ -1209,7 +1147,7 @@ TEST(Observability, SlowThresholdCapturesUnsampledRequests)
     ASSERT_TRUE(obs::TraceLog::instance().configure(path, error))
         << error;
 
-    ServerConfig cfg = overloadConfig();
+    ServerConfig cfg;
     cfg.traceSlowMs = 0.0001; // every cold compile exceeds 100ns
     CompileServer server(cfg);
     ASSERT_TRUE(server.start(error)) << error;
@@ -1255,7 +1193,7 @@ countPostmortemBlocks(const char *path, const std::string &reason)
 
 TEST(Observability, DumpCommandWritesAPostmortemBlock)
 {
-    CompileServer server(overloadConfig());
+    CompileServer server(ServerConfig{});
     std::string error;
     ASSERT_TRUE(server.start(error)) << error;
     LineClient client;
@@ -1313,7 +1251,7 @@ TEST(Observability, WatchdogFiresOnInjectedReadStall)
     obs::Watchdog::instance().configure(wcfg);
     const int64_t stalls_before = obs::Watchdog::instance().stalls();
 
-    CompileServer server(overloadConfig());
+    CompileServer server(ServerConfig{});
     ASSERT_TRUE(server.start(error)) << error;
     LineClient client;
     ASSERT_TRUE(client.connect("127.0.0.1", server.port(), error));
@@ -1361,7 +1299,7 @@ TEST(Observability, WatchdogIgnoresSlowButHeartbeatingCompiles)
     obs::Watchdog::instance().configure(wcfg);
     const int64_t stalls_before = obs::Watchdog::instance().stalls();
 
-    CompileServer server(overloadConfig());
+    CompileServer server(ServerConfig{});
     ASSERT_TRUE(server.start(error)) << error;
     ASSERT_TRUE(FaultInjector::instance().configureFromSpec(
         "seed=3,compile_delay_ms=400", error))

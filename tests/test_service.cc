@@ -335,37 +335,6 @@ TEST(Service, ConcurrentDuplicatesCompileExactlyOnce)
     }
 }
 
-TEST(Service, BatchDeduplicatesAndDispatchesMissesOnce)
-{
-    CompileService service(4);
-    std::vector<CompileRequest> batch;
-    for (int r = 0; r < 5; ++r) {
-        batch.push_back(namedRequest("ADDER4", SquareConfig::square()));
-        batch.push_back(namedRequest("ADDER4", SquareConfig::eager()));
-        batch.push_back(namedRequest("RD53", SquareConfig::square()));
-    }
-    std::vector<ServiceReply> replies = service.submitBatch(batch);
-    ASSERT_EQ(replies.size(), batch.size());
-
-    int misses = 0;
-    for (size_t i = 0; i < replies.size(); ++i) {
-        SCOPED_TRACE(batch[i].label + " (request " + std::to_string(i) +
-                     ")");
-        EXPECT_TRUE(replies[i].error.empty());
-        ASSERT_NE(replies[i].result, nullptr);
-        misses += replies[i].hit ? 0 : 1;
-    }
-    EXPECT_EQ(misses, 3); // 3 unique keys
-    ServiceStats s = service.stats();
-    EXPECT_EQ(s.compiles, 3);
-    EXPECT_EQ(s.hits, static_cast<int64_t>(batch.size()) - 3);
-    EXPECT_EQ(s.analysisComputes, 2); // 2 unique programs
-
-    // Replicas of one key share one artifact pointer.
-    EXPECT_EQ(replies[0].result.get(), replies[3].result.get());
-    EXPECT_EQ(replies[2].result.get(), replies[5].result.get());
-}
-
 TEST(Service, ReplyTailIsPreserializedOnceAndShared)
 {
     // The NDJSON reply tail is encoded exactly once, at publish time,
@@ -401,36 +370,29 @@ histogramCount(const CompileService &service, const std::string &name)
     return 0;
 }
 
-/** The three entry points, driven one request at a time. */
-enum class EntryPoint { Submit, Batch, Async };
+/** The two entry points, driven one request at a time. */
+enum class EntryPoint { Submit, Async };
 
 /**
- * Serve @p rounds through @p entry on @p service, each request (each
- * batch, for submitBatch) finishing before the next one starts.
+ * Serve @p rounds through @p entry on @p service, each request
+ * finishing before the next one starts.
  */
 void
 serveSequentially(CompileService &service, EntryPoint entry,
                   const std::vector<std::vector<CompileRequest>> &rounds)
 {
     for (const std::vector<CompileRequest> &round : rounds) {
-        if (entry == EntryPoint::Batch) {
-            service.submitBatch(round);
-            continue;
-        }
         for (const CompileRequest &req : round) {
             if (entry == EntryPoint::Submit) {
                 service.submit(req);
                 continue;
             }
-            const uint64_t fp = req.program->fingerprint();
-            const CacheKey key = makeCacheKey(fp, req.machine, req.cfg);
             std::promise<ServiceReply> done;
             ServiceReply reply;
-            if (!service.submitPreparedAsync(
-                    req, req.program, fp, key, reply,
-                    [&done](ServiceReply &&r) {
-                        done.set_value(std::move(r));
-                    }))
+            if (!service.submitAsync(req, reply,
+                                     [&done](ServiceReply &&r) {
+                                         done.set_value(std::move(r));
+                                     }))
                 done.get_future().wait();
         }
     }
@@ -439,11 +401,10 @@ serveSequentially(CompileService &service, EntryPoint entry,
 TEST(Service, EveryEntryPointSharesOneCore)
 {
     // One request mix — fresh misses, warm hits, and a compile that
-    // fails (and stays retriable) — through submit, submitBatch, and
-    // submitPreparedAsync on three fresh services.  One core behind all
-    // three means identical counters and identical warm/cold latency
-    // sample counts.  Programs ride along explicitly so every entry
-    // point resolves them alike (no name-cache residency).
+    // fails (and stays retriable) — through submit and submitAsync on
+    // two fresh services.  One core behind both means identical
+    // counters and identical warm/cold latency sample counts.  Programs
+    // ride along explicitly (no name-cache residency).
     auto explicitRequest = [](const std::string &workload,
                               const SquareConfig &cfg) {
         CompileRequest req = namedRequest(workload, cfg);
@@ -457,15 +418,12 @@ TEST(Service, EveryEntryPointSharesOneCore)
     const CompileRequest c = explicitRequest("RD53", SquareConfig::square());
     CompileRequest fails = explicitRequest("SHA2", SquareConfig::lazy());
     fails.machine = MachineSpec::nisqLattice(2, 2); // cannot fit
-    // Keys are unique within a round, so a batch holds no in-flight
-    // duplicates and every round sees the previous one published.
     const std::vector<std::vector<CompileRequest>> rounds = {
         {a, b, fails}, {a, c, fails}, {b, c, a}};
 
     std::vector<ServiceStats> stats;
     std::vector<uint64_t> warm, cold;
-    for (EntryPoint entry :
-         {EntryPoint::Submit, EntryPoint::Batch, EntryPoint::Async}) {
+    for (EntryPoint entry : {EntryPoint::Submit, EntryPoint::Async}) {
         CompileService service(1);
         serveSequentially(service, entry, rounds);
         stats.push_back(service.stats());
@@ -482,7 +440,6 @@ TEST(Service, EveryEntryPointSharesOneCore)
     EXPECT_EQ(warm[0], 4u);
     EXPECT_EQ(cold[0], 3u);
     for (size_t i = 1; i < stats.size(); ++i) {
-        SCOPED_TRACE(i == 1 ? "submitBatch" : "submitPreparedAsync");
         EXPECT_EQ(stats[i].requests, stats[0].requests);
         EXPECT_EQ(stats[i].hits, stats[0].hits);
         EXPECT_EQ(stats[i].misses, stats[0].misses);
@@ -605,29 +562,6 @@ TEST(Lru, UnderBoundWorkloadBehavesAsUnbounded)
     EXPECT_EQ(first.result.get(), second.result.get());
     ServiceStats s = service.stats();
     EXPECT_EQ(s.evictions, 0);
-    EXPECT_EQ(s.cachedResults, 1u);
-}
-
-TEST(Lru, SubmitBatchAccountsAndEvicts)
-{
-    CacheLimits limits;
-    limits.maxEntries = 1;
-    CompileService service(2, limits);
-    std::vector<CompileRequest> batch = {
-        namedRequest("ADDER4", SquareConfig::square()),
-        namedRequest("ADDER4", SquareConfig::eager()),
-        namedRequest("ADDER4", SquareConfig::square()), // in-batch dup
-    };
-    std::vector<ServiceReply> replies = service.submitBatch(batch);
-    ASSERT_EQ(replies.size(), 3u);
-    for (const ServiceReply &r : replies) {
-        EXPECT_TRUE(r.error.empty());
-        ASSERT_NE(r.result, nullptr);
-    }
-    EXPECT_TRUE(replies[2].hit); // dedup is pre-eviction (in flight)
-    ServiceStats s = service.stats();
-    EXPECT_EQ(s.compiles, 2);
-    EXPECT_EQ(s.evictions, 1);
     EXPECT_EQ(s.cachedResults, 1u);
 }
 
@@ -868,6 +802,41 @@ TEST(Protocol, TruncatedLinesAreStructuredErrors)
     }
 }
 
+TEST(Protocol, OnlyJsonNumbersAndBooleansEchoRaw)
+{
+    // The parser keeps any strtod token as a scalar; echoed unquoted,
+    // these would make reply (and forwarded) lines that are not JSON.
+    const struct
+    {
+        const char *token;
+        const char *echoed;
+    } cases[] = {
+        {"nan", R"("nan")"},   {"inf", R"("inf")"},
+        {"-infinity", R"("-infinity")"},
+        {"0x1F", R"("0x1F")"}, {"+7", R"("+7")"},
+        {".5", R"(".5")"},     {"1", "1"},
+        {"-2.5e3", "-2.5e3"},  {"true", "true"},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.token);
+        JsonRequest json;
+        std::string error;
+        ASSERT_TRUE(parseJsonLine(std::string(R"({"id": )") + c.token +
+                                      R"(, "deadline_ms": )" + c.token +
+                                      "}",
+                                  json, error))
+            << error;
+        EXPECT_EQ(replyIdPrefix(json),
+                  std::string(R"("id": )") + c.echoed + ", ");
+        std::string forwarded;
+        formatForwardedRequestTo(forwarded, json, 9, CacheKey{});
+        EXPECT_NE(forwarded.find(std::string(R"("deadline_ms": )") +
+                                 c.echoed + ","),
+                  std::string::npos)
+            << forwarded;
+    }
+}
+
 TEST(Protocol, ParseAndBuildRequest)
 {
     JsonRequest json;
@@ -988,28 +957,26 @@ TEST(Protocol, DeadlineAndPriorityFieldsParse)
 }
 
 // -------------------------------------------------------------------
-// The async cold path (submitPreparedAsync) and admission control
+// The async cold path (submitAsync) and admission control
 // -------------------------------------------------------------------
 
-/** A request resolved the way the server's async path resolves it. */
-struct PreparedRequest
+/**
+ * submitAsync for a request that must go asynchronous (a miss, or a
+ * duplicate of an in-flight key): its reply arrives through the future.
+ */
+std::future<ServiceReply>
+submitDeferred(CompileService &service, const CompileRequest &req)
 {
-    CompileRequest req;
-    std::shared_ptr<const Program> program;
-    uint64_t fp = 0;
-    CacheKey key;
-};
-
-PreparedRequest
-prepared(const std::string &workload, const SquareConfig &cfg)
-{
-    PreparedRequest p;
-    p.req = namedRequest(workload, cfg);
-    p.program =
-        std::make_shared<const Program>(makeBenchmark(workload));
-    p.fp = p.program->fingerprint();
-    p.key = makeCacheKey(p.fp, p.req.machine, p.req.cfg);
-    return p;
+    auto done = std::make_shared<std::promise<ServiceReply>>();
+    std::future<ServiceReply> deferred = done->get_future();
+    ServiceReply reply;
+    if (service.submitAsync(req, reply, [done](ServiceReply &&r) {
+            done->set_value(std::move(r));
+        })) {
+        ADD_FAILURE() << req.label << " was answered synchronously";
+        done->set_value(std::move(reply));
+    }
+    return deferred;
 }
 
 /** A gate the tests use to hold compiles inside the compile hook. */
@@ -1050,15 +1017,14 @@ struct CompileGate
 TEST(AsyncService, WarmHitIsServedSynchronously)
 {
     CompileService service(2);
-    PreparedRequest p = prepared("ADDER4", SquareConfig::square());
-    ServiceReply warm = service.submit(p.req);
+    CompileRequest p = namedRequest("ADDER4", SquareConfig::square());
+    ServiceReply warm = service.submit(p);
     ASSERT_TRUE(warm.error.empty());
 
     ServiceReply reply;
     bool fired = false;
-    const bool sync = service.submitPreparedAsync(
-        p.req, p.program, p.fp, p.key, reply,
-        [&fired](ServiceReply &&) { fired = true; });
+    const bool sync = service.submitAsync(
+        p, reply, [&fired](ServiceReply &&) { fired = true; });
     EXPECT_TRUE(sync);
     EXPECT_FALSE(fired);
     EXPECT_TRUE(reply.hit);
@@ -1069,16 +1035,9 @@ TEST(AsyncService, WarmHitIsServedSynchronously)
 TEST(AsyncService, MissCompletesThroughCallback)
 {
     CompileService service(2);
-    PreparedRequest p = prepared("ADDER4", SquareConfig::square());
+    CompileRequest p = namedRequest("ADDER4", SquareConfig::square());
 
-    std::promise<ServiceReply> done;
-    ServiceReply sync_reply;
-    const bool sync = service.submitPreparedAsync(
-        p.req, p.program, p.fp, p.key, sync_reply,
-        [&done](ServiceReply &&r) { done.set_value(std::move(r)); });
-    ASSERT_FALSE(sync);
-
-    ServiceReply reply = done.get_future().get();
+    ServiceReply reply = submitDeferred(service, p).get();
     EXPECT_TRUE(reply.error.empty());
     EXPECT_FALSE(reply.hit);
     ASSERT_NE(reply.result, nullptr);
@@ -1087,7 +1046,7 @@ TEST(AsyncService, MissCompletesThroughCallback)
 
     // The async compile published into the shared cache: a blocking
     // submit of the same request is a pointer-equal hit.
-    ServiceReply hit = service.submit(p.req);
+    ServiceReply hit = service.submit(p);
     EXPECT_TRUE(hit.hit);
     EXPECT_EQ(hit.result.get(), reply.result.get());
 
@@ -1104,36 +1063,25 @@ TEST(AsyncService, ConcurrentDuplicatesDedupAcrossAsyncAndSync)
     CompileService service(2);
     CompileGate gate;
     service.setCompileHook(gate.hook());
-    PreparedRequest p = prepared("RD53", SquareConfig::square());
+    CompileRequest p = namedRequest("RD53", SquareConfig::square());
 
     const int n_async = 4;
-    std::vector<std::promise<ServiceReply>> done(n_async);
-    int went_async = 0;
-    for (int i = 0; i < n_async; ++i) {
-        ServiceReply sync_reply;
-        if (!service.submitPreparedAsync(
-                p.req, p.program, p.fp, p.key, sync_reply,
-                [&done, i](ServiceReply &&r) {
-                    done[static_cast<size_t>(i)].set_value(
-                        std::move(r));
-                }))
-            ++went_async;
-    }
-    EXPECT_EQ(went_async, n_async);
+    std::vector<std::future<ServiceReply>> done;
+    for (int i = 0; i < n_async; ++i)
+        done.push_back(submitDeferred(service, p));
 
     // A blocking duplicate parks on the same entry.
     std::thread blocker_th;
     ServiceReply blocked;
     gate.waitParked(1); // the owner reached the compile
     blocker_th = std::thread(
-        [&service, &p, &blocked] { blocked = service.submit(p.req); });
+        [&service, &p, &blocked] { blocked = service.submit(p); });
 
     gate.release();
     std::vector<ServiceReply> replies;
     replies.reserve(n_async);
-    for (int i = 0; i < n_async; ++i)
-        replies.push_back(
-            done[static_cast<size_t>(i)].get_future().get());
+    for (std::future<ServiceReply> &f : done)
+        replies.push_back(f.get());
     blocker_th.join();
 
     const CompileResult *shared = replies[0].result.get();
@@ -1161,23 +1109,16 @@ TEST(AsyncService, OverloadShedsWithRetryAfterAndRecovers)
     service.setCompileHook(gate.hook());
 
     // First miss claims the only pending slot.
-    PreparedRequest a = prepared("ADDER4", SquareConfig::square());
-    std::promise<ServiceReply> a_done;
-    ServiceReply sync_reply;
-    ASSERT_FALSE(service.submitPreparedAsync(
-        a.req, a.program, a.fp, a.key, sync_reply,
-        [&a_done](ServiceReply &&r) {
-            a_done.set_value(std::move(r));
-        }));
+    CompileRequest a = namedRequest("ADDER4", SquareConfig::square());
+    std::future<ServiceReply> a_done = submitDeferred(service, a);
     gate.waitParked(1);
 
     // A different key now sheds synchronously with a backoff hint.
-    PreparedRequest b = prepared("ADDER4", SquareConfig::eager());
+    CompileRequest b = namedRequest("ADDER4", SquareConfig::eager());
     ServiceReply shed;
     bool fired = false;
-    EXPECT_TRUE(service.submitPreparedAsync(
-        b.req, b.program, b.fp, b.key, shed,
-        [&fired](ServiceReply &&) { fired = true; }));
+    EXPECT_TRUE(service.submitAsync(
+        b, shed, [&fired](ServiceReply &&) { fired = true; }));
     EXPECT_FALSE(fired);
     EXPECT_EQ(shed.status, "overloaded");
     EXPECT_GT(shed.retryAfterMs, 0.0);
@@ -1185,17 +1126,14 @@ TEST(AsyncService, OverloadShedsWithRetryAfterAndRecovers)
 
     // Duplicates of the IN-FLIGHT key are never shed: they cost no
     // compile capacity.
-    ServiceReply dup;
-    ASSERT_FALSE(service.submitPreparedAsync(
-        a.req, a.program, a.fp, a.key, dup,
-        [](ServiceReply &&) {}));
+    std::future<ServiceReply> dup = submitDeferred(service, a);
 
     gate.release();
-    ServiceReply a_reply = a_done.get_future().get();
-    EXPECT_TRUE(a_reply.error.empty());
+    EXPECT_TRUE(a_done.get().error.empty());
+    EXPECT_TRUE(dup.get().hit);
 
     // Recovery: the shed key is admitted once the queue drains.
-    ServiceReply retried = service.submit(b.req);
+    ServiceReply retried = service.submit(b);
     EXPECT_TRUE(retried.error.empty());
     EXPECT_TRUE(retried.status.empty());
     ASSERT_NE(retried.result, nullptr);
@@ -1220,48 +1158,32 @@ TEST(AsyncService, BatchTierShedsBeforeInteractive)
     cfg_a.anchorBoxMargin = 101;
     SquareConfig cfg_b = SquareConfig::square();
     cfg_b.anchorBoxMargin = 102;
-    std::promise<ServiceReply> done_a, done_b;
-    ServiceReply sync_reply;
-    PreparedRequest a = prepared("ADDER4", cfg_a);
-    PreparedRequest b = prepared("ADDER4", cfg_b);
-    ASSERT_FALSE(service.submitPreparedAsync(
-        a.req, a.program, a.fp, a.key, sync_reply,
-        [&done_a](ServiceReply &&r) {
-            done_a.set_value(std::move(r));
-        }));
-    ASSERT_FALSE(service.submitPreparedAsync(
-        b.req, b.program, b.fp, b.key, sync_reply,
-        [&done_b](ServiceReply &&r) {
-            done_b.set_value(std::move(r));
-        }));
+    std::future<ServiceReply> done_a =
+        submitDeferred(service, namedRequest("ADDER4", cfg_a));
+    std::future<ServiceReply> done_b =
+        submitDeferred(service, namedRequest("ADDER4", cfg_b));
     gate.waitParked(1);
 
     // pending == 2: a batch-tier miss is shed while an interactive
     // miss is still admitted.
     SquareConfig cfg_c = SquareConfig::square();
     cfg_c.anchorBoxMargin = 103;
-    PreparedRequest batch_req = prepared("ADDER4", cfg_c);
-    batch_req.req.batch = true;
+    CompileRequest batch_req = namedRequest("ADDER4", cfg_c);
+    batch_req.batch = true;
     ServiceReply batch_reply;
-    EXPECT_TRUE(service.submitPreparedAsync(
-        batch_req.req, batch_req.program, batch_req.fp, batch_req.key,
-        batch_reply, [](ServiceReply &&) {}));
+    EXPECT_TRUE(service.submitAsync(batch_req, batch_reply,
+                                    [](ServiceReply &&) {}));
     EXPECT_EQ(batch_reply.status, "overloaded");
 
     SquareConfig cfg_d = SquareConfig::square();
     cfg_d.anchorBoxMargin = 104;
-    PreparedRequest inter = prepared("ADDER4", cfg_d);
-    std::promise<ServiceReply> done_d;
-    ASSERT_FALSE(service.submitPreparedAsync(
-        inter.req, inter.program, inter.fp, inter.key, sync_reply,
-        [&done_d](ServiceReply &&r) {
-            done_d.set_value(std::move(r));
-        }));
+    std::future<ServiceReply> done_d =
+        submitDeferred(service, namedRequest("ADDER4", cfg_d));
 
     gate.release();
-    EXPECT_TRUE(done_a.get_future().get().error.empty());
-    EXPECT_TRUE(done_b.get_future().get().error.empty());
-    EXPECT_TRUE(done_d.get_future().get().error.empty());
+    EXPECT_TRUE(done_a.get().error.empty());
+    EXPECT_TRUE(done_b.get().error.empty());
+    EXPECT_TRUE(done_d.get().error.empty());
     ServiceStats s = service.stats();
     EXPECT_EQ(s.shed, 1);
     EXPECT_EQ(s.compiles, 3);
@@ -1270,70 +1192,57 @@ TEST(AsyncService, BatchTierShedsBeforeInteractive)
 TEST(AsyncService, EveryEntryPointShedsOverMaxPending)
 {
     // With the one compile slot held by a parked compile, a fresh miss
-    // is shed the same way through every entry point: a structured
+    // is shed the same way through both entry points: a structured
     // "overloaded" reply with a backoff hint, counted once.
-    for (EntryPoint entry :
-         {EntryPoint::Submit, EntryPoint::Batch, EntryPoint::Async}) {
+    for (EntryPoint entry : {EntryPoint::Submit, EntryPoint::Async}) {
         SCOPED_TRACE(static_cast<int>(entry));
         AdmissionLimits admission;
         admission.maxPending = 1;
         CompileService service(1, {}, admission);
         CompileGate gate;
         service.setCompileHook(gate.hook());
-        PreparedRequest held = prepared("ADDER4", SquareConfig::square());
-        std::promise<ServiceReply> held_done;
-        ServiceReply sync_reply;
-        ASSERT_FALSE(service.submitPreparedAsync(
-            held.req, held.program, held.fp, held.key, sync_reply,
-            [&held_done](ServiceReply &&r) {
-                held_done.set_value(std::move(r));
-            }));
+        std::future<ServiceReply> held_done = submitDeferred(
+            service, namedRequest("ADDER4", SquareConfig::square()));
         gate.waitParked(1);
 
-        PreparedRequest fresh = prepared("ADDER4", SquareConfig::eager());
+        CompileRequest fresh = namedRequest("ADDER4", SquareConfig::eager());
         ServiceReply shed;
-        if (entry == EntryPoint::Submit) {
-            shed = service.submit(fresh.req);
-        } else if (entry == EntryPoint::Batch) {
-            std::vector<ServiceReply> replies =
-                service.submitBatch({fresh.req});
-            ASSERT_EQ(replies.size(), 1u);
-            shed = replies[0];
-        } else {
-            EXPECT_TRUE(service.submitPreparedAsync(
-                fresh.req, fresh.program, fresh.fp, fresh.key, shed,
-                [](ServiceReply &&) {}));
-        }
+        if (entry == EntryPoint::Submit)
+            shed = service.submit(fresh);
+        else
+            EXPECT_TRUE(service.submitAsync(fresh, shed,
+                                            [](ServiceReply &&) {}));
         EXPECT_EQ(shed.status, "overloaded");
         EXPECT_GT(shed.retryAfterMs, 0.0);
         EXPECT_EQ(shed.result, nullptr);
 
         gate.release();
-        EXPECT_TRUE(held_done.get_future().get().error.empty());
+        EXPECT_TRUE(held_done.get().error.empty());
         ServiceStats s = service.stats();
         EXPECT_EQ(s.shed, 1);
         EXPECT_EQ(s.compiles, 1);
         EXPECT_EQ(histogramCount(service, "shed_retry_ms"), 1u);
     }
+}
 
-    // A batch whose own unique misses exceed the bound sheds the
-    // excess: every request is claimed before any compile starts.
-    AdmissionLimits admission;
-    admission.maxPending = 1;
-    CompileService service(1, {}, admission);
-    std::vector<ServiceReply> replies = service.submitBatch(
-        {namedRequest("ADDER4", SquareConfig::square()),
-         namedRequest("ADDER4", SquareConfig::eager()),
-         namedRequest("ADDER4", SquareConfig::lazy())});
-    ASSERT_EQ(replies.size(), 3u);
-    EXPECT_TRUE(replies[0].status.empty());
-    ASSERT_NE(replies[0].result, nullptr);
-    for (size_t i = 1; i < replies.size(); ++i) {
-        EXPECT_EQ(replies[i].status, "overloaded");
-        EXPECT_EQ(replies[i].result, nullptr);
-    }
-    EXPECT_EQ(service.stats().shed, 2);
-    EXPECT_EQ(service.stats().compiles, 1);
+TEST(AsyncService, ResolveFailureRepliesSynchronously)
+{
+    // An unknown workload never reaches the claim step: it is answered
+    // on the calling thread, counted as one request and one failure.
+    CompileService service(1);
+    CompileRequest bogus = namedRequest("ADDER4", SquareConfig::square());
+    bogus.workload = "NO-SUCH-WORKLOAD";
+    ServiceReply reply;
+    bool fired = false;
+    EXPECT_TRUE(service.submitAsync(
+        bogus, reply, [&fired](ServiceReply &&) { fired = true; }));
+    EXPECT_FALSE(fired);
+    EXPECT_FALSE(reply.error.empty());
+    EXPECT_EQ(reply.result, nullptr);
+    ServiceStats s = service.stats();
+    EXPECT_EQ(s.requests, 1);
+    EXPECT_EQ(s.failures, 1);
+    EXPECT_EQ(s.misses, 0);
 }
 
 TEST(AsyncService, ExpiredDeadlineCancelsBeforeCompiling)
@@ -1343,40 +1252,29 @@ TEST(AsyncService, ExpiredDeadlineCancelsBeforeCompiling)
     service.setCompileHook(gate.hook());
 
     // A long compile occupies the single pool worker...
-    PreparedRequest a = prepared("ADDER4", SquareConfig::square());
-    std::promise<ServiceReply> a_done;
-    ServiceReply sync_reply;
-    ASSERT_FALSE(service.submitPreparedAsync(
-        a.req, a.program, a.fp, a.key, sync_reply,
-        [&a_done](ServiceReply &&r) {
-            a_done.set_value(std::move(r));
-        }));
+    std::future<ServiceReply> a_done = submitDeferred(
+        service, namedRequest("ADDER4", SquareConfig::square()));
     gate.waitParked(1);
 
     // ...while a deadline-carrying miss queues behind it.
-    PreparedRequest b = prepared("ADDER4", SquareConfig::eager());
-    b.req.deadlineMs = 1;
-    std::promise<ServiceReply> b_done;
-    ASSERT_FALSE(service.submitPreparedAsync(
-        b.req, b.program, b.fp, b.key, sync_reply,
-        [&b_done](ServiceReply &&r) {
-            b_done.set_value(std::move(r));
-        }));
+    CompileRequest b = namedRequest("ADDER4", SquareConfig::eager());
+    b.deadlineMs = 1;
+    std::future<ServiceReply> b_done = submitDeferred(service, b);
 
     // Let the deadline lapse before the worker frees up, then release.
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     gate.release();
 
-    EXPECT_TRUE(a_done.get_future().get().error.empty());
-    ServiceReply expired = b_done.get_future().get();
+    EXPECT_TRUE(a_done.get().error.empty());
+    ServiceReply expired = b_done.get();
     EXPECT_EQ(expired.status, "deadline_expired");
     EXPECT_EQ(expired.result, nullptr);
 
     // The cancelled key stays retriable and compiles cleanly now.  The
     // retry drops the lapsed budget: a blocking submit honors deadlines
     // exactly like the async path.
-    b.req.deadlineMs = 0;
-    ServiceReply retried = service.submit(b.req);
+    b.deadlineMs = 0;
+    ServiceReply retried = service.submit(b);
     EXPECT_TRUE(retried.error.empty());
     EXPECT_TRUE(retried.status.empty());
     ASSERT_NE(retried.result, nullptr);
@@ -1407,23 +1305,6 @@ TEST(WorkerPool, RunsEveryPostedJob)
     EXPECT_EQ(ran.load(), n);
     pool.stop();
     EXPECT_EQ(pool.deaths(), 0);
-}
-
-TEST(WorkerPool, CancelRemovesQueuedJobs)
-{
-    WorkerPool pool(1);
-    CompileGate gate;
-    std::atomic<bool> second_ran{false};
-    pool.post(gate.hook());
-    gate.waitParked(1); // the worker is occupied
-    uint64_t id =
-        pool.post([&second_ran] { second_ran.store(true); });
-    EXPECT_EQ(pool.queued(), 1u);
-    EXPECT_TRUE(pool.cancel(id));
-    EXPECT_FALSE(pool.cancel(id)); // already gone
-    gate.release();
-    pool.stop();
-    EXPECT_FALSE(second_ran.load());
 }
 
 TEST(WorkerPool, DeathHookRequeuesJobAndRespawnsWorker)

@@ -220,7 +220,7 @@ TEST(StoreFile, TornTailIsSkippedAndTruncatedOnOpen)
     EXPECT_EQ(scratch.size(), good_bytes);
     std::string metrics;
     obs::renderPrometheus(metrics, "square_store",
-                          {{"", &store.metricsRegistry()}});
+                          store.metricsRegistry());
     EXPECT_NE(metrics.find("square_store_corrupt_records_total 1"),
               std::string::npos);
     EXPECT_NE(metrics.find("square_store_replayed_total 2"),
@@ -529,12 +529,11 @@ restartLines()
     return lines;
 }
 
-/** A started 2-shard server over @p store (and @p prewarm). */
+/** A started server over @p store (and @p prewarm). */
 std::unique_ptr<CompileServer>
 startStoreServer(const std::string &store, const std::string &prewarm)
 {
     ServerConfig cfg;
-    cfg.shards = 2;
     cfg.storePath = store;
     cfg.prewarmPath = prewarm;
     auto server = std::make_unique<CompileServer>(cfg);
@@ -594,12 +593,8 @@ TEST(CompileServerStore, RestartOverOwnLogServesEveryKeyWarm)
             golden.push_back(replyTailOf(reply));
             ASSERT_FALSE(golden.back().empty()) << reply;
         }
-        // The working set spans both shards, so the restart exercises
-        // the key-affine replay and both shards' publish sinks.
-        for (int i = 0; i < server->router().shards(); ++i)
-            EXPECT_GT(server->router().shard(i).stats().cachedResults,
-                      0u)
-                << "shard " << i;
+        EXPECT_EQ(server->service().stats().cachedResults,
+                  lines.size());
         server->stop(); // drains the appender
     }
     const uint64_t log_bytes = own.size();

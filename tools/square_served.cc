@@ -1,16 +1,16 @@
 /**
  * @file
- * square_served: the sharded compile service on a TCP port.
+ * square_served: one shard of the compile service on a TCP port.
  *
  * The network face of the serving tier: square_serve's NDJSON protocol
  * (one JSON request per line, one JSON reply per line; see
  * src/service/protocol.h) over persistent loopback TCP connections
- * multiplexed by epoll event loops, served by a key-affine shard
- * router with an LRU-bounded result cache per shard.  Cold misses
- * compile on each shard's worker pool and never block an event loop
- * (src/server/server.h).
+ * multiplexed by epoll event loops, served by one CompileService with
+ * an LRU-bounded result cache.  Cold misses compile on its worker pool
+ * and never block an event loop (src/server/server.h).  To shard, run
+ * several daemons behind square_router (tools/square_fabric.sh).
  *
- *   square_served --port=7801 --shards=2 &
+ *   square_served --port=7801 --workers=2 &
  *   printf '%s\n' \
  *     '{"id":1,"workload":"ADDER4","policy":"square"}' \
  *     '{"id":2,"workload":"ADDER4","policy":"square"}' \
@@ -21,12 +21,12 @@
  *   --port=N           listen port (default 0 = ephemeral; the bound
  *                      port is announced on stderr and in --port-file)
  *   --host=A           IPv4 bind address (default 127.0.0.1)
- *   --shards=N         CompileService shards (default 2)
- *   --workers=N        compile-pool workers per shard (default 1)
+ *   --shards=N         must be 1 (the default); shard with square_router
+ *   --workers=N        compile-pool workers (default 1)
  *   --event-threads=N  epoll event-loop threads (default 1)
- *   --cache-entries=N  per-shard LRU bound, results (default unbounded)
- *   --cache-bytes=N    per-shard LRU bound, bytes (default unbounded)
- *   --max-pending=N    per-shard compile-queue bound; misses beyond it
+ *   --cache-entries=N  LRU bound, results (default unbounded)
+ *   --cache-bytes=N    LRU bound, bytes (default unbounded)
+ *   --max-pending=N    compile-queue bound; misses beyond it
  *                      are shed with {"status":"overloaded",
  *                      "retry_after_ms":...} (default 0 = admit all)
  *   --batch-fraction=F fraction of --max-pending admitted to
@@ -47,7 +47,7 @@
  *                      handler; the SQUARE_POSTMORTEM env var is the
  *                      no-flag fallback (read with tools/square_blackbox)
  *   --store=PATH       persistent artifact store: replay PATH into the
- *                      shard caches before accepting connections (warm
+ *                      result cache before accepting connections (warm
  *                      restart), then append every published result to
  *                      it off the serving path; the SQUARE_STORE env
  *                      var is the no-flag fallback (inspect/compact
@@ -163,7 +163,7 @@ main(int argc, char **argv)
                 std::fprintf(stderr, "bad --workers value\n");
                 return 1;
             }
-            cfg.workersPerShard = int_value;
+            cfg.workers = int_value;
         } else if (std::strncmp(arg, "--event-threads=", 16) == 0) {
             if (!parseInt(arg + 16, 1, 256, int_value)) {
                 std::fprintf(stderr, "bad --event-threads value\n");
@@ -235,7 +235,7 @@ main(int argc, char **argv)
             std::fprintf(
                 stderr,
                 "usage: square_served [--port=N] [--host=A] "
-                "[--shards=N] [--workers=N] "
+                "[--shards=1] [--workers=N] "
                 "[--event-threads=N] [--cache-entries=N] "
                 "[--cache-bytes=N] [--max-pending=N] "
                 "[--batch-fraction=F] [--trace-sample=N] "
@@ -302,19 +302,19 @@ main(int argc, char **argv)
     if (!quiet) {
         std::fprintf(stderr,
                      "square_served: listening on %s:%u (%d event "
-                     "threads, %d shards x %d workers; cache bound: %zu "
-                     "entries, %zu bytes; 0 = unbounded)\n",
+                     "threads, %d workers; cache bound: %zu entries, "
+                     "%zu bytes; 0 = unbounded)\n",
                      cfg.host.c_str(), server.port(), cfg.eventThreads,
-                     cfg.shards, cfg.workersPerShard,
-                     cfg.limits.maxEntries, cfg.limits.maxBytes);
+                     cfg.workers, cfg.limits.maxEntries,
+                     cfg.limits.maxBytes);
         if (server.store() != nullptr) {
-            RouterStats warm = server.router().stats();
+            ServiceStats warm = server.service().stats();
             std::fprintf(
                 stderr,
                 "square_served: store %s replayed %zu resident "
                 "result(s) (%zu bytes)\n",
-                cfg.storePath.c_str(), warm.global.cachedResults,
-                warm.global.cachedBytes);
+                cfg.storePath.c_str(), warm.cachedResults,
+                warm.cachedBytes);
         }
     }
     if (!port_file.empty()) {
@@ -340,19 +340,16 @@ main(int argc, char **argv)
     obs::Watchdog::instance().disable(); // join the checker thread
 
     if (!quiet) {
-        RouterStats s = server.router().stats();
+        ServiceStats s = server.service().stats();
         std::fprintf(
             stderr,
             "square_served: served %lld requests (%lld hits, %lld "
-            "compiles, %lld failures, %lld evictions) across %d "
-            "shards\n",
-            static_cast<long long>(s.global.requests),
-            static_cast<long long>(s.global.hits),
-            static_cast<long long>(s.global.compiles),
-            static_cast<long long>(s.global.failures +
-                                   s.resolveFailures),
-            static_cast<long long>(s.global.evictions),
-            server.router().shards());
+            "compiles, %lld failures, %lld evictions)\n",
+            static_cast<long long>(s.requests),
+            static_cast<long long>(s.hits),
+            static_cast<long long>(s.compiles),
+            static_cast<long long>(s.failures),
+            static_cast<long long>(s.evictions));
     }
     return 0;
 }
