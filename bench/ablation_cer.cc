@@ -14,67 +14,39 @@
  *                   accumulation.
  */
 
-#include <cstdio>
-
 #include "bench_common.h"
 
 using namespace square;
 using namespace square::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
-    printHeader("CER cost-model ablation", "design study (Sec. IV-D)");
-
-    struct Variant
-    {
-        const char *name;
-        SquareConfig cfg;
-    };
-    std::vector<Variant> variants;
-    variants.push_back({"SQUARE (full)", SquareConfig::square()});
-    {
-        SquareConfig c = SquareConfig::square();
-        c.useLevelFactor = false;
-        variants.push_back({"no 2^l", c});
-    }
-    {
-        SquareConfig c = SquareConfig::square();
-        c.useAreaExpansion = false;
-        variants.push_back({"no area term", c});
-    }
-    {
-        SquareConfig c = SquareConfig::square();
-        c.useCommFactor = false;
-        variants.push_back({"no S factor", c});
-    }
-    {
-        SquareConfig c = SquareConfig::square();
-        c.usePressure = false;
-        variants.push_back({"no pressure", c});
-    }
-    {
-        SquareConfig c = SquareConfig::square();
-        c.holdHorizon = 0.0;
-        variants.push_back({"local G_p (paper-literal)", c});
-    }
+    Figure fig(argc, argv, "ablation_cer", "aqv",
+               "CER cost-model ablation", "design study (Sec. IV-D)");
+    std::vector<SquareConfig> variants(6, SquareConfig::square());
+    variants[0].name = "SQUARE (full)";
+    variants[1].name = "no 2^l";
+    variants[1].useLevelFactor = false;
+    variants[2].name = "no area term";
+    variants[2].useAreaExpansion = false;
+    variants[3].name = "no S factor";
+    variants[3].useCommFactor = false;
+    variants[4].name = "no pressure";
+    variants[4].usePressure = false;
+    variants[5].name = "local G_p (paper-literal)";
+    variants[5].holdHorizon = 0.0;
 
     for (const char *name : {"MODEXP", "MUL32", "SALSA20", "Jasmine"}) {
         const BenchmarkInfo &info = findBenchmark(name);
-        Program prog = info.build();
-        std::printf("%s (%s)\n", info.name.c_str(),
-                    info.description.c_str());
-        std::printf("  %-26s %12s %10s %10s %10s\n", "variant", "AQV",
-                    "gates", "reclaims", "skips");
-        for (const Variant &v : variants) {
-            Machine m = boundaryMachine(info);
-            CompileResult r = compile(prog, m, v.cfg, {});
-            std::printf("  %-26s %12lld %10lld %10d %10d\n", v.name,
-                        static_cast<long long>(r.aqv),
-                        static_cast<long long>(r.gates), r.reclaimCount,
-                        r.skipCount);
+        for (const CompileResult &r : compileEach(
+                 info.build(), [&] { return boundaryMachine(info); },
+                 variants)) {
+            fig.row({str("workload", name), str("variant", r.policyLabel),
+                     num("aqv", r.aqv), num("gates", r.gates),
+                     num("reclaims", r.reclaimCount),
+                     num("skips", r.skipCount)});
         }
-        printRule(74);
     }
-    return 0;
+    return fig.finish();
 }

@@ -3,11 +3,10 @@
  * Ablation: Locality-Aware Allocation scoring (Sec. IV-C).
  *
  * Compares LIFO allocation against LAA with individual scoring terms
- * removed, reporting swaps and AQV across the NISQ suite (reclamation
- * fixed to the full CER policy so only allocation varies).
+ * removed, reporting AQV, swaps and depth across the NISQ suite
+ * (reclamation fixed to the full CER policy so only allocation
+ * varies).
  */
-
-#include <cstdio>
 
 #include "bench_common.h"
 
@@ -15,55 +14,30 @@ using namespace square;
 using namespace square::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
-    printHeader("LAA scoring ablation", "design study (Sec. IV-C)");
+    Figure fig(argc, argv, "ablation_laa", "aqv", "LAA scoring ablation",
+               "design study (Sec. IV-C)");
+    std::vector<SquareConfig> variants(5, SquareConfig::square());
+    variants[0].name = "LIFO heap";
+    variants[0].alloc = AllocPolicy::Lifo;
+    variants[1].name = "LAA (full)";
+    variants[2].name = "LAA, no serialization";
+    variants[2].serializationWeight = 0.0;
+    variants[3].name = "LAA, no area term";
+    variants[3].areaWeight = 0.0;
+    variants[4].name = "LAA, candidateCap=2";
+    variants[4].candidateCap = 2;
 
-    struct Variant
-    {
-        const char *name;
-        SquareConfig cfg;
-    };
-    std::vector<Variant> variants;
-    {
-        SquareConfig c = SquareConfig::square();
-        c.alloc = AllocPolicy::Lifo;
-        variants.push_back({"LIFO heap", c});
-    }
-    variants.push_back({"LAA (full)", SquareConfig::square()});
-    {
-        SquareConfig c = SquareConfig::square();
-        c.serializationWeight = 0.0;
-        variants.push_back({"LAA, no serialization", c});
-    }
-    {
-        SquareConfig c = SquareConfig::square();
-        c.areaWeight = 0.0;
-        variants.push_back({"LAA, no area term", c});
-    }
-    {
-        SquareConfig c = SquareConfig::square();
-        c.candidateCap = 2;
-        variants.push_back({"LAA, candidateCap=2", c});
-    }
-
-    std::printf("%-10s %-24s %10s %10s %10s\n", "Benchmark", "variant",
-                "AQV", "swaps", "depth");
-    printRule(72);
     for (const BenchmarkInfo &info : benchmarkRegistry()) {
         if (!info.nisqScale)
             continue;
-        Program prog = info.build();
-        for (const Variant &v : variants) {
-            Machine m = nisqMachine();
-            CompileResult r = compile(prog, m, v.cfg, {});
-            std::printf("%-10s %-24s %10lld %10lld %10lld\n",
-                        info.name.c_str(), v.name,
-                        static_cast<long long>(r.aqv),
-                        static_cast<long long>(r.swaps),
-                        static_cast<long long>(r.depth));
+        for (const CompileResult &r :
+             compileEach(info.build(), nisqMachine, variants)) {
+            fig.row({str("workload", info.name),
+                     str("variant", r.policyLabel), num("aqv", r.aqv),
+                     num("swaps", r.swaps), num("depth", r.depth)});
         }
-        printRule(72);
     }
-    return 0;
+    return fig.finish();
 }

@@ -3,13 +3,11 @@
  * Fig. 10 reproduction: normalized AQV on fault-tolerant machines
  * (surface-code logical qubits, braid communication, slow T gates).
  *
- * Pass --square_json=PATH for a BENCH_fig10_ft.json row per
- * benchmark x policy (the shared emitter trajectory of
- * bench_common.h).
+ * One row per large benchmark x policy, as in Fig. 9; the average and
+ * maximum AQV reduction of SQUARE vs LAZY are summary fields.
  */
 
-#include <cmath>
-#include <cstdio>
+#include <algorithm>
 
 #include "bench_common.h"
 
@@ -19,22 +17,9 @@ using namespace square::bench;
 int
 main(int argc, char **argv)
 {
-    std::string json_path = extractJsonPath(argc, argv);
-    if (argc > 1) {
-        std::fprintf(stderr, "unknown argument: %s\n", argv[1]);
-        return 1;
-    }
-
-    printHeader("Normalized AQV, fault-tolerant machines (braiding)",
-                "Fig. 10");
-    std::printf("%-10s %8s %8s %8s %12s %8s %14s\n", "Benchmark",
-                "sites", "LAZY", "EAGER", "SQUARE(LAA)", "SQUARE",
-                "LAZY/SQUARE");
-    printRule(78);
-
-    JsonReport report;
-    report.benchmark = "fig10_ft";
-    report.unit = "aqv";
+    Figure fig(argc, argv, "fig10_ft", "aqv",
+               "Normalized AQV, fault-tolerant machines (braiding)",
+               "Fig. 10");
     const char *names[] = {"LAZY", "EAGER", "SQUARE-LAA", "SQUARE"};
 
     double sum_reduction = 0.0;
@@ -43,46 +28,27 @@ main(int argc, char **argv)
     for (const BenchmarkInfo &info : benchmarkRegistry()) {
         if (info.nisqScale)
             continue;
-        Program prog = info.build();
-        double aqv[4];
-        int i = 0;
-        for (const SquareConfig &cfg : figurePolicies()) {
-            Machine m = ftMachine(info);
-            CompileResult r = compile(prog, m, cfg, {});
-            aqv[i++] = static_cast<double>(r.aqv);
-        }
-        double lazy = aqv[0];
-        double reduction = 1.0 - aqv[3] / lazy;
-        std::printf("%-10s %8d %8.2f %8.2f %12.2f %8.2f %13.1f%%\n",
-                    info.name.c_str(),
-                    info.boundaryEdge * info.boundaryEdge, 1.0,
-                    aqv[1] / lazy, aqv[2] / lazy, aqv[3] / lazy,
-                    100.0 * reduction);
+        const std::vector<CompileResult> results = compileEach(
+            info.build(), [&] { return ftMachine(info); },
+            figurePolicies());
+        const double lazy = static_cast<double>(results[0].aqv);
         for (int k = 0; k < 4; ++k) {
-            report.addRow(
-                {jsonStr("workload", info.name),
-                 jsonInt("sites", info.boundaryEdge * info.boundaryEdge),
-                 jsonStr("policy", names[k]),
-                 jsonNum("aqv", aqv[k], 0),
-                 jsonNum("aqv_norm_lazy", aqv[k] / lazy, 4)});
+            fig.row({str("workload", info.name),
+                     num("sites", info.boundaryEdge * info.boundaryEdge),
+                     str("policy", names[k]), num("aqv", results[k].aqv),
+                     fixed("aqv_norm_lazy",
+                           static_cast<double>(results[k].aqv) / lazy,
+                           4)});
         }
+        const double reduction =
+            1.0 - static_cast<double>(results[3].aqv) / lazy;
         sum_reduction += reduction;
         max_reduction = std::max(max_reduction, reduction);
         ++count;
     }
-    printRule(78);
-    const double avg_reduction = 100.0 * sum_reduction / count;
-    std::printf("average AQV reduction of SQUARE vs LAZY: %.1f%% "
-                "(max %.1f%%)\n",
-                avg_reduction, 100.0 * max_reduction);
-    std::printf("(paper reports 44.08%% average, up to 89.66%%)\n");
-
-    if (!json_path.empty()) {
-        report.header.push_back(
-            jsonNum("avg_reduction_pct", avg_reduction, 1));
-        report.header.push_back(
-            jsonNum("max_reduction_pct", 100.0 * max_reduction, 1));
-        report.writeTo(json_path);
-    }
-    return 0;
+    fig.summary(
+        fixed("avg_reduction_pct", 100.0 * sum_reduction / count, 1));
+    fig.summary(fixed("max_reduction_pct", 100.0 * max_reduction, 1));
+    fig.note("(paper reports 44.08% average, up to 89.66%)");
+    return fig.finish();
 }

@@ -3,13 +3,11 @@
  * Fig. 1 reproduction: qubit usage over time for modular
  * exponentiation under Eager / Lazy / SQUARE.
  *
- * Prints a downsampled (time, live-qubits) series per policy plus the
- * area under each curve (= the active quantum volume).  Lazy climbs to
- * the machine's qubit ceiling, Eager stretches far out in time, and
- * SQUARE stays under both bounds with the smallest area.
- *
- * Pass --square_json=PATH for BENCH_fig1_qubit_usage.json (one row per
- * policy: AQV, peak live qubits, makespan).
+ * Prints a downsampled (time, live-qubits) series per policy, then one
+ * row per policy with the area under its curve (= the active quantum
+ * volume), the peak live qubits and the makespan.  Lazy climbs to the
+ * machine's qubit ceiling, Eager stretches far out in time, and SQUARE
+ * stays under both bounds with the smallest area.
  */
 
 #include <algorithm>
@@ -40,72 +38,40 @@ liveAt(const std::vector<UsagePoint> &curve, int64_t t)
 int
 main(int argc, char **argv)
 {
-    std::string json_path = extractJsonPath(argc, argv);
-    printHeader("Qubit usage over time, MODEXP", "Fig. 1");
-
+    Figure fig(argc, argv, "fig1_qubit_usage", "active_quantum_volume",
+               "Qubit usage over time, MODEXP", "Fig. 1");
     const BenchmarkInfo &info = findBenchmark("MODEXP");
-    Program prog = info.build();
+    const std::vector<CompileResult> results = compileEach(
+        info.build(), [&] { return boundaryMachine(info); },
+        paperPolicies());
 
-    struct Series
-    {
-        std::string name;
-        std::vector<UsagePoint> curve;
-        int64_t makespan;
-        int64_t aqv;
-        int peak;
-    };
-    std::vector<Series> series;
+    // The usage curves themselves: the figure, not part of the JSON.
     int64_t max_time = 0;
-    for (const SquareConfig &cfg : paperPolicies()) {
-        Machine m = boundaryMachine(info);
-        CompileResult r = compile(prog, m, cfg, {});
-        series.push_back(
-            {cfg.name, r.usageCurve, r.depth, r.aqv, r.peakLive});
+    std::printf("%12s", "time");
+    for (const CompileResult &r : results) {
+        std::printf(" %16s", r.policyLabel.c_str());
         max_time = std::max(max_time, r.depth);
     }
-
-    std::printf("%12s", "time");
-    for (const Series &s : series)
-        std::printf(" %16s", s.name.c_str());
     std::printf("\n");
-    printRule(64);
-
     const int kSamples = 40;
     for (int i = 0; i <= kSamples; ++i) {
-        int64_t t = max_time * i / kSamples;
+        const int64_t t = max_time * i / kSamples;
         std::printf("%12lld", static_cast<long long>(t));
-        for (const Series &s : series)
-            std::printf(" %16d", liveAt(s.curve, t));
+        for (const CompileResult &r : results)
+            std::printf(" %16d", liveAt(r.usageCurve, t));
         std::printf("\n");
     }
+    std::printf("\n");
 
-    printRule(64);
-    std::printf("%12s", "AQV (area)");
-    for (const Series &s : series)
-        std::printf(" %16lld", static_cast<long long>(s.aqv));
-    std::printf("\n%12s", "peak qubits");
-    for (const Series &s : series)
-        std::printf(" %16d", s.peak);
-    std::printf("\n%12s", "makespan");
-    for (const Series &s : series)
-        std::printf(" %16lld", static_cast<long long>(s.makespan));
-    std::printf("\n\nThe SQUARE curve should have the smallest "
-                "area (lowest AQV), staying below\nLazy's qubit "
-                "ceiling without Eager's time blow-up.\n");
-
-    if (!json_path.empty()) {
-        JsonReport report;
-        report.benchmark = "fig1_qubit_usage";
-        report.unit = "active_quantum_volume";
-        report.header.push_back(jsonStr("workload", "MODEXP"));
-        report.header.push_back(jsonInt("curve_samples", kSamples));
-        for (const Series &s : series) {
-            report.addRow({jsonStr("policy", s.name),
-                           jsonInt("aqv", s.aqv),
-                           jsonInt("peak_live", s.peak),
-                           jsonInt("makespan", s.makespan)});
-        }
-        report.writeTo(json_path);
+    fig.summary(str("workload", info.name));
+    fig.summary(num("curve_samples", kSamples));
+    for (const CompileResult &r : results) {
+        fig.row({str("policy", r.policyLabel), num("aqv", r.aqv),
+                 num("peak_live", r.peakLive),
+                 num("makespan", r.depth)});
     }
-    return 0;
+    fig.note("The SQUARE curve should have the smallest area (lowest "
+             "AQV), staying below\nLazy's qubit ceiling without Eager's "
+             "time blow-up.");
+    return fig.finish();
 }

@@ -7,12 +7,9 @@
  * on a 2-D lattice (reservation expands the active area and swap
  * chains) but Lazy on a fully-connected machine (holding garbage costs
  * nothing in communication).  SQUARE should track the winner on both.
- *
- * Pass --square_json=PATH for a BENCH_fig5_belle_topology.json row per
- * machine x policy (the shared emitter trajectory of bench_common.h).
+ * One row per machine x policy; the preferred baseline per machine is
+ * a summary field.
  */
-
-#include <cstdio>
 
 #include "bench_common.h"
 
@@ -22,65 +19,37 @@ using namespace square::bench;
 int
 main(int argc, char **argv)
 {
-    std::string json_path = extractJsonPath(argc, argv);
-    if (argc > 1) {
-        std::fprintf(stderr, "unknown argument: %s\n", argv[1]);
-        return 1;
-    }
-
-    printHeader("Belle: preferred strategy vs machine connectivity",
-                "Fig. 5");
-
+    Figure fig(argc, argv, "fig5_belle_topology", "aqv",
+               "Belle: preferred strategy vs machine connectivity",
+               "Fig. 5");
     const BenchmarkInfo &info = findBenchmark("Belle");
-    Program prog = info.build();
+    const Program prog = info.build();
     const int edge = info.boundaryEdge;
 
-    std::printf("%-22s %-18s %12s %10s %10s\n", "Machine", "Policy",
-                "AQV", "#Gates", "#Swaps");
-    printRule(78);
-
-    JsonReport report;
-    report.benchmark = "fig5_belle_topology";
-    report.unit = "aqv";
-
-    std::string preferred_lattice, preferred_full;
+    std::string preferred[2];
     for (int full = 0; full < 2; ++full) {
+        const std::vector<CompileResult> results = compileEach(
+            prog,
+            [&] {
+                return full ? Machine::fullyConnected(edge * edge)
+                            : Machine::nisqLattice(edge, edge);
+            },
+            figurePolicies());
         int64_t best_aqv = INT64_MAX;
-        std::string best_name;
-        for (const SquareConfig &cfg : figurePolicies()) {
-            Machine m = full ? Machine::fullyConnected(edge * edge)
-                             : Machine::nisqLattice(edge, edge);
-            CompileResult r = compile(prog, m, cfg, {});
-            std::printf("%-22s %-18s %12lld %10lld %10lld\n",
-                        m.label.c_str(), cfg.name.c_str(),
-                        static_cast<long long>(r.aqv),
-                        static_cast<long long>(r.gates),
-                        static_cast<long long>(r.swaps));
-            report.addRow({jsonStr("machine", m.label),
-                           jsonStr("policy", cfg.name),
-                           jsonInt("aqv", r.aqv),
-                           jsonInt("gates", r.gates),
-                           jsonInt("swaps", r.swaps)});
-            if ((cfg.name == "LAZY" || cfg.name == "EAGER") &&
+        for (const CompileResult &r : results) {
+            fig.row({str("machine", r.machineLabel),
+                     str("policy", r.policyLabel), num("aqv", r.aqv),
+                     num("gates", r.gates), num("swaps", r.swaps)});
+            if ((r.policyLabel == "LAZY" || r.policyLabel == "EAGER") &&
                 r.aqv < best_aqv) {
                 best_aqv = r.aqv;
-                best_name = cfg.name;
+                preferred[full] = r.policyLabel;
             }
         }
-        std::printf("  -> preferred baseline on this machine: %s\n",
-                    best_name.c_str());
-        printRule(78);
-        (full ? preferred_full : preferred_lattice) = best_name;
     }
-    std::printf("\nExpected (paper): EAGER preferred on the lattice, "
-                "LAZY on fully-connected.\n");
-
-    if (!json_path.empty()) {
-        report.header.push_back(
-            jsonStr("preferred_lattice", preferred_lattice));
-        report.header.push_back(
-            jsonStr("preferred_fully_connected", preferred_full));
-        report.writeTo(json_path);
-    }
-    return 0;
+    fig.summary(str("preferred_lattice", preferred[0]));
+    fig.summary(str("preferred_fully_connected", preferred[1]));
+    fig.note("Expected (paper): EAGER preferred on the lattice, LAZY on "
+             "fully-connected.");
+    return fig.finish();
 }

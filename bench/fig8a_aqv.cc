@@ -1,15 +1,9 @@
 /**
  * @file
  * Fig. 8a reproduction: active quantum volume of the NISQ benchmarks
- * under LAZY / EAGER / SQUARE(LAA only) / SQUARE on the 5x5 lattice.
- * Lower AQV is better.
- *
- * Pass --square_json=PATH to additionally emit the table as a compact
- * JSON baseline (one row per workload x policy) suitable for
- * committing as BENCH_fig8a_aqv.json and diffing across PRs.
+ * under LAZY / EAGER / SQUARE(LAA only) / SQUARE on the 5x5 lattice,
+ * one row per workload x policy.  Lower AQV is better.
  */
-
-#include <cstdio>
 
 #include "bench_common.h"
 
@@ -19,45 +13,16 @@ using namespace square::bench;
 int
 main(int argc, char **argv)
 {
-    std::string json_path = extractJsonPath(argc, argv);
-
-    printHeader("Active quantum volume, NISQ benchmarks", "Fig. 8a");
-    std::printf("%-10s %12s %12s %16s %12s  %s\n", "Benchmark", "LAZY",
-                "EAGER", "SQUARE(LAA)", "SQUARE", "best");
-    printRule(80);
-
-    JsonReport report;
-    report.benchmark = "fig8a_aqv";
-    report.unit = "aqv";
-
+    Figure fig(argc, argv, "fig8a_aqv", "aqv",
+               "Active quantum volume, NISQ benchmarks", "Fig. 8a");
     for (const BenchmarkInfo &info : benchmarkRegistry()) {
         if (!info.nisqScale)
             continue;
-        Program prog = info.build();
-        std::vector<int64_t> aqv;
-        for (const SquareConfig &cfg : figurePolicies()) {
-            Machine m = nisqMachine();
-            CompileResult r = compile(prog, m, cfg, {});
-            aqv.push_back(r.aqv);
-            report.addRow({jsonStr("workload", info.name),
-                           jsonStr("policy", cfg.name),
-                           jsonInt("aqv", r.aqv)});
+        for (const CompileResult &r :
+             compileEach(info.build(), nisqMachine, figurePolicies())) {
+            fig.row({str("workload", info.name),
+                     str("policy", r.policyLabel), num("aqv", r.aqv)});
         }
-        const char *names[] = {"LAZY", "EAGER", "SQUARE(LAA)", "SQUARE"};
-        size_t best = 0;
-        for (size_t i = 1; i < aqv.size(); ++i) {
-            if (aqv[i] < aqv[best])
-                best = i;
-        }
-        std::printf("%-10s %12lld %12lld %16lld %12lld  %s\n",
-                    info.name.c_str(), static_cast<long long>(aqv[0]),
-                    static_cast<long long>(aqv[1]),
-                    static_cast<long long>(aqv[2]),
-                    static_cast<long long>(aqv[3]), names[best]);
     }
-    printRule(80);
-
-    if (!json_path.empty())
-        report.writeTo(json_path);
-    return 0;
+    return fig.finish();
 }

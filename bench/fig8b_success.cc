@@ -1,17 +1,13 @@
 /**
  * @file
  * Fig. 8b reproduction: worst-case analytical success rates of the
- * NISQ benchmarks under Lazy / Eager / SQUARE, plus the Table IV
- * device-parameter summary the model uses.
- *
- * Pass --square_json=PATH to emit a BENCH_fig8b_success.json row per
- * benchmark (success rate per policy plus the winner) through the
- * shared emitter, so the figure joins the diffable baseline
- * trajectory.
+ * NISQ benchmarks under Lazy / Eager / SQUARE with the Table IV-style
+ * device parameters of DeviceParams::analyticalModel().  One row per
+ * benchmark (success rate per policy plus the winner); the per-policy
+ * geomeans and SQUARE's improvement ratios are summary fields.
  */
 
 #include <cmath>
-#include <cstdio>
 
 #include "bench_common.h"
 #include "noise/analytical.h"
@@ -22,76 +18,43 @@ using namespace square::bench;
 int
 main(int argc, char **argv)
 {
-    std::string json_path = extractJsonPath(argc, argv);
-    printHeader("Worst-case analytical success rate", "Fig. 8b (and "
-                "Table IV parameters)");
-
-    DeviceParams dev = DeviceParams::analyticalModel();
-    std::printf("Model parameters (see noise/device_params.h):\n"
-                "  1q error %.2e, 2q error %.2e, T1 %.0f us, "
-                "cycle %.0f ns\n\n",
-                dev.oneQubitError, dev.twoQubitError, dev.t1Us,
-                dev.cycleNs);
-
-    std::printf("%-10s %10s %10s %10s   %s\n", "Benchmark", "LAZY",
-                "EAGER", "SQUARE", "best");
-    printRule(64);
-
-    JsonReport report;
-    report.benchmark = "fig8b_success";
-    report.unit = "success_probability";
+    Figure fig(argc, argv, "fig8b_success", "success_probability",
+               "Worst-case analytical success rate",
+               "Fig. 8b (and Table IV parameters)");
+    const DeviceParams dev = DeviceParams::analyticalModel();
+    const std::vector<SquareConfig> policies = paperPolicies();
 
     double geo[3] = {1.0, 1.0, 1.0};
     int count = 0;
     for (const BenchmarkInfo &info : benchmarkRegistry()) {
         if (!info.nisqScale)
             continue;
-        Program prog = info.build();
+        const std::vector<CompileResult> results =
+            compileEach(info.build(), nisqMachine, policies);
         double rate[3];
-        int i = 0;
-        for (const SquareConfig &cfg : paperPolicies()) {
-            Machine m = nisqMachine();
-            CompileResult r = compile(prog, m, cfg, {});
-            rate[i] = estimateSuccess(r, dev).total;
-            geo[i] *= rate[i];
-            ++i;
-        }
-        ++count;
-        const char *names[] = {"LAZY", "EAGER", "SQUARE"};
         int best = 0;
-        for (int k = 1; k < 3; ++k) {
+        for (int k = 0; k < 3; ++k) {
+            rate[k] = estimateSuccess(results[k], dev).total;
+            geo[k] *= rate[k];
             if (rate[k] > rate[best])
                 best = k;
         }
-        std::printf("%-10s %10.4f %10.4f %10.4f   %s\n",
-                    info.name.c_str(), rate[0], rate[1], rate[2],
-                    names[best]);
-        report.addRow({jsonStr("workload", info.name),
-                       jsonNum("lazy", rate[0], 4),
-                       jsonNum("eager", rate[1], 4),
-                       jsonNum("square", rate[2], 4),
-                       jsonStr("best", names[best])});
+        ++count;
+        fig.row({str("workload", info.name), fixed("lazy", rate[0], 4),
+                 fixed("eager", rate[1], 4), fixed("square", rate[2], 4),
+                 str("best", policies[best].name)});
     }
-    printRule(64);
     for (double &g : geo)
         g = std::pow(g, 1.0 / count);
-    std::printf("%-10s %10.4f %10.4f %10.4f\n", "geomean", geo[0],
-                geo[1], geo[2]);
-    std::printf("\nSQUARE vs EAGER improvement: %.2fx   "
-                "SQUARE vs LAZY improvement: %.2fx\n",
-                geo[2] / geo[1], geo[2] / geo[0]);
-    std::printf("(paper reports 1.47x vs Eager and 1.07x vs Lazy on "
-                "its instances)\n");
-
-    if (!json_path.empty()) {
-        report.header.push_back(jsonNum("geomean_lazy", geo[0], 4));
-        report.header.push_back(jsonNum("geomean_eager", geo[1], 4));
-        report.header.push_back(jsonNum("geomean_square", geo[2], 4));
-        report.header.push_back(
-            jsonNum("square_vs_eager", geo[2] / geo[1], 2));
-        report.header.push_back(
-            jsonNum("square_vs_lazy", geo[2] / geo[0], 2));
-        report.writeTo(json_path);
-    }
-    return 0;
+    fig.summary(fixed("geomean_lazy", geo[0], 4));
+    fig.summary(fixed("geomean_eager", geo[1], 4));
+    fig.summary(fixed("geomean_square", geo[2], 4));
+    fig.summary(fixed("square_vs_eager", geo[2] / geo[1], 2));
+    fig.summary(fixed("square_vs_lazy", geo[2] / geo[0], 2));
+    fig.note("Model (noise/device_params.h): 1q error ",
+             dev.oneQubitError, ", 2q error ", dev.twoQubitError, ", T1 ",
+             dev.t1Us, " us, cycle ", dev.cycleNs, " ns.");
+    fig.note("(paper reports 1.47x vs Eager and 1.07x vs Lazy on its "
+             "instances)");
+    return fig.finish();
 }

@@ -2,22 +2,15 @@
  * @file
  * Fig. 8c reproduction: Monte-Carlo noise simulation of the NISQ
  * benchmarks; total variation distance between noisy and ideal
- * measurement outcomes (lower is better).
+ * measurement outcomes (lower is better), one row per benchmark x
+ * policy.
  *
  * Traces are compiled on the macro-Toffoli lattice (Clifford-free so
  * basis-state trajectories are exact; swap/locality behaviour is
  * identical to the decomposed machine) and replayed under the
- * depolarizing + T1 damping model of Table IV's "Our Simulation" row.
- *
- * Pass --square_json=PATH for a BENCH_fig8c_noise.json row per
- * benchmark x policy (the shared emitter trajectory of
- * bench_common.h); --shots=N (or a bare count as argv[1]) overrides
- * the per-point shot budget.
+ * depolarizing + T1 damping model of Table IV's "Our Simulation" row,
+ * with a fixed shot budget per point.
  */
-
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "bench_common.h"
 #include "noise/trajectory.h"
@@ -28,73 +21,41 @@ using namespace square::bench;
 int
 main(int argc, char **argv)
 {
-    std::string json_path = extractJsonPath(argc, argv);
-    int shots = 4096;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--shots=", 8) == 0)
-            shots = std::atoi(argv[i] + 8);
-        else
-            shots = std::atoi(argv[i]);
-    }
-    if (shots < 1) {
-        std::fprintf(stderr, "bad shot count\n");
-        return 1;
-    }
-
-    printHeader("Noise simulation: total variation distance", "Fig. 8c");
-    std::printf("shots per point: %d (paper: 8192; override with "
-                "--shots=N)\n\n",
-                shots);
-    std::printf("%-10s %10s %10s %10s   %s\n", "Benchmark", "LAZY",
-                "EAGER", "SQUARE", "best");
-    printRule(64);
-
-    JsonReport report;
-    report.benchmark = "fig8c_noise";
-    report.unit = "total_variation_distance";
-    report.header.push_back(jsonInt("shots", shots));
+    Figure fig(argc, argv, "fig8c_noise", "total_variation_distance",
+               "Noise simulation: total variation distance", "Fig. 8c");
+    const int kShots = 4096;
+    fig.summary(num("shots", kShots));
+    const std::vector<SquareConfig> policies = paperPolicies();
 
     for (const BenchmarkInfo &info : benchmarkRegistry()) {
         if (!info.nisqScale)
             continue;
-        Program prog = info.build();
+        const Program prog = info.build();
         double tvd[3];
-        int i = 0;
-        for (const SquareConfig &cfg : paperPolicies()) {
-            Machine m = Machine::nisqLatticeMacro(5, 5);
+        int best = 0;
+        for (int k = 0; k < 3; ++k) {
+            // compileEach() records no trace; the trajectories need one.
+            const Machine m = Machine::nisqLatticeMacro(5, 5);
             CompileOptions opts;
             opts.recordTrace = true;
-            CompileResult r = compile(prog, m, cfg, opts);
+            const CompileResult r = compile(prog, m, policies[k], opts);
 
             TrajectoryConfig tc;
             tc.device = DeviceParams::trajectoryModel();
-            tc.shots = shots;
-            tc.seed = 0x5eed0000 + static_cast<uint64_t>(i);
+            tc.shots = kShots;
+            tc.seed = 0x5eed0000 + static_cast<uint64_t>(k);
             tc.input = 0b1011; // fixed nonzero input
-            auto res = runTrajectories(r, m.numSites(), tc);
-            tvd[i++] = res.tvd;
-        }
-        const char *names[] = {"LAZY", "EAGER", "SQUARE"};
-        int best = 0;
-        for (int k = 1; k < 3; ++k) {
+            tvd[k] = runTrajectories(r, m.numSites(), tc).tvd;
             if (tvd[k] < tvd[best])
                 best = k;
         }
-        std::printf("%-10s %10.4f %10.4f %10.4f   %s\n",
-                    info.name.c_str(), tvd[0], tvd[1], tvd[2],
-                    names[best]);
         for (int k = 0; k < 3; ++k) {
-            report.addRow({jsonStr("workload", info.name),
-                           jsonStr("policy", names[k]),
-                           jsonNum("tvd", tvd[k], 4),
-                           jsonInt("best", k == best)});
+            fig.row({str("workload", info.name),
+                     str("policy", policies[k].name),
+                     fixed("tvd", tvd[k], 4), num("best", k == best)});
         }
     }
-    printRule(64);
-    std::printf("\nLower d_TV is better; the paper finds SQUARE lowest "
-                "on almost all benchmarks.\n");
-
-    if (!json_path.empty())
-        report.writeTo(json_path);
-    return 0;
+    fig.note("Lower d_TV is better; the paper finds SQUARE lowest on "
+             "almost all benchmarks\n(paper: 8192 shots per point).");
+    return fig.finish();
 }

@@ -3,17 +3,12 @@
  * Fig. 9 reproduction: normalized AQV on medium-scale
  * non-error-corrected machines (NISQ-FT boundary, swap communication).
  *
- * For each large benchmark, AQV of the four policies normalized to
- * LAZY (the paper's chart normalizes the same way and annotates the
- * SQUARE bar).
- *
- * Pass --square_json=PATH for a BENCH_fig9_boundary.json row per
- * benchmark x policy (the shared emitter trajectory of
- * bench_common.h).
+ * One row per large benchmark x policy: the AQV and the AQV normalized
+ * to LAZY (the paper's chart normalizes the same way and annotates the
+ * SQUARE bar); the geomean LAZY/SQUARE ratio is a summary field.
  */
 
 #include <cmath>
-#include <cstdio>
 
 #include "bench_common.h"
 
@@ -23,22 +18,9 @@ using namespace square::bench;
 int
 main(int argc, char **argv)
 {
-    std::string json_path = extractJsonPath(argc, argv);
-    if (argc > 1) {
-        std::fprintf(stderr, "unknown argument: %s\n", argv[1]);
-        return 1;
-    }
-
-    printHeader("Normalized AQV, NISQ-FT boundary machines (swaps)",
-                "Fig. 9");
-    std::printf("%-10s %8s %8s %8s %12s %8s %14s\n", "Benchmark",
-                "sites", "LAZY", "EAGER", "SQUARE(LAA)", "SQUARE",
-                "LAZY/SQUARE");
-    printRule(78);
-
-    JsonReport report;
-    report.benchmark = "fig9_boundary";
-    report.unit = "aqv";
+    Figure fig(argc, argv, "fig9_boundary", "aqv",
+               "Normalized AQV, NISQ-FT boundary machines (swaps)",
+               "Fig. 9");
     const char *names[] = {"LAZY", "EAGER", "SQUARE-LAA", "SQUARE"};
 
     double geo = 1.0;
@@ -46,42 +28,23 @@ main(int argc, char **argv)
     for (const BenchmarkInfo &info : benchmarkRegistry()) {
         if (info.nisqScale)
             continue;
-        Program prog = info.build();
-        double aqv[4];
-        int i = 0;
-        for (const SquareConfig &cfg : figurePolicies()) {
-            Machine m = boundaryMachine(info);
-            CompileResult r = compile(prog, m, cfg, {});
-            aqv[i++] = static_cast<double>(r.aqv);
-        }
-        double lazy = aqv[0];
-        std::printf("%-10s %8d %8.2f %8.2f %12.2f %8.2f %14.2fx\n",
-                    info.name.c_str(),
-                    info.boundaryEdge * info.boundaryEdge, 1.0,
-                    aqv[1] / lazy, aqv[2] / lazy, aqv[3] / lazy,
-                    lazy / aqv[3]);
+        const std::vector<CompileResult> results = compileEach(
+            info.build(), [&] { return boundaryMachine(info); },
+            figurePolicies());
+        const double lazy = static_cast<double>(results[0].aqv);
         for (int k = 0; k < 4; ++k) {
-            report.addRow(
-                {jsonStr("workload", info.name),
-                 jsonInt("sites", info.boundaryEdge * info.boundaryEdge),
-                 jsonStr("policy", names[k]),
-                 jsonNum("aqv", aqv[k], 0),
-                 jsonNum("aqv_norm_lazy", aqv[k] / lazy, 4)});
+            fig.row({str("workload", info.name),
+                     num("sites", info.boundaryEdge * info.boundaryEdge),
+                     str("policy", names[k]), num("aqv", results[k].aqv),
+                     fixed("aqv_norm_lazy",
+                           static_cast<double>(results[k].aqv) / lazy,
+                           4)});
         }
-        geo *= lazy / aqv[3];
+        geo *= lazy / static_cast<double>(results[3].aqv);
         ++count;
     }
-    printRule(78);
-    const double geomean = std::pow(geo, 1.0 / count);
-    std::printf("geomean AQV reduction of SQUARE vs LAZY: %.2fx\n",
-                geomean);
-    std::printf("(paper reports 6.9x average on its larger instances; "
-                "see EXPERIMENTS.md)\n");
-
-    if (!json_path.empty()) {
-        report.header.push_back(
-            jsonNum("geomean_lazy_over_square", geomean, 2));
-        report.writeTo(json_path);
-    }
-    return 0;
+    fig.summary(
+        fixed("geomean_lazy_over_square", std::pow(geo, 1.0 / count), 2));
+    fig.note("(paper reports 6.9x average on its larger instances)");
+    return fig.finish();
 }

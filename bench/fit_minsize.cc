@@ -7,12 +7,7 @@
  * which compilation succeeds (binary search over the edge; compilation
  * throws when allocation finds no free site).  SQUARE should fit on
  * machines close to Eager's minimum while Lazy needs the largest.
- *
- * With --square_json=PATH, also writes one row per (benchmark,
- * policy) cell to a diffable BENCH_fit_minsize.json baseline.
  */
-
-#include <cstdio>
 
 #include "bench_common.h"
 #include "common/logging.h"
@@ -22,31 +17,34 @@ using namespace square::bench;
 
 namespace {
 
+/** True when @p prog compiles on an edge x edge lattice. */
+bool
+fits(const Program &prog, const SquareConfig &cfg, int edge)
+{
+    try {
+        compile(prog, Machine::nisqLattice(edge, edge), cfg);
+        return true;
+    } catch (const FatalError &) {
+        return false;
+    }
+}
+
+/** Smallest fitting edge, searching up from @p hi_edge; -1 past 256. */
 int
 minEdge(const Program &prog, const SquareConfig &cfg, int hi_edge)
 {
     int lo = 2, hi = hi_edge;
-    // Ensure the upper bound fits.
-    for (;;) {
-        try {
-            Machine m = Machine::nisqLattice(hi, hi);
-            compile(prog, m, cfg, {});
-            break;
-        } catch (const FatalError &) {
-            hi *= 2;
-            if (hi > 256)
-                return -1;
-        }
+    while (!fits(prog, cfg, hi)) {
+        hi *= 2;
+        if (hi > 256)
+            return -1;
     }
     while (lo < hi) {
-        int mid = (lo + hi) / 2;
-        try {
-            Machine m = Machine::nisqLattice(mid, mid);
-            compile(prog, m, cfg, {});
+        const int mid = (lo + hi) / 2;
+        if (fits(prog, cfg, mid))
             hi = mid;
-        } catch (const FatalError &) {
+        else
             lo = mid + 1;
-        }
     }
     return hi;
 }
@@ -56,46 +54,23 @@ minEdge(const Program &prog, const SquareConfig &cfg, int hi_edge)
 int
 main(int argc, char **argv)
 {
-    const std::string json_path = extractJsonPath(argc, argv);
-    printHeader("Smallest machine per policy", "Sec. I / Fig. 1 claim");
-    std::printf("%-10s %14s %14s %14s\n", "Benchmark", "LAZY",
-                "EAGER", "SQUARE");
-    std::printf("%-10s %14s %14s %14s\n", "", "(min sites)",
-                "(min sites)", "(min sites)");
-    printRule(60);
-
-    JsonReport report;
-    report.benchmark = "fit_minsize";
-    report.unit = "lattice edge (sites = edge^2)";
-    static const char *kPolicyNames[3] = {"lazy", "eager", "square"};
+    Figure fig(argc, argv, "fit_minsize", "lattice edge (sites = edge^2)",
+               "Smallest machine per policy", "Sec. I / Fig. 1 claim");
+    const char *names[] = {"lazy", "eager", "square"};
+    const std::vector<SquareConfig> policies = paperPolicies();
 
     for (const BenchmarkInfo &info : benchmarkRegistry()) {
-        Program prog = info.build();
-        int hi = info.nisqScale ? 8 : info.boundaryEdge;
-        int edges[3];
-        int i = 0;
-        for (const SquareConfig &cfg : paperPolicies())
-            edges[i++] = minEdge(prog, cfg, hi);
-        std::printf("%-10s %11d^2=%-3d %9d^2=%-4d %9d^2=%-4d\n",
-                    info.name.c_str(), edges[0], edges[0] * edges[0],
-                    edges[1], edges[1] * edges[1], edges[2],
-                    edges[2] * edges[2]);
-        for (int p = 0; p < 3; ++p)
-            report.addRow({jsonStr("workload", info.name),
-                           jsonStr("policy", kPolicyNames[p]),
-                           jsonInt("min_edge", edges[p]),
-                           jsonInt("min_sites",
-                                   edges[p] < 0
-                                       ? -1
-                                       : static_cast<int64_t>(
-                                             edges[p]) *
-                                             edges[p])});
+        const Program prog = info.build();
+        const int hi = info.nisqScale ? 8 : info.boundaryEdge;
+        for (int p = 0; p < 3; ++p) {
+            const int edge = minEdge(prog, policies[p], hi);
+            const int64_t sites = edge < 0 ? -1 : int64_t{edge} * edge;
+            fig.row({str("workload", info.name), str("policy", names[p]),
+                     num("min_edge", edge), num("min_sites", sites)});
+        }
     }
-    printRule(60);
-    std::printf("\nSQUARE's reclamation-under-pressure lets programs "
-                "fit machines far smaller\nthan Lazy requires, "
-                "approaching Eager's minimum footprint.\n");
-    if (!json_path.empty() && !report.writeTo(json_path))
-        return 1;
-    return 0;
+    fig.note("SQUARE's reclamation-under-pressure lets programs fit "
+             "machines far smaller\nthan Lazy requires, approaching "
+             "Eager's minimum footprint.");
+    return fig.finish();
 }

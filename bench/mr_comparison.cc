@@ -11,8 +11,6 @@
  * basis executions where M&R is admissible at all.
  */
 
-#include <cstdio>
-
 #include "bench_common.h"
 
 using namespace square;
@@ -21,49 +19,31 @@ using namespace square::bench;
 int
 main(int argc, char **argv)
 {
-    const std::string json_path = extractJsonPath(argc, argv);
-    printHeader("Uncomputation vs measurement-and-reset",
-                "Sec. II-E comparison");
-
-    std::vector<SquareConfig> configs = {
+    Figure fig(argc, argv, "mr_comparison", "aqv",
+               "Uncomputation vs measurement-and-reset",
+               "Sec. II-E comparison");
+    const std::vector<SquareConfig> configs = {
         SquareConfig::lazy(),
         SquareConfig::square(),
         SquareConfig::measureReset(10000), // NISQ: decoherence reset
         SquareConfig::measureReset(100),   // fast active reset
         SquareConfig::measureReset(2),     // FT logical measurement
     };
-
-    JsonReport report;
-    report.benchmark = "mr_comparison";
-    report.unit = "aqv";
     for (const char *name : {"MODEXP", "MUL32", "SALSA20"}) {
         const BenchmarkInfo &info = findBenchmark(name);
-        Program prog = info.build();
-        std::printf("%s\n", name);
-        std::printf("  %-14s %12s %10s %8s %10s\n", "policy", "AQV",
-                    "gates", "peak", "depth");
-        for (const SquareConfig &cfg : configs) {
-            Machine m = boundaryMachine(info);
-            CompileResult r = compile(prog, m, cfg, {});
-            std::printf("  %-14s %12lld %10lld %8d %10lld\n",
-                        cfg.name.c_str(), static_cast<long long>(r.aqv),
-                        static_cast<long long>(r.gates), r.peakLive,
-                        static_cast<long long>(r.depth));
-            report.addRow({jsonStr("workload", name),
-                           jsonStr("policy", cfg.name),
-                           jsonInt("aqv", r.aqv),
-                           jsonInt("gates", r.gates),
-                           jsonInt("peak_live", r.peakLive),
-                           jsonInt("depth", r.depth)});
+        for (const CompileResult &r : compileEach(
+                 info.build(), [&] { return boundaryMachine(info); },
+                 configs)) {
+            fig.row({str("workload", name), str("policy", r.policyLabel),
+                     num("aqv", r.aqv), num("gates", r.gates),
+                     num("peak_live", r.peakLive),
+                     num("depth", r.depth)});
         }
-        printRule(62);
     }
-    if (!json_path.empty() && !report.writeTo(json_path))
-        return 1;
-    std::printf(
-        "\nM&R(2) approximates FT logical measurement; M&R(10000) the\n"
+    fig.note(
+        "M&R(2) approximates FT logical measurement; M&R(10000) the\n"
         "decoherence-based reset of today's NISQ machines.  M&R is\n"
         "admissible only for classical-basis executions; uncomputation\n"
-        "(SQUARE) is required when the circuit runs on superpositions.\n");
-    return 0;
+        "(SQUARE) is required when the circuit runs on superpositions.");
+    return fig.finish();
 }

@@ -11,10 +11,6 @@
  * baselines' - quantifies the quality of the heuristic.
  */
 
-#include <cstdio>
-#include <string>
-#include <vector>
-
 #include "bench_common.h"
 #include "common/logging.h"
 
@@ -26,7 +22,6 @@ namespace {
 struct OptResult
 {
     int64_t bestAqv;
-    std::vector<bool> bestDecisions;
     int decisionPoints;
     int64_t evaluated;
 };
@@ -36,15 +31,11 @@ bruteForce(const Program &prog, int edge, int max_bits)
 {
     // Decision-point count is maximal when nothing reclaims (holding
     // garbage keeps ancestors' Free points non-trivial).
-    Machine probe = Machine::nisqLattice(edge, edge);
-    CompileResult lazy =
-        compile(prog, probe, SquareConfig::lazy(), {});
-    int k = lazy.reclaimCount + lazy.skipCount;
+    const CompileResult lazy = compile(
+        prog, Machine::nisqLattice(edge, edge), SquareConfig::lazy());
+    const int k = lazy.reclaimCount + lazy.skipCount;
 
-    OptResult out;
-    out.decisionPoints = k;
-    out.bestAqv = INT64_MAX;
-    out.evaluated = 0;
+    OptResult out{INT64_MAX, k, 0};
     if (k > max_bits) {
         warn("decision space too large; skipping");
         return out;
@@ -53,14 +44,11 @@ bruteForce(const Program &prog, int edge, int max_bits)
         std::vector<bool> decisions(static_cast<size_t>(k));
         for (int i = 0; i < k; ++i)
             decisions[static_cast<size_t>(i)] = (bits >> i) & 1;
-        Machine m = Machine::nisqLattice(edge, edge);
-        CompileResult r =
-            compile(prog, m, SquareConfig::forced(decisions), {});
+        const CompileResult r =
+            compile(prog, Machine::nisqLattice(edge, edge),
+                    SquareConfig::forced(decisions));
         ++out.evaluated;
-        if (r.aqv < out.bestAqv) {
-            out.bestAqv = r.aqv;
-            out.bestDecisions = decisions;
-        }
+        out.bestAqv = std::min(out.bestAqv, r.aqv);
     }
     return out;
 }
@@ -70,66 +58,37 @@ bruteForce(const Program &prog, int edge, int max_bits)
 int
 main(int argc, char **argv)
 {
-    std::string json_path = extractJsonPath(argc, argv);
-    printHeader("Greedy CER vs brute-force optimal reclamation",
-                "design study (Sec. III-D)");
-    JsonReport report;
-    report.benchmark = "opt_gap";
-    report.unit = "aqv";
-
-    struct Case
-    {
-        const char *name;
-        int edge;
-    };
-    for (const Case &c : {Case{"ADDER4", 5}, Case{"RD53", 5},
-                          Case{"2OF5", 5}, Case{"Elsa-s", 5},
-                          Case{"Belle-s", 5}}) {
-        Program prog = makeBenchmark(c.name);
-        OptResult opt = bruteForce(prog, c.edge, /*max_bits=*/16);
+    Figure fig(argc, argv, "opt_gap", "aqv",
+               "Greedy CER vs brute-force optimal reclamation",
+               "design study (Sec. III-D)");
+    const int kEdge = 5;
+    for (const char *name :
+         {"ADDER4", "RD53", "2OF5", "Elsa-s", "Belle-s"}) {
+        const Program prog = makeBenchmark(name);
+        const OptResult opt = bruteForce(prog, kEdge, /*max_bits=*/16);
         if (opt.bestAqv == INT64_MAX) {
-            std::printf("%-10s: %d decision points - skipped\n", c.name,
-                        opt.decisionPoints);
-            report.addRow({jsonStr("benchmark_name", c.name),
-                           jsonInt("decision_points",
-                                   opt.decisionPoints),
-                           jsonInt("skipped", 1)});
+            fig.row({str("benchmark_name", name),
+                     num("decision_points", opt.decisionPoints),
+                     num("skipped", 1)});
             continue;
         }
-
-        std::printf("%-10s: %d decision points, %lld schedules "
-                    "evaluated\n",
-                    c.name, opt.decisionPoints,
-                    static_cast<long long>(opt.evaluated));
-        std::printf("  %-18s %12s %10s\n", "policy", "AQV",
-                    "vs optimal");
-        for (const SquareConfig &cfg : figurePolicies()) {
-            Machine m = Machine::nisqLattice(c.edge, c.edge);
-            CompileResult r = compile(prog, m, cfg, {});
+        for (const CompileResult &r : compileEach(
+                 prog, [] { return Machine::nisqLattice(kEdge, kEdge); },
+                 figurePolicies())) {
             const double gap_pct =
                 100.0 * (static_cast<double>(r.aqv) /
                              static_cast<double>(opt.bestAqv) -
                          1.0);
-            std::printf("  %-18s %12lld %9.2f%%\n", cfg.name.c_str(),
-                        static_cast<long long>(r.aqv), gap_pct);
-            report.addRow({jsonStr("benchmark_name", c.name),
-                           jsonStr("policy", cfg.name),
-                           jsonInt("aqv", r.aqv),
-                           jsonInt("optimal_aqv", opt.bestAqv),
-                           jsonNum("gap_vs_optimal_pct", gap_pct, 2),
-                           jsonInt("decision_points",
-                                   opt.decisionPoints),
-                           jsonInt("schedules_evaluated",
-                                   opt.evaluated)});
+            fig.row({str("benchmark_name", name),
+                     str("policy", r.policyLabel), num("aqv", r.aqv),
+                     num("optimal_aqv", opt.bestAqv),
+                     fixed("gap_vs_optimal_pct", gap_pct, 2),
+                     num("decision_points", opt.decisionPoints),
+                     num("schedules_evaluated", opt.evaluated)});
         }
-        std::printf("  %-18s %12lld %10s\n", "OPTIMAL (forced)",
-                    static_cast<long long>(opt.bestAqv), "-");
-        printRule(56);
     }
-    std::printf("\nThe optimum is over reclamation decisions *given LAA "
-                "allocation*; LAZY/EAGER\nuse the LIFO allocator and "
-                "can occasionally land outside that space.\n");
-    if (!json_path.empty())
-        report.writeTo(json_path);
-    return 0;
+    fig.note("The optimum is over reclamation decisions *given LAA "
+             "allocation*; LAZY/EAGER\nuse the LIFO allocator and can "
+             "occasionally land outside that space.");
+    return fig.finish();
 }

@@ -10,8 +10,6 @@
  * machine sizes entering the paper's 100-10000 qubit range.
  */
 
-#include <cstdio>
-
 #include "bench_common.h"
 #include "workloads/arith.h"
 
@@ -21,48 +19,29 @@ using namespace square::bench;
 int
 main(int argc, char **argv)
 {
-    const std::string json_path = extractJsonPath(argc, argv);
-    printHeader("AQV ratio vs problem width (controlled multiplier)",
-                "Fig. 9 scaling trend");
-    std::printf("%-8s %8s %12s %12s %12s %10s\n", "width", "sites",
-                "LAZY AQV", "SQUARE AQV", "LAZY/SQUARE", "reclaims");
-    printRule(70);
-
-    JsonReport report;
-    report.benchmark = "scaling_width";
-    report.unit = "aqv";
+    Figure fig(argc, argv, "scaling_width", "aqv",
+               "AQV ratio vs problem width (controlled multiplier)",
+               "Fig. 9 scaling trend");
     for (int n : {8, 16, 32, 48, 64, 96, 128}) {
-        Program prog = makeMultiplier(n);
+        const Program prog = makeMultiplier(n);
 
         // Size the machine to Lazy's needs (plus routing slack).
-        Machine probe = Machine::fullyConnected(100000);
-        CompileResult pr = compile(prog, probe, SquareConfig::lazy(), {});
+        const CompileResult probe = compile(
+            prog, Machine::fullyConnected(100000), SquareConfig::lazy());
         int edge = 1;
-        while (edge * edge < pr.peakLive + pr.peakLive / 10 + 8)
+        while (edge * edge < probe.peakLive + probe.peakLive / 10 + 8)
             ++edge;
 
-        Machine m1 = Machine::nisqLattice(edge, edge);
-        CompileResult lazy = compile(prog, m1, SquareConfig::lazy(), {});
-        Machine m2 = Machine::nisqLattice(edge, edge);
-        CompileResult sq = compile(prog, m2, SquareConfig::square(), {});
-
-        const double ratio = static_cast<double>(lazy.aqv) /
-                             static_cast<double>(sq.aqv);
-        std::printf("%-8d %8d %12lld %12lld %11.2fx %10d\n", n,
-                    edge * edge, static_cast<long long>(lazy.aqv),
-                    static_cast<long long>(sq.aqv), ratio,
-                    sq.reclaimCount);
-        report.addRow({jsonInt("width", n),
-                       jsonInt("sites", edge * edge),
-                       jsonInt("lazy_aqv", lazy.aqv),
-                       jsonInt("square_aqv", sq.aqv),
-                       jsonNum("ratio", ratio),
-                       jsonInt("reclaims", sq.reclaimCount)});
+        const std::vector<CompileResult> r = compileEach(
+            prog, [edge] { return Machine::nisqLattice(edge, edge); },
+            {SquareConfig::lazy(), SquareConfig::square()});
+        fig.row({num("width", n), num("sites", edge * edge),
+                 num("lazy_aqv", r[0].aqv), num("square_aqv", r[1].aqv),
+                 fixed("ratio", static_cast<double>(r[0].aqv) /
+                                    static_cast<double>(r[1].aqv)),
+                 num("reclaims", r[1].reclaimCount)});
     }
-    printRule(70);
-    if (!json_path.empty() && !report.writeTo(json_path))
-        return 1;
-    std::printf("\nThe ratio grows with width toward the paper's "
-                "large-instance averages.\n");
-    return 0;
+    fig.note("The ratio grows with width toward the paper's "
+             "large-instance averages.");
+    return fig.finish();
 }

@@ -2,17 +2,11 @@
  * @file
  * Table III reproduction: NISQ benchmark compilation results.
  *
- * For each NISQ benchmark and each policy (Lazy / Eager / SQUARE),
- * prints #gates (excluding swaps), #qubits (machine footprint),
- * circuit depth (makespan cycles), and #swaps, on a 5x5 NISQ lattice
- * with Clifford+T Toffoli decomposition.
- *
- * Pass --square_json=PATH to additionally emit the table as a compact
- * JSON baseline (one row per workload x policy) suitable for
- * committing as BENCH_table3_nisq.json and diffing across PRs.
+ * For each NISQ benchmark and each policy (Lazy / Eager / SQUARE), one
+ * row of #gates (excluding swaps), #qubits (machine footprint), circuit
+ * depth (makespan cycles), and #swaps, on a 5x5 NISQ lattice with
+ * Clifford+T Toffoli decomposition.
  */
-
-#include <cstdio>
 
 #include "bench_common.h"
 
@@ -22,43 +16,21 @@ using namespace square::bench;
 int
 main(int argc, char **argv)
 {
-    std::string json_path = extractJsonPath(argc, argv);
-
-    printHeader("NISQ benchmark compilation results", "Table III");
-    std::printf("%-10s %-18s %10s %8s %8s %8s\n", "Benchmark", "Policy",
-                "#Gates", "#Qubits", "Depth", "#Swaps");
-    printRule(72);
-
-    JsonReport report;
-    report.benchmark = "table3_nisq";
-    report.unit = "gate_and_qubit_counts";
-
+    Figure fig(argc, argv, "table3_nisq", "gate_and_qubit_counts",
+               "NISQ benchmark compilation results", "Table III");
     for (const BenchmarkInfo &info : benchmarkRegistry()) {
         if (!info.nisqScale)
             continue;
-        Program prog = info.build();
-        for (const SquareConfig &cfg : paperPolicies()) {
-            Machine m = nisqMachine();
-            CompileResult r = compile(prog, m, cfg, {});
-            std::printf("%-10s %-18s %10lld %8d %8lld %8lld\n",
-                        info.name.c_str(), cfg.name.c_str(),
-                        static_cast<long long>(r.gates), r.qubitsUsed,
-                        static_cast<long long>(r.depth),
-                        static_cast<long long>(r.swaps));
-            report.addRow({jsonStr("workload", info.name),
-                           jsonStr("policy", cfg.name),
-                           jsonInt("gates", r.gates),
-                           jsonInt("qubits", r.qubitsUsed),
-                           jsonInt("depth", r.depth),
-                           jsonInt("swaps", r.swaps)});
+        for (const CompileResult &r :
+             compileEach(info.build(), nisqMachine, paperPolicies())) {
+            fig.row({str("workload", info.name),
+                     str("policy", r.policyLabel), num("gates", r.gates),
+                     num("qubits", r.qubitsUsed), num("depth", r.depth),
+                     num("swaps", r.swaps)});
         }
-        printRule(72);
     }
-    std::printf("\nNote: gate counts are Clifford+T (Toffoli lowered to "
-                "the 15-gate circuit);\nswaps are counted separately as "
-                "in the paper.\n");
-
-    if (!json_path.empty())
-        report.writeTo(json_path);
-    return 0;
+    fig.note("Note: gate counts are Clifford+T (Toffoli lowered to the "
+             "15-gate circuit);\nswaps are counted separately as in the "
+             "paper.");
+    return fig.finish();
 }

@@ -73,9 +73,6 @@ class Layout
     /** Exchange the contents of two sites (either may be empty). */
     void swapSites(PhysQubit a, PhysQubit b);
 
-    /** Total logical qubits ever allocated. */
-    int totalAllocated() const { return next_logical_; }
-
     /** Callback invoked after every swapSites(a, b) with a != b. */
     using SwapObserver = std::function<void(PhysQubit, PhysQubit)>;
 

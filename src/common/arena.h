@@ -113,16 +113,6 @@ class Arena
         chunks_.clear();
     }
 
-    /** Total bytes currently reserved (diagnostics). */
-    size_t
-    bytesReserved() const
-    {
-        size_t total = 0;
-        for (const Chunk &c : chunks_)
-            total += c.cap;
-        return total;
-    }
-
   private:
     struct Chunk
     {

@@ -230,10 +230,8 @@ Allocator::nextFreshSite()
 {
     while (fresh_cursor_ < center_order_.size()) {
         PhysQubit s = center_order_[fresh_cursor_];
-        if (!layout_.everUsed(s) && layout_.isFree(s)) {
-            ++fresh_cursor_used_;
+        if (!layout_.everUsed(s) && layout_.isFree(s))
             return s;
-        }
         ++fresh_cursor_;
     }
     fatal("machine out of qubits: all ", machine_.numSites(),
@@ -265,11 +263,8 @@ Allocator::claim(PhysQubit site, bool in_heap)
             return heap_.popLifo();
         return nextFreshSite();
     }
-    if (in_heap) {
+    if (in_heap)
         heap_.take(site);
-    } else {
-        ++fresh_cursor_used_;
-    }
     return site;
 }
 

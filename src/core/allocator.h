@@ -89,9 +89,6 @@ class Allocator
                                            std::span<const LogicalQubit> args,
                                            int64_t t_ready);
 
-    /** Fresh sites claimed so far (diagnostics). */
-    int freshClaimed() const { return fresh_cursor_used_; }
-
   private:
     /** Next never-used site in center-out order (fatal when full). */
     PhysQubit nextFreshSite();
@@ -127,7 +124,6 @@ class Allocator
     /** All sites ordered by distance from the machine center. */
     std::vector<PhysQubit> center_order_;
     size_t fresh_cursor_ = 0;
-    int fresh_cursor_used_ = 0;
 
     // scratch for the generic breadth-first sweep (empty on lattices):
     // visit stamps make the marks reusable without clearing, and the

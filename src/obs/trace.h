@@ -132,26 +132,15 @@ class Sampler
   public:
     explicit Sampler(uint64_t every_n = 0) : everyN_(every_n) {}
 
-    void setEveryN(uint64_t n)
-    {
-        everyN_.store(n, std::memory_order_relaxed);
-    }
-
-    uint64_t everyN() const
-    {
-        return everyN_.load(std::memory_order_relaxed);
-    }
-
     bool sample()
     {
-        const uint64_t n = everyN_.load(std::memory_order_relaxed);
-        if (n == 0)
+        if (everyN_ == 0)
             return false;
-        return count_.fetch_add(1, std::memory_order_relaxed) % n == 0;
+        return count_.fetch_add(1, std::memory_order_relaxed) % everyN_ == 0;
     }
 
   private:
-    std::atomic<uint64_t> everyN_;
+    const uint64_t everyN_;
     std::atomic<uint64_t> count_{0};
 };
 

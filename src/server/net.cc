@@ -163,7 +163,6 @@ LineReader::nextView(std::string_view &out)
         buf_.compact();
         char *dst = buf_.prepare(4096);
         ssize_t n = ::recv(fd_, dst, 4096, 0);
-        ++recvCalls_;
         if (n > 0) {
             buf_.commit(static_cast<size_t>(n));
         } else {

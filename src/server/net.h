@@ -112,14 +112,10 @@ class LineReader
      */
     Status nextView(std::string_view &out);
 
-    /** recv() syscalls issued so far (transport stats). */
-    int64_t recvCalls() const { return recvCalls_; }
-
   private:
     int fd_;
     ReadBuffer buf_;
     bool eof_ = false;
-    int64_t recvCalls_ = 0;
 };
 
 } // namespace square::net

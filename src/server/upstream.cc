@@ -321,7 +321,6 @@ UpstreamPool::markDown(size_t idx)
         std::string line =
             formatShardDown(entry.idPrefix, cfg_.retryAfterMs);
         line += '\n';
-        s.failovers.fetch_add(1, std::memory_order_relaxed);
         failoversC_.add(1);
         shardDownC_.add(1);
         obs::recordEvent(obs::Comp::Upstream, obs::Ev::Failover, idx,
@@ -352,9 +351,6 @@ UpstreamPool::postShardDown(uint64_t seq)
     std::string line =
         formatShardDown(entry.idPrefix, cfg_.retryAfterMs);
     line += '\n';
-    if (entry.shard >= 0)
-        shards_[static_cast<size_t>(entry.shard)]->failovers.fetch_add(
-            1, std::memory_order_relaxed);
     failoversC_.add(1);
     shardDownC_.add(1);
     obs::recordEvent(obs::Comp::Upstream, obs::Ev::Failover,
@@ -384,7 +380,6 @@ UpstreamPool::forward(int shard, uint64_t seq,
     }
     line += '\n';
     if (sendOn(s, line.data(), line.size())) {
-        s.forwarded.fetch_add(1, std::memory_order_relaxed);
         forwardedC_.add(1);
         // Traced forwards only: the event ties a trace id to the shard
         // the router picked without taxing the untraced fast path.
@@ -449,7 +444,6 @@ UpstreamPool::handleReply(size_t idx, std::string_view line)
             expected, 0, std::memory_order_acq_rel);
         return;
     }
-    s.replies.fetch_add(1, std::memory_order_relaxed);
     repliesC_.add(1);
     noteForwardDone(entry, /*ok=*/true);
     // Reconstitute the client's framing: swap the router's correlation
@@ -495,7 +489,6 @@ UpstreamPool::sendPing(size_t idx)
                                   "{\"id\": %llu, \"cmd\": \"ping\"}\n",
                                   static_cast<unsigned long long>(seq));
     if (!sendOn(s, line, static_cast<size_t>(len))) {
-        s.pingFailures.fetch_add(1, std::memory_order_relaxed);
         pingFailuresC_.add(1);
         markDown(idx);
         postShardDown(seq); // pops the ping entry if still present
@@ -523,8 +516,6 @@ UpstreamPool::healthLoop()
                 // reclaiming exactly its own arc of the key space.
                 std::string error;
                 if (connectShard(i, error)) {
-                    s.reconnects.fetch_add(1,
-                                           std::memory_order_relaxed);
                     reconnectsC_.add(1);
                     obs::recordEvent(obs::Comp::Upstream,
                                      obs::Ev::Redial, i);
@@ -537,7 +528,6 @@ UpstreamPool::healthLoop()
                 // The previous ping went unanswered for one full
                 // interval: the shard is alive at the TCP level but
                 // not serving.  Eject after the configured streak.
-                s.pingFailures.fetch_add(1, std::memory_order_relaxed);
                 pingFailuresC_.add(1);
                 const int streak =
                     s.healthFailures.fetch_add(
@@ -559,28 +549,11 @@ UpstreamPool::stats() const
 {
     UpstreamStats out;
     out.shardsTotal = shardCount();
+    out.shardsUp = upCount();
+    out.forwarded = forwardedC_.value();
+    out.replies = repliesC_.value();
     out.shardDownReplies = shardDownC_.value();
-    out.shards.reserve(shards_.size());
-    for (const auto &shard : shards_) {
-        UpstreamShardStats row;
-        row.address = shard->address;
-        row.up = shard->up.load(std::memory_order_acquire);
-        row.forwarded =
-            shard->forwarded.load(std::memory_order_relaxed);
-        row.replies = shard->replies.load(std::memory_order_relaxed);
-        row.failovers =
-            shard->failovers.load(std::memory_order_relaxed);
-        row.reconnects =
-            shard->reconnects.load(std::memory_order_relaxed);
-        row.pingFailures =
-            shard->pingFailures.load(std::memory_order_relaxed);
-        if (row.up)
-            ++out.shardsUp;
-        out.forwarded += row.forwarded;
-        out.replies += row.replies;
-        out.reconnects += row.reconnects;
-        out.shards.push_back(std::move(row));
-    }
+    out.reconnects = reconnectsC_.value();
     return out;
 }
 

@@ -71,28 +71,15 @@ struct UpstreamConfig
     double retryAfterMs = 250;
 };
 
-/** Per-shard counters (monotonic except `up`). */
-struct UpstreamShardStats
-{
-    std::string address;
-    bool up = false;
-    int64_t forwarded = 0;   ///< requests sent on the data connection
-    int64_t replies = 0;     ///< replies demultiplexed back
-    int64_t failovers = 0;   ///< in-flight requests flushed shard_down
-    int64_t reconnects = 0;  ///< successful redials after a down mark
-    int64_t pingFailures = 0;
-};
-
-/** Pool-wide view (sums + per-shard rows). */
+/** Pool-wide view: shard liveness plus the registry counters. */
 struct UpstreamStats
 {
     int shardsTotal = 0;
     int shardsUp = 0;
-    int64_t forwarded = 0;
-    int64_t replies = 0;
-    int64_t shardDownReplies = 0;
-    int64_t reconnects = 0;
-    std::vector<UpstreamShardStats> shards;
+    int64_t forwarded = 0;        ///< requests sent to a shard
+    int64_t replies = 0;          ///< replies demultiplexed back
+    int64_t shardDownReplies = 0; ///< requests answered shard_down
+    int64_t reconnects = 0;       ///< successful redials of down shards
 };
 
 class UpstreamPool
@@ -195,11 +182,6 @@ class UpstreamPool
         /** Correlation id of the outstanding ping (0 = none). */
         std::atomic<uint64_t> pingInFlight{0};
         std::thread reader;
-        std::atomic<int64_t> forwarded{0};
-        std::atomic<int64_t> replies{0};
-        std::atomic<int64_t> failovers{0};
-        std::atomic<int64_t> reconnects{0};
-        std::atomic<int64_t> pingFailures{0};
     };
 
     /** Send bytes on the shard's data connection (false = failed). */
@@ -249,10 +231,9 @@ class UpstreamPool
     std::atomic<uint64_t> seq_{0};
 
     /**
-     * Telemetry (obs/metrics.h): pool-wide counters, incremented at
-     * the same sites as the per-shard row atomics (the rows stay on
-     * the Shard structs; the registry is the pool-total truth the
-     * stats() sums and the metrics exposition both read).
+     * Telemetry (obs/metrics.h): the pool-wide counters, each
+     * incremented once per event; stats() and the metrics exposition
+     * both read them.
      */
     obs::Registry metrics_;
     obs::Counter &forwardedC_;

@@ -360,13 +360,6 @@ replayStoreFile(const std::string &path,
 ArtifactStore::~ArtifactStore() { close(); }
 
 bool
-ArtifactStore::isOpen() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return running_;
-}
-
-bool
 ArtifactStore::open(const Options &opts,
                     const std::function<void(StoreRecord &&)> &fn,
                     std::string &error)

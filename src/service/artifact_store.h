@@ -146,8 +146,6 @@ class ArtifactStore
     /** Flush, stop the appender thread, and close the fd. */
     void close();
 
-    bool isOpen() const;
-
     /**
      * Store telemetry: square_store_replayed_total,
      * square_store_corrupt_records_total, square_store_appended_total,

@@ -3,12 +3,13 @@
  * square_serve: the compile service on stdin/stdout.
  *
  * Reads one newline-delimited JSON request per line (see
- * src/service/protocol.h for the request/reply grammar), serves each
- * through a process-lifetime CompileService — so repeated requests hit
- * the content-addressed result cache — and writes one JSON reply line
- * per request.  Requests are served one at a time, in order, each
- * through CompileService::submit, so the service runs one compile
- * worker.  Scriptable with no network dependency:
+ * src/service/protocol.h for the request/reply grammar) and answers
+ * each through CompileServer::handleLine — the same protocol core as
+ * square_served, without a socket — so repeated requests hit the
+ * content-addressed result cache and every command (stats, metrics,
+ * ping, dump, shutdown) behaves as on the daemon.  Requests are served
+ * one at a time, in order, on one compile worker, until EOF or a
+ * {"cmd":"shutdown"}.  Scriptable with no network dependency:
  *
  *   printf '%s\n' \
  *     '{"id":1,"workload":"ADDER4","policy":"square"}' \
@@ -25,8 +26,7 @@
 #include <iostream>
 #include <string>
 
-#include "service/protocol.h"
-#include "service/service.h"
+#include "server/server.h"
 
 using namespace square;
 
@@ -43,7 +43,7 @@ main(int argc, char **argv)
         }
     }
 
-    CompileService service(1);
+    CompileServer server(ServerConfig{});
     if (!quiet) {
         std::fprintf(stderr,
                      "square_serve: one JSON request per line on stdin "
@@ -51,44 +51,18 @@ main(int argc, char **argv)
     }
 
     std::string line;
-    while (std::getline(std::cin, line)) {
-        if (isProtocolNoOp(line))
-            continue;
-
-        JsonRequest json;
-        std::string error;
-        if (!parseJsonLine(line, json, error)) {
-            std::puts(formatError(json, error).c_str());
-            std::fflush(stdout);
-            continue;
-        }
-        if (json.has("cmd")) {
-            const std::string cmd = json.get("cmd");
-            if (cmd == "stats") {
-                std::puts(formatStats(service.stats()).c_str());
-            } else {
-                std::puts(formatError(
-                              json, "unknown cmd \"" + cmd + "\"")
-                              .c_str());
-            }
-            std::fflush(stdout);
-            continue;
-        }
-
-        CompileRequest req;
-        if (!buildRequest(json, req, error)) {
-            std::puts(formatError(json, error).c_str());
-            std::fflush(stdout);
-            continue;
-        }
-        ServiceReply reply = service.submit(req);
-        std::puts(formatReply(json, reply).c_str());
+    bool close_conn = false;
+    while (!close_conn && std::getline(std::cin, line)) {
+        const std::string reply = server.handleLine(line, close_conn);
+        if (reply.empty())
+            continue; // a protocol no-op: comment or blank line
+        std::puts(reply.c_str());
         std::fflush(stdout);
     }
 
     // Final counters to stderr so piped stdout stays machine-parsable.
     if (!quiet) {
-        ServiceStats s = service.stats();
+        ServiceStats s = server.service().stats();
         std::fprintf(stderr,
                      "square_serve: served %lld requests (%lld hits, "
                      "%lld compiles, %lld failures)\n",
