@@ -1,14 +1,12 @@
 /**
  * @file
- * Monotonic bump-pointer arena with finalizer support.
+ * Monotonic bump-pointer arena for trivially destructible objects.
  *
  * The executor's Invocation call-tree records all live until run()
  * returns, which makes a bump allocator the exact fit: make<T>() is a
  * pointer increment in steady state, and the whole tree is released at
- * once when the arena is destroyed (or reset).  Objects with non-trivial
- * destructors are registered on an intrusive finalizer list (nodes are
- * themselves arena-allocated) and destroyed in reverse construction
- * order.
+ * once when the arena is destroyed.  No destructor ever runs on an
+ * arena object, so only trivially destructible types may live here.
  */
 
 #ifndef SQUARE_COMMON_ARENA_H
@@ -34,9 +32,7 @@ class Arena
     Arena(const Arena &) = delete;
     Arena &operator=(const Arena &) = delete;
 
-    ~Arena() { runFinalizers(); }
-
-    /** Raw aligned storage; lives until reset() or destruction. */
+    /** Raw aligned storage; lives until the arena is destroyed. */
     void *
     allocate(size_t bytes, size_t align)
     {
@@ -68,49 +64,27 @@ class Arena
         return chunks_.back().data.get() + offset;
     }
 
-    /**
-     * Construct a T in the arena.  Non-trivially-destructible types are
-     * finalized (reverse order) when the arena is reset or destroyed.
-     */
+    /** Construct a trivially-destructible T in the arena. */
     template <typename T, typename... Args>
     T *
     make(Args &&...args)
     {
+        static_assert(std::is_trivially_destructible_v<T>,
+                      "arena objects are never destroyed");
         void *mem = allocate(sizeof(T), alignof(T));
-        T *obj = new (mem) T(std::forward<Args>(args)...);
-        if constexpr (!std::is_trivially_destructible_v<T>) {
-            auto *fin = static_cast<Finalizer *>(
-                allocate(sizeof(Finalizer), alignof(Finalizer)));
-            fin->object = obj;
-            fin->destroy = [](void *p) { static_cast<T *>(p)->~T(); };
-            fin->next = finalizers_;
-            finalizers_ = fin;
-        }
-        return obj;
+        return new (mem) T(std::forward<Args>(args)...);
     }
 
-    /**
-     * Uninitialized array of @p n trivially-destructible T; lives until
-     * reset() or destruction (no finalizer is registered).
-     */
+    /** Uninitialized array of @p n trivially-destructible T. */
     template <typename T>
     T *
     makeArray(size_t n)
     {
         static_assert(std::is_trivially_destructible_v<T>,
-                      "arena arrays are never finalized");
+                      "arena objects are never destroyed");
         if (n == 0)
             return nullptr;
         return static_cast<T *>(allocate(n * sizeof(T), alignof(T)));
-    }
-
-    /** Destroy all arena objects and release the memory. */
-    void
-    reset()
-    {
-        runFinalizers();
-        finalizers_ = nullptr;
-        chunks_.clear();
     }
 
   private:
@@ -121,24 +95,8 @@ class Arena
         size_t used = 0;
     };
 
-    struct Finalizer
-    {
-        void *object;
-        void (*destroy)(void *);
-        Finalizer *next;
-    };
-
-    void
-    runFinalizers()
-    {
-        for (Finalizer *f = finalizers_; f != nullptr; f = f->next)
-            f->destroy(f->object);
-        finalizers_ = nullptr;
-    }
-
     size_t chunk_bytes_;
     std::vector<Chunk> chunks_;
-    Finalizer *finalizers_ = nullptr;
 };
 
 } // namespace square

@@ -93,8 +93,8 @@ class Executor
 
     /**
      * Record of one completed forward invocation.  Trivially
-     * destructible by design: the anc/kid arrays are arena slices, so
-     * the arena never registers finalizers for records.
+     * destructible by design (the anc/kid arrays are arena slices),
+     * as every arena object must be.
      */
     struct Invocation
     {

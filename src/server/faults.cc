@@ -4,19 +4,12 @@
 #include <cstdlib>
 #include <thread>
 
+#include "common/flags.h"
 #include "obs/flight_recorder.h"
 
 namespace square {
 
 namespace {
-
-bool
-parseDouble(const std::string &text, double &out)
-{
-    char *end = nullptr;
-    out = std::strtod(text.c_str(), &end);
-    return end != text.c_str() && *end == '\0';
-}
 
 void
 sleepMs(double ms)
@@ -27,6 +20,17 @@ sleepMs(double ms)
 }
 
 } // namespace
+
+FaultInjector::FaultInjector()
+    : compileDelaysC_(metrics_.counter("compile_delays")),
+      workerDeathsC_(metrics_.counter("worker_deaths")),
+      writeFailuresC_(metrics_.counter("write_failures")),
+      readStallsC_(metrics_.counter("read_stalls")),
+      connectFailuresC_(metrics_.counter("connect_failures")),
+      connectionResetsC_(metrics_.counter("connection_resets")),
+      enabledG_(metrics_.gauge("enabled"))
+{
+}
 
 FaultInjector &
 FaultInjector::instance()
@@ -44,12 +48,14 @@ FaultInjector::configure(const FaultConfig &cfg)
         rng_.reseed(cfg.seed);
     }
     enabled_.store(true, std::memory_order_release);
+    enabledG_.set(1);
 }
 
 void
 FaultInjector::disable()
 {
     enabled_.store(false, std::memory_order_release);
+    enabledG_.set(0);
 }
 
 bool
@@ -74,30 +80,34 @@ FaultInjector::configureFromSpec(const std::string &spec,
             return false;
         }
         const std::string key = pair.substr(0, eq);
-        const std::string value = pair.substr(eq + 1);
-        double num = 0;
-        if (!parseDouble(value, num) || num < 0) {
-            error = "bad value for fault key '" + key + "'";
-            return false;
-        }
+        const std::string_view value =
+            std::string_view(pair).substr(eq + 1);
+        // An hour: keeps the sleeps and the millisecond event
+        // arguments within integer range.
+        constexpr double kMaxMs = 3600000;
+        bool ok = false;
         if (key == "seed") {
-            cfg.seed = static_cast<uint64_t>(num);
+            ok = parseUint(value, cfg.seed);
         } else if (key == "compile_delay_ms") {
-            cfg.compileDelayMs = num;
+            ok = parseReal(value, 0, kMaxMs, cfg.compileDelayMs);
         } else if (key == "compile_delay_jitter_ms") {
-            cfg.compileDelayJitterMs = num;
+            ok = parseReal(value, 0, kMaxMs, cfg.compileDelayJitterMs);
         } else if (key == "worker_death_rate") {
-            cfg.workerDeathRate = num;
+            ok = parseReal(value, 0, 1, cfg.workerDeathRate);
         } else if (key == "write_fail_rate") {
-            cfg.writeFailRate = num;
+            ok = parseReal(value, 0, 1, cfg.writeFailRate);
         } else if (key == "read_stall_ms") {
-            cfg.readStallMs = num;
+            ok = parseReal(value, 0, kMaxMs, cfg.readStallMs);
         } else if (key == "connect_fail_rate") {
-            cfg.connectFailRate = num;
+            ok = parseReal(value, 0, 1, cfg.connectFailRate);
         } else if (key == "reset_after_bytes") {
-            cfg.resetAfterBytes = static_cast<uint64_t>(num);
+            ok = parseUint(value, cfg.resetAfterBytes);
         } else {
             error = "unknown fault key '" + key + "'";
+            return false;
+        }
+        if (!ok) {
+            error = "bad value for fault key '" + key + "'";
             return false;
         }
     }
@@ -126,7 +136,7 @@ FaultInjector::onCompileStart()
             return;
         delay = cfg_.compileDelayMs +
                 rng_.uniform() * cfg_.compileDelayJitterMs;
-        ++stats_.compileDelays;
+        compileDelaysC_.add(1);
     }
     obs::recordEvent(obs::Comp::Fault, obs::Ev::FaultCompileDelay,
                      static_cast<uint64_t>(delay));
@@ -141,9 +151,9 @@ FaultInjector::shouldKillWorker()
     std::lock_guard<std::mutex> lock(mu_);
     if (cfg_.workerDeathRate <= 0 || !rng_.coin(cfg_.workerDeathRate))
         return false;
-    ++stats_.workerDeaths;
+    workerDeathsC_.add(1);
     obs::recordEvent(obs::Comp::Fault, obs::Ev::FaultWorkerDeath,
-                     static_cast<uint64_t>(stats_.workerDeaths));
+                     static_cast<uint64_t>(workerDeathsC_.value()));
     return true;
 }
 
@@ -155,9 +165,9 @@ FaultInjector::shouldFailWrite()
     std::lock_guard<std::mutex> lock(mu_);
     if (cfg_.writeFailRate <= 0 || !rng_.coin(cfg_.writeFailRate))
         return false;
-    ++stats_.writeFailures;
+    writeFailuresC_.add(1);
     obs::recordEvent(obs::Comp::Fault, obs::Ev::FaultWriteFail,
-                     static_cast<uint64_t>(stats_.writeFailures));
+                     static_cast<uint64_t>(writeFailuresC_.value()));
     return true;
 }
 
@@ -172,7 +182,7 @@ FaultInjector::onReadStart()
         if (cfg_.readStallMs <= 0)
             return;
         stall = cfg_.readStallMs;
-        ++stats_.readStalls;
+        readStallsC_.add(1);
     }
     obs::recordEvent(obs::Comp::Fault, obs::Ev::FaultReadStall,
                      static_cast<uint64_t>(stall));
@@ -187,9 +197,9 @@ FaultInjector::shouldFailConnect()
     std::lock_guard<std::mutex> lock(mu_);
     if (cfg_.connectFailRate <= 0 || !rng_.coin(cfg_.connectFailRate))
         return false;
-    ++stats_.connectFailures;
+    connectFailuresC_.add(1);
     obs::recordEvent(obs::Comp::Fault, obs::Ev::FaultConnectFail,
-                     static_cast<uint64_t>(stats_.connectFailures));
+                     static_cast<uint64_t>(connectFailuresC_.value()));
     return true;
 }
 
@@ -206,47 +216,17 @@ void
 FaultInjector::noteConnectionReset()
 {
     std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.connectionResets;
+    connectionResetsC_.add(1);
     obs::recordEvent(obs::Comp::Fault, obs::Ev::FaultReset,
-                     static_cast<uint64_t>(stats_.connectionResets));
+                     static_cast<uint64_t>(connectionResetsC_.value()));
 }
 
 FaultStats
 FaultInjector::stats() const
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    return stats_;
-}
-
-void
-FaultInjector::renderMetrics(std::string &out) const
-{
-    const FaultStats s = stats();
-    const struct {
-        const char *name;
-        int64_t value;
-    } rows[] = {
-        {"compile_delays", s.compileDelays},
-        {"worker_deaths", s.workerDeaths},
-        {"write_failures", s.writeFailures},
-        {"read_stalls", s.readStalls},
-        {"connect_failures", s.connectFailures},
-        {"connection_resets", s.connectionResets},
-    };
-    for (const auto &row : rows) {
-        out += "# TYPE square_faults_";
-        out += row.name;
-        out += "_total counter\n";
-        out += "square_faults_";
-        out += row.name;
-        out += "_total ";
-        out += std::to_string(row.value);
-        out += '\n';
-    }
-    out += "# TYPE square_faults_enabled gauge\n";
-    out += "square_faults_enabled ";
-    out += enabled() ? '1' : '0';
-    out += '\n';
+    return {compileDelaysC_.value(),   workerDeathsC_.value(),
+            writeFailuresC_.value(),   readStallsC_.value(),
+            connectFailuresC_.value(), connectionResetsC_.value()};
 }
 
 } // namespace square

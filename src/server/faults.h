@@ -51,6 +51,7 @@
 #include <string>
 
 #include "common/rng.h"
+#include "obs/metrics.h"
 
 namespace square {
 
@@ -69,7 +70,7 @@ struct FaultConfig
     uint64_t resetAfterBytes = 0;
 };
 
-/** Monotonic counters of faults actually injected. */
+/** Monotonic counters of faults actually injected (a registry view). */
 struct FaultStats
 {
     int64_t compileDelays = 0;
@@ -100,6 +101,10 @@ class FaultInjector
     /**
      * Parse a spec string (see file comment) and configure().  False
      * with a message on malformed input; an empty spec is an error.
+     * seed and reset_after_bytes are unsigned integers, the three
+     * rates probabilities in [0, 1], the delays and the stall
+     * milliseconds in [0, 3600000] (common/flags.h parses every
+     * value).
      */
     bool configureFromSpec(const std::string &spec, std::string &error);
 
@@ -135,22 +140,28 @@ class FaultInjector
     FaultStats stats() const;
 
     /**
-     * Append the injected-fault counters as Prometheus text
-     * (square_faults_<name>_total series), plus a square_faults_enabled
-     * gauge — the {"cmd": "metrics"} replies of every serving tier
-     * include it, so injected-fault activity is observable next to the
-     * service counters it perturbs.
+     * The injected-fault counters (<name>_total) and the `enabled`
+     * gauge, rendered as square_faults by the {"cmd": "metrics"}
+     * reply of every serving tier, so injected-fault activity is
+     * observable next to the service counters it perturbs.
      */
-    void renderMetrics(std::string &out) const;
+    const obs::Registry &metricsRegistry() const { return metrics_; }
 
   private:
-    FaultInjector() = default;
+    FaultInjector();
 
     std::atomic<bool> enabled_{false};
     mutable std::mutex mu_;
     FaultConfig cfg_;
     Rng rng_{1};
-    FaultStats stats_;
+    obs::Registry metrics_;
+    obs::Counter &compileDelaysC_;
+    obs::Counter &workerDeathsC_;
+    obs::Counter &writeFailuresC_;
+    obs::Counter &readStallsC_;
+    obs::Counter &connectFailuresC_;
+    obs::Counter &connectionResetsC_;
+    obs::Gauge &enabledG_;
 };
 
 } // namespace square

@@ -8,6 +8,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "common/flags.h"
+
 namespace square::net {
 
 namespace {
@@ -33,6 +35,19 @@ fillAddress(const std::string &host, uint16_t port, sockaddr_in &addr,
 }
 
 } // namespace
+
+bool
+splitHostPort(std::string_view address, std::string &host, uint16_t &port)
+{
+    const size_t colon = address.rfind(':');
+    int64_t value = 0;
+    if (colon == std::string_view::npos || colon == 0 ||
+        !parseInt(address.substr(colon + 1), 1, 65535, value))
+        return false;
+    host = address.substr(0, colon);
+    port = static_cast<uint16_t>(value);
+    return true;
+}
 
 int
 listenTcp(const std::string &host, uint16_t port, int backlog,

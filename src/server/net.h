@@ -22,6 +22,14 @@
 namespace square::net {
 
 /**
+ * Split "HOST:PORT" at its last ':' — the one parser of every shard,
+ * router and dashboard address.  False unless HOST is non-empty and
+ * PORT is a whole decimal number in [1, 65535].
+ */
+bool splitHostPort(std::string_view address, std::string &host,
+                   uint16_t &port);
+
+/**
  * Open a TCP listener bound to @p host:@p port (port 0 picks an
  * ephemeral port; @p bound_port receives the actual one).  Returns the
  * listening fd, or -1 with a message in @p error.

@@ -6,11 +6,11 @@
 #include <utility>
 
 #include "obs/flight_recorder.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/watchdog.h"
 #include "server/client.h"
-#include "server/faults.h"
+#include "server/daemon.h"
+#include "server/net.h"
 #include "service/cache_key.h"
 #include "service/protocol.h"
 
@@ -80,32 +80,43 @@ RouterServer::start(std::string &error)
             },
             error))
         return false;
-    obs::Postmortem &pm = obs::Postmortem::instance();
-    pm.registerRegistry("router", &metrics_);
-    pm.registerRegistry("upstream", &pool_->metricsRegistry());
-    pm.registerRegistry("transport", &transport_.metricsRegistry());
-    pm.registerRegistry("watchdog",
-                        &obs::Watchdog::instance().metricsRegistry());
+    registerPostmortem(registries());
     return true;
 }
 
 void
 RouterServer::stop()
 {
-    obs::Postmortem &pm = obs::Postmortem::instance();
-    pm.unregisterRegistry(&metrics_);
-    if (pool_ != nullptr)
-        pm.unregisterRegistry(&pool_->metricsRegistry());
-    // registerRegistry does not dedupe: the watchdog's slot must be
-    // released too, or start/stop churn (tests) fills the table.
-    pm.unregisterRegistry(&obs::Watchdog::instance().metricsRegistry());
+    unregisterPostmortem(registries());
     // Transport first: once its event threads are joined nothing can
     // call forward(), so the pool's teardown flush is the last word on
     // every in-flight request.
-    pm.unregisterRegistry(&transport_.metricsRegistry());
     transport_.stop();
-    if (pool_ != nullptr)
-        pool_->stop();
+    pool_->stop();
+}
+
+std::vector<NamedRegistry>
+RouterServer::registries() const
+{
+    return {{"router", &metrics_},
+            {"upstream", &pool_->metricsRegistry()},
+            {"transport", &transport_.metricsRegistry()},
+            {"watchdog", &obs::Watchdog::instance().metricsRegistry()}};
+}
+
+std::string
+RouterServer::askShard(int shard, const std::string &line)
+{
+    std::string host, error, reply;
+    uint16_t port = 0;
+    LineClient client;
+    if (!net::splitHostPort(pool_->address(shard), host, port) ||
+        !client.connect(host, port, error))
+        return reply;
+    client.setRecvTimeoutMs(kAdminRecvTimeoutMs);
+    if (!client.sendLine(line) || !client.recvLine(reply))
+        reply.clear();
+    return reply;
 }
 
 std::string
@@ -116,26 +127,10 @@ RouterServer::aggregateStats()
     for (int i = 0; i < pool_->shardCount(); ++i) {
         if (!pool_->isUp(i))
             continue;
-        // Short-lived connection per shard: stats replies carry no id,
-        // so they cannot multiplex on the pipelined data connection.
-        const std::string &address = pool_->address(i);
-        const size_t colon = address.rfind(':');
-        LineClient client;
-        std::string error;
-        if (!client.connect(
-                address.substr(0, colon),
-                static_cast<uint16_t>(
-                    std::strtol(address.c_str() + colon + 1, nullptr,
-                                10)),
-                error))
-            continue;
-        client.setRecvTimeoutMs(kAdminRecvTimeoutMs);
-        std::string reply;
-        if (!client.sendLine("{\"cmd\": \"stats\"}") ||
-            !client.recvLine(reply))
-            continue;
         JsonRequest parsed;
-        if (!parseJsonLine(reply, parsed, error))
+        std::string error;
+        if (!parseJsonLine(askShard(i, "{\"cmd\": \"stats\"}"), parsed,
+                           error))
             continue;
         accumulateStats(parsed, sum);
         ++shards_answering;
@@ -162,115 +157,38 @@ RouterServer::aggregateStats()
     return line + extra;
 }
 
-std::string
-RouterServer::renderMetricsText()
-{
-    // Router-local registries only: each tier exposes itself (a
-    // monitoring stack scrapes the shards directly), so the metrics
-    // path never blocks an event thread on shard fan-out the way the
-    // stats aggregate does.
-    const UpstreamStats up = pool_->stats();
-    metrics_.gauge("fabric_shards").set(up.shardsTotal);
-    metrics_.gauge("shards_up").set(up.shardsUp);
-    metrics_.gauge("programs").set(
-        static_cast<int64_t>(programs_.size()));
-    std::string text;
-    obs::renderPrometheus(text, "square_router", metrics_);
-    obs::renderPrometheus(text, "square_upstream",
-                          pool_->metricsRegistry());
-    obs::renderPrometheus(text, "square_transport",
-                          transport_.metricsRegistry());
-    obs::renderPrometheus(text, "square_watchdog",
-                          obs::Watchdog::instance().metricsRegistry());
-    FaultInjector::instance().renderMetrics(text);
-    obs::renderBuildInfo(text);
-    return text;
-}
-
-void
-RouterServer::broadcastCommand(const std::string &line)
-{
-    for (int i = 0; i < pool_->shardCount(); ++i) {
-        const std::string &address = pool_->address(i);
-        const size_t colon = address.rfind(':');
-        LineClient client;
-        std::string error;
-        if (!client.connect(
-                address.substr(0, colon),
-                static_cast<uint16_t>(
-                    std::strtol(address.c_str() + colon + 1, nullptr,
-                                10)),
-                error))
-            continue; // already dead: nothing to tell it
-        client.setRecvTimeoutMs(kAdminRecvTimeoutMs);
-        std::string reply;
-        if (client.sendLine(line))
-            client.recvLine(reply); // best-effort acknowledgment
-    }
-}
-
 void
 RouterServer::handleLineTo(std::string_view line, std::string &out,
                            bool &close_conn,
                            const std::shared_ptr<AsyncReplySink> &async)
 {
-    if (isProtocolNoOp(line))
-        return;
-
     thread_local JsonRequest json;
-    std::string error;
-    if (!parseJsonLine(line, json, error)) {
-        out += formatError(json, error);
-        out += '\n';
+    // "stats" fans out on the event thread, bounded by the per-shard
+    // recv timeout (stats callers are operators, not the load path).
+    // "metrics" is router-local: each tier exposes itself, and a
+    // monitoring stack scrapes the shards directly.
+    if (answerNonCompile(
+            line, json, out, close_conn, [this] { return aggregateStats(); },
+            [this] {
+                const UpstreamStats up = pool_->stats();
+                metrics_.gauge("fabric_shards").set(up.shardsTotal);
+                metrics_.gauge("shards_up").set(up.shardsUp);
+                metrics_.gauge("programs").set(
+                    static_cast<int64_t>(programs_.size()));
+                return renderDaemonMetrics(registries());
+            },
+            [this] {
+                if (cfg_.cascadeShutdown)
+                    for (int i = 0; i < pool_->shardCount(); ++i)
+                        askShard(i, "{\"cmd\": \"shutdown\"}");
+                shutdownRequested_.store(true, std::memory_order_release);
+            }))
         return;
-    }
-
-    if (json.has("cmd")) {
-        const std::string cmd = json.get("cmd");
-        if (cmd == "stats") {
-            // Admin-path fan-out on the event thread: bounded by the
-            // per-shard recv timeout, and stats callers are operators,
-            // not the load path.
-            out += aggregateStats();
-        } else if (cmd == "metrics") {
-            out += formatTextReply(json, "metrics",
-                                   renderMetricsText());
-        } else if (cmd == "ping") {
-            out += '{';
-            out += replyIdPrefix(json);
-            out += "\"ok\": true, \"cmd\": \"ping\"}";
-        } else if (cmd == "dump") {
-            const int64_t events =
-                obs::Postmortem::instance().dump("command");
-            if (events < 0) {
-                out += formatError(
-                    json, "no postmortem file configured");
-            } else {
-                out += '{';
-                out += replyIdPrefix(json);
-                out += "\"ok\": true, \"cmd\": \"dump\", "
-                       "\"events\": ";
-                out += std::to_string(events);
-                out += ", \"path\": \"";
-                out += obs::Postmortem::instance().path();
-                out += "\"}";
-            }
-        } else if (cmd == "shutdown") {
-            if (cfg_.cascadeShutdown)
-                broadcastCommand("{\"cmd\": \"shutdown\"}");
-            shutdownRequested_.store(true, std::memory_order_release);
-            close_conn = true;
-            out += "{\"ok\": true, \"cmd\": \"shutdown\"}";
-        } else {
-            out += formatError(json, "unknown cmd \"" + cmd + "\"");
-        }
-        out += '\n';
-        return;
-    }
 
     // Compile request: do the cheap routing work here (parse, name
     // resolution, key derivation, ring lookup) and forward the rest.
     CompileRequest req;
+    std::string error;
     if (!buildRequest(json, req, error)) {
         out += formatError(json, error);
         out += '\n';

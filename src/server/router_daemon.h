@@ -25,13 +25,13 @@
  * the client's framing: a forwarded request completes out-of-band
  * through the connection's AsyncReplySink.
  *
- * Administrative commands are answered locally: "ping" (health),
- * "stats" (fanned out to every up shard over short-lived connections
- * and summed, plus the router's own fabric counters), "metrics"
- * (Prometheus text exposition of the router's OWN registries —
- * upstream pool, transport, resolve failures, faults; shard metrics
- * are scraped from the shards directly, each tier exposes itself),
- * and "shutdown" (optionally cascaded to the shards).
+ * Administrative commands are the daemon shell's (daemon.h), answered
+ * locally: "stats" fans out to every up shard over short-lived
+ * connections and sums them, plus the router's own fabric counters;
+ * "metrics" and postmortem dumps carry the router's OWN registries
+ * (router, upstream pool, transport, watchdog — shard metrics are
+ * scraped from the shards directly, each tier exposes itself); and
+ * "shutdown" is optionally cascaded to the shards.
  */
 
 #ifndef SQUARE_SERVER_ROUTER_DAEMON_H
@@ -48,6 +48,8 @@
 #include "service/program_cache.h"
 
 namespace square {
+
+struct NamedRegistry; // server/daemon.h
 
 struct RouterConfig
 {
@@ -80,10 +82,17 @@ class RouterServer
     RouterServer(const RouterServer &) = delete;
     RouterServer &operator=(const RouterServer &) = delete;
 
-    /** Dial the shards and start serving clients. */
+    /**
+     * Dial the shards and start serving clients; false with a message
+     * naming the address when a --shard address is malformed or
+     * repeated.
+     */
     bool start(std::string &error);
 
-    /** Stop the client transport first, then the upstream pool. */
+    /**
+     * Stop the client transport first, then the upstream pool (nothing
+     * to do on a router that never started).
+     */
     void stop();
 
     uint16_t port() const { return transport_.port(); }
@@ -104,11 +113,15 @@ class RouterServer
     /** Fan "stats" out to the up shards and render the aggregate. */
     std::string aggregateStats();
 
-    /** The {"cmd": "metrics"} payload (router-local registries). */
-    std::string renderMetricsText();
+    /**
+     * Send one admin command line to @p shard on a short-lived
+     * connection (admin replies carry no id, so they cannot multiplex
+     * on the pipelined data connection); "" when it does not answer.
+     */
+    std::string askShard(int shard, const std::string &line);
 
-    /** Send one command line to every shard (cascade shutdown). */
-    void broadcastCommand(const std::string &line);
+    /** {router, upstream, transport, watchdog}: metrics + postmortems. */
+    std::vector<NamedRegistry> registries() const;
 
     RouterConfig cfg_;
     std::unique_ptr<UpstreamPool> pool_;

@@ -4,8 +4,8 @@
 
 #include "common/latch.h"
 #include "obs/flight_recorder.h"
-#include "obs/metrics.h"
 #include "obs/watchdog.h"
+#include "server/daemon.h"
 #include "server/faults.h"
 #include "service/protocol.h"
 
@@ -142,33 +142,32 @@ CompileServer::start(std::string &error)
         return false;
     // Postmortem dumps carry a final metrics snapshot; every registry
     // this server owns is registered into it while it is alive.
-    obs::Postmortem &pm = obs::Postmortem::instance();
-    pm.registerRegistry("service", &service_.metricsRegistry());
-    pm.registerRegistry("transport", &transport_.metricsRegistry());
-    pm.registerRegistry("watchdog",
-                        &obs::Watchdog::instance().metricsRegistry());
-    if (store_ != nullptr)
-        pm.registerRegistry("store", &store_->metricsRegistry());
+    registerPostmortem(registries());
     return true;
 }
 
 void
 CompileServer::stop()
 {
-    obs::Postmortem &pm = obs::Postmortem::instance();
-    pm.unregisterRegistry(&service_.metricsRegistry());
-    // registerRegistry does not dedupe: the watchdog's slot must be
-    // released too, or start/stop churn (tests) fills the table.
-    pm.unregisterRegistry(&obs::Watchdog::instance().metricsRegistry());
-    pm.unregisterRegistry(&transport_.metricsRegistry());
+    unregisterPostmortem(registries());
     transport_.stop();
-    if (store_ != nullptr) {
-        pm.unregisterRegistry(&store_->metricsRegistry());
-        // Drain the append queue before the fd closes: a clean
-        // shutdown (SIGTERM, {"cmd": "shutdown"}) persists every
-        // publish it acknowledged.
+    // Drain the append queue before the fd closes: a clean shutdown
+    // (SIGTERM, {"cmd": "shutdown"}) persists every publish it
+    // acknowledged.
+    if (store_ != nullptr)
         store_->close();
-    }
+}
+
+std::vector<NamedRegistry>
+CompileServer::registries() const
+{
+    std::vector<NamedRegistry> list = {
+        {"service", &service_.metricsRegistry()},
+        {"transport", &transport_.metricsRegistry()},
+        {"watchdog", &obs::Watchdog::instance().metricsRegistry()}};
+    if (store_ != nullptr)
+        list.push_back({"store", &store_->metricsRegistry()});
+    return list;
 }
 
 void
@@ -176,60 +175,19 @@ CompileServer::handleLineTo(std::string_view line, std::string &out,
                             bool &close_conn,
                             const std::shared_ptr<AsyncReplySink> &async)
 {
-    if (isProtocolNoOp(line))
-        return;
-
     // Reused per transport thread: request parsing amortizes to zero
     // allocations on the warm path (the fields vector keeps its
     // capacity; the short key/value strings are SSO).
     thread_local JsonRequest json;
-    std::string error;
-    if (!parseJsonLine(line, json, error)) {
-        out += formatError(json, error);
-        out += '\n';
+    if (answerNonCompile(
+            line, json, out, close_conn,
+            [this] { return formatStats(service_.stats()); },
+            [this] {
+                service_.syncMetricsGauges();
+                return renderDaemonMetrics(registries());
+            },
+            [this] { shutdownRequested_.store(true); }))
         return;
-    }
-
-    if (json.has("cmd")) {
-        const std::string cmd = json.get("cmd");
-        if (cmd == "stats") {
-            out += formatStats(service_.stats());
-        } else if (cmd == "metrics") {
-            out += formatTextReply(json, "metrics",
-                                   renderMetricsText());
-        } else if (cmd == "ping") {
-            // Liveness probe (the fabric router's health checks): a
-            // fixed reply, no service-layer work, id echoed so pings
-            // multiplex over a pipelined data connection.
-            out += '{';
-            out += replyIdPrefix(json);
-            out += "\"ok\": true, \"cmd\": \"ping\"}";
-        } else if (cmd == "dump") {
-            const int64_t events =
-                obs::Postmortem::instance().dump("command");
-            if (events < 0) {
-                out += formatError(
-                    json, "no postmortem file configured");
-            } else {
-                out += '{';
-                out += replyIdPrefix(json);
-                out += "\"ok\": true, \"cmd\": \"dump\", "
-                       "\"events\": ";
-                out += std::to_string(events);
-                out += ", \"path\": \"";
-                out += obs::Postmortem::instance().path();
-                out += "\"}";
-            }
-        } else if (cmd == "shutdown") {
-            shutdownRequested_.store(true);
-            close_conn = true;
-            out += "{\"ok\": true, \"cmd\": \"shutdown\"}";
-        } else {
-            out += formatError(json, "unknown cmd \"" + cmd + "\"");
-        }
-        out += '\n';
-        return;
-    }
 
     // Head-based trace decision, ahead of the fast path so a traced
     // request takes the fully instrumented route (the fast path stays
@@ -278,6 +236,7 @@ CompileServer::handleLineTo(std::string_view line, std::string &out,
     }
 
     CompileRequest req;
+    std::string error;
     if (!buildRequest(json, req, error)) {
         out += formatError(json, error);
         out += '\n';
@@ -328,25 +287,6 @@ CompileServer::handleLineTo(std::string_view line, std::string &out,
     out += '\n';
     if (trace != nullptr)
         finishShardTrace(trace, write_t0, reply.millis, slow_ms);
-}
-
-std::string
-CompileServer::renderMetricsText()
-{
-    service_.syncMetricsGauges();
-    std::string text;
-    obs::renderPrometheus(text, "square_service",
-                          service_.metricsRegistry());
-    obs::renderPrometheus(text, "square_transport",
-                          transport_.metricsRegistry());
-    obs::renderPrometheus(text, "square_watchdog",
-                          obs::Watchdog::instance().metricsRegistry());
-    if (store_ != nullptr)
-        obs::renderPrometheus(text, "square_store",
-                              store_->metricsRegistry());
-    FaultInjector::instance().renderMetrics(text);
-    obs::renderBuildInfo(text);
-    return text;
 }
 
 std::string

@@ -10,19 +10,10 @@
  * consistent-hash ring (router_daemon.h) is the only sharding scheme.
  * Every request takes one path, CompileService::submitAsync — a warm
  * hit, a shed, or a resolve failure replies at once, a miss replies
- * when the worker pool publishes it.  On top of the pipe protocol it
- * adds these commands:
- *
- *   {"cmd": "stats"}     the service counters (the square_serve line);
- *   {"cmd": "metrics"}   Prometheus text exposition (obs/metrics.h):
- *                        the service, transport, watchdog, and store
- *                        registries plus the fault-injection
- *                        counters, \n-escaped into the reply's "text"
- *                        field;
- *   {"cmd": "ping"}      a fixed liveness reply;
- *   {"cmd": "dump"}      write a flight-recorder postmortem block;
- *   {"cmd": "shutdown"}  acknowledge, then ask the owning thread to
- *                        stop the server.
+ * when the worker pool publishes it.  The admin commands are the
+ * daemon shell's (daemon.h): "stats" is the service counters (the
+ * square_serve line), and "metrics" and postmortem dumps carry the
+ * service, transport, watchdog and (with a store) store registries.
  *
  * Per-request tracing (obs/trace.h): a request carrying a "trace_id"
  * — or picked by the server's own traceSample sampler — takes the
@@ -53,6 +44,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "obs/trace.h"
 #include "server/epoll_transport.h"
@@ -60,6 +52,8 @@
 #include "service/service.h"
 
 namespace square {
+
+struct NamedRegistry; // server/daemon.h
 
 /** Configuration for one CompileServer. */
 struct ServerConfig
@@ -156,8 +150,8 @@ class CompileServer
     std::string handleLine(const std::string &line, bool &close_conn);
 
   private:
-    /** The {"cmd": "metrics"} payload (unescaped Prometheus text). */
-    std::string renderMetricsText();
+    /** {service, transport, watchdog[, store]}: metrics + postmortems. */
+    std::vector<NamedRegistry> registries() const;
 
     /** Declared before service_: publish sinks (worker threads still
         draining at teardown) append into it, so it must die last. */

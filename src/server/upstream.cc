@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <stdexcept>
 #include <utility>
 
 #include "obs/flight_recorder.h"
@@ -14,24 +12,6 @@
 namespace square {
 
 namespace {
-
-bool
-splitAddress(const std::string &address, std::string &host,
-             uint16_t &port)
-{
-    const size_t colon = address.rfind(':');
-    if (colon == std::string::npos || colon == 0 ||
-        colon + 1 == address.size())
-        return false;
-    char *end = nullptr;
-    const long value =
-        std::strtol(address.c_str() + colon + 1, &end, 10);
-    if (*end != '\0' || value <= 0 || value > 65535)
-        return false;
-    host = address.substr(0, colon);
-    port = static_cast<uint16_t>(value);
-    return true;
-}
 
 /**
  * Parse the leading `{"id": <digits>, ` of a shard reply.  Returns the
@@ -94,19 +74,21 @@ UpstreamPool::UpstreamPool(std::vector<std::string> addresses,
       forwardRttUs_(metrics_.histogram("forward_rtt_us"))
 {
     if (addresses.empty())
-        throw std::invalid_argument("upstream pool needs >= 1 shard");
+        addressError_ = "upstream pool needs >= 1 shard";
     shards_.reserve(addresses.size());
     for (auto &address : addresses) {
         auto shard = std::make_unique<Shard>();
-        if (!splitAddress(address, shard->host, shard->port))
-            throw std::invalid_argument("bad shard address '" +
-                                        address + "'");
+        if (!net::splitHostPort(address, shard->host, shard->port)) {
+            addressError_ = "bad shard address '" + address + "'";
+            break;
+        }
         shard->address = address;
         if (!addrIndex_
                  .emplace(address, static_cast<int>(shards_.size()))
-                 .second)
-            throw std::invalid_argument("duplicate shard address '" +
-                                        address + "'");
+                 .second) {
+            addressError_ = "duplicate shard address '" + address + "'";
+            break;
+        }
         shards_.push_back(std::move(shard));
     }
 }
@@ -116,6 +98,10 @@ UpstreamPool::~UpstreamPool() { stop(); }
 bool
 UpstreamPool::start(std::string &error)
 {
+    if (!addressError_.empty()) {
+        error = addressError_;
+        return false;
+    }
     for (size_t i = 0; i < shards_.size(); ++i) {
         std::string connect_error;
         if (!connectShard(i, connect_error)) {

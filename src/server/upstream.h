@@ -87,7 +87,8 @@ class UpstreamPool
   public:
     /**
      * @param addresses shard daemons as "host:port" (must be unique).
-     * Throws std::invalid_argument on an empty or duplicated list.
+     * An empty list, a malformed address or a duplicate makes start()
+     * fail with a message naming it.
      */
     UpstreamPool(std::vector<std::string> addresses,
                  UpstreamConfig cfg = {});
@@ -99,8 +100,9 @@ class UpstreamPool
     /**
      * Dial every shard and start the reader/health machinery.  Shards
      * that cannot be reached start down and keep being redialed; the
-     * pool itself always starts (a fabric with a dead shard must
-     * still serve the survivors' key ranges).
+     * pool itself starts unless the address list is malformed (a
+     * fabric with a dead shard must still serve the survivors' key
+     * ranges).
      */
     bool start(std::string &error);
 
@@ -219,6 +221,8 @@ class UpstreamPool
     void noteForwardDone(Pending &entry, bool ok);
 
     const UpstreamConfig cfg_;
+    /** Why the address list is unusable ("" = usable); see start(). */
+    std::string addressError_;
     std::vector<std::unique_ptr<Shard>> shards_;
     std::unordered_map<std::string, int> addrIndex_;
 

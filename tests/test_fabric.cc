@@ -221,6 +221,26 @@ TEST(Framing, ForwardedRequestRewritesIdAndAppendsKey)
 // Router daemon end to end
 // -------------------------------------------------------------------
 
+TEST(Fabric, BadShardAddressFailsStart)
+{
+    // A malformed or repeated --shard is a start failure naming the
+    // address, never an exception out of the constructor; stop() and
+    // the destructor on the never-started router do nothing.
+    const std::vector<std::pair<std::vector<std::string>, std::string>>
+        cases = {{{"bogus"}, "bad shard address 'bogus'"},
+                 {{"127.0.0.1:1", "127.0.0.1:1"},
+                  "duplicate shard address '127.0.0.1:1'"}};
+    for (const auto &[shards, message] : cases) {
+        RouterConfig cfg;
+        cfg.shards = shards;
+        RouterServer router(cfg);
+        std::string error;
+        EXPECT_FALSE(router.start(error));
+        EXPECT_EQ(error, message);
+        router.stop();
+    }
+}
+
 /** One shard daemon's in-process stand-in. */
 struct ShardProc
 {

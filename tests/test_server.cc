@@ -28,6 +28,7 @@
 #include <unistd.h>
 
 #include "obs/flight_recorder.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/watchdog.h"
 #include "server/client.h"
@@ -933,6 +934,51 @@ TEST(Robustness, WriteFaultsDropConnectionsNeverTheServer)
     ASSERT_TRUE(next.recvLine(reply));
     EXPECT_NE(reply.find("\"cache\": \"hit\""), std::string::npos);
     server.stop();
+}
+
+TEST(Faults, SpecRejectsMalformedValues)
+{
+    // Every value parses whole and within bounds: no NaN or infinity,
+    // no out-of-range cast into the integer keys.
+    FaultInjector &faults = FaultInjector::instance();
+    for (const char *spec :
+         {"seed=nan", "reset_after_bytes=1e30", "worker_death_rate=nan",
+          "compile_delay_ms=inf", "seed=-1", "write_fail_rate=2",
+          "read_stall_ms=-5", "connect_fail_rate=0.5x"}) {
+        std::string error;
+        EXPECT_FALSE(faults.configureFromSpec(spec, error)) << spec;
+        EXPECT_NE(error.find("bad value for fault key"), std::string::npos)
+            << spec << ": " << error;
+    }
+    EXPECT_FALSE(faults.enabled());
+
+    std::string error;
+    ASSERT_TRUE(faults.configureFromSpec(
+        "seed=7,compile_delay_ms=0.5,compile_delay_jitter_ms=0,"
+        "worker_death_rate=0,write_fail_rate=0,read_stall_ms=0,"
+        "connect_fail_rate=0,reset_after_bytes=0",
+        error))
+        << error;
+    EXPECT_TRUE(faults.enabled());
+
+    // The square_faults exposition: six counters, then the gauge, in
+    // this order (numbers masked: earlier tests count faults).
+    std::string text;
+    obs::renderPrometheus(text, "square_faults", faults.metricsRegistry());
+    std::string masked;
+    for (char c : text)
+        if (c < '0' || c > '9')
+            masked += c;
+    std::string expected;
+    for (const char *name :
+         {"compile_delays", "worker_deaths", "write_failures",
+          "read_stalls", "connect_failures", "connection_resets"})
+        expected += std::string("# TYPE square_faults_") + name +
+                    "_total counter\nsquare_faults_" + name + "_total \n";
+    expected += "# TYPE square_faults_enabled gauge\nsquare_faults_enabled \n";
+    EXPECT_EQ(masked, expected);
+    EXPECT_NE(text.find("square_faults_enabled 1\n"), std::string::npos);
+    faults.disable();
 }
 
 TEST(Robustness, WorkerDeathsRecoverWithIdenticalResults)

@@ -41,12 +41,12 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
 #include "service/protocol.h"
 
 using namespace square;
@@ -120,12 +120,12 @@ fieldU64(const JsonRequest &json, std::string_view key)
  * died mid-dump, or the dump is still being written) are dropped.
  */
 bool
-parseFile(const char *path, std::vector<PmBlock> &blocks,
+parseFile(const std::string &path, std::vector<PmBlock> &blocks,
           std::string &error)
 {
     std::ifstream in(path);
     if (!in.is_open()) {
-        error = std::string("cannot open '") + path + "'";
+        error = "cannot open '" + path + "'";
         return false;
     }
     std::map<uint64_t, PmBlock> open;
@@ -241,36 +241,18 @@ int
 main(int argc, char **argv)
 {
     Options opt;
-    std::vector<const char *> files;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strncmp(arg, "--comp=", 7) == 0) {
-            opt.comp = arg + 7;
-        } else if (std::strncmp(arg, "--ev=", 5) == 0) {
-            opt.ev = arg + 5;
-        } else if (std::strncmp(arg, "--trace=", 8) == 0) {
-            opt.trace = arg + 8;
-        } else if (std::strncmp(arg, "--pid=", 6) == 0) {
-            opt.pid = std::strtoull(arg + 6, nullptr, 10);
-        } else if (std::strncmp(arg, "--reason=", 9) == 0) {
-            opt.reason = arg + 9;
-        } else if (std::strcmp(arg, "--traces") == 0) {
-            opt.traces = true;
-        } else if (std::strcmp(arg, "--metrics") == 0) {
-            opt.metrics = true;
-        } else if (std::strcmp(arg, "--quiet") == 0) {
-            opt.quiet = true;
-        } else if (arg[0] == '-' && arg[1] == '-') {
-            std::fprintf(
-                stderr,
-                "usage: square_blackbox [--comp=NAME] [--ev=NAME] "
-                "[--trace=HEX] [--pid=N] [--reason=R] [--traces] "
-                "[--metrics] [--quiet] FILE...\n");
-            return 1;
-        } else {
-            files.push_back(arg);
-        }
-    }
+    std::vector<std::string> files;
+    if (!parseFlags(argc, argv,
+                    {textFlag("comp", "NAME", opt.comp),
+                     textFlag("ev", "NAME", opt.ev),
+                     textFlag("trace", "HEX", opt.trace),
+                     uintFlag("pid", opt.pid),
+                     textFlag("reason", "R", opt.reason),
+                     switchFlag("traces", opt.traces),
+                     switchFlag("metrics", opt.metrics),
+                     switchFlag("quiet", opt.quiet)},
+                    &files, "FILE..."))
+        return 1;
     if (files.empty()) {
         std::fprintf(stderr,
                      "square_blackbox: no postmortem files given\n");
@@ -278,7 +260,7 @@ main(int argc, char **argv)
     }
 
     std::vector<PmBlock> blocks;
-    for (const char *path : files) {
+    for (const std::string &path : files) {
         std::string error;
         if (!parseFile(path, blocks, error)) {
             std::fprintf(stderr, "square_blackbox: %s\n",

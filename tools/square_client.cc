@@ -45,14 +45,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <thread>
 
+#include "common/flags.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "obs/trace.h"
@@ -117,64 +117,31 @@ int
 main(int argc, char **argv)
 {
     std::string host = "127.0.0.1";
-    long port = 0;
+    uint16_t port = 0;
     long max_retries = 0;
-    unsigned long long retry_seed = 1;
-    unsigned long long trace_sample = 0;
-    for (int i = 1; i < argc; ++i) {
-        char *end = nullptr;
-        if (std::strncmp(argv[i], "--host=", 7) == 0) {
-            host = argv[i] + 7;
-        } else if (std::strncmp(argv[i], "--port=", 7) == 0) {
-            port = std::strtol(argv[i] + 7, &end, 10);
-            if (end == argv[i] + 7 || *end != '\0')
-                port = 0; // falls through to the range error below
-        } else if (std::strncmp(argv[i], "--max-retries=", 14) == 0) {
-            max_retries = std::strtol(argv[i] + 14, &end, 10);
-            if (end == argv[i] + 14 || *end != '\0' ||
-                max_retries < 0) {
-                std::fprintf(stderr,
-                             "square_client: bad --max-retries value\n");
-                return 1;
-            }
-        } else if (std::strncmp(argv[i], "--retry-seed=", 13) == 0) {
-            retry_seed = std::strtoull(argv[i] + 13, &end, 10);
-            if (end == argv[i] + 13 || *end != '\0') {
-                std::fprintf(stderr,
-                             "square_client: bad --retry-seed value\n");
-                return 1;
-            }
-        } else if (std::strncmp(argv[i], "--trace-sample=", 15) == 0) {
-            trace_sample = std::strtoull(argv[i] + 15, &end, 10);
-            if (end == argv[i] + 15 || *end != '\0') {
-                std::fprintf(stderr,
-                             "square_client: bad --trace-sample value\n");
-                return 1;
-            }
-        } else if (std::strncmp(argv[i], "--trace-log=", 12) == 0) {
-            std::string trace_error;
-            if (!obs::TraceLog::instance().configure(argv[i] + 12,
-                                                     trace_error)) {
-                std::fprintf(stderr, "square_client: bad --trace-log: %s\n",
-                             trace_error.c_str());
-                return 1;
-            }
-        } else {
-            std::fprintf(stderr,
-                         "usage: square_client [--host=A] --port=N "
-                         "[--max-retries=N] [--retry-seed=N] "
-                         "[--trace-sample=N] [--trace-log=PATH]\n");
-            return 1;
-        }
-    }
-    if (port <= 0 || port > 65535) {
+    uint64_t retry_seed = 1;
+    uint64_t trace_sample = 0;
+    if (!parseFlags(
+            argc, argv,
+            {textFlag("host", "A", host), intFlag("port", port, 1, 65535),
+             intFlag("max-retries", max_retries, 0,
+                     std::numeric_limits<long>::max()),
+             uintFlag("retry-seed", retry_seed),
+             uintFlag("trace-sample", trace_sample),
+             {"trace-log", "PATH",
+              [](std::string_view path, std::string &why) {
+                  return obs::TraceLog::instance().configure(
+                      std::string(path), why);
+              }}}))
+        return 1;
+    if (port == 0) {
         std::fprintf(stderr, "square_client: --port=N is required\n");
         return 1;
     }
 
     LineClient client;
     std::string error;
-    if (!client.connect(host, static_cast<uint16_t>(port), error)) {
+    if (!client.connect(host, port, error)) {
         std::fprintf(stderr, "square_client: %s\n", error.c_str());
         return 1;
     }

@@ -22,10 +22,10 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <string>
 
+#include "common/flags.h"
 #include "server/server.h"
 
 using namespace square;
@@ -34,14 +34,8 @@ int
 main(int argc, char **argv)
 {
     bool quiet = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quiet") == 0) {
-            quiet = true;
-        } else {
-            std::fprintf(stderr, "usage: square_serve [--quiet]\n");
-            return 1;
-        }
-    }
+    if (!parseFlags(argc, argv, {switchFlag("quiet", quiet)}))
+        return 1;
 
     CompileServer server(ServerConfig{});
     if (!quiet) {

@@ -43,13 +43,13 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <string>
 #include <unistd.h>
 #include <unordered_map>
 #include <vector>
 
+#include "common/flags.h"
 #include "service/artifact_store.h"
 
 using namespace square;
@@ -213,52 +213,33 @@ cmdCompact(const char *path, const char *out_path)
     return 0;
 }
 
-void
-usage()
-{
-    std::fprintf(stderr,
-                 "usage: square_storetool verify  LOG\n"
-                 "       square_storetool inspect LOG [--keys]\n"
-                 "       square_storetool compact LOG [--out=PATH]\n");
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    const char *command = nullptr;
-    const char *log_path = nullptr;
-    const char *out_path = nullptr;
+    std::string out_path;
     bool print_keys = false;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strncmp(arg, "--out=", 6) == 0) {
-            out_path = arg + 6;
-        } else if (std::strcmp(arg, "--keys") == 0) {
-            print_keys = true;
-        } else if (arg[0] == '-') {
-            usage();
-            return 1;
-        } else if (command == nullptr) {
-            command = arg;
-        } else if (log_path == nullptr) {
-            log_path = arg;
-        } else {
-            usage();
-            return 1;
-        }
-    }
-    if (command == nullptr || log_path == nullptr) {
-        usage();
+    std::vector<std::string> args;
+    const std::vector<Flag> flags = {
+        // An empty --out= must not fall back to compacting in place.
+        {"out", "PATH",
+         [&out_path](std::string_view path, std::string &) {
+             out_path = path;
+             return !path.empty();
+         }},
+        switchFlag("keys", print_keys)};
+    constexpr const char *kOperands = "verify|inspect|compact LOG";
+    if (!parseFlags(argc, argv, flags, &args, kOperands))
         return 1;
-    }
-    if (std::strcmp(command, "verify") == 0)
-        return cmdVerify(log_path, /*inspect=*/false, false);
-    if (std::strcmp(command, "inspect") == 0)
-        return cmdVerify(log_path, /*inspect=*/true, print_keys);
-    if (std::strcmp(command, "compact") == 0)
-        return cmdCompact(log_path, out_path);
-    usage();
+    const std::string command = args.size() == 2 ? args[0] : "";
+    if (command == "verify")
+        return cmdVerify(args[1].c_str(), /*inspect=*/false, false);
+    if (command == "inspect")
+        return cmdVerify(args[1].c_str(), /*inspect=*/true, print_keys);
+    if (command == "compact")
+        return cmdCompact(args[1].c_str(),
+                          out_path.empty() ? nullptr : out_path.c_str());
+    printUsage(argv[0], flags, kOperands);
     return 1;
 }

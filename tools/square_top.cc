@@ -22,6 +22,7 @@
  */
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -31,7 +32,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/flags.h"
 #include "server/client.h"
+#include "server/net.h"
 #include "service/protocol.h"
 
 using namespace square;
@@ -46,22 +49,6 @@ struct Target {
     uint16_t port = 0;
     std::string label; // the original HOST:PORT string
 };
-
-bool
-parseTarget(const char *spec, Target &out)
-{
-    const char *colon = std::strrchr(spec, ':');
-    if (colon == nullptr || colon == spec)
-        return false;
-    char *end = nullptr;
-    const long port = std::strtol(colon + 1, &end, 10);
-    if (end == colon + 1 || *end != '\0' || port <= 0 || port > 65535)
-        return false;
-    out.host.assign(spec, static_cast<size_t>(colon - spec));
-    out.port = static_cast<uint16_t>(port);
-    out.label = spec;
-    return true;
-}
 
 /**
  * One poll: fresh connection, {"cmd":"metrics"}, unescaped exposition
@@ -181,38 +168,26 @@ main(int argc, char **argv)
     double interval_s = 2.0;
     std::string filter;
     bool once = false;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strncmp(arg, "--target=", 9) == 0) {
-            Target t;
-            if (!parseTarget(arg + 9, t)) {
-                std::fprintf(stderr,
-                             "square_top: bad --target (want "
-                             "HOST:PORT): %s\n",
-                             arg + 9);
-                return 1;
-            }
-            targets.push_back(std::move(t));
-        } else if (std::strncmp(arg, "--interval=", 11) == 0) {
-            char *end = nullptr;
-            interval_s = std::strtod(arg + 11, &end);
-            if (end == arg + 11 || *end != '\0' || interval_s <= 0) {
-                std::fprintf(stderr,
-                             "square_top: bad --interval value\n");
-                return 1;
-            }
-        } else if (std::strncmp(arg, "--filter=", 9) == 0) {
-            filter = arg + 9;
-        } else if (std::strcmp(arg, "--once") == 0) {
-            once = true;
-        } else {
-            std::fprintf(
-                stderr,
-                "usage: square_top --target=HOST:PORT [--target=...] "
-                "[--interval=SEC] [--filter=SUBSTR] [--once]\n");
-            return 1;
-        }
-    }
+    if (!parseFlags(
+            argc, argv,
+            {{"target", "HOST:PORT",
+              [&targets](std::string_view spec, std::string &why) {
+                  Target t;
+                  t.label = spec;
+                  if (!net::splitHostPort(spec, t.host, t.port)) {
+                      why = "want HOST:PORT";
+                      return false;
+                  }
+                  targets.push_back(std::move(t));
+                  return true;
+              }},
+             // Positive, and small enough for sleep_for's integer
+             // conversion.
+             realFlag("interval", "SEC", interval_s,
+                      std::nextafter(0.0, 1.0), 1e9),
+             textFlag("filter", "SUBSTR", filter),
+             switchFlag("once", once)}))
+        return 1;
     if (targets.empty()) {
         std::fprintf(stderr,
                      "square_top: at least one --target=HOST:PORT is "

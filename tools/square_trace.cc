@@ -33,13 +33,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/stats.h"
 #include "service/protocol.h"
 
@@ -155,21 +155,11 @@ main(int argc, char **argv)
     bool aggregate = false;
     std::string only;
     std::vector<std::string> files;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "--aggregate") == 0) {
-            aggregate = true;
-        } else if (std::strncmp(arg, "--trace=", 8) == 0) {
-            only = arg + 8;
-        } else if (std::strncmp(arg, "--", 2) == 0) {
-            std::fprintf(stderr,
-                         "usage: square_trace [--aggregate] "
-                         "[--trace=HEXID] [FILE ...]\n");
-            return 1;
-        } else {
-            files.emplace_back(arg);
-        }
-    }
+    if (!parseFlags(argc, argv,
+                    {switchFlag("aggregate", aggregate),
+                     textFlag("trace", "HEXID", only)},
+                    &files, "[FILE ...]"))
+        return 1;
 
     TraceMap traces;
     size_t bad = 0;
