@@ -1,28 +1,33 @@
 #include "route/braid_router.h"
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "common/logging.h"
 
 namespace square {
 
+// Both scans test every slot: an unwritten [0, 0) slot overlaps no
+// window at t >= 0, and a scan without an early exit has no branch to
+// mispredict on the rare overlap.
 bool
 BraidRouter::CellOccupancy::busy(int64_t t, int dur) const
 {
-    for (int i = 0; i < count; ++i) {
-        if (slots[i].start < t + dur && t < slots[i].end)
-            return true;
-    }
-    return false;
+    const int64_t end = t + dur;
+    bool overlap = false;
+    for (const Interval &iv : slots)
+        overlap |= (iv.start < end) & (t < iv.end);
+    return overlap;
 }
 
 int64_t
 BraidRouter::CellOccupancy::release(int64_t t, int dur) const
 {
+    const int64_t end = t + dur;
     int64_t out = 0;
-    for (int i = 0; i < count; ++i) {
-        if (slots[i].start < t + dur && t < slots[i].end)
-            out = std::max(out, slots[i].end);
+    for (const Interval &iv : slots) {
+        const bool overlap = (iv.start < end) & (t < iv.end);
+        out = std::max(out, overlap ? iv.end : 0);
     }
     return out;
 }
@@ -34,89 +39,85 @@ BraidRouter::BraidRouter(const LatticeTopology &topo)
       cells_(static_cast<size_t>(cells_w_) * cells_h_),
       busy_until_(cells_.size(), 0),
       bfs_mark_(cells_.size(), 0),
-      bfs_parent_(cells_.size(), -1)
+      bfs_parent_(cells_.size(), -1),
+      bfs_queue_(std::make_unique_for_overwrite<BfsNode[]>(cells_.size()))
 {
-    bfs_queue_.reserve(cells_.size());
 }
 
-void
-BraidRouter::directPathInto(PhysQubit a, PhysQubit b, bool horizontal_first,
-                            std::vector<int> &out) const
+BraidRouter::LPath
+BraidRouter::lPath(PhysQubit a, PhysQubit b, bool horizontal_first) const
 {
     const int ax = topo_.xOf(a), ay = topo_.yOf(a);
     const int bx = topo_.xOf(b), by = topo_.yOf(b);
-    out.clear();
-
-    auto push_unique = [&](int cx, int cy) {
-        SQ_ASSERT(isChannel(cx, cy), "direct path entered a site tile");
-        int id = cellId(cx, cy);
-        if (out.empty() || out.back() != id)
-            out.push_back(id);
-    };
-
+    LPath path;
     if (horizontal_first) {
-        // Exit north of a, run along channel row 2*ay, descend along
-        // channel column 2*bx, stop west of b.
-        const int row = 2 * ay;
-        const int col = 2 * bx;
-        int cx = 2 * ax + 1;
-        push_unique(cx, row);
-        int step = (col > cx) ? 1 : -1;
-        while (cx != col) {
-            cx += step;
-            push_unique(cx, row);
-        }
-        int cy = row;
-        const int stop = 2 * by + 1;
-        int vstep = (stop > cy) ? 1 : -1;
-        while (cy != stop) {
-            cy += vstep;
-            push_unique(col, cy);
-        }
+        // North of a along channel row 2*ay to channel column 2*bx,
+        // then along that column to west of b.
+        const int row = 2 * ay, x0 = 2 * ax + 1, col = 2 * bx;
+        const int y1 = 2 * by + 1;
+        path.first = cellId(x0, row);
+        path.step1 = col > x0 ? 1 : -1;
+        path.len1 = std::abs(col - x0) + 1;
+        path.step2 = y1 > row ? cells_w_ : -cells_w_;
+        path.len2 = std::abs(y1 - row);
     } else {
-        // Exit west of a, run along channel column 2*ax, cross along
-        // channel row 2*by, stop north of b.
-        const int col = 2 * ax;
-        const int row = 2 * by;
-        int cy = 2 * ay + 1;
-        push_unique(col, cy);
-        int step = (row > cy) ? 1 : -1;
-        while (cy != row) {
-            cy += step;
-            push_unique(col, cy);
-        }
-        int cx = col;
-        const int stop = 2 * bx + 1;
-        int hstep = (stop > cx) ? 1 : -1;
-        while (cx != stop) {
-            cx += hstep;
-            push_unique(cx, row);
-        }
+        // West of a along channel column 2*ax to channel row 2*by,
+        // then along that row to north of b.
+        const int col = 2 * ax, y0 = 2 * ay + 1, row = 2 * by;
+        const int x1 = 2 * bx + 1;
+        path.first = cellId(col, y0);
+        path.step1 = row > y0 ? cells_w_ : -cells_w_;
+        path.len1 = std::abs(row - y0) + 1;
+        path.step2 = x1 > col ? 1 : -1;
+        path.len2 = std::abs(x1 - col);
     }
+    return path;
 }
 
+template <typename Fn>
 bool
-BraidRouter::pathClear(const std::vector<int> &path, int64_t t,
-                       int dur) const
+BraidRouter::everyCell(const LPath &path, Fn &&fn)
 {
-    for (int id : path) {
-        if (cellBusy(id, t, dur))
+    int id = path.first;
+    for (int i = 0; i < path.len1; ++i, id += path.step1) {
+        if (!fn(id))
+            return false;
+    }
+    id -= path.step1; // back on the corner
+    for (int i = 0; i < path.len2; ++i) {
+        if (!fn(id += path.step2))
             return false;
     }
     return true;
 }
 
+bool
+BraidRouter::pathClear(const LPath &path, int64_t t, int dur) const
+{
+    return everyCell(path, [&](int id) { return !cellBusy(id, t, dur); });
+}
+
+void
+BraidRouter::claimCell(int id, int64_t t, int dur)
+{
+    cells_[static_cast<size_t>(id)].add({t, t + dur});
+    int64_t &until = busy_until_[static_cast<size_t>(id)];
+    until = std::max(until, t + dur);
+}
+
 int64_t
-BraidRouter::stallUntil(int64_t t, int dur) const
+BraidRouter::stallUntil(const LPath &h, const LPath &v, int64_t t,
+                        int dur) const
 {
     int64_t until = t + 1;
-    for (const std::vector<int> *path : {&path_h_, &path_v_}) {
-        for (int id : *path) {
-            if (t < busy_until_[static_cast<size_t>(id)])
-                until = std::max(
-                    until, cells_[static_cast<size_t>(id)].release(t, dur));
-        }
-    }
+    auto latest_release = [&](int id) {
+        if (t < busy_until_[static_cast<size_t>(id)])
+            until = std::max(
+                until, cells_[static_cast<size_t>(id)].release(t, dur));
+        return true;
+    };
+    everyCell(h, latest_release);
+    everyCell(v, latest_release);
     return until;
 }
 
@@ -134,31 +135,31 @@ BraidRouter::searchPathInto(PhysQubit a, PhysQubit b, int64_t t, int dur,
     const int x_hi = std::min(cells_w_ - 1, std::max(ax, bx) + 2 * margin);
     const int y_lo = std::max(0, std::min(ay, by) - 2 * margin);
     const int y_hi = std::min(cells_h_ - 1, std::max(ay, by) + 2 * margin);
+    // The channel cells bordering the target tile: N, S, W, E.
+    const int goal_n = cellId(bx, by - 1), goal_s = cellId(bx, by + 1);
+    const int goal_w = cellId(bx - 1, by), goal_e = cellId(bx + 1, by);
 
     out.clear();
     ++bfs_stamp_;
-    bfs_queue_.clear();
-    size_t q_head = 0;
+    BfsNode *const queue = bfs_queue_.get();
+    int q_tail = 0;
 
-    // Enqueue a free unvisited channel cell; true when it borders the
+    // Enqueue free unvisited channel cell @p id at (x, y), which the
+    // caller has checked lies in the box; true when it borders the
     // target tile.  FIFO order dequeues goals in the order they are
     // enqueued, so the first goal enqueued ends the search with the
     // same parent chain a dequeue-time test would find.
-    auto try_visit = [&](int cx, int cy, int parent) -> bool {
-        if (cx < x_lo || cx > x_hi || cy < y_lo || cy > y_hi)
+    auto visit = [&](int id, int x, int y, int parent) -> bool {
+        const size_t i = static_cast<size_t>(id);
+        if (bfs_mark_[i] == bfs_stamp_ || cellBusy(id, t, dur))
             return false;
-        const int id = cellId(cx, cy);
-        if (bfs_mark_[static_cast<size_t>(id)] == bfs_stamp_ ||
-            cellBusy(id, t, dur))
-            return false;
-        bfs_mark_[static_cast<size_t>(id)] = bfs_stamp_;
-        bfs_parent_[static_cast<size_t>(id)] = parent;
-        bfs_queue_.push_back(id);
-        return (std::abs(cx - bx) == 1 && cy == by) ||
-               (std::abs(cy - by) == 1 && cx == bx);
+        bfs_mark_[i] = bfs_stamp_;
+        bfs_parent_[i] = parent;
+        queue[q_tail++] = {id, x, y};
+        return id == goal_n || id == goal_s || id == goal_w || id == goal_e;
     };
     auto found = [&]() {
-        for (int cur = bfs_queue_.back(); cur != -1;
+        for (int cur = queue[q_tail - 1].id; cur != -1;
              cur = bfs_parent_[static_cast<size_t>(cur)]) {
             out.push_back(cur);
         }
@@ -166,36 +167,33 @@ BraidRouter::searchPathInto(PhysQubit a, PhysQubit b, int64_t t, int dur,
     };
 
     // Seed with the free channel cells bordering the source tile (N, S,
-    // W, E; every one is a channel cell).
-    if (try_visit(ax, ay - 1, -1) || try_visit(ax, ay + 1, -1) ||
-        try_visit(ax - 1, ay, -1) || try_visit(ax + 1, ay, -1))
+    // W, E; every one is a channel cell, and the box holds all four).
+    if (visit(cellId(ax, ay - 1), ax, ay - 1, -1) ||
+        visit(cellId(ax, ay + 1), ax, ay + 1, -1) ||
+        visit(cellId(ax - 1, ay), ax - 1, ay, -1) ||
+        visit(cellId(ax + 1, ay), ax + 1, ay, -1))
         return found();
 
     // Expand in N, S, W, E order, skipping site tiles: a horizontal
     // channel segment (odd x) only has channel neighbours west and
-    // east, a vertical one (odd y) only north and south.
-    while (q_head < bfs_queue_.size()) {
-        const int id = bfs_queue_[q_head++];
-        const int cx = id % cells_w_;
-        const int cy = id / cells_w_;
-        if (cx % 2 == 0 &&
-            (try_visit(cx, cy - 1, id) || try_visit(cx, cy + 1, id)))
-            return found();
-        if (cy % 2 == 0 &&
-            (try_visit(cx - 1, cy, id) || try_visit(cx + 1, cy, id)))
-            return found();
+    // east, a vertical one (odd y) only north and south.  A vertical
+    // move can only leave the box through its y bounds, a horizontal
+    // one only through its x bounds.
+    for (int q_head = 0; q_head < q_tail; ++q_head) {
+        const BfsNode n = queue[q_head];
+        if (n.x % 2 == 0) {
+            if (n.y > y_lo && visit(n.id - cells_w_, n.x, n.y - 1, n.id))
+                return found();
+            if (n.y < y_hi && visit(n.id + cells_w_, n.x, n.y + 1, n.id))
+                return found();
+        }
+        if (n.y % 2 == 0) {
+            if (n.x > x_lo && visit(n.id - 1, n.x - 1, n.y, n.id))
+                return found();
+            if (n.x < x_hi && visit(n.id + 1, n.x + 1, n.y, n.id))
+                return found();
+        }
     }
-}
-
-void
-BraidRouter::claim(const std::vector<int> &path, int64_t t, int dur)
-{
-    for (int id : path) {
-        cells_[static_cast<size_t>(id)].add({t, t + dur});
-        int64_t &until = busy_until_[static_cast<size_t>(id)];
-        until = std::max(until, t + dur);
-    }
-    total_path_cells_ += static_cast<int64_t>(path.size());
 }
 
 BraidRouter::Reservation
@@ -203,44 +201,51 @@ BraidRouter::reserve(PhysQubit a, PhysQubit b, int64_t ready, int dur)
 {
     SQ_ASSERT(a != b, "braid endpoints must differ");
     SQ_ASSERT(dur > 0, "braid duration must be positive");
+    SQ_ASSERT(ready >= 0, "braid ready time must not be negative");
 
     Reservation res;
     int64_t t = ready;
     constexpr int kMaxStalls = 4096;
 
-    // The L-shaped candidates depend only on the endpoints; hoist them
-    // out of the stall loop (only their availability changes as t
-    // advances).  The horizontal-first one usually wins, so the
-    // vertical-first one is built only once it is needed.
-    directPathInto(a, b, true, path_h_);
-    path_v_.clear();
+    // The L-shaped candidates depend only on the endpoints; only their
+    // availability changes as t advances.
+    const LPath h = lPath(a, b, true);
+    const LPath v = lPath(a, b, false);
 
-    auto grant = [&](const std::vector<int> &path) {
-        claim(path, t, dur);
+    auto grant = [&](int cells) {
         res.start = t;
-        res.pathCells = static_cast<int>(path.size());
+        res.pathCells = cells;
+        total_path_cells_ += cells;
         ++total_braids_;
         return res;
     };
+    auto grant_l = [&](const LPath &path) {
+        everyCell(path, [&](int id) {
+            claimCell(id, t, dur);
+            return true;
+        });
+        return grant(path.size());
+    };
 
     for (int attempt = 0; attempt < kMaxStalls; ++attempt) {
-        if (pathClear(path_h_, t, dur))
-            return grant(path_h_);
+        if (pathClear(h, t, dur))
+            return grant_l(h);
         ++res.conflicts;
         ++total_conflicts_;
 
-        if (path_v_.empty())
-            directPathInto(a, b, false, path_v_);
-        if (pathClear(path_v_, t, dur))
-            return grant(path_v_);
+        if (pathClear(v, t, dur))
+            return grant_l(v);
 
-        searchPathInto(a, b, t, dur, path_scratch_);
-        if (!path_scratch_.empty())
-            return grant(path_scratch_);
+        searchPathInto(a, b, t, dur, detour_);
+        if (!detour_.empty()) {
+            for (int id : detour_)
+                claimCell(id, t, dur);
+            return grant(static_cast<int>(detour_.size()));
+        }
 
         // No route at t: stall until the latest braid blocking either L
         // path releases its cells.
-        t = stallUntil(t, dur);
+        t = stallUntil(h, v, t, dur);
     }
     panic("braid router livelock between sites ", a, " and ", b);
 }

@@ -81,33 +81,51 @@ operator delete[](void *p, std::size_t) noexcept
 namespace square {
 namespace {
 
-/** Allocations during one compile and the issued-gate count. */
+/**
+ * Allocations during one compile on make(boundaryEdge, boundaryEdge)
+ * and the issued-operation count: gates plus swaps on a lattice, gates
+ * plus braids on a braid machine.
+ */
 std::pair<long, int64_t>
-countCompile(const char *workload)
+countCompile(const char *workload, Machine (*make)(int width, int height))
 {
     const BenchmarkInfo &info = findBenchmark(workload);
     Program prog = info.build();
-    Machine m =
-        Machine::nisqLattice(info.boundaryEdge, info.boundaryEdge);
+    Machine m = make(info.boundaryEdge, info.boundaryEdge);
     g_allocs.store(0);
     g_counting.store(true);
     CompileResult r = compile(prog, m, SquareConfig::square(), {});
     g_counting.store(false);
-    return {g_allocs.load(), r.gates + r.swaps};
+    return {g_allocs.load(), r.gates + r.swaps + r.sched.braids};
 }
 
-TEST(AllocationFreedom, CompileAllocationsDoNotScaleWithGates)
+/** Expect per-compilation allocations under issued / 5 on @p make. */
+void
+expectAllocationsBelowIssued(Machine (*make)(int width, int height))
 {
     for (const char *workload : {"SALSA20", "SHA2"}) {
         SCOPED_TRACE(workload);
-        auto [allocs, issued] = countCompile(workload);
+        auto [allocs, issued] = countCompile(workload, make);
         ASSERT_GT(issued, 0);
         // Per-gate allocation would push allocs past issued (ratio >= 1);
         // the per-compilation setup remainder sits under issued / 5.
         EXPECT_LT(allocs, issued / 5)
             << allocs << " heap allocations for " << issued
-            << " issued gates";
+            << " issued operations";
     }
+}
+
+TEST(AllocationFreedom, CompileAllocationsDoNotScaleWithGates)
+{
+    expectAllocationsBelowIssued(Machine::nisqLattice);
+}
+
+TEST(AllocationFreedom, FtCompileAllocationsDoNotScaleWithBraids)
+{
+    // Braid reservation and the detour search run on reused buffers, so
+    // routing a braid allocates nothing.
+    expectAllocationsBelowIssued(
+        [](int width, int height) { return Machine::ftBraid(width, height); });
 }
 
 } // namespace

@@ -17,11 +17,15 @@
  * The fault-tolerant goldens pin the braid router the same way: every
  * Fig. 10 program under SQUARE (plus LAZY and EAGER on the two largest)
  * on its boundary-scale ftBraid machine, including braid and conflict
- * counts and the exact average braid length.
+ * counts and the exact average braid length.  Five programs are pinned
+ * on the macro-Toffoli FT machine as well, whose 10-cycle Toffoli
+ * braids beside 2-cycle CNOT braids exercise stalls and detours that a
+ * single braid window does not.
  */
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 
 #include "core/compiler.h"
@@ -127,13 +131,33 @@ const FtGolden kFtGoldens[] = {
      8.5822784810126578},
 };
 
-TEST(Determinism, GoldenFaultTolerantCompileResults)
+// Captured on Machine::ftBraidMacro(boundaryEdge, boundaryEdge) before
+// the braid router's branch-free cell probe, closed-form L paths and
+// division-free detour BFS landed.  Only this machine mixes 2-cycle
+// CNOT braids with 10-cycle Toffoli braids.
+const FtGolden kMacroFtGoldens[] = {
+    {"ADDER32", "SQUARE", 224, 870, 84940, 98, 2, 320, 119, 13.71875},
+    {"MODEXP", "SQUARE", 972, 3857, 286228, 104, 41, 1418, 614,
+     13.108603667136812},
+    {"SALSA20", "SQUARE", 1664, 1688, 237192, 199, 75, 2176, 742,
+     13.953125},
+    {"Jasmine", "SQUARE", 642, 1334, 93791, 146, 4, 687, 327,
+     12.033478893740902},
+    {"Belle", "SQUARE", 199, 120, 26871, 307, 7, 230, 123,
+     9.1391304347826079},
+};
+
+/** Compile each golden on make(boundaryEdge, boundaryEdge) and compare. */
+void
+expectFtGoldens(std::span<const FtGolden> goldens,
+                Machine (*make)(int width, int height, int t_latency))
 {
-    for (const FtGolden &g : kFtGoldens) {
+    for (const FtGolden &g : goldens) {
         SCOPED_TRACE(std::string(g.workload) + "/" + g.policy);
         const BenchmarkInfo &info = findBenchmark(g.workload);
         Program prog = info.build();
-        Machine m = Machine::ftBraid(info.boundaryEdge, info.boundaryEdge);
+        Machine m = make(info.boundaryEdge, info.boundaryEdge,
+                         /*t_latency=*/10);
         CompileResult r = compile(prog, m, policyByName(g.policy), {});
         EXPECT_EQ(r.gates, g.gates);
         EXPECT_EQ(r.depth, g.depth);
@@ -144,6 +168,16 @@ TEST(Determinism, GoldenFaultTolerantCompileResults)
         EXPECT_EQ(r.sched.braidConflicts, g.braidConflicts);
         EXPECT_EQ(r.avgBraidLength, g.avgBraidLength);
     }
+}
+
+TEST(Determinism, GoldenFaultTolerantCompileResults)
+{
+    expectFtGoldens(kFtGoldens, Machine::ftBraid);
+}
+
+TEST(Determinism, GoldenMacroToffoliFtResults)
+{
+    expectFtGoldens(kMacroFtGoldens, Machine::ftBraidMacro);
 }
 
 TEST(Determinism, RepeatedCompilesAreIdentical)

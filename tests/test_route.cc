@@ -1,9 +1,20 @@
 /**
  * @file
- * Unit tests for the swap router and the braid router.
+ * Unit tests for the swap router and the braid router, and a parity
+ * check of the braid router against a naive reference model.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdlib>
+#include <deque>
+#include <functional>
+#include <map>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/logging.h"
 
@@ -107,13 +118,22 @@ TEST(BraidRouter, CrossingBraidsConflictOrDetour)
     // A long horizontal braid across row 2.
     auto r1 = router.reserve(topo.siteAt(0, 2), topo.siteAt(7, 2), 0, 4);
     EXPECT_EQ(r1.conflicts, 0);
-    // A vertical braid crossing it in time: must detour or stall but
-    // still complete.
+    // A vertical braid crossing it in time: both L paths cross r1, so
+    // it detours around r1's east end at once, one conflict for the
+    // blocked horizontal-first attempt and ten cells longer than its
+    // uncongested L path.
     auto r2 = router.reserve(topo.siteAt(4, 0), topo.siteAt(4, 7), 0, 4);
-    EXPECT_GE(r2.start, 0);
-    // It either found a free route (possibly around) or waited.
-    EXPECT_TRUE(r2.conflicts > 0 || r2.start >= 0);
+    EXPECT_EQ(r2.start, 0);
+    EXPECT_EQ(r2.conflicts, 1);
+    EXPECT_EQ(r2.pathCells, 27);
+    BraidRouter uncongested(topo);
+    EXPECT_EQ(uncongested
+                  .reserve(topo.siteAt(4, 0), topo.siteAt(4, 7), 0, 4)
+                  .pathCells,
+              17);
     EXPECT_EQ(router.totalBraids(), 2);
+    EXPECT_EQ(router.totalConflicts(), 1);
+    EXPECT_EQ(router.totalPathCells(), 42);
 }
 
 TEST(BraidRouter, HeavyCongestionStillCompletes)
@@ -139,6 +159,358 @@ TEST(BraidRouter, AdjacentSitesStillBraid)
     auto r = router.reserve(topo.siteAt(1, 1), topo.siteAt(2, 1), 5, 2);
     EXPECT_EQ(r.start, 5);
     EXPECT_GT(r.pathCells, 0);
+}
+
+TEST(BraidRouter, NegativeReadyIsAnInvariantViolation)
+{
+    // An unwritten reservation slot holds [0, 0), which a window
+    // starting before 0 would overlap; the scheduler's ready times are
+    // maxima of site clocks and never negative.
+    LatticeTopology topo(4, 4);
+    BraidRouter router(topo);
+    EXPECT_THROW(router.reserve(topo.siteAt(0, 0), topo.siteAt(3, 3), -1, 2),
+                 PanicError);
+    EXPECT_EQ(router.totalBraids(), 0);
+}
+
+/**
+ * Naive reference braid router written from the contract in
+ * route/braid_router.h: a list of the last eight reservations per
+ * channel cell, L paths built cell by cell, a std::deque BFS, and the
+ * same probe order (horizontal-first, vertical-first, BFS, stall).  It
+ * also counts the stalls, detours and ring evictions it makes, so the
+ * parity streams can show that they reach every branch.
+ */
+class ReferenceBraidRouter
+{
+  public:
+    explicit ReferenceBraidRouter(const LatticeTopology &topo)
+        : topo_(topo),
+          cells_w_(2 * topo.width() + 1),
+          cells_h_(2 * topo.height() + 1),
+          cells_(static_cast<size_t>(cells_w_) * cells_h_)
+    {
+    }
+
+    BraidRouter::Reservation
+    reserve(PhysQubit a, PhysQubit b, int64_t ready, int dur)
+    {
+        const std::vector<int> horizontal = lPath(a, b, true);
+        const std::vector<int> vertical = lPath(a, b, false);
+        BraidRouter::Reservation res;
+        for (int64_t t = ready;; ++stalls) {
+            if (isFree(horizontal, t, dur))
+                return grant(res, horizontal, t, dur);
+            ++res.conflicts;
+            ++conflicts;
+            if (isFree(vertical, t, dur))
+                return grant(res, vertical, t, dur);
+            const std::vector<int> detour = search(a, b, t, dur);
+            if (!detour.empty()) {
+                ++detours;
+                return grant(res, detour, t, dur);
+            }
+            int64_t until = t + 1;
+            for (const std::vector<int> *path : {&horizontal, &vertical}) {
+                for (int cell : *path) {
+                    for (const Window &w : cells_[static_cast<size_t>(cell)]) {
+                        if (overlaps(w, t, dur))
+                            until = std::max(until, w.end);
+                    }
+                }
+            }
+            t = until;
+        }
+    }
+
+    int64_t conflicts = 0;
+    int64_t braids = 0;
+    int64_t pathCells = 0;
+    int64_t stalls = 0;
+    int64_t detours = 0;
+    int64_t evictions = 0;
+
+  private:
+    struct Window
+    {
+        int64_t start;
+        int64_t end;
+    };
+
+    static bool
+    overlaps(const Window &w, int64_t t, int dur)
+    {
+        return w.start < t + dur && t < w.end;
+    }
+
+    int cell(int x, int y) const { return y * cells_w_ + x; }
+
+    bool
+    isFree(int c, int64_t t, int dur) const
+    {
+        for (const Window &w : cells_[static_cast<size_t>(c)]) {
+            if (overlaps(w, t, dur))
+                return false;
+        }
+        return true;
+    }
+
+    bool
+    isFree(const std::vector<int> &path, int64_t t, int dur) const
+    {
+        for (int c : path) {
+            if (!isFree(c, t, dur))
+                return false;
+        }
+        return true;
+    }
+
+    BraidRouter::Reservation
+    grant(BraidRouter::Reservation res, const std::vector<int> &path,
+          int64_t t, int dur)
+    {
+        for (int c : path) {
+            std::vector<Window> &ring = cells_[static_cast<size_t>(c)];
+            ring.push_back({t, t + dur});
+            if (ring.size() > 8) {
+                ring.erase(ring.begin());
+                ++evictions;
+            }
+        }
+        res.start = t;
+        res.pathCells = static_cast<int>(path.size());
+        ++braids;
+        pathCells += static_cast<int64_t>(path.size());
+        return res;
+    }
+
+    /** Walk one cell at a time from the cell beside a, via the corner,
+     *  to the cell beside b. */
+    std::vector<int>
+    lPath(PhysQubit a, PhysQubit b, bool horizontal_first) const
+    {
+        const int ax = 2 * topo_.xOf(a) + 1, ay = 2 * topo_.yOf(a) + 1;
+        const int bx = 2 * topo_.xOf(b) + 1, by = 2 * topo_.yOf(b) + 1;
+        int x = horizontal_first ? ax : ax - 1;
+        int y = horizontal_first ? ay - 1 : ay;
+        std::vector<int> out{cell(x, y)};
+        auto walk = [&](int to_x, int to_y) {
+            while (x != to_x || y != to_y) {
+                x += (to_x > x) - (to_x < x);
+                y += (to_y > y) - (to_y < y);
+                out.push_back(cell(x, y));
+            }
+        };
+        if (horizontal_first) {
+            walk(bx - 1, ay - 1);
+            walk(bx - 1, by);
+        } else {
+            walk(ax - 1, by - 1);
+            walk(bx, by - 1);
+        }
+        return out;
+    }
+
+    std::vector<int>
+    search(PhysQubit a, PhysQubit b, int64_t t, int dur) const
+    {
+        const int ax = 2 * topo_.xOf(a) + 1, ay = 2 * topo_.yOf(a) + 1;
+        const int bx = 2 * topo_.xOf(b) + 1, by = 2 * topo_.yOf(b) + 1;
+        const int x_lo = std::max(0, std::min(ax, bx) - 8);
+        const int x_hi = std::min(cells_w_ - 1, std::max(ax, bx) + 8);
+        const int y_lo = std::max(0, std::min(ay, by) - 8);
+        const int y_hi = std::min(cells_h_ - 1, std::max(ay, by) + 8);
+        const int dx[] = {0, 0, -1, 1}; // N, S, W, E
+        const int dy[] = {-1, 1, 0, 0};
+
+        std::map<int, int> parent;
+        std::deque<std::pair<int, int>> queue;
+        int goal = -1;
+        auto enqueue = [&](int x, int y, int from) {
+            const bool site_tile = x % 2 == 1 && y % 2 == 1;
+            if (goal != -1 || x < x_lo || x > x_hi || y < y_lo ||
+                y > y_hi || site_tile)
+                return;
+            const int c = cell(x, y);
+            if (parent.count(c) != 0 || !isFree(c, t, dur))
+                return;
+            parent[c] = from;
+            queue.emplace_back(x, y);
+            if (std::abs(x - bx) + std::abs(y - by) == 1)
+                goal = c;
+        };
+        for (int d = 0; d < 4; ++d)
+            enqueue(ax + dx[d], ay + dy[d], -1);
+        while (goal == -1 && !queue.empty()) {
+            const auto [x, y] = queue.front();
+            queue.pop_front();
+            for (int d = 0; d < 4; ++d)
+                enqueue(x + dx[d], y + dy[d], cell(x, y));
+        }
+        std::vector<int> path;
+        for (int c = goal; c != -1; c = parent.at(c))
+            path.insert(path.begin(), c);
+        return path;
+    }
+
+    const LatticeTopology &topo_;
+    int cells_w_;
+    int cells_h_;
+    std::vector<std::vector<Window>> cells_;
+};
+
+/** Both routers reserve one braid; success when every outcome matches. */
+::testing::AssertionResult
+sameReservation(BraidRouter &router, ReferenceBraidRouter &ref, PhysQubit a,
+                PhysQubit b, int64_t ready, int dur)
+{
+    const BraidRouter::Reservation got = router.reserve(a, b, ready, dur);
+    const BraidRouter::Reservation want = ref.reserve(a, b, ready, dur);
+    if (got.start == want.start && got.conflicts == want.conflicts &&
+        got.pathCells == want.pathCells &&
+        router.totalConflicts() == ref.conflicts &&
+        router.totalBraids() == ref.braids &&
+        router.totalPathCells() == ref.pathCells)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << "braid " << a << " -> " << b << " ready " << ready << " dur "
+           << dur << ": start/conflicts/cells " << got.start << "/"
+           << got.conflicts << "/" << got.pathCells << ", reference "
+           << want.start << "/" << want.conflicts << "/" << want.pathCells
+           << "; totals " << router.totalConflicts() << "/"
+           << router.totalBraids() << "/" << router.totalPathCells()
+           << ", reference " << ref.conflicts << "/" << ref.braids << "/"
+           << ref.pathCells;
+}
+
+using OperandPicker =
+    std::function<std::pair<PhysQubit, PhysQubit>(std::mt19937_64 &)>;
+
+/**
+ * Drive both routers through @p count reservations between operands
+ * from @p pick, durations 2 or 10 and ready times drawn from [0, 200]
+ * in no order; returns the reference for its counters.  Only path
+ * lengths are visible, so a stream must be long enough for a detour
+ * that took the other of two equal-length routes to change a later
+ * outcome (2000 reservations catch a BFS that expands S before N).
+ */
+ReferenceBraidRouter
+driveBoth(const LatticeTopology &topo, int count, uint64_t seed,
+          const OperandPicker &pick)
+{
+    BraidRouter router(topo);
+    ReferenceBraidRouter ref(topo);
+    std::mt19937_64 rng(seed);
+    std::uniform_int_distribution<int64_t> ready(0, 200);
+    for (int i = 0; i < count; ++i) {
+        const auto [a, b] = pick(rng);
+        const int dur = rng() % 2 == 0 ? 2 : 10;
+        const int64_t t = ready(rng);
+        EXPECT_TRUE(sameReservation(router, ref, a, b, t, dur))
+            << "reservation " << i;
+        if (::testing::Test::HasFailure())
+            break;
+    }
+    return ref;
+}
+
+/** Two distinct sites drawn uniformly from [lo, hi]. */
+OperandPicker
+anyTwo(PhysQubit lo, PhysQubit hi)
+{
+    return [lo, hi](std::mt19937_64 &rng) {
+        std::uniform_int_distribution<PhysQubit> site(lo, hi);
+        const PhysQubit a = site(rng);
+        PhysQubit b = site(rng);
+        while (b == a)
+            b = site(rng);
+        return std::make_pair(a, b);
+    };
+}
+
+TEST(BraidRouterParity, CongestedSquareLatticeStallsAndEvicts)
+{
+    LatticeTopology topo(4, 4);
+    const ReferenceBraidRouter ref =
+        driveBoth(topo, 400, 1, anyTwo(0, topo.numSites() - 1));
+    EXPECT_GT(ref.detours, 0);
+    EXPECT_GT(ref.stalls, 0);
+    EXPECT_GT(ref.evictions, 0);
+}
+
+TEST(BraidRouterParity, RectangularLattice)
+{
+    LatticeTopology topo(9, 7);
+    const ReferenceBraidRouter ref =
+        driveBoth(topo, 2000, 2, anyTwo(0, topo.numSites() - 1));
+    EXPECT_GT(ref.detours, 0);
+    EXPECT_GT(ref.stalls, 0);
+}
+
+TEST(BraidRouterParity, OneSiteWideStrips)
+{
+    for (auto [w, h] : {std::pair{1, 12}, std::pair{12, 1}}) {
+        SCOPED_TRACE(std::to_string(w) + "x" + std::to_string(h));
+        LatticeTopology topo(w, h);
+        const ReferenceBraidRouter ref =
+            driveBoth(topo, 200, 3, anyTwo(0, topo.numSites() - 1));
+        EXPECT_GT(ref.detours, 0);
+        EXPECT_GT(ref.stalls, 0);
+    }
+}
+
+TEST(BraidRouterParity, CellColumnsBeyondSixteenBits)
+{
+    // Sites past 32768 put their cells past column 65535.
+    LatticeTopology topo(33000, 1);
+    const ReferenceBraidRouter ref =
+        driveBoth(topo, 200, 4, anyTwo(32768, 32831));
+    EXPECT_GT(ref.detours, 0);
+    EXPECT_GT(ref.stalls, 0);
+}
+
+TEST(BraidRouterParity, EdgeCornerAndAdjacentOperands)
+{
+    LatticeTopology topo(6, 5);
+    const int w = topo.width(), h = topo.height();
+    const std::vector<PhysQubit> corners = {
+        topo.siteAt(0, 0), topo.siteAt(w - 1, 0), topo.siteAt(0, h - 1),
+        topo.siteAt(w - 1, h - 1)};
+    std::vector<PhysQubit> edges;
+    for (PhysQubit s = 0; s < topo.numSites(); ++s) {
+        const int x = topo.xOf(s), y = topo.yOf(s);
+        if (x == 0 || y == 0 || x == w - 1 || y == h - 1)
+            edges.push_back(s);
+    }
+    int call = 0;
+    auto pick = [&](std::mt19937_64 &rng) {
+        auto from = [&](const std::vector<PhysQubit> &set) {
+            return set[rng() % set.size()];
+        };
+        PhysQubit a = 0, b = 0;
+        switch (call++ % 3) {
+        case 0: // corner to corner
+            while (a == b) {
+                a = from(corners);
+                b = from(corners);
+            }
+            break;
+        case 1: // edge to edge
+            while (a == b) {
+                a = from(edges);
+                b = from(edges);
+            }
+            break;
+        default: { // lattice neighbours
+            a = static_cast<PhysQubit>(rng() % topo.numSites());
+            b = from(topo.neighbors(a));
+        }
+        }
+        return std::make_pair(a, b);
+    };
+    const ReferenceBraidRouter ref = driveBoth(topo, 2000, 5, pick);
+    EXPECT_GT(ref.detours, 0);
+    EXPECT_GT(ref.stalls, 0);
 }
 
 } // namespace
