@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "arch/machine.h"
+#include "common/flags.h"
 #include "core/compiler.h"
 #include "core/policy.h"
 #include "workloads/registry.h"
@@ -112,11 +113,12 @@ fixed(std::string key, double value, int decimals = 3)
 }
 
 /**
- * One reproduction's output.  The constructor checks the command line
- * (only --square_json=PATH is accepted; anything else prints a usage
- * line and exits 2) and prints the title.  row() adds one line of the
- * table and one JSON result, summary() a JSON header field printed
- * under the table, note() a line of prose printed after it.  finish()
+ * One reproduction's output.  The constructor parses the command line
+ * through the tools' flag table (only --square_json=PATH, with a
+ * non-empty path; anything else prints the usage line and exits 1)
+ * and prints the title.  row() adds one line of the table and one
+ * JSON result, summary() a JSON header field printed under the table,
+ * note() a line of prose printed after it.  finish()
  * prints everything, writes BENCH_<name>.json when asked and returns
  * the exit status: 1 when the file cannot be written, else 0.
  */
@@ -127,16 +129,13 @@ class Figure
            const std::string &title, const std::string &paper_ref)
         : name_(std::move(name)), unit_(std::move(unit))
     {
-        constexpr std::string_view kFlag = "--square_json=";
-        for (int i = 1; i < argc; ++i) {
-            const std::string_view arg = argv[i];
-            if (!arg.starts_with(kFlag) || arg.size() == kFlag.size()) {
-                std::fprintf(stderr, "usage: %s [--square_json=PATH]\n",
-                             argv[0]);
-                std::exit(2);
-            }
-            jsonPath_ = arg.substr(kFlag.size());
-        }
+        if (!parseFlags(argc, argv,
+                        {{"square_json", "PATH",
+                          [this](std::string_view path, std::string &) {
+                              jsonPath_ = path;
+                              return !path.empty();
+                          }}}))
+            std::exit(1);
         rule(72);
         std::printf("%s\n(reproduces %s of Ding et al., SQUARE, ISCA "
                     "2020)\n",

@@ -10,12 +10,12 @@ namespace square {
 namespace {
 
 /** from_chars over the whole of @p text: no prefix, no tail. */
-template <typename T>
+template <typename T, typename... Base>
 bool
-parseWhole(std::string_view text, T &out)
+parseWhole(std::string_view text, T &out, Base... base)
 {
     const char *end = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+    const auto [ptr, ec] = std::from_chars(text.data(), end, out, base...);
     return ec == std::errc() && ptr == end;
 }
 
@@ -44,6 +44,16 @@ parseUint(std::string_view text, uint64_t &out, uint64_t max)
 {
     uint64_t v = 0;
     if (!parseWhole(text, v) || v > max)
+        return false;
+    out = v;
+    return true;
+}
+
+bool
+parseUintHex(std::string_view text, uint64_t &out)
+{
+    uint64_t v = 0;
+    if (!parseWhole(text, v, 16))
         return false;
     out = v;
     return true;

@@ -5,8 +5,9 @@
  * the usage line.  A value is accepted only when its whole text parses
  * within the row's bounds: no trailing garbage, no sign on an unsigned
  * value, no NaN or infinity — the rule lives in parseInt, parseUint
- * and parseReal, which other decoders of outside text (the fault
- * spec) share.
+ * and parseReal, which every other decoder of outside text shares:
+ * wire fields, machine specs, trace ids, cache keys, the fault spec
+ * and source literals.
  */
 
 #ifndef SQUARE_COMMON_FLAGS_H
@@ -28,6 +29,9 @@ bool parseInt(std::string_view text, int64_t min, int64_t max,
 /** Whole-text decimal digits (no sign) that fit in [0, max]. */
 bool parseUint(std::string_view text, uint64_t &out,
                uint64_t max = std::numeric_limits<uint64_t>::max());
+
+/** Whole-text hex digits of either case (no sign, no "0x") that fit. */
+bool parseUintHex(std::string_view text, uint64_t &out);
 
 /** Whole-text finite real in [min, max]. */
 bool parseReal(std::string_view text, double min, double max,

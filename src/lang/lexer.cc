@@ -2,6 +2,7 @@
 
 #include <cctype>
 
+#include "common/flags.h"
 #include "common/logging.h"
 
 namespace square {
@@ -70,18 +71,16 @@ lex(std::string_view src)
         }
         if (std::isdigit(static_cast<unsigned char>(c))) {
             size_t start = i;
-            int64_t value = 0;
             while (i < src.size() &&
                    std::isdigit(static_cast<unsigned char>(src[i]))) {
-                int digit = src[i] - '0';
-                if (value > (INT64_MAX - digit) / 10)
-                    fatal("integer literal overflow at line ", line);
-                value = value * 10 + digit;
                 ++i;
                 ++col;
             }
-            push(TokKind::Int, std::string(src.substr(start, i - start)),
-                 value);
+            const std::string_view digits = src.substr(start, i - start);
+            int64_t value = 0;
+            if (!parseInt(digits, 0, INT64_MAX, value))
+                fatal("integer literal overflow at line ", line);
+            push(TokKind::Int, std::string(digits), value);
             continue;
         }
         TokKind kind;

@@ -7,6 +7,8 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "common/flags.h"
+
 namespace square {
 namespace obs {
 
@@ -54,23 +56,7 @@ Trace::formatId(uint64_t id)
 bool
 Trace::parseId(std::string_view text, uint64_t &id)
 {
-    if (text.empty() || text.size() > 16)
-        return false;
-    uint64_t v = 0;
-    for (char c : text) {
-        int digit;
-        if (c >= '0' && c <= '9')
-            digit = c - '0';
-        else if (c >= 'a' && c <= 'f')
-            digit = c - 'a' + 10;
-        else if (c >= 'A' && c <= 'F')
-            digit = c - 'A' + 10;
-        else
-            return false;
-        v = (v << 4) | static_cast<uint64_t>(digit);
-    }
-    id = v;
-    return true;
+    return text.size() <= 16 && parseUintHex(text, id);
 }
 
 uint64_t

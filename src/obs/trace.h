@@ -116,7 +116,10 @@ class Trace : public PhaseSink
     /** The canonical 16-lowercase-hex wire form of a trace id. */
     static std::string formatId(uint64_t id);
 
-    /** Parse the wire form; false on anything but 1-16 hex digits. */
+    /**
+     * Parse the wire form; false on anything but 1-16 hex digits (of
+     * either case).
+     */
     static bool parseId(std::string_view text, uint64_t &id);
 
   private:

@@ -1,7 +1,6 @@
 #include "server/router_daemon.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <utility>
 
@@ -20,39 +19,6 @@ namespace {
 
 /** Recv deadline for the per-shard admin fan-out connections. */
 constexpr int kAdminRecvTimeoutMs = 2000;
-
-int64_t
-fieldInt(const JsonRequest &json, std::string_view key)
-{
-    const std::string *value = json.find(key);
-    if (value == nullptr)
-        return 0;
-    return std::strtoll(value->c_str(), nullptr, 10);
-}
-
-/** Fold one shard's stats reply into the running sum. */
-void
-accumulateStats(const JsonRequest &json, ServiceStats &sum)
-{
-    sum.requests += fieldInt(json, "requests");
-    sum.hits += fieldInt(json, "hits");
-    sum.misses += fieldInt(json, "misses");
-    sum.compiles += fieldInt(json, "compiles");
-    sum.failures += fieldInt(json, "failures");
-    sum.evictions += fieldInt(json, "evictions");
-    sum.analysisComputes += fieldInt(json, "analysis_computes");
-    sum.cachedResults +=
-        static_cast<size_t>(fieldInt(json, "cached_results"));
-    sum.cachedBytes +=
-        static_cast<size_t>(fieldInt(json, "cached_bytes"));
-    sum.cachedPrograms +=
-        static_cast<size_t>(fieldInt(json, "cached_programs"));
-    sum.shed += fieldInt(json, "shed");
-    sum.deadlineExpired += fieldInt(json, "deadline_expired");
-    sum.pendingCompiles +=
-        static_cast<size_t>(fieldInt(json, "pending_compiles"));
-    sum.workerDeaths += fieldInt(json, "worker_deaths");
-}
 
 } // namespace
 
@@ -222,8 +188,8 @@ RouterServer::handleLineTo(std::string_view line, std::string &out,
     if (shard < 0) {
         // Whole fabric down: same structured shape as a single dead
         // shard, so clients need one retry discipline.
-        out += UpstreamPool::formatShardDown(replyIdPrefix(json),
-                                             pool_->retryAfterMs());
+        formatRefusalTo(out, replyIdPrefix(json), "shard_down",
+                        pool_->retryAfterMs());
         out += '\n';
         return;
     }

@@ -8,59 +8,9 @@
 #include "obs/flight_recorder.h"
 #include "server/faults.h"
 #include "server/net.h"
+#include "service/protocol.h"
 
 namespace square {
-
-namespace {
-
-/**
- * Parse the leading `{"id": <digits>, ` of a shard reply.  Returns the
- * correlation id and sets @p rest to the bytes after the separator (the
- * remainder of the object, starting with its second field).  Every
- * forwarded request carries a numeric id, and the serving tier always
- * echoes the id as the first field, so failures here mean a peer that
- * is not a square shard.
- */
-bool
-parseReplySeq(std::string_view line, uint64_t &seq,
-              std::string_view &rest)
-{
-    constexpr std::string_view kPrefix = "{\"id\": ";
-    if (line.substr(0, kPrefix.size()) != kPrefix)
-        return false;
-    size_t pos = kPrefix.size();
-    uint64_t value = 0;
-    size_t digits = 0;
-    while (pos < line.size() && line[pos] >= '0' && line[pos] <= '9') {
-        value = value * 10 + static_cast<uint64_t>(line[pos] - '0');
-        ++pos;
-        ++digits;
-    }
-    if (digits == 0 || pos + 2 > line.size() || line[pos] != ',' ||
-        line[pos + 1] != ' ')
-        return false;
-    seq = value;
-    rest = line.substr(pos + 2);
-    return true;
-}
-
-} // namespace
-
-std::string
-UpstreamPool::formatShardDown(const std::string &id_prefix,
-                              double retry_after_ms)
-{
-    char tail[96];
-    std::snprintf(tail, sizeof tail,
-                  "\"status\": \"shard_down\", \"retry_after_ms\": %g}",
-                  retry_after_ms);
-    std::string line;
-    line.reserve(1 + id_prefix.size() + sizeof tail);
-    line += '{';
-    line += id_prefix;
-    line += tail;
-    return line;
-}
 
 UpstreamPool::UpstreamPool(std::vector<std::string> addresses,
                            UpstreamConfig cfg)
@@ -157,14 +107,7 @@ UpstreamPool::stop()
     }
     for (auto &[seq, entry] : orphaned) {
         (void)seq;
-        if (entry.sink == nullptr)
-            continue;
-        std::string line =
-            formatShardDown(entry.idPrefix, cfg_.retryAfterMs);
-        line += '\n';
-        shardDownC_.add(1);
-        noteForwardDone(entry, /*ok=*/false);
-        entry.sink->post(std::move(line));
+        flushShardDown(entry, /*failover=*/false);
     }
 }
 
@@ -301,21 +244,8 @@ UpstreamPool::markDown(size_t idx)
             }
         }
     }
-    for (auto &entry : flushed) {
-        if (entry.sink == nullptr)
-            continue; // a ping; nobody is waiting on it
-        std::string line =
-            formatShardDown(entry.idPrefix, cfg_.retryAfterMs);
-        line += '\n';
-        failoversC_.add(1);
-        shardDownC_.add(1);
-        obs::recordEvent(obs::Comp::Upstream, obs::Ev::Failover, idx,
-                         0,
-                         entry.trace != nullptr ? entry.trace->id()
-                                                : 0);
-        noteForwardDone(entry, /*ok=*/false);
-        entry.sink->post(std::move(line));
-    }
+    for (auto &entry : flushed)
+        flushShardDown(entry, /*failover=*/true, /*event_a1=*/0);
     obs::recordEvent(obs::Comp::Upstream, obs::Ev::ShardDown, idx,
                      flushed.size());
 }
@@ -332,19 +262,28 @@ UpstreamPool::postShardDown(uint64_t seq)
         entry = std::move(it->second);
         pending_.erase(it);
     }
+    flushShardDown(entry, /*failover=*/true, /*event_a1=*/1);
+}
+
+void
+UpstreamPool::flushShardDown(Pending &entry, bool failover,
+                             uint64_t event_a1)
+{
     if (entry.sink == nullptr)
-        return;
-    std::string line =
-        formatShardDown(entry.idPrefix, cfg_.retryAfterMs);
+        return; // a ping; nobody is waiting on it
+    std::string line;
+    formatRefusalTo(line, entry.idPrefix, "shard_down", cfg_.retryAfterMs);
     line += '\n';
-    failoversC_.add(1);
+    if (failover) {
+        failoversC_.add(1);
+        obs::recordEvent(obs::Comp::Upstream, obs::Ev::Failover,
+                         entry.shard >= 0
+                             ? static_cast<uint64_t>(entry.shard)
+                             : 0,
+                         event_a1,
+                         entry.trace != nullptr ? entry.trace->id() : 0);
+    }
     shardDownC_.add(1);
-    obs::recordEvent(obs::Comp::Upstream, obs::Ev::Failover,
-                     entry.shard >= 0
-                         ? static_cast<uint64_t>(entry.shard)
-                         : 0,
-                     1,
-                     entry.trace != nullptr ? entry.trace->id() : 0);
     noteForwardDone(entry, /*ok=*/false);
     entry.sink->post(std::move(line));
 }
@@ -409,7 +348,7 @@ UpstreamPool::handleReply(size_t idx, std::string_view line)
     Shard &s = *shards_[idx];
     uint64_t seq = 0;
     std::string_view rest;
-    if (!parseReplySeq(line, seq, rest))
+    if (!parseReplyId(line, seq, rest))
         return; // not a framed reply; drop (peer is not a shard)
     Pending entry;
     {

@@ -22,7 +22,8 @@
  *  - marking a shard down removes it from the hash ring (later keys
  *    re-route to survivors, moving only the dead shard's ~1/N arc)
  *    and flushes every in-flight request parked on that shard with a
- *    structured {"status": "shard_down", "retry_after_ms": N} reply;
+ *    structured {"ok": false, "status": "shard_down",
+ *    "retry_after_ms": N} reply (protocol.h's refusal shape);
  *  - forward() guarantees exactly one reply post per request: the
  *    shard's answer, or the shard_down flush, or — when the pool is
  *    stopped with requests in flight — the teardown flush;
@@ -151,10 +152,6 @@ class UpstreamPool
 
     double retryAfterMs() const { return cfg_.retryAfterMs; }
 
-    /** Render a shard_down reply line (no newline). */
-    static std::string formatShardDown(const std::string &id_prefix,
-                                       double retry_after_ms);
-
   private:
     /** One client request awaiting its shard reply. */
     struct Pending
@@ -201,6 +198,16 @@ class UpstreamPool
 
     /** Pop @p seq and post a shard_down if it was still pending. */
     void postShardDown(uint64_t seq);
+
+    /**
+     * Answer one parked request with a shard_down refusal (a ping has
+     * no client and is dropped) and count it.  A @p failover flush
+     * (markDown, postShardDown) also counts a failover and records
+     * Ev::Failover with a1 = @p event_a1; the teardown flush (stop)
+     * does neither.
+     */
+    void flushShardDown(Pending &entry, bool failover,
+                        uint64_t event_a1 = 0);
 
     /** Reply-line demultiplexer (reader threads). */
     void handleReply(size_t idx, std::string_view line);

@@ -1,52 +1,34 @@
 #include "service/machine_spec.h"
 
-#include <cctype>
-#include <cstdlib>
-
+#include "common/flags.h"
 #include "common/hash.h"
 
 namespace square {
 
 namespace {
 
-/** Parse a positive integer prefix of @p s; advances the cursor. */
+/** One dimension: a whole-text integer in [1, 1000000]. */
 bool
-parsePositive(const std::string &s, size_t &pos, int &out)
+parseDim(std::string_view text, int &out)
 {
-    size_t start = pos;
-    long v = 0;
-    while (pos < s.size() && std::isdigit(static_cast<unsigned char>(s[pos]))) {
-        v = v * 10 + (s[pos] - '0');
-        if (v > 1000000)
-            return false;
-        ++pos;
-    }
-    if (pos == start || v <= 0)
+    int64_t v = 0;
+    if (!parseInt(text, 1, 1000000, v))
         return false;
     out = static_cast<int>(v);
     return true;
 }
 
-/** Parse "WxH" or "WxH@T" after the colon. */
+/** Parse "WxH", or "WxH@T" when @p allow_latency, after the colon. */
 bool
-parseDims(const std::string &dims, bool allow_latency, MachineSpec &out)
+parseDims(std::string_view dims, bool allow_latency, MachineSpec &out)
 {
-    size_t pos = 0;
-    if (!parsePositive(dims, pos, out.width))
+    const size_t x = dims.find('x');
+    const size_t at = allow_latency ? dims.find('@') : dims.npos;
+    if (x == dims.npos || (at != dims.npos && at < x))
         return false;
-    if (pos >= dims.size() || dims[pos] != 'x')
-        return false;
-    ++pos;
-    if (!parsePositive(dims, pos, out.height))
-        return false;
-    if (pos == dims.size())
-        return true;
-    if (!allow_latency || dims[pos] != '@')
-        return false;
-    ++pos;
-    if (!parsePositive(dims, pos, out.tLatency))
-        return false;
-    return pos == dims.size();
+    return parseDim(dims.substr(0, x), out.width) &&
+           parseDim(dims.substr(x + 1, at - x - 1), out.height) &&
+           (at == dims.npos || parseDim(dims.substr(at + 1), out.tLatency));
 }
 
 } // namespace
@@ -125,8 +107,7 @@ MachineSpec::parse(const std::string &text, MachineSpec &out,
         }
     } else if (family == "full") {
         spec.kind = Kind::FullyConnected;
-        size_t pos = 0;
-        if (!parsePositive(dims, pos, spec.width) || pos != dims.size()) {
+        if (!parseDim(dims, spec.width)) {
             error = "bad qubit count '" + dims + "' (want N > 0)";
             return false;
         }
@@ -142,7 +123,7 @@ MachineSpec::parse(const std::string &text, MachineSpec &out,
                 "' (nisq|nisq-macro|full|ft|ft-macro)";
         return false;
     }
-    // Each dimension is capped by parsePositive; their product is
+    // Each dimension is capped by parseDim; their product is
     // checked here, in 64 bits, before anything multiplies it as int.
     const int64_t sites = spec.kind == Kind::FullyConnected
                               ? int64_t{spec.width}

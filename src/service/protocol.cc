@@ -1,12 +1,14 @@
 #include "service/protocol.h"
 
+#include <algorithm>
 #include <cctype>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <string_view>
+#include <type_traits>
 
+#include "common/flags.h"
 #include "obs/trace.h"
 
 namespace square {
@@ -115,36 +117,6 @@ escape(const std::string &s)
     return out;
 }
 
-bool
-parsePositiveInt(const std::string &text, int &out)
-{
-    char *end = nullptr;
-    long v = std::strtol(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0' || v <= 0 || v > 1000000)
-        return false;
-    out = static_cast<int>(v);
-    return true;
-}
-
-bool
-parseNumber(const std::string &text, double &out)
-{
-    char *end = nullptr;
-    out = std::strtod(text.c_str(), &end);
-    return end != text.c_str() && *end == '\0';
-}
-
-/** Parse a finite number in [0, max] into @p out (untouched on failure). */
-bool
-parseBoundedNumber(const std::string &text, double max, double &out)
-{
-    double v = 0;
-    if (!parseNumber(text, v) || !std::isfinite(v) || v < 0 || v > max)
-        return false;
-    out = v;
-    return true;
-}
-
 /** True when @p s matches RFC 8259's number grammar exactly. */
 bool
 isJsonNumber(std::string_view s)
@@ -210,10 +182,32 @@ idPrefix(const JsonRequest &json)
 }
 
 /**
- * The SquareConfig a "policy" token names; false with a message for
- * an unknown policy or a bad measure-reset latency.  buildRequest and
- * requestLabel both read this one table.
+ * The summed fields of the stats line, in wire order: each an int64_t
+ * counter or a size_t gauge of ServiceStats.  formatStats writes them
+ * and accumulateStats reads them back; hit_rate, a ratio, is derived.
  */
+template <typename Stats, typename Visit>
+void
+forEachStatsField(Stats &s, Visit &&visit)
+{
+    visit("requests", s.requests);
+    visit("hits", s.hits);
+    visit("misses", s.misses);
+    visit("compiles", s.compiles);
+    visit("failures", s.failures);
+    visit("evictions", s.evictions);
+    visit("analysis_computes", s.analysisComputes);
+    visit("cached_results", s.cachedResults);
+    visit("cached_bytes", s.cachedBytes);
+    visit("cached_programs", s.cachedPrograms);
+    visit("shed", s.shed);
+    visit("deadline_expired", s.deadlineExpired);
+    visit("pending_compiles", s.pendingCompiles);
+    visit("worker_deaths", s.workerDeaths);
+}
+
+} // namespace
+
 bool
 policyConfig(const std::string &policy, SquareConfig &out,
              std::string &error)
@@ -226,13 +220,14 @@ policyConfig(const std::string &policy, SquareConfig &out,
         out = SquareConfig::lazy();
     } else if (policy == "laa") {
         out = SquareConfig::squareLaaOnly();
-    } else if (policy.rfind("mr:", 0) == 0) {
-        int latency = 0;
-        if (!parsePositiveInt(policy.substr(3), latency)) {
+    } else if (policy.starts_with("mr:")) {
+        int64_t latency = 0;
+        if (!parseInt(std::string_view(policy).substr(3), 1, 1000000,
+                      latency)) {
             error = "bad measure-reset latency in \"" + policy + "\"";
             return false;
         }
-        out = SquareConfig::measureReset(latency);
+        out = SquareConfig::measureReset(static_cast<int>(latency));
     } else {
         error = "unknown policy \"" + policy +
                 "\" (square|eager|lazy|laa|mr:<latency>)";
@@ -240,8 +235,6 @@ policyConfig(const std::string &policy, SquareConfig &out,
     }
     return true;
 }
-
-} // namespace
 
 bool
 parseJsonLine(std::string_view line, JsonRequest &out,
@@ -360,19 +353,16 @@ buildRequest(const JsonRequest &json, CompileRequest &out,
     out.label += "/" + out.cfg.name;
 
     // Optional config overrides.
-    if (json.has("anchor_box_margin")) {
-        if (!parsePositiveInt(json.get("anchor_box_margin"),
-                              out.cfg.anchorBoxMargin)) {
-            error = "bad anchor_box_margin";
+    for (auto [key, dst] :
+         {std::pair{"anchor_box_margin", &out.cfg.anchorBoxMargin},
+          std::pair{"candidate_cap", &out.cfg.candidateCap}}) {
+        const std::string *text = json.find(key);
+        int64_t v = *dst;
+        if (text != nullptr && !parseInt(*text, 1, 1000000, v)) {
+            error = std::string("bad ") + key;
             return false;
         }
-    }
-    if (json.has("candidate_cap")) {
-        if (!parsePositiveInt(json.get("candidate_cap"),
-                              out.cfg.candidateCap)) {
-            error = "bad candidate_cap";
-            return false;
-        }
+        *dst = static_cast<int>(v);
     }
     // Numeric fields must be finite and non-negative: the sweep's ring
     // early exit assumes non-negative weights, hold_horizon * gates must
@@ -393,8 +383,8 @@ buildRequest(const JsonRequest &json, CompileRequest &out,
         {"deadline_ms", 1e9, &out.deadlineMs},
     };
     for (const NumField &f : numeric) {
-        if (json.has(f.key) &&
-            !parseBoundedNumber(json.get(f.key), f.max, *f.dst)) {
+        const std::string *text = json.find(f.key);
+        if (text != nullptr && !parseReal(*text, 0, f.max, *f.dst)) {
             error = std::string("bad ") + f.key;
             return false;
         }
@@ -449,24 +439,16 @@ formatCacheKeyHex(const CacheKey &key)
 bool
 parseCacheKeyHex(std::string_view text, CacheKey &out)
 {
-    // Exactly "<16 hex>-<16 hex>-<16 hex>" (the formatCacheKeyHex
-    // form); anything else rejects so a mangled forwarded key cannot
-    // alias a real one.
-    if (text.size() != 50 || text[16] != '-' || text[33] != '-')
+    // Exactly "<16 hex>-<16 hex>-<16 hex>" in lowercase (the
+    // formatCacheKeyHex form); anything else rejects so a mangled
+    // forwarded key cannot alias a real one.
+    if (text.size() != 50 || text[16] != '-' || text[33] != '-' ||
+        text.find_first_of("ABCDEF") != std::string_view::npos)
         return false;
     uint64_t words[3] = {0, 0, 0};
-    for (int w = 0; w < 3; ++w) {
-        for (int i = 0; i < 16; ++i) {
-            char c = text[static_cast<size_t>(w * 17 + i)];
-            uint64_t digit;
-            if (c >= '0' && c <= '9')
-                digit = static_cast<uint64_t>(c - '0');
-            else if (c >= 'a' && c <= 'f')
-                digit = static_cast<uint64_t>(c - 'a' + 10);
-            else
-                return false;
-            words[w] = (words[w] << 4) | digit;
-        }
+    for (size_t w = 0; w < 3; ++w) {
+        if (!parseUintHex(text.substr(w * 17, 16), words[w]))
+            return false;
     }
     out = CacheKey{words[0], words[1], words[2]};
     return true;
@@ -545,14 +527,7 @@ formatReplyLineTo(std::string &out, const std::string &id_prefix,
     if (reply.status == "overloaded") {
         // Structured shed: not an error in the request, a statement
         // about server capacity — clients retry after the hint.
-        char tail[96];
-        std::snprintf(tail, sizeof tail,
-                      "\"ok\": false, \"status\": \"overloaded\", "
-                      "\"retry_after_ms\": %lld}",
-                      static_cast<long long>(reply.retryAfterMs + 0.5));
-        out += '{';
-        out += id_prefix;
-        out += tail;
+        formatRefusalTo(out, id_prefix, reply.status, reply.retryAfterMs);
         return;
     }
     if (reply.status == "deadline_expired") {
@@ -602,36 +577,81 @@ formatReply(const JsonRequest &json, const ServiceReply &reply)
 std::string
 formatStats(const ServiceStats &stats)
 {
-    double hit_rate =
+    const double hit_rate =
         stats.requests > 0
             ? static_cast<double>(stats.hits) /
                   static_cast<double>(stats.requests)
             : 0.0;
-    // New fields append AFTER hit_rate: scripts (and the CI greps)
-    // match on the historical field order staying contiguous.
-    char buf[832];
-    std::snprintf(
-        buf, sizeof buf,
-        "{\"ok\": true, \"requests\": %lld, \"hits\": %lld, "
-        "\"misses\": %lld, \"compiles\": %lld, \"failures\": %lld, "
-        "\"evictions\": %lld, \"analysis_computes\": %lld, "
-        "\"cached_results\": %zu, \"cached_bytes\": %zu, "
-        "\"cached_programs\": %zu, \"hit_rate\": %.4f, "
-        "\"shed\": %lld, \"deadline_expired\": %lld, "
-        "\"pending_compiles\": %zu, \"worker_deaths\": %lld}",
-        static_cast<long long>(stats.requests),
-        static_cast<long long>(stats.hits),
-        static_cast<long long>(stats.misses),
-        static_cast<long long>(stats.compiles),
-        static_cast<long long>(stats.failures),
-        static_cast<long long>(stats.evictions),
-        static_cast<long long>(stats.analysisComputes),
-        stats.cachedResults, stats.cachedBytes, stats.cachedPrograms,
-        hit_rate, static_cast<long long>(stats.shed),
-        static_cast<long long>(stats.deadlineExpired),
-        stats.pendingCompiles,
-        static_cast<long long>(stats.workerDeaths));
-    return buf;
+    std::string out = "{\"ok\": true";
+    forEachStatsField(stats, [&](std::string_view key, auto value) {
+        out += ", \"";
+        out += key;
+        out += "\": ";
+        out += std::to_string(value);
+        // Fields added later follow hit_rate: scripts (and the CI
+        // greps) match on the historical field order staying
+        // contiguous.
+        if (key == "cached_programs") {
+            char rate[32];
+            std::snprintf(rate, sizeof rate, ", \"hit_rate\": %.4f",
+                          hit_rate);
+            out += rate;
+        }
+    });
+    out += '}';
+    return out;
+}
+
+void
+accumulateStats(const JsonRequest &json, ServiceStats &sum)
+{
+    forEachStatsField(sum, [&](std::string_view key, auto &total) {
+        total += json.getInt<std::remove_reference_t<decltype(total)>>(key);
+    });
+}
+
+void
+formatRefusalTo(std::string &out, const std::string &id_prefix,
+                std::string_view status, double retry_after_ms)
+{
+    out += '{';
+    out += id_prefix;
+    out += "\"ok\": false, \"status\": \"";
+    out += status;
+    out += "\", \"retry_after_ms\": ";
+    out += std::to_string(static_cast<long long>(retry_after_ms + 0.5));
+    out += '}';
+}
+
+bool
+parseRefusal(std::string_view reply, uint64_t &retry_after_ms)
+{
+    JsonRequest json;
+    std::string error;
+    if (!parseJsonLine(reply, json, error))
+        return false;
+    const std::string *status = json.find("status");
+    if (status == nullptr ||
+        (*status != "overloaded" && *status != "shard_down"))
+        return false;
+    retry_after_ms =
+        std::min(json.getInt<uint64_t>("retry_after_ms"), kMaxRetryAfterMs);
+    return true;
+}
+
+bool
+parseReplyId(std::string_view line, uint64_t &id, std::string_view &rest)
+{
+    constexpr std::string_view kPrefix = "{\"id\": ";
+    if (!line.starts_with(kPrefix))
+        return false;
+    const size_t comma = line.find(", ", kPrefix.size());
+    if (comma == std::string_view::npos ||
+        !parseUint(line.substr(kPrefix.size(), comma - kPrefix.size()),
+                   id))
+        return false;
+    rest = line.substr(comma + 2);
+    return true;
 }
 
 std::string

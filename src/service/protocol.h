@@ -70,11 +70,16 @@
  * resolution; the shard's own computed key always wins, so a stale or
  * hostile "key" can at worst miss the fast path.
  *
- * Overload shedding and deadline expiry reply with structured status
- * lines instead of results (and never disconnect):
+ * Overload shedding, fabric failover and deadline expiry reply with
+ * structured status lines instead of results (and never disconnect).
+ * The two retryable refusals share one shape (formatRefusalTo, read
+ * back by parseRefusal), its hint a whole number of milliseconds:
  *
  *   {"id": 7, "ok": false, "status": "overloaded",
- *    "retry_after_ms": 150}
+ *    "retry_after_ms": 150}                       admission control
+ *   {"id": 7, "ok": false, "status": "shard_down",
+ *    "retry_after_ms": 250}                       fabric router: the
+ *                                                 owning shard is down
  *   {"id": 7, "ok": false, "status": "deadline_expired",
  *    "error": "deadline expired before compile started"}
  *
@@ -87,24 +92,34 @@
  *    "qubits_used": N, "peak_live": N, "reclaims": N, "skips": N,
  *    "key": "<hex>"}
  *
- * and for stats:
+ * and for stats (ServiceStats, summed across shards by the router):
  *
  *   {"ok": true, "requests": N, "hits": N, "misses": N,
- *    "compiles": N, "failures": N, "analysis_computes": N,
- *    "cached_results": N, "hit_rate": R}
+ *    "compiles": N, "failures": N, "evictions": N,
+ *    "analysis_computes": N, "cached_results": N, "cached_bytes": N,
+ *    "cached_programs": N, "hit_rate": R, "shed": N,
+ *    "deadline_expired": N, "pending_compiles": N, "worker_deaths": N}
  *
  * Errors reply {"id": ..., "ok": false, "error": "..."} and never kill
  * the server.
+ *
+ * Every number read off the wire goes through the flag table's
+ * whole-text rule (common/flags.h): no '+', hex, padding or trailing
+ * text, and nothing that overflows or underflows its range.
  */
 
 #ifndef SQUARE_SERVICE_PROTOCOL_H
 #define SQUARE_SERVICE_PROTOCOL_H
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "common/flags.h"
 #include "service/service.h"
 
 namespace square {
@@ -154,6 +169,31 @@ struct JsonRequest
         }
         return nullptr;
     }
+
+    /**
+     * The field as a whole-text integer of type T (parseInt or
+     * parseUint over T's range); 0 when missing or malformed.
+     */
+    template <typename T>
+    T
+    getInt(std::string_view key) const
+    {
+        const std::string *text = find(key);
+        if constexpr (std::is_signed_v<T>) {
+            int64_t v = 0;
+            return text != nullptr &&
+                           parseInt(*text, std::numeric_limits<T>::min(),
+                                    std::numeric_limits<T>::max(), v)
+                       ? static_cast<T>(v)
+                       : 0;
+        } else {
+            uint64_t v = 0;
+            return text != nullptr &&
+                           parseUint(*text, v, std::numeric_limits<T>::max())
+                       ? static_cast<T>(v)
+                       : 0;
+        }
+    }
 };
 
 /**
@@ -163,6 +203,15 @@ struct JsonRequest
  */
 bool parseJsonLine(std::string_view line, JsonRequest &out,
                    std::string &error);
+
+/**
+ * The SquareConfig a "policy" token names: square | eager | lazy | laa
+ * | mr:<latency> (measure-and-reset, latency in [1, 1000000] cycles).
+ * False with a message for anything else.  Requests, reply labels and
+ * square_cc's --policy all read this one table.
+ */
+bool policyConfig(const std::string &policy, SquareConfig &out,
+                  std::string &error);
 
 /**
  * Turn a parsed request into a CompileRequest.  Returns false with a
@@ -213,6 +262,32 @@ std::string formatReply(const JsonRequest &json, const ServiceReply &reply);
 std::string formatStats(const ServiceStats &stats);
 
 /**
+ * Add the counters of a parsed stats line (formatStats' fields; a
+ * missing or malformed one counts 0) into @p sum — how the fabric
+ * router totals its shards.
+ */
+void accumulateStats(const JsonRequest &json, ServiceStats &sum);
+
+/** The largest retry hint parseRefusal reports: one hour. */
+inline constexpr uint64_t kMaxRetryAfterMs = 3600000;
+
+/**
+ * Append a retryable refusal line (no trailing newline):
+ * {<id_prefix>"ok": false, "status": "<status>", "retry_after_ms": N},
+ * N the hint rounded to whole milliseconds.  Admission shedding
+ * ("overloaded") and fabric failover ("shard_down") both write it.
+ */
+void formatRefusalTo(std::string &out, const std::string &id_prefix,
+                     std::string_view status, double retry_after_ms);
+
+/**
+ * Decode a reply line as a retryable refusal: true for "overloaded"
+ * and "shard_down", with the hint in @p retry_after_ms (0 when missing
+ * or malformed, at most kMaxRetryAfterMs).
+ */
+bool parseRefusal(std::string_view reply, uint64_t &retry_after_ms);
+
+/**
  * Render a command reply carrying a multi-line text payload \n-escaped
  * into a "text" field: {"id"..., "ok": true, "cmd": "<cmd>",
  * "text": "..."} — how {"cmd": "metrics"} ships Prometheus text
@@ -249,6 +324,15 @@ bool parseCacheKeyHex(std::string_view text, CacheKey &out);
 void formatForwardedRequestTo(std::string &out, const JsonRequest &json,
                               uint64_t rid, const CacheKey &key,
                               uint64_t trace_id = 0);
+
+/**
+ * Split a shard's reply to a forwarded request: the leading
+ * `{"id": <rid>, ` (the router's correlation id, which the serving tier
+ * always echoes first) into @p id, and the rest of the object, from
+ * its second field, into @p rest.  False for any other shape.
+ */
+bool parseReplyId(std::string_view line, uint64_t &id,
+                  std::string_view &rest);
 
 /** Render an error reply line (no trailing newline). */
 std::string formatError(const JsonRequest &json, const std::string &error);

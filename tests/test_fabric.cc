@@ -192,6 +192,28 @@ TEST(Framing, MalformedCacheKeyHexRejects)
         "0123456789abcdef-fedcba9876543210-000000000000000g", out));
 }
 
+TEST(Framing, ReplyIdSplitsOffTheCorrelationId)
+{
+    uint64_t id = 0;
+    std::string_view rest;
+    ASSERT_TRUE(parseReplyId(
+        R"({"id": 18446744073709551615, "ok": true, "cache": "hit"})", id,
+        rest));
+    EXPECT_EQ(id, ~uint64_t{0});
+    EXPECT_EQ(rest, R"("ok": true, "cache": "hit"})");
+    // 2^64 and a 21-digit id overflow: rejected, never wrapped onto
+    // another request's correlation id.
+    for (const char *line :
+         {R"({"id": 18446744073709551616, "ok": true})",
+          R"({"id": 100000000000000000007, "ok": true})",
+          R"({"id": -7, "ok": true})", R"({"id": +7, "ok": true})",
+          R"({"id": 7x, "ok": true})", R"({"id": 7,"ok": true})",
+          R"({"id": "7", "ok": true})", R"({"ok": true, "id": 7})"}) {
+        SCOPED_TRACE(line);
+        EXPECT_FALSE(parseReplyId(line, id, rest));
+    }
+}
+
 TEST(Framing, ForwardedRequestRewritesIdAndAppendsKey)
 {
     JsonRequest json;
@@ -418,7 +440,8 @@ TEST_F(FabricSuite, KilledShardYieldsOnlyStructuredRepliesNoLostNoDup)
             std::string::npos;
         EXPECT_TRUE(ok || shard_down) << reply;
         if (shard_down)
-            EXPECT_NE(reply.find("\"retry_after_ms\": 25"),
+            EXPECT_NE(reply.find("\"ok\": false, \"status\": "
+                                 "\"shard_down\", \"retry_after_ms\": 25}"),
                       std::string::npos)
                 << reply;
         constexpr std::string_view kIdField = "\"id\": ";
@@ -556,6 +579,10 @@ TEST_F(FabricSuite, InjectedResetTripsFailoverThenReconnects)
                          std::string::npos;
     }
     EXPECT_TRUE(saw_shard_down);
+    // The flushed request's reply is the protocol's refusal shape.
+    EXPECT_EQ(reply, "{\"id\": 2, \"ok\": false, \"status\": "
+                     "\"shard_down\", \"retry_after_ms\": 25}")
+        << reply;
     EXPECT_GE(FaultInjector::instance().stats().connectionResets, 1);
 
     // Clear the budget: the redial restores the connection (the shard

@@ -42,6 +42,23 @@ TEST(Lexer, ErrorsOnStrayChar)
     EXPECT_THROW(lex("/* unterminated"), FatalError);
 }
 
+TEST(Lexer, IntegerLiteralsFitInt64)
+{
+    auto toks = lex("anc[9223372036854775807]");
+    ASSERT_EQ(toks.size(), 5u);
+    EXPECT_EQ(toks[2].value, INT64_MAX);
+    EXPECT_EQ(lex("anc[007]")[2].value, 7);
+    try {
+        lex("\nanc[9223372036854775808]");
+        ADD_FAILURE() << "overflow accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "integer literal overflow at line 2"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(Parser, Fig6Example)
 {
     // The paper's Fig. 6 construct in mini-Scaffold syntax.

@@ -325,10 +325,18 @@ TEST(TraceTest, IdWireFormatRoundTrips)
         ASSERT_TRUE(obs::Trace::parseId(hex, back)) << hex;
         EXPECT_EQ(back, id);
     }
+    // Either case, 1-16 digits; no sign, prefix or padding.
+    uint64_t back = 0;
+    ASSERT_TRUE(obs::Trace::parseId("DeadBeef", back));
+    EXPECT_EQ(back, 0xdeadbeefull);
+    ASSERT_TRUE(obs::Trace::parseId("7", back));
+    EXPECT_EQ(back, 7u);
     uint64_t ignored = 0;
-    EXPECT_FALSE(obs::Trace::parseId("", ignored));
-    EXPECT_FALSE(obs::Trace::parseId("xyz", ignored));
-    EXPECT_FALSE(obs::Trace::parseId("0123456789abcdef0", ignored));
+    for (const char *bad : {"", "xyz", "0123456789abcdef0", "-1", "+1",
+                            "0x1f", " 1f", "1f "}) {
+        SCOPED_TRACE(bad);
+        EXPECT_FALSE(obs::Trace::parseId(bad, ignored));
+    }
 }
 
 TEST(TraceTest, GeneratedIdsAreUniqueAndNonZero)

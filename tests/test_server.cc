@@ -380,9 +380,14 @@ TEST(Server, ForwardedWarmHitLabelsLikeTheFullPath)
     // A router-forwarded "key" takes the fast path, which labels the
     // hit without building the request; both paths must name the
     // policy alike however the token spells it (mr:0100 is mr:100).
+    // A signed latency is not a spelling of it: "mr:+100" is refused.
     CompileServer server(ServerConfig{});
+    EXPECT_NE(serveLine(server,
+                        R"({"workload":"ADDER4","policy":"mr:+100"})")
+                  .find("bad measure-reset latency"),
+              std::string::npos);
     for (const char *policy : {"square", "eager", "lazy", "laa", "mr:100",
-                               "mr:0100", "mr:+100"}) {
+                               "mr:0100"}) {
         SCOPED_TRACE(policy);
         const std::string line =
             std::string(R"({"workload":"ADDER4","policy":")") + policy +

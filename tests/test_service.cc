@@ -737,6 +737,8 @@ TEST(MachineSpec, MalformedSpecsRejectWithMessages)
         "nisq:5x",   "nisq:x5",   "nisq:5x5x5", "nisq:5x5@10",
         "ft:16x16@", "ft:16x16@0", "ft:16x@8",  "ft:@",
         "full:",     "full:0",    "full:2x2",   "nisq-macro:7",
+        "nisq:+5x5", "nisq: 5x5", "nisq:5x5 ", "ft:5@3x5",
+        "ft:8x8@-1", "full:0x10", "nisq:1000001x1",
         // Every dimension in range, the machine far too large: the
         // site count must not overflow int, and compile time must stay
         // bounded.
@@ -751,8 +753,11 @@ TEST(MachineSpec, MalformedSpecsRejectWithMessages)
     }
 
     // The cap itself: the largest accepted machine, then one site more.
+    // Leading zeros are digits, as they always were.
     MachineSpec spec;
     std::string error;
+    EXPECT_TRUE(MachineSpec::parse("ft:08x8@010", spec, error)) << error;
+    EXPECT_EQ(spec.str(), "ft:8x8@10");
     EXPECT_TRUE(MachineSpec::parse("nisq:256x256", spec, error)) << error;
     EXPECT_TRUE(MachineSpec::parse("full:65536", spec, error)) << error;
     EXPECT_FALSE(MachineSpec::parse("full:65537", spec, error));
@@ -911,6 +916,148 @@ TEST(Protocol, ParseAndBuildRequest)
     ASSERT_TRUE(buildRequest(json, req, error)) << error;
     EXPECT_EQ(req.cfg.holdHorizon, 1e6);
     EXPECT_EQ(req.cfg.commWeight, 0.0);
+}
+
+TEST(Protocol, NumbersFollowTheWholeTextRule)
+{
+    // The request numbers share the command line's rule: a sign on a
+    // count, a hex float, padding and an underflow are all refused.
+    const struct
+    {
+        const char *field;
+        const char *value;
+    } bad[] = {
+        {"candidate_cap", "\"+16\""},    {"candidate_cap", "+16"},
+        {"anchor_box_margin", "\" 16\""}, {"candidate_cap", "0x10"},
+        {"comm_weight", "\"0x1p3\""},     {"comm_weight", "0x1p3"},
+        {"area_weight", "1e-400"},         {"hold_horizon", "\" 1\""},
+        {"deadline_ms", "+250"},           {"serialization_weight", "\"1e\""},
+    };
+    for (const auto &c : bad) {
+        SCOPED_TRACE(std::string(c.field) + " = " + c.value);
+        JsonRequest json;
+        std::string error;
+        ASSERT_TRUE(parseJsonLine(std::string(R"({"workload": "ADDER4", ")") +
+                                      c.field + "\": " + c.value + "}",
+                                  json, error))
+            << error;
+        CompileRequest req;
+        EXPECT_FALSE(buildRequest(json, req, error));
+        EXPECT_EQ(error, std::string("bad ") + c.field);
+    }
+
+    // The measure-and-reset latency is read by the same rule, from the
+    // one policy table that requests, labels and square_cc share.
+    SquareConfig cfg;
+    std::string error;
+    ASSERT_TRUE(policyConfig("mr:10", cfg, error)) << error;
+    EXPECT_EQ(cfg.name, SquareConfig::measureReset(10).name);
+    for (const char *policy :
+         {"mr:+10", "mr: 10", "mr:0", "mr:1000001", "mr:", "mr:1e1"}) {
+        SCOPED_TRACE(policy);
+        EXPECT_FALSE(policyConfig(policy, cfg, error));
+        EXPECT_NE(error.find("bad measure-reset latency"),
+                  std::string::npos);
+    }
+    EXPECT_FALSE(policyConfig("greedy", cfg, error));
+}
+
+TEST(Protocol, RefusalsRoundTripThroughOneShape)
+{
+    for (const uint64_t hint : {0ull, 250ull, 1000000ull, 3600000ull}) {
+        SCOPED_TRACE(hint);
+        for (const char *status : {"overloaded", "shard_down"}) {
+            std::string line;
+            formatRefusalTo(line, "\"id\": 7, ", status,
+                            static_cast<double>(hint));
+            EXPECT_EQ(line, std::string(R"({"id": 7, "ok": false, )") +
+                                R"("status": ")" + status +
+                                R"(", "retry_after_ms": )" +
+                                std::to_string(hint) + "}");
+            uint64_t back = 99;
+            ASSERT_TRUE(parseRefusal(line, back)) << line;
+            EXPECT_EQ(back, hint);
+        }
+    }
+
+    // The service's shed reply is that shape, its hint rounded.
+    ServiceReply shed;
+    shed.status = "overloaded";
+    shed.retryAfterMs = 149.6;
+    std::string line;
+    formatReplyLineTo(line, "", shed);
+    EXPECT_EQ(line, R"({"ok": false, "status": "overloaded", )"
+                    R"("retry_after_ms": 150})");
+
+    // A malformed or oversized hint reads 0 or the cap, never a wrapped
+    // value; anything but the two refusals is not retryable.
+    uint64_t hint = 99;
+    EXPECT_TRUE(parseRefusal(R"({"ok": false, "status": "shard_down", )"
+                             R"("retry_after_ms": 99999999999999999999})",
+                             hint));
+    EXPECT_EQ(hint, 0u);
+    EXPECT_TRUE(parseRefusal(R"({"ok": false, "status": "overloaded", )"
+                             R"("retry_after_ms": 1e3})",
+                             hint));
+    EXPECT_EQ(hint, 0u);
+    EXPECT_TRUE(parseRefusal(R"({"ok": false, "status": "overloaded", )"
+                             R"("retry_after_ms": 86400000})",
+                             hint));
+    EXPECT_EQ(hint, kMaxRetryAfterMs);
+    EXPECT_FALSE(parseRefusal(
+        R"({"ok": false, "status": "deadline_expired", "error": "x"})", hint));
+    EXPECT_FALSE(parseRefusal(R"({"id": 1, "ok": true, "cache": "hit"})",
+                              hint));
+    EXPECT_FALSE(parseRefusal("not json", hint));
+}
+
+TEST(Protocol, StatsLineSumsBackFieldByField)
+{
+    // Every field distinct, scaled by k.
+    const auto stats = [](int64_t k) {
+        ServiceStats s;
+        s.requests = 10 * k;
+        s.hits = 7 * k;
+        s.misses = 3 * k;
+        s.compiles = 2 * k;
+        s.failures = 1 * k;
+        s.evictions = 4 * k;
+        s.analysisComputes = 5 * k;
+        s.cachedResults = static_cast<size_t>(6 * k);
+        s.cachedBytes = static_cast<size_t>(123456 * k);
+        s.cachedPrograms = static_cast<size_t>(8 * k);
+        s.shed = 9 * k;
+        s.deadlineExpired = 11 * k;
+        s.pendingCompiles = static_cast<size_t>(12 * k);
+        s.workerDeaths = 13 * k;
+        return s;
+    };
+    const std::string line = formatStats(stats(1));
+    EXPECT_EQ(line,
+              R"({"ok": true, "requests": 10, "hits": 7, "misses": 3, )"
+              R"("compiles": 2, "failures": 1, "evictions": 4, )"
+              R"("analysis_computes": 5, "cached_results": 6, )"
+              R"("cached_bytes": 123456, "cached_programs": 8, )"
+              R"("hit_rate": 0.7000, "shed": 9, "deadline_expired": 11, )"
+              R"("pending_compiles": 12, "worker_deaths": 13})");
+
+    // Two shards reporting that line sum to twice every counter.
+    JsonRequest json;
+    std::string error;
+    ASSERT_TRUE(parseJsonLine(line, json, error)) << error;
+    ServiceStats sum;
+    accumulateStats(json, sum);
+    accumulateStats(json, sum);
+    EXPECT_EQ(formatStats(sum), formatStats(stats(2)));
+
+    // A malformed counter counts 0, not its numeric prefix.
+    ASSERT_TRUE(parseJsonLine(R"({"hits": "5x", "misses": 2})", json,
+                              error))
+        << error;
+    ServiceStats partial;
+    accumulateStats(json, partial);
+    EXPECT_EQ(partial.hits, 0);
+    EXPECT_EQ(partial.misses, 2);
 }
 
 TEST(Protocol, DeadlineAndPriorityFieldsParse)

@@ -40,7 +40,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <string>
@@ -94,24 +93,6 @@ struct Options {
     bool quiet = false;
 };
 
-int64_t
-fieldI64(const JsonRequest &json, std::string_view key)
-{
-    const std::string *v = json.find(key);
-    if (v == nullptr)
-        return 0;
-    return std::strtoll(v->c_str(), nullptr, 10);
-}
-
-uint64_t
-fieldU64(const JsonRequest &json, std::string_view key)
-{
-    const std::string *v = json.find(key);
-    if (v == nullptr)
-        return 0;
-    return std::strtoull(v->c_str(), nullptr, 10);
-}
-
 /**
  * Parse one postmortem file, appending every block closed by an "end"
  * line to @p blocks.  Blocks are keyed by pid while open: concurrent
@@ -138,26 +119,26 @@ parseFile(const std::string &path, std::vector<PmBlock> &blocks,
         if (!parseJsonLine(line, json, parse_error))
             continue; // torn write or foreign line: skip, not fatal
         const std::string kind = json.get("pm");
-        const uint64_t pid = fieldU64(json, "pid");
+        const uint64_t pid = json.getInt<uint64_t>("pid");
         if (kind == "begin") {
             PmBlock block;
             block.pid = pid;
             block.reason = json.get("reason");
             block.signalName = json.get("signal_name");
-            block.wallUs = fieldI64(json, "wall_us");
-            block.monoUs = fieldI64(json, "mono_us");
+            block.wallUs = json.getInt<int64_t>("wall_us");
+            block.monoUs = json.getInt<int64_t>("mono_us");
             open[pid] = std::move(block); // a re-begin drops the torso
         } else if (kind == "ev") {
             auto it = open.find(pid);
             if (it == open.end())
                 continue;
             PmEvent ev;
-            ev.tsUs = fieldI64(json, "ts_us");
+            ev.tsUs = json.getInt<int64_t>("ts_us");
             ev.comp = json.get("comp");
             ev.ev = json.get("ev");
-            ev.tid = fieldU64(json, "tid");
-            ev.a0 = fieldU64(json, "a0");
-            ev.a1 = fieldU64(json, "a1");
+            ev.tid = json.getInt<uint64_t>("tid");
+            ev.a0 = json.getInt<uint64_t>("a0");
+            ev.a1 = json.getInt<uint64_t>("a1");
             ev.trace = json.get("trace");
             it->second.events.push_back(std::move(ev));
         } else if (kind == "metric") {
@@ -168,7 +149,7 @@ parseFile(const std::string &path, std::vector<PmBlock> &blocks,
             m.reg = json.get("reg");
             m.name = json.get("name");
             m.kind = json.get("kind");
-            m.value = fieldI64(json, "value");
+            m.value = json.getInt<int64_t>("value");
             it->second.metrics.push_back(std::move(m));
         } else if (kind == "end") {
             auto it = open.find(pid);
@@ -176,8 +157,8 @@ parseFile(const std::string &path, std::vector<PmBlock> &blocks,
                 continue;
             PmBlock block = std::move(it->second);
             open.erase(it);
-            block.declaredEvents = fieldI64(json, "events");
-            block.dropped = fieldI64(json, "dropped");
+            block.declaredEvents = json.getInt<int64_t>("events");
+            block.dropped = json.getInt<int64_t>("dropped");
             block.complete = true;
             std::stable_sort(block.events.begin(), block.events.end(),
                              [](const PmEvent &a, const PmEvent &b) {

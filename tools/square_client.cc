@@ -64,41 +64,6 @@ using namespace square;
 namespace {
 
 /**
- * Extract retry_after_ms from a shed reply.  The reply grammar is
- * machine-generated flat JSON, so a substring scan is exact here; a
- * missing or malformed field falls back to 0 (backoff-only sleep).
- */
-long
-parseRetryAfterMs(std::string_view reply)
-{
-    static constexpr std::string_view kField = "\"retry_after_ms\": ";
-    size_t pos = reply.find(kField);
-    if (pos == std::string_view::npos)
-        return 0;
-    pos += kField.size();
-    long value = 0;
-    while (pos < reply.size() && reply[pos] >= '0' && reply[pos] <= '9')
-        value = value * 10 + (reply[pos++] - '0');
-    return value;
-}
-
-/**
- * True for structured refusals the client should retry: admission-
- * control shedding ("overloaded") and fabric failover ("shard_down" —
- * the router flushed the request when its shard died; by the time the
- * retry lands, the key has re-routed to a surviving shard).  Both
- * reply shapes carry retry_after_ms.
- */
-bool
-isRetryableReply(std::string_view reply)
-{
-    return reply.find("\"status\": \"overloaded\"") !=
-               std::string_view::npos ||
-           reply.find("\"status\": \"shard_down\"") !=
-               std::string_view::npos;
-}
-
-/**
  * True for lines the client may trace: a compile request (no "cmd"
  * admin field, no pre-existing trace_id) that is a well-formed flat
  * object we can splice a field into.
@@ -184,13 +149,19 @@ main(int argc, char **argv)
                              "reply\n");
                 return 1;
             }
-            if (attempt >= max_retries || !isRetryableReply(reply))
+            // Only the structured refusals are retried: admission
+            // shedding ("overloaded") and fabric failover ("shard_down":
+            // by the time the retry lands, the dead shard's keys have
+            // re-routed to a survivor).
+            uint64_t retry_after_ms = 0;
+            if (attempt >= max_retries ||
+                !parseRefusal(reply, retry_after_ms))
                 break;
             // Sleep the server's hint plus exponential backoff with
             // jitter of up to half the backoff (all from one seeded
             // generator, so the schedule replays exactly).
             long sleep_ms =
-                parseRetryAfterMs(reply) + backoff_ms +
+                static_cast<long>(retry_after_ms) + backoff_ms +
                 static_cast<long>(jitter.below(
                     static_cast<uint64_t>(backoff_ms / 2 + 1)));
             std::this_thread::sleep_for(

@@ -46,6 +46,7 @@
 #include "common/logging.h"
 #include "server/daemon.h"
 #include "server/router_daemon.h"
+#include "service/protocol.h"
 
 using namespace square;
 
@@ -63,7 +64,8 @@ main(int argc, char **argv)
                  3600000),
          intFlag("failure-threshold", cfg.upstream.failureThreshold, 1,
                  1000),
-         intFlag("retry-after-ms", cfg.upstream.retryAfterMs, 0, 3600000),
+         intFlag("retry-after-ms", cfg.upstream.retryAfterMs, 0,
+                 kMaxRetryAfterMs),
          switchFlag("cascade-shutdown", cfg.cascadeShutdown)});
     if (!parseFlags(argc, argv, flags))
         return 1;

@@ -24,7 +24,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
@@ -104,9 +103,10 @@ parseSeries(const std::string &text)
         const size_t space = line.rfind(' ');
         if (space == std::string_view::npos)
             continue;
-        out.emplace_back(
-            std::string(line.substr(0, space)),
-            std::strtoll(line.data() + space + 1, nullptr, 10));
+        // Every exposed value is an integer; a malformed one reads 0.
+        int64_t value = 0;
+        parseInt(line.substr(space + 1), INT64_MIN, INT64_MAX, value);
+        out.emplace_back(std::string(line.substr(0, space)), value);
     }
     return out;
 }

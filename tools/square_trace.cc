@@ -32,7 +32,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -71,14 +70,8 @@ parseSpanLine(const std::string &line, std::string &trace_id,
     trace_id = json.get("trace");
     row.comp = json.has("comp") ? json.get("comp") : "?";
     row.span = json.get("span");
-    row.startUs = json.has("start_us")
-                      ? std::strtoll(json.get("start_us").c_str(),
-                                     nullptr, 10)
-                      : 0;
-    row.durUs = json.has("dur_us")
-                    ? std::strtoll(json.get("dur_us").c_str(), nullptr,
-                                   10)
-                    : 0;
+    row.startUs = json.getInt<long long>("start_us");
+    row.durUs = json.getInt<long long>("dur_us");
     return true;
 }
 
