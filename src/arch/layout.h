@@ -64,6 +64,13 @@ class Layout
         return ever_used_.at(static_cast<size_t>(site)) != 0;
     }
 
+    /**
+     * Reserve the logical-qubit table for @p n placements: logical ids
+     * are never reused, so the first @p n place() calls then grow
+     * nothing.
+     */
+    void reserveLogical(size_t n) { logical_to_site_.reserve(n); }
+
     /** Allocate a fresh logical qubit at an empty @p site. */
     LogicalQubit place(PhysQubit site);
 

@@ -63,6 +63,13 @@ class Topology
     /** Planar coordinates of a site (for centroid/area heuristics). */
     virtual std::pair<double, double> coords(PhysQubit site) const = 0;
 
+    /**
+     * An upper bound of distance() over all site pairs, so a pathInto()
+     * scratch of diameter() + 1 sites never grows.  The default holds
+     * for any connected topology.
+     */
+    virtual int diameter() const { return numSites() - 1; }
+
     /** Human-readable description. */
     virtual std::string name() const = 0;
 
@@ -123,6 +130,7 @@ class LatticeTopology final : public Topology
     void pathInto(PhysQubit a, PhysQubit b,
                   std::vector<PhysQubit> &out) const override;
     std::pair<double, double> coords(PhysQubit site) const override;
+    int diameter() const override { return width_ + height_ - 2; }
     std::string name() const override;
 
     int width() const { return width_; }
@@ -158,6 +166,7 @@ class FullTopology final : public Topology
     void pathInto(PhysQubit a, PhysQubit b,
                   std::vector<PhysQubit> &out) const override;
     std::pair<double, double> coords(PhysQubit site) const override;
+    int diameter() const override { return n_ > 1 ? 1 : 0; }
     std::string name() const override;
 
   private:

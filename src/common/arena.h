@@ -7,6 +7,11 @@
  * pointer increment in steady state, and the whole tree is released at
  * once when the arena is destroyed.  No destructor ever runs on an
  * arena object, so only trivially destructible types may live here.
+ *
+ * Chunks are left uninitialised: make<T>() constructs its object, and
+ * a makeArray<T>() slice is raw storage its owner writes before it
+ * reads (the executor's ancilla lists are filled by the allocator, its
+ * child lists are read only up to their push count).
  */
 
 #ifndef SQUARE_COMMON_ARENA_H
@@ -54,7 +59,7 @@ class Arena
         size_t cap = bytes + align > chunk_bytes_ ? bytes + align
                                                   : chunk_bytes_;
         Chunk c;
-        c.data = std::make_unique<char[]>(cap);
+        c.data = std::make_unique_for_overwrite<char[]>(cap);
         c.cap = cap;
         uintptr_t base = reinterpret_cast<uintptr_t>(c.data.get());
         size_t offset =

@@ -454,6 +454,16 @@ Allocator::allocAncillaInto(int n, const ModuleStats &st,
     }
 }
 
+void
+Allocator::reserveAnchors(size_t n)
+{
+    anchor_scratch_.reserve(n);
+    if (lattice_) {
+        anchor_x_.reserve(n);
+        anchor_y_.reserve(n);
+    }
+}
+
 std::vector<LogicalQubit>
 Allocator::allocAncilla(int n, const ModuleStats &st,
                         std::span<const LogicalQubit> args,

@@ -34,11 +34,12 @@
  *
  * chooseSite() runs once per allocated ancilla, so the per-ancilla
  * anchor list and anchor coordinates (and, for the generic search, the
- * frontier and visit marks) are reused member buffers: steady-state
- * allocation performs no heap allocation.  When cfg.anchorBoxCutoff is
- * set, the sweep never leaves the anchor bounding box (inflated by
- * cfg.anchorBoxMargin), which caps the per-allocation visit cost on
- * workloads whose free sites are far from the anchors.
+ * frontier and visit marks) are reused member buffers, sized before the
+ * first allocation (reserveAnchors): allocation performs no heap
+ * allocation.  When cfg.anchorBoxCutoff is set, the sweep never leaves
+ * the anchor bounding box (inflated by cfg.anchorBoxMargin), which caps
+ * the per-allocation visit cost on workloads whose free sites are far
+ * from the anchors.
  */
 
 #ifndef SQUARE_CORE_ALLOCATOR_H
@@ -88,6 +89,13 @@ class Allocator
     std::vector<LogicalQubit> allocAncilla(int n, const ModuleStats &st,
                                            std::span<const LogicalQubit> args,
                                            int64_t t_ready);
+
+    /**
+     * Reserve the anchor scratch for allocations anchored on up to
+     * @p n sites (the program's widest parameter list), so no sweep
+     * grows it.
+     */
+    void reserveAnchors(size_t n);
 
   private:
     /** Next never-used site in center-out order (fatal when full). */

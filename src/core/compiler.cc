@@ -9,7 +9,7 @@ CompileResult
 compile(const Program &prog, const Machine &machine,
         const SquareConfig &cfg, const CompileOptions &options)
 {
-    CompileContext ctx(machine, cfg, options);
+    CompileContext ctx(prog, machine, cfg, options);
     Executor exec(prog, ctx);
     return exec.run();
 }

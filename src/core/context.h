@@ -6,11 +6,13 @@
  * touches: the logical-to-site layout, the ancilla heap, the scheduler
  * (and its routers), the allocator, the AQV tracker, the trace
  * plumbing, the invocation-record arena, and the depth-indexed scratch
- * pools.  The Executor borrows a context instead of owning ad-hoc
- * members, which makes the ownership story explicit:
+ * pools - plus the program's analysis when none is borrowed.  The
+ * Executor borrows a context instead of owning ad-hoc members, which
+ * makes the ownership story explicit:
  *
- *  - immutable inputs (Machine, SquareConfig, Program) are borrowed by
- *    const reference and shared freely across concurrent compilations;
+ *  - immutable inputs (Machine, SquareConfig, Program, a shared
+ *    ProgramAnalysis) are borrowed by const reference and shared freely
+ *    across concurrent compilations;
  *  - everything mutable lives here, one context per compilation, with
  *    no globals and no state shared between contexts.
  *
@@ -18,12 +20,19 @@
  * (Program, Machine, SquareConfig): contexts on different threads never
  * alias, which is what lets the compile service's worker pool run one
  * compilation per worker with bit-identical per-request results.
+ *
+ * Construction sizes up front whatever the machine and the analysis
+ * determine: the heap's site table, the logical-qubit and AQV tables
+ * (for the forward pass's placements), the allocator's anchor scratch,
+ * the swap router's path scratch and one scratch row per call depth.
+ * The run then grows only what recomputation adds beyond the forward
+ * pass and the arena's chunks.
  */
 
 #ifndef SQUARE_CORE_CONTEXT_H
 #define SQUARE_CORE_CONTEXT_H
 
-#include <deque>
+#include <optional>
 #include <vector>
 
 #include "arch/layout.h"
@@ -33,6 +42,7 @@
 #include "core/compiler.h"
 #include "core/heap.h"
 #include "core/policy.h"
+#include "ir/analysis.h"
 #include "metrics/aqv.h"
 #include "schedule/scheduler.h"
 #include "schedule/trace.h"
@@ -43,7 +53,8 @@ namespace square {
 class CompileContext
 {
   public:
-    CompileContext(const Machine &machine, const SquareConfig &cfg,
+    CompileContext(const Program &prog, const Machine &machine,
+                   const SquareConfig &cfg,
                    const CompileOptions &options = {});
 
     // The layout swap-observer closure captures `this`.
@@ -54,6 +65,11 @@ class CompileContext
     const Machine &machine;
     const SquareConfig &cfg;
     const CompileOptions options;
+
+    /** Engaged only when the options carry no shared analysis. */
+    const std::optional<ProgramAnalysis> ownedAnalysis;
+    /** The analysis in use: borrowed from the options, or owned. */
+    const ProgramAnalysis &analysis;
 
     // -- owned per-compilation state (construction order matters) ------
     Layout layout;
@@ -68,15 +84,16 @@ class CompileContext
     Arena arena;
 
     /**
-     * Depth-indexed scratch pools.  Execution is a single call stack,
-     * so at most one frame per depth is live and each depth's buffer is
-     * reused across the millions of calls of a large workload.  Deques
-     * because frames hold spans over the inner vectors across recursive
-     * calls that may grow the pool: deque end-growth never invalidates
-     * references to existing elements.
+     * Depth-indexed scratch pools, one vector per call depth
+     * [0, maxLevel()].  Execution is a single call stack, so at most one
+     * frame per depth is live and each depth's buffer is reused across
+     * the millions of calls of a large workload.  A module at call-graph
+     * level l runs at depth l or shallower, so each buffer is reserved
+     * to the widest module that can run at its depth and never grows;
+     * frames hold spans over them across recursive calls.
      */
-    std::deque<std::vector<LogicalQubit>> argsScratch;
-    std::deque<std::vector<LogicalQubit>> replayAncScratch;
+    std::vector<std::vector<LogicalQubit>> argsScratch;
+    std::vector<std::vector<LogicalQubit>> replayAncScratch;
 };
 
 } // namespace square

@@ -9,35 +9,8 @@
 
 namespace square {
 
-namespace {
-
-/**
- * Build the executor-owned analysis when none was borrowed, reporting
- * its wall time to the request's phase sink (the service layer times
- * its shared AnalysisCache itself, so this fires only for standalone
- * compile() calls).
- */
-std::optional<ProgramAnalysis>
-makeOwnedAnalysis(const Program &prog, const CompileOptions &options)
-{
-    if (options.analysis != nullptr)
-        return std::nullopt;
-    if (options.phases == nullptr)
-        return std::optional<ProgramAnalysis>(std::in_place, prog);
-    const obs::SpanClock t = obs::SpanClock::now();
-    std::optional<ProgramAnalysis> analysis(std::in_place, prog);
-    options.phases->phaseSpan("analysis", t.wallUs,
-                              obs::microsSince(t));
-    return analysis;
-}
-
-} // namespace
-
 Executor::Executor(const Program &prog, CompileContext &ctx)
-    : prog_(prog), ctx_(ctx),
-      owned_analysis_(makeOwnedAnalysis(prog, ctx.options)),
-      analysis_(ctx.options.analysis ? *ctx.options.analysis
-                                     : *owned_analysis_)
+    : prog_(prog), ctx_(ctx)
 {
 }
 
@@ -59,8 +32,8 @@ Executor::allocAncillaTracked(ModuleId id,
     if (m.numAncilla == 0)
         return;
     int64_t t_ready = readyTime(args);
-    ctx_.alloc.allocAncillaInto(m.numAncilla, analysis_.stats(id), args,
-                                t_ready, out);
+    ctx_.alloc.allocAncillaInto(m.numAncilla, ctx_.analysis.stats(id),
+                                args, t_ready, out);
     for (int i = 0; i < m.numAncilla; ++i) {
         LogicalQubit q = out[i];
         // Liveness cannot begin before the site's previous occupant was
@@ -104,7 +77,7 @@ Executor::execGate(const Stmt &s, const Binding &b, bool inverse)
 void
 Executor::runBlockForward(const std::vector<Stmt> &block, const Binding &b,
                           KidList &kids, int depth,
-                          const std::vector<int64_t> &suffix,
+                          std::span<const int64_t> suffix,
                           bool force_kids, int64_t inherited_gates)
 {
     const int64_t carried = static_cast<int64_t>(
@@ -118,7 +91,6 @@ Executor::runBlockForward(const std::vector<Stmt> &block, const Binding &b,
             // for the duration of the call; no deeper frame reuses it.
             std::vector<LogicalQubit> &args =
                 depthScratch(ctx_.argsScratch, depth + 1);
-            args.reserve(s.args.size());
             for (const QubitRef &r : s.args)
                 args.push_back(resolve(b, r));
             int64_t g_parent =
@@ -145,7 +117,6 @@ Executor::invertBlock(const std::vector<Stmt> &block, const Binding &b,
             SQ_ASSERT(kid.mod == s.callee, "record/statement mismatch");
             std::vector<LogicalQubit> &args =
                 depthScratch(ctx_.argsScratch, depth + 1);
-            args.reserve(s.args.size());
             for (const QubitRef &r : s.args)
                 args.push_back(resolve(b, r));
             invertInvocation(kid, args, depth + 1);
@@ -196,7 +167,7 @@ Executor::execCall(ModuleId id, std::span<const LogicalQubit> args,
                    bool force_reclaim)
 {
     const Module &m = prog_.module(id);
-    const ModuleStats &st = analysis_.stats(id);
+    const ModuleStats &st = ctx_.analysis.stats(id);
 
     Invocation *inv = ctx_.arena.make<Invocation>();
     inv->mod = id;
@@ -310,7 +281,7 @@ Executor::invertInvocation(Invocation &rec,
                            std::span<const LogicalQubit> args, int depth)
 {
     const Module &m = prog_.module(rec.mod);
-    const ModuleStats &st = analysis_.stats(rec.mod);
+    const ModuleStats &st = ctx_.analysis.stats(rec.mod);
     ++uncompute_depth_;
 
     if (rec.reclaimed) {
@@ -379,6 +350,8 @@ Executor::run()
     CompileResult r;
     r.machineLabel = ctx_.machine.label;
     r.policyLabel = ctx_.cfg.name;
+    r.primaryInitialSites.reserve(primaries.size());
+    r.primaryFinalSites.reserve(primaries.size());
     for (LogicalQubit q : primaries)
         r.primaryInitialSites.push_back(ctx_.layout.siteOf(q));
 

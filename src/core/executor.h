@@ -42,8 +42,6 @@
 #ifndef SQUARE_CORE_EXECUTOR_H
 #define SQUARE_CORE_EXECUTOR_H
 
-#include <deque>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -136,17 +134,15 @@ class Executor
 
     /**
      * Cleared scratch buffer for @p depth.  Execution is a single call
-     * stack, so one live buffer per depth suffices; the pools grow to
-     * the program's maximum call depth and are then reused without
-     * further allocation.
+     * stack, so one live buffer per depth suffices; the context sizes
+     * the pools for every depth the program can reach.
      */
-    template <typename T>
-    static std::vector<T> &
-    depthScratch(std::deque<std::vector<T>> &pool, int depth)
+    static std::vector<LogicalQubit> &
+    depthScratch(std::vector<std::vector<LogicalQubit>> &pool, int depth)
     {
-        while (static_cast<size_t>(depth) >= pool.size())
-            pool.emplace_back();
-        std::vector<T> &v = pool[static_cast<size_t>(depth)];
+        SQ_ASSERT(static_cast<size_t>(depth) < pool.size(),
+                  "call depth beyond the deepest call-graph level");
+        std::vector<LogicalQubit> &v = pool[static_cast<size_t>(depth)];
         v.clear();
         return v;
     }
@@ -173,7 +169,7 @@ class Executor
      */
     void runBlockForward(const std::vector<Stmt> &block, const Binding &b,
                          KidList &kids, int depth,
-                         const std::vector<int64_t> &suffix,
+                         std::span<const int64_t> suffix,
                          bool force_kids, int64_t inherited_gates);
 
     /** Execute the inverse of a block, consuming @p kids in reverse. */
@@ -207,10 +203,6 @@ class Executor
 
     const Program &prog_;
     CompileContext &ctx_;
-    /** Engaged only when the context options carry no shared analysis. */
-    std::optional<ProgramAnalysis> owned_analysis_;
-    /** The analysis in use: borrowed from the options, or owned. */
-    const ProgramAnalysis &analysis_;
 
     int64_t uncompute_ir_gates_ = 0;
     int uncompute_depth_ = 0; ///< >0 while executing uncompute/inverse

@@ -4,12 +4,18 @@
 
 namespace square {
 
+AncillaHeap::AncillaHeap(int num_sites)
+    : pos_(static_cast<size_t>(num_sites), kAbsent)
+{
+    stack_.reserve(static_cast<size_t>(num_sites));
+}
+
 void
 AncillaHeap::push(PhysQubit site)
 {
+    SQ_ASSERT(site >= 0 && static_cast<size_t>(site) < pos_.size(),
+              "site out of range");
     SQ_ASSERT(!contains(site), "site already in ancilla heap");
-    if (static_cast<size_t>(site) >= pos_.size())
-        pos_.resize(static_cast<size_t>(site) + 1, kAbsent);
     stack_.push_back(site);
     pos_[static_cast<size_t>(site)] = static_cast<int32_t>(stack_.size() - 1);
     ++live_count_;
@@ -33,7 +39,9 @@ AncillaHeap::popLifo()
 void
 AncillaHeap::take(PhysQubit site)
 {
-    SQ_ASSERT(contains(site), "taking a site not in the heap");
+    SQ_ASSERT(site >= 0 && static_cast<size_t>(site) < pos_.size() &&
+                  contains(site),
+              "taking a site not in the heap");
     int32_t idx = pos_[static_cast<size_t>(site)];
     stack_[static_cast<size_t>(idx)] = kTombstone;
     pos_[static_cast<size_t>(site)] = kAbsent;

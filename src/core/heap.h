@@ -12,7 +12,9 @@
  * contains() is queried once per site visited by the allocator's
  * candidate sweep - millions of times per compilation - so membership
  * is a direct-indexed position table (site -> stack slot), not a hash
- * map.
+ * map.  The table covers every site of the machine from construction,
+ * so the query needs no bound test, and the stack is reserved to one
+ * slot per site.
  */
 
 #ifndef SQUARE_CORE_HEAP_H
@@ -28,17 +30,19 @@ namespace square {
 class AncillaHeap
 {
   public:
+    /** An empty heap over sites [0, @p num_sites). */
+    explicit AncillaHeap(int num_sites);
+
     /** Number of sites currently in the heap. */
     int size() const { return live_count_; }
 
     bool empty() const { return live_count_ == 0; }
 
-    /** True when @p site is in the heap. */
+    /** True when @p site (a site of the machine) is in the heap. */
     bool
     contains(PhysQubit site) const
     {
-        return static_cast<size_t>(site) < pos_.size() &&
-               pos_[static_cast<size_t>(site)] >= 0;
+        return pos_[static_cast<size_t>(site)] >= 0;
     }
 
     /** Add a reclaimed site (must not already be present). */

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <utility>
+#include <limits>
+#include <memory>
 
 #include "common/logging.h"
 
@@ -48,6 +49,49 @@ visitCallees(const Program &prog, ModuleId id, std::vector<bool> &done,
     order.push_back(id);
 }
 
+/**
+ * Call link(a, b) once per interacting pair of locals of @p m met in
+ * its compute and store blocks (never with a == b; a pair may repeat):
+ * the operands of each gate, and each callee's parameter-parameter
+ * links mapped through the call's argument list.  The callees'
+ * interaction rows must be complete.
+ */
+template <typename Link>
+void
+forEachLink(const Program &prog, const std::vector<ModuleStats> &stats,
+            const Module &m, Link &&link)
+{
+    const int P = m.numParams;
+    auto pair = [&](int a, int b) {
+        if (a != b)
+            link(a, b);
+    };
+    for (const auto *block : {&m.compute, &m.store}) {
+        for (const Stmt &s : *block) {
+            if (s.isGate()) {
+                const int arity = gateArity(s.gate);
+                for (int i = 0; i < arity; ++i) {
+                    for (int j = i + 1; j < arity; ++j)
+                        pair(s.operands[i].local(P), s.operands[j].local(P));
+                }
+                continue;
+            }
+            const CsrRows &rows = stats[s.callee].interact;
+            const int cp = prog.module(s.callee).numParams;
+            for (int i = 0; i < cp; ++i) {
+                // A sorted row lists the callee's parameters before its
+                // ancillas.
+                for (int32_t j : rows[static_cast<size_t>(i)]) {
+                    if (j >= cp)
+                        break;
+                    if (j > i)
+                        pair(s.args[i].local(P), s.args[j].local(P));
+                }
+            }
+        }
+    }
+}
+
 } // namespace
 
 void
@@ -56,6 +100,7 @@ ProgramAnalysis::computeTopoOrder(const Program &prog)
     // Post-order DFS over the (validated, acyclic) call graph yields a
     // callees-first order.
     std::vector<bool> done(prog.modules.size(), false);
+    topo_.reserve(prog.modules.size());
     for (size_t i = 0; i < prog.modules.size(); ++i)
         visitCallees(prog, static_cast<ModuleId>(i), done, topo_);
 }
@@ -68,6 +113,19 @@ ProgramAnalysis::computeCounts(const Program &prog)
     };
     auto eager_cost = [&](const Stmt &s) -> int64_t {
         return s.isGate() ? 1 : stats_[s.callee].flatEager;
+    };
+
+    // Every module's suffix tables, one entry per statement plus the
+    // block end, laid out in topological order.
+    size_t entries = 0;
+    for (const Module &m : prog.modules)
+        entries += m.compute.size() + m.store.size() + m.uncompute.size() + 3;
+    suffixes_.assign(entries, 0);
+    int64_t *next = suffixes_.data();
+    auto carve = [&](size_t stmts) {
+        std::span<int64_t> table(next, stmts + 1);
+        next += stmts + 1;
+        return table;
     };
 
     for (ModuleId id : topo_) {
@@ -111,22 +169,19 @@ ProgramAnalysis::computeCounts(const Program &prog)
 
         // Suffix sums: gates remaining from statement k to the module's
         // own uncompute point (end of store).
-        st.suffixCompute.assign(m.compute.size() + 1, 0);
-        st.suffixStore.assign(m.store.size() + 1, 0);
-        for (size_t k = m.store.size(); k-- > 0;) {
-            st.suffixStore[k] =
-                st.suffixStore[k + 1] + forward_cost(m.store[k]);
-        }
-        st.suffixCompute[m.compute.size()] = st.suffixStore[0];
-        for (size_t k = m.compute.size(); k-- > 0;) {
-            st.suffixCompute[k] =
-                st.suffixCompute[k + 1] + forward_cost(m.compute[k]);
-        }
-        st.suffixUncompute.assign(m.uncompute.size() + 1, 0);
-        for (size_t k = m.uncompute.size(); k-- > 0;) {
-            st.suffixUncompute[k] =
-                st.suffixUncompute[k + 1] + forward_cost(m.uncompute[k]);
-        }
+        std::span<int64_t> compute = carve(m.compute.size());
+        std::span<int64_t> store = carve(m.store.size());
+        std::span<int64_t> uncompute = carve(m.uncompute.size());
+        for (size_t k = m.store.size(); k-- > 0;)
+            store[k] = store[k + 1] + forward_cost(m.store[k]);
+        compute[m.compute.size()] = store[0];
+        for (size_t k = m.compute.size(); k-- > 0;)
+            compute[k] = compute[k + 1] + forward_cost(m.compute[k]);
+        for (size_t k = m.uncompute.size(); k-- > 0;)
+            uncompute[k] = uncompute[k + 1] + forward_cost(m.uncompute[k]);
+        st.suffixCompute = compute;
+        st.suffixStore = store;
+        st.suffixUncompute = uncompute;
     }
 }
 
@@ -156,82 +211,115 @@ ProgramAnalysis::computeLevels(const Program &prog)
 void
 ProgramAnalysis::computeInteractions(const Program &prog)
 {
-    // Each module's links are collected as a flat list of directed
-    // pairs (both directions), bucketed by row with one counting pass,
-    // then every short row is sorted and deduplicated.  Memory stays
-    // proportional to the links, whatever the module's width.
-    std::vector<std::pair<int, int>> pairs;
-    std::vector<int> row_start;
-    std::vector<int> cols;
+    // Module by module in topological order, every link is written in
+    // both directions into a scratch column array, bucketed by row with
+    // one counting pass; each short row is then sorted, deduplicated and
+    // compacted behind the rows before it.  Memory stays proportional to
+    // the links, whatever the module's width.
+    //
+    // The scratch is sized once from an upper bound: a module writes at
+    // most two entries per gate operand pair and per parameter pair its
+    // callees can link, and keeps at most L(L-1) of them.
+    std::vector<int64_t> param_pairs(prog.modules.size());
+    int64_t kept = 0, capacity = 0;
+    size_t rows = 0, ancillas = 0;
     for (ModuleId id : topo_) {
         const Module &m = prog.module(id);
-        ModuleStats &st = stats_[id];
+        int64_t pairs = 0;
+        for (const auto *block : {&m.compute, &m.store}) {
+            for (const Stmt &s : *block) {
+                if (s.isGate()) {
+                    const int64_t arity = gateArity(s.gate);
+                    pairs += arity * (arity - 1) / 2;
+                } else {
+                    pairs += param_pairs[s.callee];
+                }
+            }
+        }
+        const int64_t P = m.numParams, L = m.numLocal();
+        param_pairs[id] = std::min(P * (P - 1) / 2, pairs);
+        capacity = std::max(capacity, kept + 2 * pairs);
+        kept += std::min(2 * pairs, L * (L - 1));
+        rows += static_cast<size_t>(L) + 1;
+        ancillas += static_cast<size_t>(m.numAncilla);
+    }
+    if (capacity > std::numeric_limits<int32_t>::max())
+        fatal("program too large to analyse: up to ", capacity,
+              " interaction entries");
+    auto scratch = std::make_unique_for_overwrite<int32_t[]>(
+        static_cast<size_t>(capacity));
+    row_starts_.assign(rows, 0);
+    ancilla_param_ends_.resize(ancillas);
+
+    // Point every module's views at its slices of the row tables, in
+    // topological order.  Offsets are read through the views, so views
+    // set before the fill see each module's rows once it is filled.
+    auto point_views = [&](const int32_t *cols) {
+        const int32_t *row = row_starts_.data();
+        const int32_t *anc_end = ancilla_param_ends_.data();
+        for (ModuleId id : topo_) {
+            const Module &m = prog.module(id);
+            ModuleStats &st = stats_[id];
+            const size_t L = static_cast<size_t>(m.numLocal());
+            const size_t A = static_cast<size_t>(m.numAncilla);
+            st.interact = CsrRows(cols, row, row + 1, L);
+            st.ancillaParams = CsrRows(cols, row + m.numParams, anc_end, A);
+            row += L + 1;
+            anc_end += A;
+        }
+    };
+    int32_t *const cols = scratch.get();
+    point_views(cols);
+
+    int32_t *row = row_starts_.data();
+    int32_t *anc_end = ancilla_param_ends_.data();
+    int32_t used = 0;
+    for (ModuleId id : topo_) {
+        const Module &m = prog.module(id);
         const int P = m.numParams;
         const int L = m.numLocal();
 
-        pairs.clear();
-        auto link = [&](int a, int b) {
-            if (a == b)
-                return;
-            pairs.emplace_back(a, b);
-            pairs.emplace_back(b, a);
-        };
-
-        auto scan_block = [&](const std::vector<Stmt> &block) {
-            for (const Stmt &s : block) {
-                if (s.isGate()) {
-                    int arity = gateArity(s.gate);
-                    for (int i = 0; i < arity; ++i) {
-                        for (int j = i + 1; j < arity; ++j) {
-                            link(s.operands[i].local(P),
-                                 s.operands[j].local(P));
-                        }
-                    }
-                } else {
-                    // Map the callee's param-param interactions through
-                    // the argument list.
-                    const ModuleStats &cst = stats_[s.callee];
-                    const int cp = prog.module(s.callee).numParams;
-                    for (int i = 0; i < cp; ++i) {
-                        for (int j : cst.interact[i]) {
-                            if (j >= cp || j <= i)
-                                continue; // ancilla or already seen
-                            link(s.args[i].local(P), s.args[j].local(P));
-                        }
-                    }
-                }
-            }
-        };
-        scan_block(m.compute);
-        scan_block(m.store);
-
-        row_start.assign(static_cast<size_t>(L) + 1, 0);
-        for (const auto &[a, b] : pairs)
-            ++row_start[static_cast<size_t>(a) + 1];
+        forEachLink(prog, stats_, m, [&](int a, int b) {
+            ++row[a + 1];
+            ++row[b + 1];
+        });
+        row[0] = used;
         for (int i = 0; i < L; ++i)
-            row_start[i + 1] += row_start[i];
-        cols.resize(pairs.size());
-        for (const auto &[a, b] : pairs)
-            cols[static_cast<size_t>(row_start[a]++)] = b;
+            row[i + 1] += row[i];
+        SQ_ASSERT(row[L] <= capacity, "interaction scratch bound exceeded");
+        forEachLink(prog, stats_, m, [&](int a, int b) {
+            cols[row[a]++] = b;
+            cols[row[b]++] = a;
+        });
 
-        st.interact.assign(L, {});
-        for (int i = 0, begin = 0; i < L; ++i) {
-            // The fill pass advanced row_start[i] to the end of row i.
-            const auto first = cols.begin() + begin;
-            const auto last = cols.begin() + row_start[i];
-            std::sort(first, last);
-            st.interact[i].assign(first, std::unique(first, last));
-            begin = row_start[i];
+        // The fill advanced row[i] to the end of row i; rewrite it as
+        // the start of the row's compacted copy.
+        for (int i = 0, begin = used; i < L; ++i) {
+            const int end = row[i];
+            std::sort(cols + begin, cols + end);
+            const int n =
+                static_cast<int>(std::unique(cols + begin, cols + end) -
+                                 (cols + begin));
+            if (used < begin)
+                std::copy(cols + begin, cols + begin + n, cols + used);
+            row[i] = used;
+            used += n;
+            begin = end;
         }
+        row[L] = used;
 
-        st.ancillaParams.assign(m.numAncilla, {});
         for (int a = 0; a < m.numAncilla; ++a) {
-            for (int nbr : st.interact[P + a]) {
-                if (nbr < P)
-                    st.ancillaParams[a].push_back(nbr);
-            }
+            anc_end[a] = static_cast<int32_t>(
+                std::lower_bound(cols + row[P + a], cols + row[P + a + 1],
+                                 P) -
+                cols);
         }
+        row += L + 1;
+        anc_end += m.numAncilla;
     }
+
+    links_.assign(cols, cols + used);
+    point_views(links_.data());
 }
 
 } // namespace square

@@ -2,15 +2,14 @@
  * @file
  * Fingerprint-keyed sharing of ProgramAnalysis artifacts.
  *
- * ProgramAnalysis is a pure function of the Program and dominates the
- * remaining per-compilation allocation cost (~86% after the arena
- * work), yet batch scenarios — a batch compiling the same workload
- * under many policies/machines, a service replaying cached request
- * shapes — recompute it per job.  An AnalysisCache keys the analysis
- * by Program::fingerprint() and hands every requester the same
- * immutable instance, computing it exactly once per unique fingerprint
- * even under concurrent misses (first requester computes, the rest
- * block on its future).
+ * ProgramAnalysis is a pure function of the Program and the largest
+ * part of a compilation's set-up, yet batch scenarios — a batch
+ * compiling the same workload under many policies/machines, a service
+ * replaying cached request shapes — recompute it per job.  An
+ * AnalysisCache keys the analysis by Program::fingerprint() and hands
+ * every requester the same immutable instance, computing it exactly
+ * once per unique fingerprint even under concurrent misses (first
+ * requester computes, the rest block on its future).
  *
  * Thread-safe; entries live for the cache's lifetime (analyses are
  * small, bound by program structure rather than gate count).

@@ -7,6 +7,13 @@
 namespace square {
 
 void
+AqvTracker::reserve(size_t qubits)
+{
+    open_.reserve(qubits);
+    events_.reserve(2 * qubits);
+}
+
+void
 AqvTracker::onAlloc(LogicalQubit q, int64_t t)
 {
     SQ_ASSERT(q >= 0, "invalid logical qubit");

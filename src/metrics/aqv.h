@@ -34,6 +34,12 @@ struct UsagePoint
 class AqvTracker
 {
   public:
+    /**
+     * Reserve room for @p qubits logical qubits: one open segment and
+     * two events (alloc and free) each.
+     */
+    void reserve(size_t qubits);
+
     /** Begin a liveness segment for @p q at time @p t. */
     void onAlloc(LogicalQubit q, int64_t t);
 

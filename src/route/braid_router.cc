@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <type_traits>
 
 #include "common/logging.h"
 
@@ -36,12 +37,15 @@ BraidRouter::BraidRouter(const LatticeTopology &topo)
     : topo_(topo),
       cells_w_(2 * topo.width() + 1),
       cells_h_(2 * topo.height() + 1),
-      cells_(static_cast<size_t>(cells_w_) * cells_h_),
-      busy_until_(cells_.size(), 0),
-      bfs_mark_(cells_.size(), 0),
-      bfs_parent_(cells_.size(), -1),
-      bfs_queue_(std::make_unique_for_overwrite<BfsNode[]>(cells_.size()))
+      busy_until_(static_cast<size_t>(cells_w_) * cells_h_, 0),
+      bfs_mark_(busy_until_.size(), 0)
 {
+    static_assert(std::is_trivially_default_constructible_v<CellOccupancy>,
+                  "rings stay uninitialised until their cell's first claim");
+    const size_t cells = busy_until_.size();
+    cells_ = std::make_unique_for_overwrite<CellOccupancy[]>(cells);
+    bfs_parent_ = std::make_unique_for_overwrite<int[]>(cells);
+    bfs_queue_ = std::make_unique_for_overwrite<BfsNode[]>(cells);
 }
 
 BraidRouter::LPath
@@ -100,8 +104,11 @@ BraidRouter::pathClear(const LPath &path, int64_t t, int dur) const
 void
 BraidRouter::claimCell(int id, int64_t t, int dur)
 {
-    cells_[static_cast<size_t>(id)].add({t, t + dur});
+    CellOccupancy &ring = cells_[static_cast<size_t>(id)];
     int64_t &until = busy_until_[static_cast<size_t>(id)];
+    if (until == 0)
+        ring.clear(); // first claim
+    ring.add({t, t + dur});
     until = std::max(until, t + dur);
 }
 

@@ -40,14 +40,23 @@
  * only then tests all eight ring slots for overlap, without a branch:
  * on the largest braid programs over nine in ten of the probes that
  * reach a ring find no overlap, so an early exit would mostly
- * mispredict.  A slot never
- * written holds [0, 0), which overlaps no window starting at t >= 0;
- * reserve() therefore requires ready >= 0.  An L path is never written
- * out: it is two strided runs of cell ids, probed, claimed and scanned
- * for the stall time in closed form.  The detour BFS queues each cell
- * with its coordinates at full int width (131 073 cell columns on a
- * 65536 x 1 machine rule out 16-bit packing), so it never divides to
- * recover them and tests only the bound a move can cross.
+ * mispredict.  A slot not written since its ring was cleared holds
+ * [0, 0), which overlaps no window starting at t >= 0; reserve()
+ * therefore requires ready >= 0.
+ *
+ * The per-cell rings and BFS parents are never initialised in bulk, so
+ * a compile touches only the cells its braids reach, however large the
+ * machine.  busy_until_ is 0 until a cell's first claim (a claim sets
+ * it to at least t + dur > 0), every ring read sits behind the
+ * t < busy_until_ filter, and the first claim clears the ring; a BFS
+ * parent is written when its cell is queued, before any read.
+ *
+ * An L path is never written out: it is two strided runs of cell ids,
+ * probed, claimed and scanned for the stall time in closed form.  The
+ * detour BFS queues each cell with its coordinates at full int width
+ * (131 073 cell columns on a 65536 x 1 machine rule out 16-bit
+ * packing), so it never divides to recover them and tests only the
+ * bound a move can cross.
  */
 
 #ifndef SQUARE_ROUTE_BRAID_ROUTER_H
@@ -93,19 +102,28 @@ class BraidRouter
   private:
     struct Interval
     {
-        int64_t start = 0;
-        int64_t end = 0; // exclusive
+        int64_t start;
+        int64_t end; // exclusive
     };
 
     /**
      * Fixed-capacity ring of the last kCapacity reservations of a
-     * channel cell; a slot never written holds [0, 0).
+     * channel cell; a slot not written since clear() holds [0, 0).
+     * Trivial, so the grid's rings start uninitialised.
      */
     struct CellOccupancy
     {
         static constexpr int kCapacity = 8;
         Interval slots[kCapacity];
-        int head = 0;
+        int head;
+
+        void
+        clear()
+        {
+            for (Interval &iv : slots)
+                iv = {0, 0};
+            head = 0;
+        }
 
         void
         add(const Interval &iv)
@@ -195,11 +213,14 @@ class BraidRouter
     const LatticeTopology &topo_;
     int cells_w_;
     int cells_h_;
-    std::vector<CellOccupancy> cells_;
+    // per cell, its reservation ring: uninitialised until first claimed
+    std::unique_ptr<CellOccupancy[]> cells_;
     // per cell, an upper bound of every reservation end it recorded
+    // (0: never claimed)
     std::vector<int64_t> busy_until_;
     std::vector<int64_t> bfs_mark_; // visit stamps for searchPathInto
-    std::vector<int> bfs_parent_;
+    // per cell, its BFS parent: uninitialised until the cell is queued
+    std::unique_ptr<int[]> bfs_parent_;
     // BFS frontier storage, one slot per cell (a cell is queued at most
     // once per search); left uninitialised until written
     std::unique_ptr<BfsNode[]> bfs_queue_;

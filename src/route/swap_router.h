@@ -9,8 +9,9 @@
  * reclaiming ancilla "in place" improves locality for later allocations.
  *
  * Routing is on the per-gate hot path, so the route scratch vector is a
- * reused member and the emitter callback is a non-allocating
- * FunctionRef: steady-state routing performs no heap allocation.
+ * reused member, reserved once to the topology's diameter, and the
+ * emitter callback is a non-allocating FunctionRef: routing performs no
+ * heap allocation.
  */
 
 #ifndef SQUARE_ROUTE_SWAP_ROUTER_H
@@ -33,7 +34,9 @@ class SwapRouter
 
     SwapRouter(const Topology &topo, Layout &layout)
         : topo_(topo), layout_(layout)
-    {}
+    {
+        route_.reserve(static_cast<size_t>(topo.diameter()) + 1);
+    }
 
     /**
      * Make the qubits at @p a and @p b adjacent by swapping the qubit

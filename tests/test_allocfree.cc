@@ -2,22 +2,29 @@
  * @file
  * Counting-allocator regression for the zero-allocation hot path.
  *
- * Steady-state compilation must not heap-allocate per gate: topology
- * iteration, routing, scheduling, and the LAA candidate sweep all run
- * on reused member buffers, and Invocation records — including their
+ * Compilation must not heap-allocate per gate: topology iteration,
+ * routing, scheduling, and the LAA candidate sweep all run on reused
+ * member buffers, and Invocation records — including their
  * child-record and ancilla arrays — are trivially-destructible arena
- * slices.  What remains is one-time per-compilation setup (dominated
- * by ProgramAnalysis building its per-module tables, ~96% of the count
- * on SHA2, plus arena chunk growth and AQV event-vector doubling), so
- * the total is bound by program structure, not by issued gates.
+ * slices.  Nor does per-compilation set-up grow with the program:
+ * ProgramAnalysis keeps every module's tables in a few program-wide
+ * arrays sized before they are filled (9 allocations for any program),
+ * and the CompileContext sizes its layout, heap, AQV, anchor, route
+ * and per-depth tables once from the machine and the analysis.  What
+ * remains is a fixed set-up of a few dozen allocations, plus the arena
+ * chunks and what recomputation adds beyond the forward pass.
  *
  * For scale: the pre-refactor seed performed ~4.8 heap allocations per
- * issued gate on SHA2 (321k total); with the arena-backed executor,
- * arena kid/ancilla lists and pair-bucketed interaction rows the whole
- * compile performs ~0.04 (2.8k).
- * The asserted bound of issued/5 keeps margin for stdlib growth-policy
- * differences while tripping immediately on any reintroduced per-gate
- * allocation (one vector per routed gate pushes the ratio above 1.0).
+ * issued gate on SHA2 (321k total); the arena-backed executor and
+ * pair-bucketed interaction rows brought the whole compile to 2.8k,
+ * ~96% of them the analysis' per-module tables; with the flat analysis
+ * and the sized set-up it is 43.  An RD53 compile on nisq:5x5 went
+ * from 177 allocations to 43, and the analysis of MUL64 (130 modules)
+ * from 18,231 to 9.
+ *
+ * The issued/5 bound trips on any reintroduced per-gate allocation (one
+ * vector per routed gate pushes the ratio above 1.0); the fixed
+ * ceilings keep set-up from growing with module count or width again.
  *
  * This file replaces the global operator new/delete to count, so it
  * must not be linked into any other test binary.
@@ -31,6 +38,7 @@
 
 #include "core/compiler.h"
 #include "core/policy.h"
+#include "ir/analysis.h"
 #include "workloads/registry.h"
 
 namespace {
@@ -81,6 +89,18 @@ operator delete[](void *p, std::size_t) noexcept
 namespace square {
 namespace {
 
+/** Heap allocations made while @p fn runs. */
+template <typename Fn>
+long
+countAllocations(Fn &&fn)
+{
+    g_allocs.store(0);
+    g_counting.store(true);
+    fn();
+    g_counting.store(false);
+    return g_allocs.load();
+}
+
 /**
  * Allocations during one compile on make(boundaryEdge, boundaryEdge)
  * and the issued-operation count: gates plus swaps on a lattice, gates
@@ -92,11 +112,10 @@ countCompile(const char *workload, Machine (*make)(int width, int height))
     const BenchmarkInfo &info = findBenchmark(workload);
     Program prog = info.build();
     Machine m = make(info.boundaryEdge, info.boundaryEdge);
-    g_allocs.store(0);
-    g_counting.store(true);
-    CompileResult r = compile(prog, m, SquareConfig::square(), {});
-    g_counting.store(false);
-    return {g_allocs.load(), r.gates + r.swaps + r.sched.braids};
+    CompileResult r;
+    const long allocs = countAllocations(
+        [&] { r = compile(prog, m, SquareConfig::square(), {}); });
+    return {allocs, r.gates + r.swaps + r.sched.braids};
 }
 
 /** Expect per-compilation allocations under issued / 5 on @p make. */
@@ -126,6 +145,30 @@ TEST(AllocationFreedom, FtCompileAllocationsDoNotScaleWithBraids)
     // routing a braid allocates nothing.
     expectAllocationsBelowIssued(
         [](int width, int height) { return Machine::ftBraid(width, height); });
+}
+
+TEST(AllocationFreedom, AnalysisAllocationsDoNotScaleWithModules)
+{
+    // MUL64 has 130 modules and 10,978 interaction rows, RD53 five
+    // modules and 44 rows; both analyses make the same few allocations.
+    for (const char *workload : {"MUL64", "RD53"}) {
+        SCOPED_TRACE(workload);
+        const Program prog = findBenchmark(workload).build();
+        const long allocs =
+            countAllocations([&] { ProgramAnalysis analysis(prog); });
+        EXPECT_LE(allocs, 32);
+    }
+}
+
+TEST(AllocationFreedom, NisqScaleCompileSetUpIsSizedOnce)
+{
+    // A Table II program on its 5x5 lattice: the whole compile, analysis
+    // included, is set-up.
+    const Program prog = findBenchmark("RD53").build();
+    const Machine m = Machine::nisqLattice(5, 5);
+    const long allocs = countAllocations(
+        [&] { (void)compile(prog, m, SquareConfig::square(), {}); });
+    EXPECT_LE(allocs, 64);
 }
 
 } // namespace

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,7 +21,7 @@ namespace {
 
 TEST(Heap, LifoOrder)
 {
-    AncillaHeap h;
+    AncillaHeap h(8);
     h.push(3);
     h.push(7);
     h.push(5);
@@ -32,7 +34,7 @@ TEST(Heap, LifoOrder)
 
 TEST(Heap, TakeSpecificSite)
 {
-    AncillaHeap h;
+    AncillaHeap h(4);
     h.push(1);
     h.push(2);
     h.push(3);
@@ -44,7 +46,7 @@ TEST(Heap, TakeSpecificSite)
 
 TEST(Heap, MisusePanics)
 {
-    AncillaHeap h;
+    AncillaHeap h(10);
     EXPECT_THROW(h.popLifo(), PanicError);
     h.push(4);
     EXPECT_THROW(h.push(4), PanicError);
@@ -53,7 +55,7 @@ TEST(Heap, MisusePanics)
 
 TEST(Heap, CompactionKeepsContents)
 {
-    AncillaHeap h;
+    AncillaHeap h(100);
     for (int i = 0; i < 100; ++i)
         h.push(i);
     for (int i = 0; i < 99; ++i)
@@ -66,7 +68,7 @@ TEST(Heap, CompactionKeepsContents)
 TEST(Heap, SwapRenamesFreeSite)
 {
     Layout layout(4);
-    AncillaHeap h;
+    AncillaHeap h(4);
     LogicalQubit q = layout.place(0);
     // site 1 was used then freed -> heap
     LogicalQubit tmp = layout.place(1);
@@ -88,7 +90,7 @@ TEST(Heap, CompactPreservesLifoOrder)
     // returns most-recently-reclaimed first.  The 50th take crosses
     // the compaction threshold (60 slots > 4*live + 16 once live
     // drops below 11), so compact() demonstrably runs.
-    AncillaHeap h;
+    AncillaHeap h(60);
     for (int i = 0; i < 60; ++i)
         h.push(i);
     for (int i = 0; i < 50; ++i)
@@ -110,7 +112,7 @@ TEST(Heap, CompactPreservesLifoOrder)
 TEST(Heap, OnSwapRepairsMembershipBothDirections)
 {
     Layout layout(6);
-    AncillaHeap h;
+    AncillaHeap h(6);
     layout.setSwapObserver(
         [&](PhysQubit a, PhysQubit b) { h.onSwap(a, b, layout); });
 
@@ -146,12 +148,41 @@ TEST(Heap, OnSwapRepairsMembershipBothDirections)
     EXPECT_EQ(h.size(), 2);
 }
 
+/**
+ * A ModuleStats whose ancillaParams rows are the given anchor lists,
+ * packed into CSR storage this object owns and the view borrows.
+ */
+class AnchorRows
+{
+  public:
+    AnchorRows(std::initializer_list<std::vector<int32_t>> rows)
+    {
+        offsets_.push_back(0);
+        for (const std::vector<int32_t> &row : rows) {
+            cols_.insert(cols_.end(), row.begin(), row.end());
+            offsets_.push_back(static_cast<int32_t>(cols_.size()));
+        }
+        stats.ancillaParams = CsrRows(cols_.data(), offsets_.data(),
+                                      offsets_.data() + 1, rows.size());
+    }
+
+    AnchorRows(const AnchorRows &) = delete;
+    AnchorRows &operator=(const AnchorRows &) = delete;
+
+    ModuleStats stats;
+
+  private:
+    std::vector<int32_t> cols_;
+    std::vector<int32_t> offsets_;
+};
+
 class AllocatorTest : public ::testing::Test
 {
   protected:
     AllocatorTest()
         : machine_(Machine::nisqLattice(5, 5)),
           layout_(25),
+          heap_(25),
           sched_(machine_, layout_, nullptr)
     {
     }
@@ -200,9 +231,8 @@ TEST_F(AllocatorTest, LocalityPrefersNearbyHeapSite)
     heap_.push(far_site);
 
     // Ancilla interacting with primary 0 should take the near site.
-    ModuleStats st;
-    st.ancillaParams = {{0}};
-    auto anc = alloc.allocAncilla(1, st, prim, 0);
+    AnchorRows st{{0}};
+    auto anc = alloc.allocAncilla(1, st.stats, prim, 0);
     EXPECT_EQ(layout_.siteOf(anc[0]), near_site);
 }
 
@@ -223,9 +253,8 @@ TEST_F(AllocatorTest, PrefersNearbyHeapSiteOverDistantFresh)
     layout_.remove(victim);
     heap_.push(heap_site);
 
-    ModuleStats st;
-    st.ancillaParams = {{0}}; // anchor on the central primary only
-    auto anc = alloc.allocAncilla(1, st, prim, 0);
+    AnchorRows st{{0}}; // anchor on the central primary only
+    auto anc = alloc.allocAncilla(1, st.stats, prim, 0);
     EXPECT_EQ(layout_.siteOf(anc[0]), heap_site);
 }
 
@@ -241,9 +270,8 @@ TEST_F(AllocatorTest, LifoIgnoresLocality)
     layout_.remove(t);
     heap_.push(far_site);
 
-    ModuleStats st;
-    st.ancillaParams = {{0}};
-    auto anc = alloc.allocAncilla(1, st, prim, 0);
+    AnchorRows st{{0}};
+    auto anc = alloc.allocAncilla(1, st.stats, prim, 0);
     // LIFO pops the (far) heap site regardless of distance.
     EXPECT_EQ(layout_.siteOf(anc[0]), far_site);
 }
@@ -279,9 +307,8 @@ TEST_F(AllocatorTest, SerializationPenaltySteersAway)
     layout_.remove(qi);
     heap_.push(idle);
 
-    ModuleStats st;
-    st.ancillaParams = {{0}};
-    auto anc = alloc.allocAncilla(1, st, prim, /*t_ready=*/0);
+    AnchorRows st{{0}};
+    auto anc = alloc.allocAncilla(1, st.stats, prim, /*t_ready=*/0);
     EXPECT_EQ(layout_.siteOf(anc[0]), idle);
 }
 
@@ -343,6 +370,8 @@ class ParityRig
           generic_(opaque(w, h)),
           lf_(w * h),
           lg_(w * h),
+          hf_(w * h),
+          hg_(w * h),
           sf_(fast_, lf_, nullptr),
           sg_(generic_, lg_, nullptr),
           af_(cfg_, fast_, lf_, sf_, hf_),
@@ -436,11 +465,10 @@ TEST(AllocatorParity, LatticeFastPathMatchesGenericSweep)
     // Busy one primary's site so the serialization term is exercised.
     rig.busy(prim[1], 20);
 
-    ModuleStats st;
-    st.ancillaParams = {{0}, {1, 2}, {3}, {0, 5}, {2, 4}};
+    AnchorRows st{{0}, {1, 2}, {3}, {0, 5}, {2, 4}};
     for (int round = 0; round < 8; ++round) {
         SCOPED_TRACE("round " + std::to_string(round));
-        auto anc = rig.alloc(5, st, prim);
+        auto anc = rig.alloc(5, st.stats, prim);
         // Return a prefix to the heap so later rounds score reclaimed
         // sites against fresh ones.
         for (int i = 0; i < 3; ++i)
@@ -476,11 +504,10 @@ runEdgeAnchorScript(const SquareConfig &cfg)
     rig.busy(anchors[0], 30);
     rig.busy(anchors[5], 12);
 
-    ModuleStats st;
-    st.ancillaParams = {{0}, {1}, {2, 3}, {4, 0}, {5, 6, 7}, {3}, {8}, {9, 1}};
+    AnchorRows st{{0}, {1}, {2, 3}, {4, 0}, {5, 6, 7}, {3}, {8}, {9, 1}};
     for (int round = 0; round < 12; ++round) {
         SCOPED_TRACE("round " + std::to_string(round));
-        auto anc = rig.alloc(8, st, anchors, /*t_ready=*/round * 3);
+        auto anc = rig.alloc(8, st.stats, anchors, /*t_ready=*/round * 3);
         for (int i = 0; i < 8; i += 2)
             rig.reclaim(anc[i]);
     }
@@ -510,11 +537,10 @@ TEST(AllocatorParity, OneWideLattice)
     ParityRig rig(40, 1, SquareConfig::square());
     auto prim = rig.primaries(5);
     rig.busy(prim[2], 9);
-    ModuleStats st;
-    st.ancillaParams = {{0}, {4}, {1, 3}, {2}};
+    AnchorRows st{{0}, {4}, {1, 3}, {2}};
     for (int round = 0; round < 6; ++round) {
         SCOPED_TRACE("round " + std::to_string(round));
-        auto anc = rig.alloc(4, st, prim);
+        auto anc = rig.alloc(4, st.stats, prim);
         rig.reclaim(anc[0]);
         rig.reclaim(anc[3]);
     }
@@ -557,13 +583,12 @@ TEST(AllocatorParity, VisitBudgetStop)
     for (LogicalQubit q : edge)
         rig.reclaim(q);
 
-    ModuleStats st;
-    st.ancillaParams = {{0, 1, 2}};
-    rig.alloc(1, st, anchors);
+    AnchorRows st{{0, 1, 2}};
+    rig.alloc(1, st.stats, anchors);
 
     rig.busy(near, 100);
     rig.reclaim(near);
-    rig.alloc(1, st, anchors);
+    rig.alloc(1, st.stats, anchors);
 }
 
 TEST(AllocatorParity, EmptyAnchorList)

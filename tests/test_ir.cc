@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -231,6 +234,13 @@ TEST(Analysis, FlatCountsLinearChain)
     EXPECT_EQ(pa.maxLevel(), 2);
 }
 
+/** One interaction row as a vector, for element-wise comparison. */
+std::vector<int>
+rowOf(std::span<const int32_t> row)
+{
+    return {row.begin(), row.end()};
+}
+
 TEST(Analysis, SuffixCounts)
 {
     ProgramBuilder pb;
@@ -265,9 +275,9 @@ TEST(Analysis, InteractionSets)
     const auto &st = pa.stats(prog.entry);
     // ancilla 0 interacts with params 0 and 1 (direct gate).
     ASSERT_EQ(st.ancillaParams.size(), 2u);
-    EXPECT_EQ(st.ancillaParams[0], (std::vector<int>{0, 1}));
+    EXPECT_EQ(rowOf(st.ancillaParams[0]), (std::vector<int>{0, 1}));
     // ancilla 1 interacts with param 2 (through the call).
-    EXPECT_EQ(st.ancillaParams[1], (std::vector<int>{2}));
+    EXPECT_EQ(rowOf(st.ancillaParams[1]), (std::vector<int>{2}));
 }
 
 /**
@@ -326,7 +336,7 @@ expectReferenceInteractions(const Program &prog)
         const ModuleStats &st = pa.stats(static_cast<ModuleId>(id));
         ASSERT_EQ(st.interact.size(), ref[id].size());
         for (size_t i = 0; i < ref[id].size(); ++i) {
-            EXPECT_EQ(st.interact[i],
+            EXPECT_EQ(rowOf(st.interact[i]),
                       std::vector<int>(ref[id][i].begin(), ref[id][i].end()))
                 << "local " << i;
         }
@@ -335,7 +345,7 @@ expectReferenceInteractions(const Program &prog)
         for (int a = 0; a < m.numAncilla; ++a) {
             const std::set<int> &row =
                 ref[id][static_cast<size_t>(m.numParams + a)];
-            EXPECT_EQ(st.ancillaParams[static_cast<size_t>(a)],
+            EXPECT_EQ(rowOf(st.ancillaParams[static_cast<size_t>(a)]),
                       std::vector<int>(row.begin(),
                                        row.lower_bound(m.numParams)))
                 << "ancilla " << a;
@@ -365,6 +375,72 @@ TEST(Analysis, InteractionSetsMatchReferenceOnSyntheticShapes)
         SCOPED_TRACE("shape " + std::to_string(i));
         expectReferenceInteractions(
             makeSynthetic("shape" + std::to_string(i), p));
+    }
+}
+
+/** Expect @p got to hold the same numbers and tables as @p want. */
+void
+expectSameStats(const ModuleStats &got, const ModuleStats &want)
+{
+    EXPECT_EQ(got.directGates, want.directGates);
+    EXPECT_EQ(got.flatForward, want.flatForward);
+    EXPECT_EQ(got.flatCompute, want.flatCompute);
+    EXPECT_EQ(got.flatEager, want.flatEager);
+    EXPECT_EQ(got.lazyAncilla, want.lazyAncilla);
+    EXPECT_EQ(got.computeCalls, want.computeCalls);
+    EXPECT_EQ(got.storeCalls, want.storeCalls);
+    EXPECT_EQ(got.level, want.level);
+    EXPECT_EQ(got.height, want.height);
+    auto same = [](std::span<const int64_t> a, std::span<const int64_t> b) {
+        return std::vector<int64_t>(a.begin(), a.end()) ==
+               std::vector<int64_t>(b.begin(), b.end());
+    };
+    EXPECT_TRUE(same(got.suffixCompute, want.suffixCompute));
+    EXPECT_TRUE(same(got.suffixStore, want.suffixStore));
+    EXPECT_TRUE(same(got.suffixUncompute, want.suffixUncompute));
+    ASSERT_EQ(got.interact.size(), want.interact.size());
+    for (size_t i = 0; i < want.interact.size(); ++i)
+        EXPECT_EQ(rowOf(got.interact[i]), rowOf(want.interact[i])) << i;
+    ASSERT_EQ(got.ancillaParams.size(), want.ancillaParams.size());
+    for (size_t a = 0; a < want.ancillaParams.size(); ++a) {
+        EXPECT_EQ(rowOf(got.ancillaParams[a]), rowOf(want.ancillaParams[a]))
+            << a;
+    }
+}
+
+TEST(Analysis, ViewsSurviveMovesOutOfOptional)
+{
+    // The compile context moves an analysis it builds out of a
+    // std::optional; every view must read the same tables afterwards,
+    // with the moved-from object gone (under ASan a view into its
+    // storage would be a use after free).
+    ProgramBuilder pb;
+    auto leaf = pb.module("leaf", 2, 1);
+    leaf.toffoli(leaf.p(0), leaf.p(1), leaf.a(0)).cnot(leaf.a(0), leaf.p(1));
+    leaf.inUncompute().toffoli(leaf.p(0), leaf.p(1), leaf.a(0));
+    auto m = pb.module("main", 3, 2);
+    m.call(leaf.id(), {m.p(0), m.a(0)}).cnot(m.a(0), m.a(1));
+    m.inStore().call(leaf.id(), {m.a(1), m.p(2)}).x(m.p(1));
+    std::vector<Program> progs;
+    progs.push_back(pb.build("main"));
+    for (const BenchmarkInfo &info : benchmarkRegistry())
+        progs.push_back(info.build());
+
+    for (const Program &prog : progs) {
+        SCOPED_TRACE(prog.module(prog.entry).name);
+        const ProgramAnalysis want(prog);
+        std::optional<ProgramAnalysis> boxed(std::in_place, prog);
+        std::optional<ProgramAnalysis> moved(std::move(*boxed));
+        boxed.reset();
+        ProgramAnalysis got(std::move(*moved));
+        moved.reset();
+        EXPECT_EQ(got.maxLevel(), want.maxLevel());
+        EXPECT_EQ(got.topoOrder(), want.topoOrder());
+        for (size_t id = 0; id < prog.modules.size(); ++id) {
+            SCOPED_TRACE("module " + prog.modules[id].name);
+            expectSameStats(got.stats(static_cast<ModuleId>(id)),
+                            want.stats(static_cast<ModuleId>(id)));
+        }
     }
 }
 

@@ -1,10 +1,15 @@
 /**
  * @file
- * Unit tests for the swap router and the braid router, and a parity
- * check of the braid router against a naive reference model.
+ * Unit tests for the swap router and the braid router, a parity check
+ * of the braid router against a naive reference model, and the braid
+ * router's memory footprint on a huge machine.
  */
 
 #include <gtest/gtest.h>
+
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdlib>
@@ -18,8 +23,11 @@
 
 #include "common/logging.h"
 
+#include "core/compiler.h"
+#include "core/policy.h"
 #include "route/braid_router.h"
 #include "route/swap_router.h"
+#include "workloads/registry.h"
 
 namespace square {
 namespace {
@@ -511,6 +519,63 @@ TEST(BraidRouterParity, EdgeCornerAndAdjacentOperands)
     const ReferenceBraidRouter ref = driveBoth(topo, 2000, 5, pick);
     EXPECT_GT(ref.detours, 0);
     EXPECT_GT(ref.stalls, 0);
+}
+
+/**
+ * Peak-RSS growth in KB of one compile of @p prog on @p machine, run in
+ * a forked child: the child's peak starts at this process' current RSS,
+ * so an earlier test's peak cannot hide the compile's.  -1 when the
+ * child fails.
+ */
+long
+forkedCompileGrowthKb(const Program &prog, const Machine &machine)
+{
+    int fds[2];
+    if (pipe(fds) != 0)
+        return -1;
+    const pid_t pid = fork();
+    if (pid < 0)
+        return -1;
+    if (pid == 0) {
+        close(fds[0]);
+        rusage start{};
+        getrusage(RUSAGE_SELF, &start);
+        (void)compile(prog, machine, SquareConfig::square(), {});
+        const long start_kb = start.ru_maxrss;
+        const bool sent = write(fds[1], &start_kb, sizeof start_kb) ==
+                          static_cast<ssize_t>(sizeof start_kb);
+        _exit(sent ? 0 : 1);
+    }
+    close(fds[1]);
+    long start_kb = -1;
+    const bool got = read(fds[0], &start_kb, sizeof start_kb) ==
+                     static_cast<ssize_t>(sizeof start_kb);
+    close(fds[0]);
+    int status = 0;
+    rusage usage{};
+    if (wait4(pid, &status, 0, &usage) != pid || !WIFEXITED(status) ||
+        WEXITSTATUS(status) != 0 || !got)
+        return -1;
+    return usage.ru_maxrss - start_kb;
+}
+
+TEST(BraidRouterFootprint, HugeMachineCompileTouchesOnlyItsCells)
+{
+#ifdef __SANITIZE_ADDRESS__
+    GTEST_SKIP() << "AddressSanitizer's shadow memory and redzones count "
+                    "toward the process' RSS";
+#endif
+    // RD53 reaches a few dozen tiles; whole-grid initialisation of the
+    // 136-byte rings alone would take 53 MB on 65536 x 1 (393 219 cells)
+    // and 36 MB on 256 x 256.
+    const Program prog = findBenchmark("RD53").build();
+    for (auto [w, h] : {std::pair{65536, 1}, std::pair{256, 256}}) {
+        SCOPED_TRACE("ft:" + std::to_string(w) + "x" + std::to_string(h));
+        const Machine machine = Machine::ftBraid(w, h);
+        const long growth_kb = forkedCompileGrowthKb(prog, machine);
+        ASSERT_GE(growth_kb, 0);
+        EXPECT_LT(growth_kb, 16 * 1024);
+    }
 }
 
 } // namespace
