@@ -13,9 +13,9 @@
 #define SQUARE_ARCH_LAYOUT_H
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
+#include "common/logging.h"
 #include "ir/qubit.h"
 
 namespace square {
@@ -45,7 +45,14 @@ class Layout
     int sitesTouched() const { return sites_touched_; }
 
     /** Site currently holding @p q (fatal if q is not live). */
-    PhysQubit siteOf(LogicalQubit q) const;
+    PhysQubit
+    siteOf(LogicalQubit q) const
+    {
+        SQ_ASSERT(q >= 0 && q < next_logical_, "unknown logical qubit");
+        const PhysQubit site = logical_to_site_[static_cast<size_t>(q)];
+        SQ_ASSERT(site != kNoQubit, "logical qubit is not live");
+        return site;
+    }
 
     /** Logical qubit at @p site, or kNoLogical when empty. */
     PhysQubit
@@ -77,17 +84,44 @@ class Layout
     /** Remove a live logical qubit; its site becomes empty. */
     void remove(LogicalQubit q);
 
-    /** Exchange the contents of two sites (either may be empty). */
-    void swapSites(PhysQubit a, PhysQubit b);
-
-    /** Callback invoked after every swapSites(a, b) with a != b. */
-    using SwapObserver = std::function<void(PhysQubit, PhysQubit)>;
-
-    /** Register a post-swap observer (e.g. the ancilla heap). */
-    void setSwapObserver(SwapObserver obs) { swap_observer_ = std::move(obs); }
+    /**
+     * Exchange the contents of two sites (either may be empty).  Inline:
+     * every routing swap makes one call.  The caller keeps whatever
+     * tracks free sites (the ancilla heap) current.
+     */
+    void
+    swapSites(PhysQubit a, PhysQubit b)
+    {
+        SQ_ASSERT(a >= 0 && a < numSites() && b >= 0 && b < numSites(),
+                  "swap site out of range");
+        if (a == b)
+            return;
+        const LogicalQubit qa = site_to_logical_[static_cast<size_t>(a)];
+        const LogicalQubit qb = site_to_logical_[static_cast<size_t>(b)];
+        site_to_logical_[static_cast<size_t>(a)] = qb;
+        site_to_logical_[static_cast<size_t>(b)] = qa;
+        if (qa != kNoLogical)
+            logical_to_site_[static_cast<size_t>(qa)] = b;
+        if (qb != kNoLogical)
+            logical_to_site_[static_cast<size_t>(qb)] = a;
+        // A swap can move a live qubit onto a never-used site.
+        if (qa != kNoLogical)
+            markUsed(b);
+        if (qb != kNoLogical)
+            markUsed(a);
+    }
 
   private:
-    SwapObserver swap_observer_;
+    void
+    markUsed(PhysQubit site)
+    {
+        uint8_t &used = ever_used_[static_cast<size_t>(site)];
+        if (!used) {
+            used = 1;
+            ++sites_touched_;
+        }
+    }
+
     std::vector<LogicalQubit> site_to_logical_;
     std::vector<PhysQubit> logical_to_site_;
     /** One byte per site (not vector<bool>): read per sweep visit. */

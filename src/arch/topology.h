@@ -130,7 +130,6 @@ class LatticeTopology final : public Topology
     void pathInto(PhysQubit a, PhysQubit b,
                   std::vector<PhysQubit> &out) const override;
     std::pair<double, double> coords(PhysQubit site) const override;
-    int diameter() const override { return width_ + height_ - 2; }
     std::string name() const override;
 
     int width() const { return width_; }

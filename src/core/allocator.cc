@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <tuple>
@@ -186,6 +188,56 @@ forEachOnRing(int sx, int sy, int d, const Rect &r, F &&fn)
 
 } // namespace
 
+CenterOutWalk::CenterOutWalk(int width, int height)
+    : width_(width), height_(height)
+{
+    // A row's popped sites are a run around its central column(s), so
+    // the frontier holds at most two sites per row: it never grows.
+    frontier_.reserve(std::min(2 * static_cast<size_t>(height),
+                               static_cast<size_t>(width) * height));
+    // The central sites: one or two columns by one or two rows, as the
+    // width and height are odd or even.
+    for (int y = (height - 1) / 2; y <= height / 2; ++y) {
+        for (int x = (width - 1) / 2; x <= width / 2; ++x)
+            push(x, y);
+    }
+}
+
+void
+CenterOutWalk::push(int x, int y)
+{
+    const int64_t dx = 2 * int64_t{x} - width_ + 1;
+    const int64_t dy = 2 * int64_t{y} - height_ + 1;
+    frontier_.emplace_back(dx * dx + dy * dy, y * width_ + x);
+    std::push_heap(frontier_.begin(), frontier_.end(), std::greater<>());
+}
+
+PhysQubit
+CenterOutWalk::next()
+{
+    if (frontier_.empty())
+        return kNoQubit;
+    std::pop_heap(frontier_.begin(), frontier_.end(), std::greater<>());
+    const PhysQubit site = frontier_.back().second;
+    frontier_.pop_back();
+    // The children: a step away from the centre in x (both ways from
+    // an odd width's central column) and, from a central column, in y.
+    const int x = site % width_, y = site / width_;
+    const int tx = 2 * x - width_ + 1;
+    if (tx <= 0 && x > 0)
+        push(x - 1, y);
+    if (tx >= 0 && x + 1 < width_)
+        push(x + 1, y);
+    if (std::abs(tx) <= 1) {
+        const int ty = 2 * y - height_ + 1;
+        if (ty <= 0 && y > 0)
+            push(x, y - 1);
+        if (ty >= 0 && y + 1 < height_)
+            push(x, y + 1);
+    }
+    return site;
+}
+
 Allocator::Allocator(const SquareConfig &cfg, const Machine &machine,
                      Layout &layout, const GateScheduler &sched,
                      AncillaHeap &heap)
@@ -196,12 +248,16 @@ Allocator::Allocator(const SquareConfig &cfg, const Machine &machine,
       heap_(heap)
 {
     lattice_ = dynamic_cast<const LatticeTopology *>(machine.topology.get());
+    if (lattice_) {
+        center_walk_ = CenterOutWalk(lattice_->width(), lattice_->height());
+        center_order_.reserve(static_cast<size_t>(lattice_->numSites()));
+        center_order_.push_back(center_walk_.next());
+        return;
+    }
     const Topology &topo = *machine_.topology;
     const int n = topo.numSites();
-    if (!lattice_) {
-        visit_mark_.assign(static_cast<size_t>(n), 0);
-        bfs_queue_.reserve(static_cast<size_t>(n));
-    }
+    visit_mark_.assign(static_cast<size_t>(n), 0);
+    bfs_queue_.reserve(static_cast<size_t>(n));
     double cx = 0, cy = 0;
     for (int s = 0; s < n; ++s) {
         auto [x, y] = topo.coords(s);
@@ -228,15 +284,21 @@ Allocator::Allocator(const SquareConfig &cfg, const Machine &machine,
 PhysQubit
 Allocator::nextFreshSite()
 {
-    while (fresh_cursor_ < center_order_.size()) {
-        PhysQubit s = center_order_[fresh_cursor_];
+    for (;; ++fresh_cursor_) {
+        if (fresh_cursor_ == center_order_.size()) {
+            const PhysQubit next = lattice_ ? center_walk_.next() : kNoQubit;
+            if (next == kNoQubit) {
+                fatal("machine out of qubits: all ", machine_.numSites(),
+                      " sites are in use or reserved (program does not "
+                      "fit; pick a larger machine or a more aggressive "
+                      "reclamation policy)");
+            }
+            center_order_.push_back(next);
+        }
+        const PhysQubit s = center_order_[fresh_cursor_];
         if (!layout_.everUsed(s) && layout_.isFree(s))
             return s;
-        ++fresh_cursor_;
     }
-    fatal("machine out of qubits: all ", machine_.numSites(),
-          " sites are in use or reserved (program does not fit; pick a "
-          "larger machine or a more aggressive reclamation policy)");
 }
 
 std::vector<LogicalQubit>

@@ -46,6 +46,7 @@
 #define SQUARE_CORE_ALLOCATOR_H
 
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "arch/layout.h"
@@ -56,6 +57,36 @@
 #include "schedule/scheduler.h"
 
 namespace square {
+
+/**
+ * The sites of a W x H lattice in center-out order - by distance from
+ * the lattice's centroid ((W-1)/2, (H-1)/2), ties by site id - one at a
+ * time.  That is the order a stable sort of every site by squared
+ * distance from the centroid gives: the squared distance is exactly
+ * key / 4 with the integer key (2x-W+1)^2 + (2y-H+1)^2.  Instead of
+ * sorting, a best-first walk pops the least (key, site) from a frontier
+ * seeded with the central sites.  Every other site has one parent, a
+ * step toward the centre - in x, or in y within the central columns -
+ * with a smaller key, and enters the frontier when its parent is
+ * popped.  Producing k sites costs O(k log k) on any machine size.
+ */
+class CenterOutWalk
+{
+  public:
+    CenterOutWalk() = default;
+    CenterOutWalk(int width, int height);
+
+    /** The next site in center-out order; kNoQubit after the last. */
+    PhysQubit next();
+
+  private:
+    void push(int x, int y);
+
+    int width_ = 0;
+    int height_ = 0;
+    /** Min-heap of (key, site) of the sites whose parent was popped. */
+    std::vector<std::pair<int64_t, PhysQubit>> frontier_;
+};
 
 /** Chooses sites for ancilla (and primary) qubit allocations. */
 class Allocator
@@ -129,9 +160,15 @@ class Allocator
     /** Non-null when the machine topology is a lattice (ring walk). */
     const LatticeTopology *lattice_ = nullptr;
 
-    /** All sites ordered by distance from the machine center. */
+    /**
+     * Sites ordered by distance from the machine center: on a lattice
+     * the prefix produced so far by center_walk_, extended as the
+     * fresh cursor reaches its end; on any other topology every site,
+     * stably sorted by the distance of its coords() from their mean.
+     */
     std::vector<PhysQubit> center_order_;
     size_t fresh_cursor_ = 0;
+    CenterOutWalk center_walk_;
 
     // scratch for the generic breadth-first sweep (empty on lattices):
     // visit stamps make the marks reusable without clearing, and the

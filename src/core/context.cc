@@ -68,7 +68,7 @@ CompileContext::CompileContext(const Program &prog, const Machine &machine,
       heap(machine.numSites()),
       tee(),
       recorder(),
-      sched(machine, layout, nullptr),
+      sched(machine, layout, heap, nullptr),
       alloc(cfg, machine, layout, sched, heap),
       aqv(),
       argsScratch(depthPool(prog, analysis,
@@ -83,9 +83,6 @@ CompileContext::CompileContext(const Program &prog, const Machine &machine,
     // With no consumer, let the scheduler skip trace dispatch on the
     // per-gate hot path entirely.
     sched.setSink(tee.empty() ? nullptr : &tee);
-    layout.setSwapObserver([this](PhysQubit a, PhysQubit b) {
-        heap.onSwap(a, b, layout);
-    });
 
     // Every forward invocation places its ancillas on fresh logical
     // qubits, so the forward pass alone places the entry's parameters

@@ -24,9 +24,10 @@
  * Construction sizes up front whatever the machine and the analysis
  * determine: the heap's site table, the logical-qubit and AQV tables
  * (for the forward pass's placements), the allocator's anchor scratch,
- * the swap router's path scratch and one scratch row per call depth.
- * The run then grows only what recomputation adds beyond the forward
- * pass and the arena's chunks.
+ * the swap router's path scratch (off lattices) and one scratch row per
+ * call depth.  The run then grows only what recomputation adds beyond
+ * the forward pass, the allocator's center-out order as it claims fresh
+ * sites, and the arena's chunks.
  */
 
 #ifndef SQUARE_CORE_CONTEXT_H
@@ -57,7 +58,8 @@ class CompileContext
                    const SquareConfig &cfg,
                    const CompileOptions &options = {});
 
-    // The layout swap-observer closure captures `this`.
+    // The scheduler and the allocator hold references to the layout
+    // and the heap next to them.
     CompileContext(const CompileContext &) = delete;
     CompileContext &operator=(const CompileContext &) = delete;
 

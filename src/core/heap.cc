@@ -66,21 +66,14 @@ AncillaHeap::compact()
 }
 
 void
-AncillaHeap::onSwap(PhysQubit a, PhysQubit b, const Layout &layout)
+AncillaHeap::repair(PhysQubit site, const Layout &layout)
 {
-    // After the swap, membership must match "free and ever-used".  Two
-    // occupied sites were occupied before the swap too, so neither is
-    // (or may become) a member.
-    if (!layout.isFree(a) && !layout.isFree(b))
-        return;
-    for (PhysQubit s : {a, b}) {
-        bool should = layout.isFree(s) && layout.everUsed(s);
-        bool has = contains(s);
-        if (should && !has) {
-            push(s);
-        } else if (!should && has) {
-            take(s);
-        }
+    const bool should = layout.isFree(site) && layout.everUsed(site);
+    const bool has = contains(site);
+    if (should && !has) {
+        push(site);
+    } else if (!should && has) {
+        take(site);
     }
 }
 

@@ -6,8 +6,9 @@
  * inverse replay) returns them to |0>; allocations either pop from the
  * heap or claim brand-new sites.  Swap chains can relocate free sites
  * (swapping a live qubit with an empty site leaves the |0> behind on the
- * other side), so the heap listens to layout swap events to keep its
- * site ids current.
+ * other side), so the scheduler's swap step calls onSwap() after each
+ * layout exchange to keep the heap's site ids current.  This header
+ * depends only on arch/layout.h, so the scheduler can hold the heap.
  *
  * contains() is queried once per site visited by the allocator's
  * candidate sweep - millions of times per compilation - so membership
@@ -56,11 +57,24 @@ class AncillaHeap
 
     /**
      * Layout swap notification: when a swap relocates an empty |0>
-     * site, rename the heap entry to the new location.
+     * site, rename the heap entry to the new location.  After the swap,
+     * membership must match "free and ever-used".  Two occupied sites
+     * were occupied before the swap too, so neither is (or may become)
+     * a member: that exit is inline, the repair is not.
      */
-    void onSwap(PhysQubit a, PhysQubit b, const Layout &layout);
+    void
+    onSwap(PhysQubit a, PhysQubit b, const Layout &layout)
+    {
+        if (!layout.isFree(a) && !layout.isFree(b))
+            return;
+        repair(a, layout);
+        repair(b, layout);
+    }
 
   private:
+    /** Make @p site a member exactly when it is free and ever-used. */
+    void repair(PhysQubit site, const Layout &layout);
+
     void compact();
 
     static constexpr PhysQubit kTombstone = -2;

@@ -6,10 +6,10 @@ namespace square {
 
 namespace {
 
+/** The rest of a kind's description; its arity is kGateArity. */
 struct GateInfo
 {
     std::string_view name;
-    int arity;
     bool classical;
     GateKind inverse;
 };
@@ -17,17 +17,17 @@ struct GateInfo
 constexpr int kNumKinds = static_cast<int>(GateKind::NumKinds);
 
 const GateInfo kGateTable[kNumKinds] = {
-    /* X       */ {"X", 1, true, GateKind::X},
-    /* CNOT    */ {"CNOT", 2, true, GateKind::CNOT},
-    /* Toffoli */ {"Toffoli", 3, true, GateKind::Toffoli},
-    /* Swap    */ {"Swap", 2, true, GateKind::Swap},
-    /* H       */ {"H", 1, false, GateKind::H},
-    /* Z       */ {"Z", 1, false, GateKind::Z},
-    /* S       */ {"S", 1, false, GateKind::Sdg},
-    /* Sdg     */ {"Sdg", 1, false, GateKind::S},
-    /* T       */ {"T", 1, false, GateKind::Tdg},
-    /* Tdg     */ {"Tdg", 1, false, GateKind::T},
-    /* CZ      */ {"CZ", 2, false, GateKind::CZ},
+    /* X       */ {"X", true, GateKind::X},
+    /* CNOT    */ {"CNOT", true, GateKind::CNOT},
+    /* Toffoli */ {"Toffoli", true, GateKind::Toffoli},
+    /* Swap    */ {"Swap", true, GateKind::Swap},
+    /* H       */ {"H", false, GateKind::H},
+    /* Z       */ {"Z", false, GateKind::Z},
+    /* S       */ {"S", false, GateKind::Sdg},
+    /* Sdg     */ {"Sdg", false, GateKind::S},
+    /* T       */ {"T", false, GateKind::Tdg},
+    /* Tdg     */ {"Tdg", false, GateKind::T},
+    /* CZ      */ {"CZ", false, GateKind::CZ},
 };
 
 const GateInfo &
@@ -39,12 +39,6 @@ info(GateKind kind)
 }
 
 } // namespace
-
-int
-gateArity(GateKind kind)
-{
-    return info(kind).arity;
-}
 
 bool
 gateIsClassical(GateKind kind)

@@ -15,7 +15,10 @@
 #define SQUARE_IR_GATE_H
 
 #include <cstdint>
+#include <iterator>
 #include <string_view>
+
+#include "common/logging.h"
 
 namespace square {
 
@@ -35,8 +38,26 @@ enum class GateKind : uint8_t {
     NumKinds
 };
 
+/**
+ * Operand count of each kind, indexed by GateKind.  The scheduler reads
+ * it several times per gate, so gateArity() is an inline table read.
+ */
+inline constexpr int8_t kGateArity[] = {
+    /* X */ 1, /* CNOT */ 2, /* Toffoli */ 3, /* Swap */ 2, /* H */ 1,
+    /* Z */ 1, /* S */ 1,    /* Sdg */ 1,     /* T */ 1,    /* Tdg */ 1,
+    /* CZ */ 2,
+};
+static_assert(std::size(kGateArity) ==
+              static_cast<size_t>(GateKind::NumKinds));
+
 /** Number of qubit operands the gate takes. */
-int gateArity(GateKind kind);
+inline int
+gateArity(GateKind kind)
+{
+    const auto idx = static_cast<size_t>(kind);
+    SQ_ASSERT(idx < std::size(kGateArity), "gate kind out of range");
+    return kGateArity[idx];
+}
 
 /** True if the gate implements classical reversible logic. */
 bool gateIsClassical(GateKind kind);

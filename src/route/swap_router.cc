@@ -1,48 +1,15 @@
 #include "route/swap_router.h"
 
-#include "common/logging.h"
-
 namespace square {
 
-int
-SwapRouter::makeAdjacent(PhysQubit &a, PhysQubit b, SwapEmitter emit)
+SwapRouter::SwapRouter(const Topology &topo) : topo_(topo)
 {
-    SQ_ASSERT(a != b, "cannot route a qubit to itself");
-    if (topo_.adjacent(a, b))
-        return 0;
-
-    topo_.pathInto(a, b, route_);
-    SQ_ASSERT(route_.size() >= 3, "non-adjacent sites with path < 3");
-
-    // Swap along the path, stopping one hop short of b.
-    int swaps = 0;
-    for (size_t k = 0; k + 2 < route_.size(); ++k) {
-        PhysQubit from = route_[k];
-        PhysQubit to = route_[k + 1];
-        emit(from, to);
-        layout_.swapSites(from, to);
-        ++swaps;
+    if (auto *lattice = dynamic_cast<const LatticeTopology *>(&topo)) {
+        width_ = lattice->width();
+        width_inverse_ = UINT64_MAX / static_cast<uint64_t>(width_) + 1;
+    } else {
+        route_.reserve(static_cast<size_t>(topo.diameter()) + 1);
     }
-    total_swaps_ += swaps;
-    a = route_[route_.size() - 2];
-    return swaps;
-}
-
-int
-SwapRouter::moveTo(PhysQubit &a, PhysQubit dest, SwapEmitter emit)
-{
-    if (a == dest)
-        return 0;
-    topo_.pathInto(a, dest, route_);
-    int swaps = 0;
-    for (size_t k = 0; k + 1 < route_.size(); ++k) {
-        emit(route_[k], route_[k + 1]);
-        layout_.swapSites(route_[k], route_[k + 1]);
-        ++swaps;
-    }
-    total_swaps_ += swaps;
-    a = dest;
-    return swaps;
 }
 
 } // namespace square

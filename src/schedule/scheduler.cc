@@ -7,9 +7,10 @@
 namespace square {
 
 GateScheduler::GateScheduler(const Machine &machine, Layout &layout,
-                             TraceSink *sink)
+                             AncillaHeap &heap, TraceSink *sink)
     : machine_(machine),
       layout_(layout),
+      heap_(heap),
       sink_(sink),
       clock_(static_cast<size_t>(machine.numSites()), 0)
 {
@@ -17,8 +18,7 @@ GateScheduler::GateScheduler(const Machine &machine, Layout &layout,
         dur_table_[k] = machine_.times.durationFor(static_cast<GateKind>(k));
     switch (machine_.comm) {
       case CommModel::Swap:
-        swap_router_ =
-            std::make_unique<SwapRouter>(*machine_.topology, layout_);
+        swap_router_.emplace(*machine_.topology);
         break;
       case CommModel::Braid: {
         auto *lattice =
@@ -60,6 +60,32 @@ GateScheduler::avgBraidLength() const
         return 0.0;
     return static_cast<double>(braid_router_->totalPathCells()) /
            static_cast<double>(braid_router_->totalBraids());
+}
+
+void
+GateScheduler::hop(PhysQubit from, PhysQubit to)
+{
+    constexpr GateKind kSwap = GateKind::Swap;
+    const int dur = dur_table_[static_cast<size_t>(kSwap)];
+    int64_t &clk_from = clock_[static_cast<size_t>(from)];
+    int64_t &clk_to = clock_[static_cast<size_t>(to)];
+    const int64_t start = std::max({int64_t{0}, clk_from, clk_to});
+    clk_from = start + dur;
+    clk_to = start + dur;
+    makespan_ = std::max(makespan_, start + dur);
+    ++stats_.swaps;
+    if (sink_) {
+        TimedGate g;
+        g.kind = kSwap;
+        g.arity = 2;
+        g.sites[0] = from;
+        g.sites[1] = to;
+        g.start = start;
+        g.duration = dur;
+        sink_->onGate(g);
+    }
+    layout_.swapSites(from, to);
+    heap_.onSwap(from, to, layout_);
 }
 
 void
@@ -120,13 +146,6 @@ GateScheduler::occupy(PhysQubit site, int64_t duration)
 }
 
 void
-GateScheduler::emitRoutingSwap(PhysQubit from, PhysQubit to)
-{
-    const PhysQubit sites[2] = {from, to};
-    issue(GateKind::Swap, sites, 2);
-}
-
-void
 GateScheduler::applyTwoQubit(GateKind kind, LogicalQubit a, LogicalQubit b)
 {
     PhysQubit sa = layout_.siteOf(a);
@@ -140,11 +159,10 @@ GateScheduler::applyTwoQubit(GateKind kind, LogicalQubit a, LogicalQubit b)
         return;
       }
       case CommModel::Swap: {
-        if (!machine_.topology->adjacent(sa, sb)) {
+        if (!swap_router_->adjacent(sa, sb)) {
             ++stats_.routedGates;
             swap_router_->makeAdjacent(
-                sa, sb,
-                [this](PhysQubit f, PhysQubit t) { emitRoutingSwap(f, t); });
+                sa, sb, [this](PhysQubit f, PhysQubit t) { hop(f, t); });
         }
         const PhysQubit sites[2] = {sa, sb};
         issue(kind, sites, 2);
@@ -205,17 +223,17 @@ GateScheduler::gatherForMacro(LogicalQubit c0, LogicalQubit c1,
     // Bring both controls onto neighbor sites of the target.  The
     // second control must avoid displacing the first, so it is moved
     // onto an explicit free-of-c0 neighbor.
-    auto emit = [this](PhysQubit f, PhysQubit t) { emitRoutingSwap(f, t); };
+    auto step = [this](PhysQubit f, PhysQubit t) { hop(f, t); };
     PhysQubit st = layout_.siteOf(tgt);
     PhysQubit s0 = layout_.siteOf(c0);
-    if (!machine_.topology->adjacent(s0, st)) {
+    if (!swap_router_->adjacent(s0, st)) {
         ++stats_.routedGates;
-        swap_router_->makeAdjacent(s0, st, emit);
+        swap_router_->makeAdjacent(s0, st, step);
     }
     st = layout_.siteOf(tgt); // target may not move, but stay defensive
     s0 = layout_.siteOf(c0);
     PhysQubit s1 = layout_.siteOf(c1);
-    if (machine_.topology->adjacent(s1, st) && s1 != s0)
+    if (swap_router_->adjacent(s1, st) && s1 != s0)
         return;
     // Pick the neighbor of the target (excluding c0's site) closest to
     // c1 and move c1 onto it.
@@ -236,7 +254,7 @@ GateScheduler::gatherForMacro(LogicalQubit c0, LogicalQubit c1,
     }
     if (s1 != best) {
         ++stats_.routedGates;
-        swap_router_->moveTo(s1, best, emit);
+        swap_router_->moveTo(s1, best, step);
     }
 }
 

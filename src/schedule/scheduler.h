@@ -10,17 +10,26 @@
  * per-site availability clocks (gates schedule at the earliest time all
  * operand sites are free - data dependencies resolve naturally because
  * a qubit's clock advances with every gate touching it).
+ *
+ * A routing swap is one hop step: the SwapRouter picks the hops of a
+ * chain and hands each to hop(), which schedules the swap (both site
+ * clocks, the makespan, SchedStats::swaps and, only when a sink is
+ * attached, the TimedGate, built before the layout changes), exchanges
+ * the two layout entries and restores the ancilla heap's membership of
+ * both sites - with no type-erased or virtual call in between.
  */
 
 #ifndef SQUARE_SCHEDULE_SCHEDULER_H
 #define SQUARE_SCHEDULE_SCHEDULER_H
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "arch/layout.h"
 #include "arch/machine.h"
+#include "core/heap.h"
 #include "route/braid_router.h"
 #include "route/swap_router.h"
 #include "schedule/trace.h"
@@ -48,9 +57,12 @@ class GateScheduler
     /**
      * @param machine target machine (must outlive the scheduler)
      * @param layout  logical-to-site mapping, mutated by swap routing
+     * @param heap    the ancilla heap over @p layout's sites, kept
+     *                current across routing swaps
      * @param sink    optional consumer of the emitted schedule
      */
-    GateScheduler(const Machine &machine, Layout &layout, TraceSink *sink);
+    GateScheduler(const Machine &machine, Layout &layout,
+                  AncillaHeap &heap, TraceSink *sink);
 
     /**
      * Replace the trace sink.  Passing nullptr when no consumer is
@@ -105,17 +117,19 @@ class GateScheduler
     void applyToffoliDecomposed(LogicalQubit c0, LogicalQubit c1,
                                 LogicalQubit tgt);
     void gatherForMacro(LogicalQubit c0, LogicalQubit c1, LogicalQubit tgt);
-    void emitRoutingSwap(PhysQubit from, PhysQubit to);
+    /** One routing swap between adjacent sites (see the file comment). */
+    void hop(PhysQubit from, PhysQubit to);
 
     const Machine &machine_;
     Layout &layout_;
+    AncillaHeap &heap_;
     TraceSink *sink_;
     /** Per-kind durations, precomputed so issueAt does no switch work. */
     int dur_table_[static_cast<size_t>(GateKind::NumKinds)] = {};
     std::vector<int64_t> clock_;
     int64_t makespan_ = 0;
     SchedStats stats_;
-    std::unique_ptr<SwapRouter> swap_router_;
+    std::optional<SwapRouter> swap_router_;
     std::unique_ptr<BraidRouter> braid_router_;
 };
 

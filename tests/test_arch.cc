@@ -92,19 +92,16 @@ TEST(Layout, PlaceRemoveSwap)
     EXPECT_EQ(l.sitesTouched(), 3);
 }
 
-TEST(Layout, SwapObserverFires)
+TEST(Layout, SwapSitesRangeAndSelfSwap)
 {
     Layout l(4);
-    l.place(0);
-    int calls = 0;
-    l.setSwapObserver([&](PhysQubit a, PhysQubit b) {
-        ++calls;
-        EXPECT_TRUE((a == 0 && b == 1) || (a == 1 && b == 0));
-    });
-    l.swapSites(0, 1);
-    EXPECT_EQ(calls, 1);
-    l.swapSites(2, 2); // no-op, no callback
-    EXPECT_EQ(calls, 1);
+    LogicalQubit q = l.place(0);
+    l.swapSites(2, 2); // no-op
+    EXPECT_EQ(l.siteOf(q), 0);
+    EXPECT_EQ(l.sitesTouched(), 1);
+    EXPECT_THROW(l.swapSites(0, 4), PanicError);
+    EXPECT_THROW(l.swapSites(-1, 0), PanicError);
+    EXPECT_EQ(l.siteOf(q), 0);
 }
 
 TEST(Layout, PanicsOnMisuse)

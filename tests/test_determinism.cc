@@ -12,7 +12,10 @@
  * caught immediately.
  *
  * The golden values were captured from the pre-refactor seed build and
- * verified bit-identical against the refactored hot path.
+ * verified bit-identical against the refactored hot path.  Five
+ * programs are pinned on the macro-Toffoli NISQ lattice too, the one
+ * machine whose scheduler gathers three operands around a target with
+ * SwapRouter::moveTo.
  *
  * The fault-tolerant goldens pin the braid router the same way: every
  * Fig. 10 program under SQUARE (plus LAZY and EAGER on the two largest)
@@ -41,19 +44,33 @@ struct Golden
     const char *policy;
     int64_t gates;
     int64_t swaps;
+    int64_t depth;
     int qubitsUsed;
     int reclaimCount;
     int64_t aqv;
 };
 
-// Captured from the seed build (pre-refactor) at boundary scale.
+// Captured from the seed build (pre-refactor) at boundary scale; the
+// depths were added later, from the build before the swap path walked
+// its chains in closed form.
 const Golden kGoldens[] = {
-    {"SHA2", "LAZY", 27140, 48687, 855, 0, 47242845},
-    {"SHA2", "EAGER", 90892, 78230, 465, 137, 80170853},
-    {"SHA2", "SQUARE", 27140, 39415, 791, 80, 38532394},
-    {"SALSA20", "LAZY", 8832, 8485, 281, 0, 4252901},
-    {"SALSA20", "EAGER", 17536, 7475, 87, 96, 3082684},
-    {"SALSA20", "SQUARE", 8832, 5922, 200, 75, 2628073},
+    {"SHA2", "LAZY", 27140, 48687, 79826, 855, 0, 47242845},
+    {"SHA2", "EAGER", 90892, 78230, 229109, 465, 137, 80170853},
+    {"SHA2", "SQUARE", 27140, 39415, 70494, 791, 80, 38532394},
+    {"SALSA20", "LAZY", 8832, 8485, 25510, 281, 0, 4252901},
+    {"SALSA20", "EAGER", 17536, 7475, 44783, 87, 96, 3082684},
+    {"SALSA20", "SQUARE", 8832, 5922, 19557, 200, 75, 2628073},
+};
+
+// Captured on Machine::nisqLatticeMacro(boundaryEdge, boundaryEdge)
+// before the swap path walked its chains in closed form.  Only this
+// machine gathers macro Toffoli operands (SwapRouter::moveTo).
+const Golden kMacroNisqGoldens[] = {
+    {"ADDER32", "SQUARE", 224, 905, 2858, 115, 2, 278558},
+    {"MODEXP", "SQUARE", 972, 2808, 11070, 120, 41, 825653},
+    {"SALSA20", "SQUARE", 1664, 3957, 11804, 202, 75, 1581654},
+    {"Jasmine", "SQUARE", 642, 2573, 6858, 159, 4, 538615},
+    {"Belle", "SQUARE", 199, 653, 1100, 323, 7, 222387},
 };
 
 SquareConfig
@@ -66,21 +83,34 @@ policyByName(const std::string &name)
     return SquareConfig::square();
 }
 
-TEST(Determinism, GoldenCompileResults)
+/** Compile each golden on make(boundaryEdge, boundaryEdge) and compare. */
+void
+expectNisqGoldens(std::span<const Golden> goldens,
+                  Machine (*make)(int width, int height))
 {
-    for (const Golden &g : kGoldens) {
+    for (const Golden &g : goldens) {
         SCOPED_TRACE(std::string(g.workload) + "/" + g.policy);
         const BenchmarkInfo &info = findBenchmark(g.workload);
         Program prog = info.build();
-        Machine m =
-            Machine::nisqLattice(info.boundaryEdge, info.boundaryEdge);
+        Machine m = make(info.boundaryEdge, info.boundaryEdge);
         CompileResult r = compile(prog, m, policyByName(g.policy), {});
         EXPECT_EQ(r.gates, g.gates);
         EXPECT_EQ(r.swaps, g.swaps);
+        EXPECT_EQ(r.depth, g.depth);
         EXPECT_EQ(r.qubitsUsed, g.qubitsUsed);
         EXPECT_EQ(r.reclaimCount, g.reclaimCount);
         EXPECT_EQ(r.aqv, g.aqv);
     }
+}
+
+TEST(Determinism, GoldenCompileResults)
+{
+    expectNisqGoldens(kGoldens, Machine::nisqLattice);
+}
+
+TEST(Determinism, GoldenMacroToffoliNisqResults)
+{
+    expectNisqGoldens(kMacroNisqGoldens, Machine::nisqLatticeMacro);
 }
 
 struct FtGolden

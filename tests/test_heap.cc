@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <initializer_list>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,6 +17,7 @@
 
 #include "core/allocator.h"
 #include "core/heap.h"
+#include "opaque_lattice.h"
 
 namespace square {
 namespace {
@@ -75,9 +78,8 @@ TEST(Heap, SwapRenamesFreeSite)
     layout.remove(tmp);
     h.push(1);
 
-    layout.setSwapObserver(
-        [&](PhysQubit a, PhysQubit b) { h.onSwap(a, b, layout); });
     layout.swapSites(0, 1); // qubit moves onto the heap site
+    h.onSwap(0, 1, layout);
     EXPECT_EQ(layout.siteOf(q), 1);
     EXPECT_FALSE(h.contains(1));
     EXPECT_TRUE(h.contains(0)); // the |0> moved to site 0
@@ -113,8 +115,11 @@ TEST(Heap, OnSwapRepairsMembershipBothDirections)
 {
     Layout layout(6);
     AncillaHeap h(6);
-    layout.setSwapObserver(
-        [&](PhysQubit a, PhysQubit b) { h.onSwap(a, b, layout); });
+    // The scheduler's swap step: exchange, then repair the heap.
+    auto swap = [&](PhysQubit a, PhysQubit b) {
+        layout.swapSites(a, b);
+        h.onSwap(a, b, layout);
+    };
 
     // Site 0 holds a live qubit; sites 1 and 2 are reclaimed |0>s.
     LogicalQubit q = layout.place(0);
@@ -125,14 +130,14 @@ TEST(Heap, OnSwapRepairsMembershipBothDirections)
     }
 
     // Swapping two heap sites leaves membership unchanged.
-    layout.swapSites(1, 2);
+    swap(1, 2);
     EXPECT_TRUE(h.contains(1));
     EXPECT_TRUE(h.contains(2));
     EXPECT_EQ(h.size(), 2);
 
     // A live qubit swapping onto a heap site: the |0> migrates to the
     // qubit's old site, which must replace the claimed one in the heap.
-    layout.swapSites(0, 1);
+    swap(0, 1);
     EXPECT_EQ(layout.siteOf(q), 1);
     EXPECT_FALSE(h.contains(1));
     EXPECT_TRUE(h.contains(0));
@@ -142,7 +147,7 @@ TEST(Heap, OnSwapRepairsMembershipBothDirections)
     // on fresh ground, which stays out of the heap (fresh sites are a
     // different allocation class), and the vacated ever-used site
     // remains eligible.
-    layout.swapSites(2, 5);
+    swap(2, 5);
     EXPECT_TRUE(h.contains(2)); // still free + ever-used
     EXPECT_FALSE(h.contains(5)); // never used: not heap material
     EXPECT_EQ(h.size(), 2);
@@ -183,7 +188,7 @@ class AllocatorTest : public ::testing::Test
         : machine_(Machine::nisqLattice(5, 5)),
           layout_(25),
           heap_(25),
-          sched_(machine_, layout_, nullptr)
+          sched_(machine_, layout_, heap_, nullptr)
     {
     }
 
@@ -312,47 +317,52 @@ TEST_F(AllocatorTest, SerializationPenaltySteersAway)
     EXPECT_EQ(layout_.siteOf(anc[0]), idle);
 }
 
+TEST(CenterOrder, LatticePrimariesMatchTheSortedOrder)
+{
+    // Draining every site through allocPrimaries on a lattice (the
+    // center-out walk) gives the order of the reference: a stable sort
+    // of all sites by squared distance of their coords from their mean.
+    for (auto [w, h] : {std::pair{1, 37}, {37, 1}, {5, 5}, {6, 4}, {7, 33},
+                        {64, 64}}) {
+        SCOPED_TRACE(std::to_string(w) + "x" + std::to_string(h));
+        Machine machine = Machine::nisqLattice(w, h);
+        const Topology &topo = *machine.topology;
+        const int n = w * h;
+        double cx = 0, cy = 0;
+        for (PhysQubit s = 0; s < n; ++s) {
+            cx += topo.coords(s).first;
+            cy += topo.coords(s).second;
+        }
+        cx /= n;
+        cy /= n;
+        auto dist2 = [&](PhysQubit s) {
+            auto [x, y] = topo.coords(s);
+            return (x - cx) * (x - cx) + (y - cy) * (y - cy);
+        };
+        std::vector<PhysQubit> want(static_cast<size_t>(n));
+        std::iota(want.begin(), want.end(), 0);
+        std::stable_sort(want.begin(), want.end(),
+                         [&](PhysQubit a, PhysQubit b) {
+                             return dist2(a) < dist2(b);
+                         });
+
+        Layout layout(n);
+        AncillaHeap heap(n);
+        GateScheduler sched(machine, layout, heap, nullptr);
+        Allocator alloc(SquareConfig::square(), machine, layout, sched,
+                        heap);
+        const std::vector<LogicalQubit> prim = alloc.allocPrimaries(n);
+        std::vector<PhysQubit> got;
+        for (LogicalQubit q : prim)
+            got.push_back(layout.siteOf(q));
+        EXPECT_EQ(got, want);
+        EXPECT_THROW(alloc.allocPrimaries(1), FatalError);
+    }
+}
+
 // -------------------------------------------------------------------
 // Fast-path / generic-sweep parity
 // -------------------------------------------------------------------
-
-/**
- * Lattice geometry behind an opaque Topology subclass: the Allocator's
- * dynamic_cast fails, forcing the generic virtual-dispatch sweep on
- * geometry identical to a real LatticeTopology.
- */
-class OpaqueLattice final : public Topology
-{
-  public:
-    OpaqueLattice(int w, int h) : inner_(w, h) {}
-
-    int numSites() const override { return inner_.numSites(); }
-    void
-    forEachNeighbor(PhysQubit site, NeighborFn fn) const override
-    {
-        inner_.forEachNeighbor(site, fn);
-    }
-    int
-    distance(PhysQubit a, PhysQubit b) const override
-    {
-        return inner_.distance(a, b);
-    }
-    void
-    pathInto(PhysQubit a, PhysQubit b,
-             std::vector<PhysQubit> &out) const override
-    {
-        inner_.pathInto(a, b, out);
-    }
-    std::pair<double, double>
-    coords(PhysQubit site) const override
-    {
-        return inner_.coords(site);
-    }
-    std::string name() const override { return "opaque-" + inner_.name(); }
-
-  private:
-    LatticeTopology inner_;
-};
 
 /**
  * Two allocators driven in lockstep over identical lattice geometry:
@@ -372,8 +382,8 @@ class ParityRig
           lg_(w * h),
           hf_(w * h),
           hg_(w * h),
-          sf_(fast_, lf_, nullptr),
-          sg_(generic_, lg_, nullptr),
+          sf_(fast_, lf_, hf_, nullptr),
+          sg_(generic_, lg_, hg_, nullptr),
           af_(cfg_, fast_, lf_, sf_, hf_),
           ag_(cfg_, generic_, lg_, sg_, hg_)
     {

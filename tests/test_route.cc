@@ -1,8 +1,10 @@
 /**
  * @file
- * Unit tests for the swap router and the braid router, a parity check
- * of the braid router against a naive reference model, and the braid
- * router's memory footprint on a huge machine.
+ * Unit tests for the swap router and the braid router, a lockstep
+ * parity check of the swap router's closed-form lattice chains against
+ * its generic pathInto path, a parity check of the braid router against
+ * a naive reference model, and the braid router's memory footprint on a
+ * huge machine.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <random>
 #include <string>
 #include <utility>
@@ -24,24 +27,35 @@
 #include "common/logging.h"
 
 #include "core/compiler.h"
+#include "core/heap.h"
 #include "core/policy.h"
+#include "opaque_lattice.h"
 #include "route/braid_router.h"
 #include "route/swap_router.h"
+#include "schedule/scheduler.h"
 #include "workloads/registry.h"
 
 namespace square {
 namespace {
 
+/** A hop step that only moves the layout. */
+auto
+swapIn(Layout &layout)
+{
+    return [&layout](PhysQubit from, PhysQubit to) {
+        layout.swapSites(from, to);
+    };
+}
+
 TEST(SwapRouter, AdjacentNeedsNoSwaps)
 {
     LatticeTopology topo(4, 4);
     Layout layout(16);
-    SwapRouter router(topo, layout);
+    SwapRouter router(topo);
     LogicalQubit qa = layout.place(topo.siteAt(1, 1));
     layout.place(topo.siteAt(2, 1));
     PhysQubit a = topo.siteAt(1, 1);
-    int swaps = router.makeAdjacent(a, topo.siteAt(2, 1),
-                                    [](PhysQubit, PhysQubit) {});
+    int swaps = router.makeAdjacent(a, topo.siteAt(2, 1), swapIn(layout));
     EXPECT_EQ(swaps, 0);
     EXPECT_EQ(layout.siteOf(qa), topo.siteAt(1, 1));
 }
@@ -50,31 +64,32 @@ TEST(SwapRouter, MovesQubitAlongPath)
 {
     LatticeTopology topo(6, 1);
     Layout layout(6);
-    SwapRouter router(topo, layout);
+    SwapRouter router(topo);
     LogicalQubit qa = layout.place(0);
     LogicalQubit qb = layout.place(5);
     int emitted = 0;
     PhysQubit a = 0;
-    int swaps = router.makeAdjacent(
-        a, 5, [&](PhysQubit, PhysQubit) { ++emitted; });
+    int swaps = router.makeAdjacent(a, 5, [&](PhysQubit f, PhysQubit t) {
+        ++emitted;
+        layout.swapSites(f, t);
+    });
     EXPECT_EQ(swaps, 4); // distance 5, stop adjacent
     EXPECT_EQ(emitted, 4);
     EXPECT_EQ(a, 4);
     EXPECT_EQ(layout.siteOf(qa), 4);
     EXPECT_EQ(layout.siteOf(qb), 5);
-    EXPECT_EQ(router.totalSwaps(), 4);
 }
 
 TEST(SwapRouter, SwapsThroughOccupiedSites)
 {
     LatticeTopology topo(4, 1);
     Layout layout(4);
-    SwapRouter router(topo, layout);
+    SwapRouter router(topo);
     LogicalQubit qa = layout.place(0);
     LogicalQubit mid = layout.place(1);
     LogicalQubit qb = layout.place(3);
     PhysQubit a = 0;
-    router.makeAdjacent(a, 3, [](PhysQubit, PhysQubit) {});
+    router.makeAdjacent(a, 3, swapIn(layout));
     EXPECT_EQ(layout.siteOf(qa), 2);
     // the in-between qubit was displaced to site 0 then stayed
     EXPECT_EQ(layout.siteOf(mid), 0);
@@ -85,14 +100,274 @@ TEST(SwapRouter, MoveToLandsExactly)
 {
     LatticeTopology topo(5, 5);
     Layout layout(25);
-    SwapRouter router(topo, layout);
+    SwapRouter router(topo);
     LogicalQubit q = layout.place(topo.siteAt(0, 0));
     PhysQubit a = topo.siteAt(0, 0);
-    int swaps = router.moveTo(a, topo.siteAt(3, 2),
-                              [](PhysQubit, PhysQubit) {});
+    int swaps = router.moveTo(a, topo.siteAt(3, 2), swapIn(layout));
     EXPECT_EQ(swaps, 5);
     EXPECT_EQ(a, topo.siteAt(3, 2));
     EXPECT_EQ(layout.siteOf(q), topo.siteAt(3, 2));
+}
+
+TEST(SwapRouter, LatticeAdjacencyMatchesDistance)
+{
+    // The closed-form test (no division) against Topology::distance on
+    // every site pair, including the wrap between row ends.
+    for (auto [w, h] : {std::pair{5, 5}, {12, 3}, {1, 16}, {16, 1}, {7, 2}}) {
+        SCOPED_TRACE(std::to_string(w) + "x" + std::to_string(h));
+        LatticeTopology topo(w, h);
+        SwapRouter router(topo);
+        for (PhysQubit a = 0; a < topo.numSites(); ++a) {
+            for (PhysQubit b = 0; b < topo.numSites(); ++b)
+                ASSERT_EQ(router.adjacent(a, b), topo.distance(a, b) <= 1)
+                    << a << ", " << b;
+        }
+    }
+}
+
+TEST(SwapRouter, RoutingToItselfIsAnInvariantViolation)
+{
+    LatticeTopology topo(3, 3);
+    Layout layout(9);
+    SwapRouter router(topo);
+    PhysQubit a = 4;
+    EXPECT_THROW(router.makeAdjacent(a, 4, swapIn(layout)), PanicError);
+}
+
+/** A scheduler with its own layout, ancilla heap and gate trace. */
+struct ScheduleSide
+{
+    explicit ScheduleSide(Machine m)
+        : machine(std::move(m)),
+          layout(machine.numSites()),
+          heap(machine.numSites()),
+          sched(machine, layout, heap, &trace)
+    {
+    }
+
+    Machine machine;
+    Layout layout;
+    AncillaHeap heap;
+    VectorTrace trace;
+    GateScheduler sched;
+};
+
+/**
+ * Two schedulers in lockstep on identical lattice geometry: one on a
+ * real LatticeTopology (the closed-form chains and adjacency test) and
+ * one behind OpaqueLattice (pathInto and the virtual adjacency test).
+ * Both machines keep Toffoli as a macro gate, so a Toffoli gathers its
+ * operands with makeAdjacent and moveTo.  Every operation is applied to
+ * both sides, and same() compares everything the swap path writes.
+ */
+class SwapParityRig
+{
+  public:
+    SwapParityRig(int w, int h)
+        : fast_(Machine::nisqLatticeMacro(w, h)), generic_(opaque(w, h))
+    {
+    }
+
+    const ScheduleSide &fast() const { return fast_; }
+
+    /**
+     * Place a qubit on the free @p site on both sides, taking the site
+     * out of the heap as an allocation does.
+     */
+    LogicalQubit
+    place(PhysQubit site)
+    {
+        LogicalQubit q = kNoLogical;
+        for (ScheduleSide *side : {&fast_, &generic_}) {
+            if (side->heap.contains(site))
+                side->heap.take(site);
+            const LogicalQubit got = side->layout.place(site);
+            if (q == kNoLogical)
+                q = got;
+            EXPECT_EQ(got, q);
+        }
+        return q;
+    }
+
+    /** Remove @p q on both sides; its site joins the heap (a reclaim). */
+    void
+    reclaim(LogicalQubit q)
+    {
+        for (ScheduleSide *side : {&fast_, &generic_}) {
+            const PhysQubit site = side->layout.siteOf(q);
+            side->layout.remove(q);
+            side->heap.push(site);
+        }
+    }
+
+    void
+    apply(GateKind kind, const std::vector<LogicalQubit> &ops)
+    {
+        fast_.sched.apply(kind, ops);
+        generic_.sched.apply(kind, ops);
+    }
+
+    /**
+     * Both layout maps, the ever-used flags and sitesTouched, heap
+     * membership and popLifo order, every site clock, the makespan,
+     * SchedStats and the gate trace.  The fast side's heap must also
+     * hold exactly the free ever-used sites, since every reclaim
+     * pushes and every placement takes.
+     */
+    ::testing::AssertionResult
+    same() const
+    {
+        const Layout &lf = fast_.layout, &lg = generic_.layout;
+        for (PhysQubit s = 0; s < lf.numSites(); ++s) {
+            const LogicalQubit q = lf.qubitAt(s);
+            if (q != lg.qubitAt(s) || lf.everUsed(s) != lg.everUsed(s) ||
+                fast_.heap.contains(s) != generic_.heap.contains(s) ||
+                fast_.sched.siteClock(s) != generic_.sched.siteClock(s))
+                return ::testing::AssertionFailure()
+                       << "site " << s << ": qubit " << q << "/"
+                       << lg.qubitAt(s) << ", clock "
+                       << fast_.sched.siteClock(s) << "/"
+                       << generic_.sched.siteClock(s);
+            if (q != kNoLogical && (lf.siteOf(q) != s || lg.siteOf(q) != s))
+                return ::testing::AssertionFailure()
+                       << "qubit " << q << " is not on site " << s;
+            if (fast_.heap.contains(s) != (lf.isFree(s) && lf.everUsed(s)))
+                return ::testing::AssertionFailure()
+                       << "heap membership of site " << s << " is stale";
+        }
+        if (lf.sitesTouched() != lg.sitesTouched() ||
+            lf.numLive() != lg.numLive() ||
+            fast_.heap.size() != generic_.heap.size())
+            return ::testing::AssertionFailure()
+                   << "sitesTouched/numLive/heap size differ";
+        AncillaHeap hf = fast_.heap, hg = generic_.heap;
+        while (!hf.empty()) {
+            const PhysQubit a = hf.popLifo(), b = hg.popLifo();
+            if (a != b)
+                return ::testing::AssertionFailure()
+                       << "popLifo order: " << a << " vs " << b;
+        }
+        const SchedStats &f = fast_.sched.stats(), &g = generic_.sched.stats();
+        if (fast_.sched.makespan() != generic_.sched.makespan() ||
+            f.totalGates != g.totalGates ||
+            f.oneQubitGates != g.oneQubitGates ||
+            f.twoQubitGates != g.twoQubitGates || f.tGates != g.tGates ||
+            f.toffoliGates != g.toffoliGates || f.swaps != g.swaps ||
+            f.routedGates != g.routedGates ||
+            f.braidConflicts != g.braidConflicts || f.braids != g.braids)
+            return ::testing::AssertionFailure()
+                   << "makespan or SchedStats differ: swaps " << f.swaps
+                   << "/" << g.swaps << ", routed " << f.routedGates << "/"
+                   << g.routedGates;
+        const std::vector<TimedGate> &tf = fast_.trace.gates();
+        const std::vector<TimedGate> &tg = generic_.trace.gates();
+        if (tf.size() != tg.size())
+            return ::testing::AssertionFailure()
+                   << "trace lengths " << tf.size() << "/" << tg.size();
+        for (size_t i = 0; i < tf.size(); ++i) {
+            if (tf[i].kind != tg[i].kind || tf[i].arity != tg[i].arity ||
+                tf[i].sites != tg[i].sites || tf[i].start != tg[i].start ||
+                tf[i].duration != tg[i].duration)
+                return ::testing::AssertionFailure()
+                       << "trace gate " << i << " differs";
+        }
+        return ::testing::AssertionSuccess();
+    }
+
+  private:
+    static Machine
+    opaque(int w, int h)
+    {
+        Machine m = Machine::nisqLatticeMacro(w, h);
+        m.topology = std::make_unique<OpaqueLattice>(w, h);
+        return m;
+    }
+
+    ScheduleSide fast_;
+    ScheduleSide generic_;
+};
+
+/**
+ * A seeded stream of @p steps operations on a @p w x @p h lattice, both
+ * sides compared after every one: placements on free (fresh or
+ * reclaimed) sites and reclaims, X gates, two-qubit gates (CNOT, CZ and
+ * program SWAPs) and macro Toffolis.  A Toffoli's target sits on a site
+ * with two neighbours or more, so its operands always gather.
+ */
+void
+driveSwapParity(int w, int h, int steps, uint64_t seed)
+{
+    SwapParityRig rig(w, h);
+    const LatticeTopology topo(w, h);
+    const int n = w * h;
+    std::mt19937_64 rng(seed);
+    std::vector<LogicalQubit> live;
+    auto placeAnywhere = [&] {
+        std::vector<PhysQubit> free_sites;
+        for (PhysQubit s = 0; s < n; ++s) {
+            if (rig.fast().layout.isFree(s))
+                free_sites.push_back(s);
+        }
+        live.push_back(rig.place(free_sites[rng() % free_sites.size()]));
+    };
+    // Distinct live qubits; a Toffoli's target (drawn first, placed
+    // last) sits on a site with two neighbours or more.  At most two
+    // sites have fewer, and at least four qubits stay live.
+    auto operands = [&](size_t count) {
+        std::vector<LogicalQubit> ops;
+        auto draw = [&] {
+            for (;;) {
+                const LogicalQubit q = live[rng() % live.size()];
+                if (std::find(ops.begin(), ops.end(), q) == ops.end())
+                    return q;
+            }
+        };
+        if (count == 3) {
+            LogicalQubit tgt = draw();
+            while (topo.neighbors(rig.fast().layout.siteOf(tgt)).size() < 2)
+                tgt = draw();
+            ops.push_back(tgt);
+        }
+        while (ops.size() < count)
+            ops.push_back(draw());
+        if (count == 3)
+            std::rotate(ops.begin(), ops.begin() + 1, ops.end());
+        return ops;
+    };
+    while (static_cast<int>(live.size()) < std::max(4, n / 3))
+        placeAnywhere();
+    ASSERT_TRUE(rig.same());
+    const GateKind two_qubit[] = {GateKind::CNOT, GateKind::CNOT,
+                                  GateKind::CZ, GateKind::Swap};
+    for (int step = 0; step < steps; ++step) {
+        const int op = static_cast<int>(rng() % 16);
+        if (op < 2 && static_cast<int>(live.size()) < 3 * n / 5) {
+            placeAnywhere();
+        } else if (op < 4 && live.size() > 4) {
+            const size_t k = rng() % live.size();
+            rig.reclaim(live[k]);
+            live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+        } else if (op < 5) {
+            rig.apply(GateKind::X, operands(1));
+        } else if (op < 12) {
+            rig.apply(two_qubit[rng() % 4], operands(2));
+        } else {
+            rig.apply(GateKind::Toffoli, operands(3));
+        }
+        ASSERT_TRUE(rig.same()) << "step " << step;
+    }
+    const SchedStats &st = rig.fast().sched.stats();
+    EXPECT_GT(st.routedGates, 0);
+    EXPECT_GT(st.swaps, 0);
+    EXPECT_GT(st.toffoliGates, 0);
+}
+
+TEST(SwapRouterParity, ClosedFormChainsMatchPathInto)
+{
+    for (auto [w, h] : {std::pair{5, 5}, {12, 3}, {1, 16}, {16, 1}, {20, 20}}) {
+        SCOPED_TRACE(std::to_string(w) + "x" + std::to_string(h));
+        driveSwapParity(w, h, 600, 17 + static_cast<uint64_t>(w * h));
+    }
 }
 
 TEST(BraidRouter, ReservesAtReadyWhenFree)

@@ -17,8 +17,9 @@ TEST(Scheduler, SequentialGatesAdvanceClock)
 {
     Machine m = Machine::fullyConnected(4);
     Layout layout(4);
+    AncillaHeap heap(4);
     LogicalQubit q = layout.place(0);
-    GateScheduler sched(m, layout, nullptr);
+    GateScheduler sched(m, layout, heap, nullptr);
 
     LogicalQubit ops[1] = {q};
     sched.apply(GateKind::X, ops);
@@ -32,9 +33,10 @@ TEST(Scheduler, IndependentGatesRunInParallel)
 {
     Machine m = Machine::fullyConnected(4);
     Layout layout(4);
+    AncillaHeap heap(4);
     LogicalQubit q0 = layout.place(0);
     LogicalQubit q1 = layout.place(1);
-    GateScheduler sched(m, layout, nullptr);
+    GateScheduler sched(m, layout, heap, nullptr);
 
     LogicalQubit a[1] = {q0}, b[1] = {q1};
     sched.apply(GateKind::X, a);
@@ -47,10 +49,11 @@ TEST(Scheduler, DependentGatesSerialize)
 {
     Machine m = Machine::fullyConnected(4);
     Layout layout(4);
+    AncillaHeap heap(4);
     LogicalQubit q0 = layout.place(0);
     LogicalQubit q1 = layout.place(1);
     LogicalQubit q2 = layout.place(2);
-    GateScheduler sched(m, layout, nullptr);
+    GateScheduler sched(m, layout, heap, nullptr);
 
     LogicalQubit g1[2] = {q0, q1}, g2[2] = {q1, q2};
     sched.apply(GateKind::CNOT, g1);
@@ -62,10 +65,11 @@ TEST(Scheduler, NonAdjacentCnotInsertsSwaps)
 {
     Machine m = Machine::nisqLattice(5, 1);
     Layout layout(5);
+    AncillaHeap heap(5);
     LogicalQubit q0 = layout.place(0);
     LogicalQubit q4 = layout.place(4);
     VectorTrace trace;
-    GateScheduler sched(m, layout, &trace);
+    GateScheduler sched(m, layout, heap, &trace);
 
     LogicalQubit ops[2] = {q0, q4};
     sched.apply(GateKind::CNOT, ops);
@@ -81,10 +85,11 @@ TEST(Scheduler, ToffoliDecompositionGateBudget)
 {
     Machine m = Machine::nisqLattice(3, 1);
     Layout layout(3);
+    AncillaHeap heap(3);
     LogicalQubit a = layout.place(0);
     LogicalQubit b = layout.place(1);
     LogicalQubit c = layout.place(2);
-    GateScheduler sched(m, layout, nullptr);
+    GateScheduler sched(m, layout, heap, nullptr);
 
     LogicalQubit ops[3] = {a, b, c};
     sched.apply(GateKind::Toffoli, ops);
@@ -103,11 +108,12 @@ TEST(Scheduler, ToffoliDecompositionIsUnitaryCorrect)
         Machine m = Machine::fullyConnected(3);
         m.decomposeToffoli = true; // force decomposition
         Layout layout(3);
+        AncillaHeap heap(3);
         LogicalQubit q0 = layout.place(0);
         LogicalQubit q1 = layout.place(1);
         LogicalQubit q2 = layout.place(2);
         VectorTrace trace;
-        GateScheduler sched(m, layout, &trace);
+        GateScheduler sched(m, layout, heap, &trace);
         LogicalQubit ops[3] = {q0, q1, q2};
         sched.apply(GateKind::Toffoli, ops);
 
@@ -130,11 +136,12 @@ TEST(Scheduler, MacroToffoliGathersOperandsOnLattice)
 {
     Machine m = Machine::nisqLatticeMacro(5, 5);
     Layout layout(25);
+    AncillaHeap heap(25);
     LatticeTopology topo(5, 5);
     LogicalQubit a = layout.place(topo.siteAt(0, 0));
     LogicalQubit b = layout.place(topo.siteAt(4, 4));
     LogicalQubit c = layout.place(topo.siteAt(2, 2));
-    GateScheduler sched(m, layout, nullptr);
+    GateScheduler sched(m, layout, heap, nullptr);
 
     LogicalQubit ops[3] = {a, b, c};
     sched.apply(GateKind::Toffoli, ops);
@@ -151,10 +158,11 @@ TEST(Scheduler, BraidMachineUsesBraids)
 {
     Machine m = Machine::ftBraid(6, 6);
     Layout layout(36);
+    AncillaHeap heap(36);
     LatticeTopology topo(6, 6);
     LogicalQubit a = layout.place(topo.siteAt(0, 0));
     LogicalQubit b = layout.place(topo.siteAt(5, 5));
-    GateScheduler sched(m, layout, nullptr);
+    GateScheduler sched(m, layout, heap, nullptr);
 
     LogicalQubit ops[2] = {a, b};
     sched.apply(GateKind::CNOT, ops);
@@ -169,10 +177,11 @@ TEST(Scheduler, TraceSinkSeesEveryGate)
 {
     Machine m = Machine::nisqLattice(4, 1);
     Layout layout(4);
+    AncillaHeap heap(4);
     LogicalQubit q0 = layout.place(0);
     LogicalQubit q3 = layout.place(3);
     VectorTrace trace;
-    GateScheduler sched(m, layout, &trace);
+    GateScheduler sched(m, layout, heap, &trace);
     LogicalQubit ops[2] = {q0, q3};
     sched.apply(GateKind::CNOT, ops);
     EXPECT_EQ(static_cast<int64_t>(trace.gates().size()),
