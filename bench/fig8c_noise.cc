@@ -34,10 +34,12 @@ main(int argc, char **argv)
         double tvd[3];
         int best = 0;
         for (int k = 0; k < 3; ++k) {
-            // compileEach() records no trace; the trajectories need one.
+            // compileEach() attaches no sink; the trajectories replay
+            // the recorded schedule.
             const Machine m = Machine::nisqLatticeMacro(5, 5);
+            VectorTrace schedule;
             CompileOptions opts;
-            opts.recordTrace = true;
+            opts.extraSink = &schedule;
             const CompileResult r = compile(prog, m, policies[k], opts);
 
             TrajectoryConfig tc;
@@ -45,7 +47,8 @@ main(int argc, char **argv)
             tc.shots = kShots;
             tc.seed = 0x5eed0000 + static_cast<uint64_t>(k);
             tc.input = 0b1011; // fixed nonzero input
-            tvd[k] = runTrajectories(r, m.numSites(), tc).tvd;
+            tvd[k] = runTrajectories(r, schedule.gates(), m.numSites(), tc)
+                         .tvd;
             if (tvd[k] < tvd[best])
                 best = k;
         }

@@ -45,8 +45,9 @@ main(int argc, char **argv)
 
         // Monte-Carlo trajectories on the macro-Toffoli twin machine.
         Machine macro = Machine::nisqLatticeMacro(5, 5);
+        VectorTrace schedule;
         CompileOptions opts;
-        opts.recordTrace = true;
+        opts.extraSink = &schedule;
         CompileResult rt = compile(prog, macro, cfg, opts);
 
         TrajectoryConfig tc;
@@ -54,7 +55,7 @@ main(int argc, char **argv)
         tc.shots = shots;
         tc.input = 0b1011;
         TrajectoryResult res =
-            runTrajectories(rt, macro.numSites(), tc);
+            runTrajectories(rt, schedule.gates(), macro.numSites(), tc);
 
         double p_shots = 0.0;
         if (auto it = res.counts.find(res.idealOutcome);

@@ -67,18 +67,20 @@ main()
 
     // ---- 4. Record and print the head of a timed schedule -----------
     Machine m = Machine::nisqLattice(4, 4);
+    VectorTrace schedule;
     CompileOptions opts;
-    opts.recordTrace = true;
-    CompileResult r = compile(prog, m, SquareConfig::square(), opts);
+    opts.extraSink = &schedule;
+    compile(prog, m, SquareConfig::square(), opts);
+    const std::vector<TimedGate> &gates = schedule.gates();
     std::printf("\nfirst scheduled instructions (time, gate, sites):\n");
-    for (size_t i = 0; i < r.trace.size() && i < 8; ++i) {
-        const TimedGate &g = r.trace[i];
+    for (size_t i = 0; i < gates.size() && i < 8; ++i) {
+        const TimedGate &g = gates[i];
         std::printf("  t=%-4lld %-8s", static_cast<long long>(g.start),
                     std::string(gateName(g.kind)).c_str());
         for (int k = 0; k < g.arity; ++k)
             std::printf(" q%d", g.sites[static_cast<size_t>(k)]);
         std::printf("\n");
     }
-    std::printf("  ... %zu instructions total\n", r.trace.size());
+    std::printf("  ... %zu instructions total\n", gates.size());
     return 0;
 }

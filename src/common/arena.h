@@ -30,10 +30,10 @@ namespace square {
 class Arena
 {
   public:
-    explicit Arena(size_t chunk_bytes = 64 * 1024)
-        : chunk_bytes_(chunk_bytes)
-    {}
+    /** Bytes per chunk; a larger request gets a chunk of its own. */
+    static constexpr size_t kChunkBytes = 64 * 1024;
 
+    Arena() = default;
     Arena(const Arena &) = delete;
     Arena &operator=(const Arena &) = delete;
 
@@ -56,8 +56,8 @@ class Arena
             }
         }
         // New chunk; oversize requests get a dedicated chunk.
-        size_t cap = bytes + align > chunk_bytes_ ? bytes + align
-                                                  : chunk_bytes_;
+        size_t cap = bytes + align > kChunkBytes ? bytes + align
+                                                 : kChunkBytes;
         Chunk c;
         c.data = std::make_unique_for_overwrite<char[]>(cap);
         c.cap = cap;
@@ -100,7 +100,6 @@ class Arena
         size_t used = 0;
     };
 
-    size_t chunk_bytes_;
     std::vector<Chunk> chunks_;
 };
 

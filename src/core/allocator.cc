@@ -348,7 +348,7 @@ Allocator::ringSweep(const std::vector<PhysQubit> &anchor_sites,
 
     // Anchor centroid (the area-expansion reference point), and the
     // sweep region: the lattice, cut to the inflated anchor bounding
-    // box when the box cutoff is on.
+    // box when there are anchors.
     double cx = sx, cy = sy;
     if (n_anchors > 0) {
         const double n = static_cast<double>(n_anchors);
@@ -356,7 +356,7 @@ Allocator::ringSweep(const std::vector<PhysQubit> &anchor_sites,
         cy = std::accumulate(anchor_y_.begin(), anchor_y_.end(), 0.0) / n;
     }
     Rect r{0, 0, w - 1, lattice_->height() - 1};
-    if (cfg_.anchorBoxCutoff && n_anchors > 0) {
+    if (n_anchors > 0) {
         const auto [bx0, bx1] =
             std::minmax_element(anchor_x_.begin(), anchor_x_.end());
         const auto [by0, by1] =
@@ -424,7 +424,7 @@ Allocator::bfsSweep(const std::vector<PhysQubit> &anchor_sites,
     } else {
         std::tie(cx, cy) = topo.coords(start);
     }
-    const bool use_box = cfg_.anchorBoxCutoff && n_anchors > 0;
+    const bool use_box = n_anchors > 0;
     if (use_box) {
         const double m = cfg_.anchorBoxMargin;
         bx0 -= m;

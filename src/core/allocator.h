@@ -36,10 +36,10 @@
  * anchor list and anchor coordinates (and, for the generic search, the
  * frontier and visit marks) are reused member buffers, sized before the
  * first allocation (reserveAnchors): allocation performs no heap
- * allocation.  When cfg.anchorBoxCutoff is set, the sweep never leaves
- * the anchor bounding box (inflated by cfg.anchorBoxMargin), which caps
- * the per-allocation visit cost on workloads whose free sites are far
- * from the anchors.
+ * allocation.  When there are anchors, the sweep never leaves their
+ * bounding box (inflated by cfg.anchorBoxMargin), which caps the
+ * per-allocation visit cost on workloads whose free sites are far from
+ * the anchors.
  */
 
 #ifndef SQUARE_CORE_ALLOCATOR_H

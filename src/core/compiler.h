@@ -7,8 +7,9 @@
  * allocation heuristic at every Allocate point and the reclamation
  * heuristic at every Free point, while the gate scheduler resolves
  * connectivity and assigns time steps.  The result carries every metric
- * the paper's evaluation reports plus (optionally) the full timed
- * instruction trace.
+ * the paper's evaluation reports; the timed gate schedule streams, gate
+ * by gate, to the caller's TraceSink (CompileOptions::extraSink) and
+ * nowhere else.
  */
 
 #ifndef SQUARE_CORE_COMPILER_H
@@ -34,12 +35,11 @@ class PhaseSink;
 /** Optional knobs for one compilation. */
 struct CompileOptions
 {
-    /** Record the full timed gate trace in the result. */
-    bool recordTrace = false;
-
     /**
-     * Additional trace consumer (e.g. the functional simulator used by
-     * the integration tests to verify reclaimed qubits are |0>).
+     * Consumer of the timed gate schedule and of the reclaim and reset
+     * events, in issue order: a VectorTrace keeps the gate list, a
+     * ClassicalSim checks that reclaimed qubits are |0>.  Null costs
+     * nothing: the scheduler then builds no TimedGate.
      */
     TraceSink *extraSink = nullptr;
 
@@ -85,7 +85,6 @@ struct CompileResult
 
     // -- artifacts -------------------------------------------------------
     std::vector<UsagePoint> usageCurve;   ///< Fig. 1 step curve
-    std::vector<TimedGate> trace;         ///< when recordTrace
     std::vector<PhysQubit> primaryInitialSites;
     std::vector<PhysQubit> primaryFinalSites;
 

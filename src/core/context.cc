@@ -66,9 +66,7 @@ CompileContext::CompileContext(const Program &prog, const Machine &machine,
       analysis(options.analysis ? *options.analysis : *ownedAnalysis),
       layout(machine.numSites()),
       heap(machine.numSites()),
-      tee(),
-      recorder(),
-      sched(machine, layout, heap, nullptr),
+      sched(machine, layout, heap, options.extraSink),
       alloc(cfg, machine, layout, sched, heap),
       aqv(),
       argsScratch(depthPool(prog, analysis,
@@ -76,14 +74,6 @@ CompileContext::CompileContext(const Program &prog, const Machine &machine,
       replayAncScratch(depthPool(
           prog, analysis, [](const Module &m) { return m.numAncilla; }))
 {
-    if (options.recordTrace)
-        tee.add(&recorder);
-    if (options.extraSink)
-        tee.add(options.extraSink);
-    // With no consumer, let the scheduler skip trace dispatch on the
-    // per-gate hot path entirely.
-    sched.setSink(tee.empty() ? nullptr : &tee);
-
     // Every forward invocation places its ancillas on fresh logical
     // qubits, so the forward pass alone places the entry's parameters
     // plus its lazyAncilla; recomputation can only add to that.

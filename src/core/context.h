@@ -4,11 +4,11 @@
  *
  * A CompileContext owns every piece of mutable state one compilation
  * touches: the logical-to-site layout, the ancilla heap, the scheduler
- * (and its routers), the allocator, the AQV tracker, the trace
- * plumbing, the invocation-record arena, and the depth-indexed scratch
- * pools - plus the program's analysis when none is borrowed.  The
- * Executor borrows a context instead of owning ad-hoc members, which
- * makes the ownership story explicit:
+ * (and its routers), the allocator, the AQV tracker, the
+ * invocation-record arena, and the depth-indexed scratch pools - plus
+ * the program's analysis when none is borrowed.  The Executor borrows
+ * a context instead of owning ad-hoc members, which makes the
+ * ownership story explicit:
  *
  *  - immutable inputs (Machine, SquareConfig, Program, a shared
  *    ProgramAnalysis) are borrowed by const reference and shared freely
@@ -46,7 +46,6 @@
 #include "ir/analysis.h"
 #include "metrics/aqv.h"
 #include "schedule/scheduler.h"
-#include "schedule/trace.h"
 
 namespace square {
 
@@ -76,8 +75,6 @@ class CompileContext
     // -- owned per-compilation state (construction order matters) ------
     Layout layout;
     AncillaHeap heap;
-    TeeTrace tee;
-    VectorTrace recorder;
     GateScheduler sched;
     Allocator alloc;
     AqvTracker aqv;

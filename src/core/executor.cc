@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "core/cer.h"
-#include "ir/validate.h"
 #include "obs/trace.h"
 
 namespace square {
@@ -56,7 +55,8 @@ Executor::freeAncilla(std::span<const LogicalQubit> anc)
         ctx_.aqv.onFree(q, ctx_.sched.siteClock(site));
         ctx_.layout.remove(q);
         ctx_.heap.push(site);
-        ctx_.tee.onReclaim(site);
+        if (ctx_.options.extraSink)
+            ctx_.options.extraSink->onReclaim(site);
     }
 }
 
@@ -224,7 +224,8 @@ Executor::execCall(ModuleId id, std::span<const LogicalQubit> args,
                 ctx_.aqv.onFree(q, ctx_.sched.siteClock(site));
                 ctx_.layout.remove(q);
                 ctx_.heap.push(site);
-                ctx_.tee.onReset(site);
+                if (ctx_.options.extraSink)
+                    ctx_.options.extraSink->onReset(site);
             }
             inv->ancLive = false;
             inv->reclaimed = true; // grounded; never invertible again
@@ -377,8 +378,6 @@ Executor::run()
     r.commFactor = ctx_.sched.commFactor();
     r.avgBraidLength = ctx_.sched.avgBraidLength();
     r.usageCurve = ctx_.aqv.usageCurve();
-    if (ctx_.options.recordTrace)
-        r.trace = ctx_.recorder.take();
     if (ctx_.options.phases != nullptr)
         ctx_.options.phases->phaseSpan("allocate_route_schedule",
                                        phase.wallUs,

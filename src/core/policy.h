@@ -62,18 +62,16 @@ struct SquareConfig
     int candidateCap = 16;
 
     /**
-     * Confine the LAA candidate sweep to the bounding box of the
-     * anchor sites, inflated by anchorBoxMargin in each direction.
+     * The LAA candidate sweep never leaves the bounding box of the
+     * anchor sites, inflated by this many sites in each direction.
      * Far-flung candidates score poorly on the communication term
      * anyway, so pruning them rarely changes decisions, but it stops
      * the BFS from flooding (and burning its whole visit budget on)
      * regions it will never pick from - the deeply-nested Belle
-     * workload's sweep cost drops by an order of magnitude.  Turn off
-     * to recover the unbounded sweep.
+     * workload's sweep cost drops by an order of magnitude.  A margin
+     * of at least the lattice's width plus height covers the whole
+     * machine and recovers the unbounded sweep.
      */
-    bool anchorBoxCutoff = true;
-
-    /** Sites the anchor bounding box is inflated by on each side. */
     int anchorBoxMargin = 16;
 
     // -- CER cost-model toggles (Sec. IV-D; ablations) ----------------

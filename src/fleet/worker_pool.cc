@@ -14,17 +14,14 @@
 namespace {
 
 void
-applyNiceness(int niceness)
+applyNiceness()
 {
 #if defined(__linux__)
     // setpriority with a thread id adjusts only the calling thread on
     // Linux.  Best-effort: an EPERM (raising priority needs caps) just
     // leaves the worker at the default.
-    if (niceness > 0)
-        setpriority(PRIO_PROCESS,
-                    static_cast<id_t>(syscall(SYS_gettid)), niceness);
-#else
-    (void)niceness;
+    setpriority(PRIO_PROCESS, static_cast<id_t>(syscall(SYS_gettid)),
+                square::WorkerPool::kNiceness);
 #endif
 }
 
@@ -32,8 +29,8 @@ applyNiceness(int niceness)
 
 namespace square {
 
-WorkerPool::WorkerPool(int workers, int niceness)
-    : workers_(workers < 1 ? 1 : workers), niceness_(niceness)
+WorkerPool::WorkerPool(int workers)
+    : workers_(workers < 1 ? 1 : workers)
 {
     std::lock_guard<std::mutex> lock(mu_);
     threads_.reserve(static_cast<size_t>(workers_));
@@ -63,7 +60,7 @@ WorkerPool::setDeathHook(std::function<bool()> hook)
 void
 WorkerPool::run()
 {
-    applyNiceness(niceness_); // replacement threads re-enter here too
+    applyNiceness(); // replacement threads re-enter here too
     // Watchdog discipline: idle while parked on the cv, beat at
     // dequeue, busy for the job itself — a slow compile (including an
     // injected compile_delay_ms) is legitimate work, not a stall.

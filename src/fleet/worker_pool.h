@@ -42,14 +42,16 @@ class WorkerPool
 {
   public:
     /**
-     * Start @p workers threads (clamped to at least 1).  A positive
-     * @p niceness lowers the workers' CPU scheduling priority
-     * (per-thread nice on Linux, no-op elsewhere): compile jobs are
-     * background work relative to latency-critical serving threads,
-     * and on a CPU-saturated host an un-niced compile steals whole
-     * scheduler quanta (~ms) from the warm-reply tail.
+     * Workers run at this niceness (per-thread nice on Linux, no-op
+     * elsewhere): compile jobs are background work relative to
+     * latency-critical serving threads, and on a CPU-saturated host an
+     * un-niced compile steals whole scheduler quanta (~ms) from the
+     * warm-reply tail.
      */
-    explicit WorkerPool(int workers, int niceness = 0);
+    static constexpr int kNiceness = 10;
+
+    /** Start @p workers threads (clamped to at least 1). */
+    explicit WorkerPool(int workers);
     ~WorkerPool();
 
     WorkerPool(const WorkerPool &) = delete;
@@ -91,7 +93,6 @@ class WorkerPool
     void run();
 
     const int workers_;
-    const int niceness_;
     mutable std::mutex mu_;
     std::condition_variable cv_;
     std::deque<Item> queue_;

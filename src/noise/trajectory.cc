@@ -5,18 +5,20 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "sim/classical.h"
 
 namespace square {
 
 namespace {
 
-/** One trajectory: replay the trace with stochastic errors. */
+/** One trajectory: replay the schedule with stochastic errors. */
 uint64_t
-runOneShot(const CompileResult &r, int num_sites,
-           const TrajectoryConfig &cfg, Rng &rng, bool noiseless)
+runOneShot(const CompileResult &r, std::span<const TimedGate> schedule,
+           int num_sites, const TrajectoryConfig &cfg, Rng &rng,
+           bool noiseless)
 {
     const DeviceParams &dev = cfg.device;
-    std::vector<char> bits(static_cast<size_t>(num_sites), 0);
+    std::vector<uint8_t> bits(static_cast<size_t>(num_sites), 0);
     std::vector<int64_t> last_touch(static_cast<size_t>(num_sites), 0);
 
     for (size_t i = 0; i < r.primaryInitialSites.size(); ++i) {
@@ -48,44 +50,12 @@ runOneShot(const CompileResult &r, int num_sites,
         }
     };
 
-    for (const TimedGate &g : r.trace) {
+    for (const TimedGate &g : schedule) {
         const int arity = g.arity;
         for (int i = 0; i < arity; ++i)
             damp(g.sites[static_cast<size_t>(i)], g.start);
 
-        auto bit = [&](int i) -> char & {
-            return bits[static_cast<size_t>(
-                g.sites[static_cast<size_t>(i)])];
-        };
-        switch (g.kind) {
-          case GateKind::X:
-            bit(0) ^= 1;
-            break;
-          case GateKind::CNOT:
-            if (bit(0))
-                bit(1) ^= 1;
-            break;
-          case GateKind::Toffoli:
-            if (bit(0) && bit(1))
-                bit(2) ^= 1;
-            break;
-          case GateKind::Swap:
-            std::swap(bit(0), bit(1));
-            break;
-          case GateKind::Z:
-          case GateKind::S:
-          case GateKind::Sdg:
-          case GateKind::T:
-          case GateKind::Tdg:
-          case GateKind::CZ:
-            break; // phase-only on basis states
-          case GateKind::H:
-            fatal("trajectory simulation needs a Clifford-free trace; "
-                  "compile on Machine::nisqLatticeMacro or "
-                  "Machine::fullyConnected");
-          default:
-            panic("unhandled gate kind in trajectory simulation");
-        }
+        applyClassical(g, bits.data());
 
         switch (g.kind) {
           case GateKind::X:
@@ -132,20 +102,20 @@ runOneShot(const CompileResult &r, int num_sites,
 } // namespace
 
 TrajectoryResult
-runTrajectories(const CompileResult &r, int num_sites,
-                const TrajectoryConfig &cfg)
+runTrajectories(const CompileResult &r, std::span<const TimedGate> schedule,
+                int num_sites, const TrajectoryConfig &cfg)
 {
-    if (r.trace.empty())
-        fatal("trajectory simulation requires recordTrace");
+    if (schedule.empty())
+        fatal("trajectory simulation requires a recorded schedule");
     if (r.primaryFinalSites.size() > 64)
         fatal("trajectory simulation supports at most 64 primary qubits");
 
     Rng rng(cfg.seed);
     TrajectoryResult out;
-    out.idealOutcome = runOneShot(r, num_sites, cfg, rng, true);
+    out.idealOutcome = runOneShot(r, schedule, num_sites, cfg, rng, true);
 
     for (int s = 0; s < cfg.shots; ++s) {
-        uint64_t o = runOneShot(r, num_sites, cfg, rng, false);
+        uint64_t o = runOneShot(r, schedule, num_sites, cfg, rng, false);
         ++out.counts[o];
     }
 

@@ -11,7 +11,8 @@
  * conditions sampling trajectories reproduces the exact measurement
  * distribution a density-matrix simulation would give.
  *
- * Each shot replays the compiled trace on one bit per site:
+ * Each shot replays the recorded schedule on one byte per site,
+ * stepping each gate through applyClassical() (sim/classical.h):
  *  - every gate flips each operand with probability p_err/2 (half of
  *    the depolarizing weight is Z-like and dropped);
  *  - SWAPs inject error three times (3 CNOTs);
@@ -27,6 +28,7 @@
 #define SQUARE_NOISE_TRAJECTORY_H
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 
 #include "core/compiler.h"
@@ -56,11 +58,14 @@ struct TrajectoryResult
 };
 
 /**
- * Run @p cfg.shots noisy trajectories of a compiled trace.
- * @p r must have been compiled with recordTrace and a Clifford-free
- * machine (macro Toffoli); fatal otherwise.
+ * Run @p cfg.shots noisy trajectories of @p schedule, the gates a
+ * VectorTrace recorded while compiling @p r on a Clifford-free
+ * (macro-Toffoli) machine of @p num_sites sites; fatal on an empty
+ * schedule or an H gate.
  */
-TrajectoryResult runTrajectories(const CompileResult &r, int num_sites,
+TrajectoryResult runTrajectories(const CompileResult &r,
+                                 std::span<const TimedGate> schedule,
+                                 int num_sites,
                                  const TrajectoryConfig &cfg);
 
 /**

@@ -33,13 +33,12 @@ qasmName(GateKind kind)
 } // namespace
 
 void
-exportQasm(const CompileResult &r, int num_sites, std::ostream &os,
-           const QasmOptions &options)
+exportQasm(const CompileResult &r, std::span<const TimedGate> schedule,
+           int num_sites, std::ostream &os, const QasmOptions &options)
 {
-    if (r.trace.empty()) {
-        fatal("QASM export requires a recorded trace "
-              "(CompileOptions::recordTrace)");
-    }
+    if (schedule.empty())
+        fatal("QASM export requires a recorded schedule (a VectorTrace "
+              "attached as CompileOptions::extraSink)");
 
     os << "OPENQASM 2.0;\n";
     os << "include \"qelib1.inc\";\n";
@@ -51,7 +50,7 @@ exportQasm(const CompileResult &r, int num_sites, std::ostream &os,
     if (options.measurePrimaries && !r.primaryFinalSites.empty())
         os << "creg c[" << r.primaryFinalSites.size() << "];\n";
 
-    for (const TimedGate &g : r.trace) {
+    for (const TimedGate &g : schedule) {
         os << qasmName(g.kind);
         for (int i = 0; i < g.arity; ++i) {
             os << (i ? ", " : " ") << "q["
@@ -72,11 +71,11 @@ exportQasm(const CompileResult &r, int num_sites, std::ostream &os,
 }
 
 std::string
-exportQasm(const CompileResult &r, int num_sites,
-           const QasmOptions &options)
+exportQasm(const CompileResult &r, std::span<const TimedGate> schedule,
+           int num_sites, const QasmOptions &options)
 {
     std::ostringstream os;
-    exportQasm(r, num_sites, os, options);
+    exportQasm(r, schedule, num_sites, os, options);
     return os.str();
 }
 

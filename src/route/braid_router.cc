@@ -223,7 +223,6 @@ BraidRouter::reserve(PhysQubit a, PhysQubit b, int64_t ready, int dur)
         res.start = t;
         res.pathCells = cells;
         total_path_cells_ += cells;
-        ++total_braids_;
         return res;
     };
     auto grant_l = [&](const LPath &path) {
@@ -238,7 +237,6 @@ BraidRouter::reserve(PhysQubit a, PhysQubit b, int64_t ready, int dur)
         if (pathClear(h, t, dur))
             return grant_l(h);
         ++res.conflicts;
-        ++total_conflicts_;
 
         if (pathClear(v, t, dur))
             return grant_l(v);

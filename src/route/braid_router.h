@@ -90,13 +90,10 @@ class BraidRouter
      */
     Reservation reserve(PhysQubit a, PhysQubit b, int64_t ready, int dur);
 
-    /** Total conflicts (blocked attempts) across all reservations. */
-    int64_t totalConflicts() const { return total_conflicts_; }
-
-    /** Total braids routed. */
-    int64_t totalBraids() const { return total_braids_; }
-
-    /** Sum of claimed path lengths (for average braid length stats). */
+    /**
+     * Sum of claimed path lengths (for average braid length stats; the
+     * scheduler's SchedStats counts the braids and their conflicts).
+     */
     int64_t totalPathCells() const { return total_path_cells_; }
 
   private:
@@ -226,8 +223,6 @@ class BraidRouter
     std::unique_ptr<BfsNode[]> bfs_queue_;
     std::vector<int> detour_;       // reused BFS result path
     int64_t bfs_stamp_ = 0;
-    int64_t total_conflicts_ = 0;
-    int64_t total_braids_ = 0;
     int64_t total_path_cells_ = 0;
 };
 

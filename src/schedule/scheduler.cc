@@ -56,10 +56,11 @@ GateScheduler::commFactor() const
 double
 GateScheduler::avgBraidLength() const
 {
-    if (!braid_router_ || braid_router_->totalBraids() == 0)
+    // Every reserve() adds one to stats_.braids.
+    if (!braid_router_ || stats_.braids == 0)
         return 0.0;
     return static_cast<double>(braid_router_->totalPathCells()) /
-           static_cast<double>(braid_router_->totalBraids());
+           static_cast<double>(stats_.braids);
 }
 
 void

@@ -59,17 +59,11 @@ class GateScheduler
      * @param layout  logical-to-site mapping, mutated by swap routing
      * @param heap    the ancilla heap over @p layout's sites, kept
      *                current across routing swaps
-     * @param sink    optional consumer of the emitted schedule
+     * @param sink    consumer of the emitted schedule, or nullptr: then
+     *                issueAt() and hop() build no TimedGate at all
      */
     GateScheduler(const Machine &machine, Layout &layout,
                   AncillaHeap &heap, TraceSink *sink);
-
-    /**
-     * Replace the trace sink.  Passing nullptr when no consumer is
-     * registered lets issueAt skip TimedGate construction and dispatch
-     * entirely on the per-gate hot path.
-     */
-    void setSink(TraceSink *sink) { sink_ = sink; }
 
     /** Schedule one logical gate (routing + decomposition as needed). */
     void apply(GateKind kind, std::span<const LogicalQubit> operands);
@@ -123,7 +117,7 @@ class GateScheduler
     const Machine &machine_;
     Layout &layout_;
     AncillaHeap &heap_;
-    TraceSink *sink_;
+    TraceSink *const sink_;
     /** Per-kind durations, precomputed so issueAt does no switch work. */
     int dur_table_[static_cast<size_t>(GateKind::NumKinds)] = {};
     std::vector<int64_t> clock_;

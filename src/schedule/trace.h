@@ -3,9 +3,12 @@
  * Timed instruction records and trace consumers.
  *
  * The gate scheduler emits a stream of TimedGate records (the "optimized
- * schedule of quantum gate instructions" of Fig. 4).  Consumers include
- * the in-memory trace recorder, the classical functional simulator, and
- * the Monte-Carlo noise simulator.
+ * schedule of quantum gate instructions" of Fig. 4) to the one
+ * TraceSink the caller attaches (CompileOptions::extraSink); it is the
+ * only way the schedule leaves compile().  A VectorTrace keeps the gate
+ * list for consumers that read it after the compile (the Monte-Carlo
+ * noise simulator, the QASM exporter), a ClassicalSim replays it as it
+ * streams.  A caller that needs two consumers composes them itself.
  */
 
 #ifndef SQUARE_SCHEDULE_TRACE_H
@@ -66,44 +69,9 @@ class VectorTrace : public TraceSink
     void onGate(const TimedGate &g) override { gates_.push_back(g); }
 
     const std::vector<TimedGate> &gates() const { return gates_; }
-    std::vector<TimedGate> take() { return std::move(gates_); }
 
   private:
     std::vector<TimedGate> gates_;
-};
-
-/** Fan-out sink delivering each event to several consumers. */
-class TeeTrace : public TraceSink
-{
-  public:
-    void add(TraceSink *sink) { sinks_.push_back(sink); }
-
-    /** True when no consumer is registered (dispatch can be skipped). */
-    bool empty() const { return sinks_.empty(); }
-
-    void
-    onGate(const TimedGate &g) override
-    {
-        for (TraceSink *s : sinks_)
-            s->onGate(g);
-    }
-
-    void
-    onReclaim(PhysQubit site) override
-    {
-        for (TraceSink *s : sinks_)
-            s->onReclaim(site);
-    }
-
-    void
-    onReset(PhysQubit site) override
-    {
-        for (TraceSink *s : sinks_)
-            s->onReset(site);
-    }
-
-  private:
-    std::vector<TraceSink *> sinks_;
 };
 
 } // namespace square

@@ -47,7 +47,7 @@ ReadBuffer::nextLine(std::string_view &line)
         return LineStatus::Line;
     }
     scan_ = buf_.size();
-    if (pending() > maxLine_) {
+    if (pending() > kMaxLine) {
         // Keep a short prefix for the diagnostic reply; drop the rest
         // of the hoarded bytes (and release their capacity).
         overflow_.assign(buf_, pos_,

@@ -10,7 +10,7 @@
  *    string_views — no per-line allocation, no per-line memmove; the
  *    consumed prefix is dropped in one batched compact() between
  *    reads.  A peer that streams bytes without a newline is bounded by
- *    @p max_line: past it the buffer is discarded and a short prefix
+ *    kMaxLine: past it the buffer is discarded and a short prefix
  *    is surfaced as an Overflow line (the serving layer answers it
  *    with a diagnostic and drops the connection).
  *
@@ -42,16 +42,11 @@ class ReadBuffer
         Overflow ///< line cap exceeded; a short prefix was extracted
     };
 
-    /** Default line cap: far above any legitimate protocol line. */
-    static constexpr size_t kDefaultMaxLine = 1u << 20;
+    /** Line cap: far above any legitimate protocol line. */
+    static constexpr size_t kMaxLine = 1u << 20;
 
     /** Length of the prefix surfaced for an Overflow line. */
     static constexpr size_t kOverflowPrefix = 200;
-
-    explicit ReadBuffer(size_t max_line = kDefaultMaxLine)
-        : maxLine_(max_line)
-    {
-    }
 
     /**
      * Reserve @p n writable bytes and return the append position (for
@@ -81,7 +76,7 @@ class ReadBuffer
     bool hasTail() const { return pending() > 0; }
 
     /** True when pending unframed bytes exceed the line cap. */
-    bool atLimit() const { return pending() > maxLine_; }
+    bool atLimit() const { return pending() > kMaxLine; }
 
     /**
      * Consume the truncated tail (EOF hit mid-line).  Same view
@@ -99,7 +94,6 @@ class ReadBuffer
     size_t pos_ = 0;      ///< consumed prefix
     size_t scan_ = 0;     ///< newline-scan frontier (no rescans)
     size_t prepared_ = 0; ///< buf_ size at the last prepare()
-    size_t maxLine_;
 };
 
 class WriteBuffer

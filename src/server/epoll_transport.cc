@@ -90,11 +90,8 @@ class EpollTransport::Sink final : public AsyncReplySink
     Conn *const conn_;
 };
 
-EpollTransport::EpollTransport(int event_threads,
-                               size_t max_connections)
+EpollTransport::EpollTransport(int event_threads)
     : eventThreads_(event_threads < 1 ? 1 : event_threads),
-      maxConnections_(max_connections == 0 ? kDefaultMaxConnections
-                                           : max_connections),
       acceptedC_(metrics_.counter("accepted")),
       rejectedC_(metrics_.counter("rejected")),
       linesC_(metrics_.counter("lines")),
@@ -289,7 +286,7 @@ EpollTransport::acceptReady(Loop &loop)
             net::closeFd(fd);
             break;
         }
-        if (static_cast<size_t>(activeG_.value()) >= maxConnections_) {
+        if (static_cast<size_t>(activeG_.value()) >= kMaxConnections) {
             rejectedC_.add(1);
             net::closeFd(fd);
             continue;

@@ -69,7 +69,7 @@ class EpollTransport final
 {
   public:
     /** Multiplexed connections are cheap; the cap is an fd budget. */
-    static constexpr size_t kDefaultMaxConnections = 4096;
+    static constexpr size_t kMaxConnections = 4096;
     /** Pending-reply bytes above which a connection stops reading. */
     static constexpr size_t kWriteHighWater = 1u << 20;
     /** Pending-reply bytes below which reading resumes. */
@@ -77,9 +77,7 @@ class EpollTransport final
     /** recv() chunk size, and the per-wakeup read budget multiplier. */
     static constexpr size_t kReadChunk = 16u << 10;
 
-    explicit EpollTransport(
-        int event_threads = 1,
-        size_t max_connections = kDefaultMaxConnections);
+    explicit EpollTransport(int event_threads = 1);
     ~EpollTransport();
 
     EpollTransport(const EpollTransport &) = delete;
@@ -182,7 +180,6 @@ class EpollTransport final
     std::atomic<bool> running_{false};
     std::vector<std::unique_ptr<Loop>> loops_;
     int eventThreads_;
-    size_t maxConnections_;
     size_t nextLoop_ = 0; ///< acceptor-thread only (round-robin)
     std::atomic<uint64_t> nextConnId_{1};
 

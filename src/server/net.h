@@ -79,11 +79,11 @@ void closeFd(int fd);
  * tail as Status::Partial — the server replies to it (typically with a
  * structured parse error) instead of dropping it silently.
  *
- * Lines are capped at @p max_line bytes: a peer that streams bytes
- * without ever sending a newline must not grow server memory without
- * bound.  On overflow the buffer is discarded and a short prefix is
- * handed back as Status::Overflow — the serving layer answers it
- * (with a parse error, for the NDJSON protocol) and drops the
+ * Lines are capped at ReadBuffer::kMaxLine bytes: a peer that streams
+ * bytes without ever sending a newline must not grow server memory
+ * without bound.  On overflow the buffer is discarded and a short
+ * prefix is handed back as Status::Overflow — the serving layer answers
+ * it (with a parse error, for the NDJSON protocol) and drops the
  * connection.
  *
  * Framing is delegated to ReadBuffer (conn_buffer.h) — the same
@@ -100,16 +100,10 @@ class LineReader
         Partial,  ///< EOF hit mid-line; @p out holds the truncated tail
         Eof,      ///< clean EOF, no pending bytes
         Error,    ///< read error (connection reset, etc.)
-        Overflow  ///< line exceeded max_line; @p out holds a prefix
+        Overflow  ///< line exceeded the cap; @p out holds a prefix
     };
 
-    /** Default line cap: far above any legitimate protocol line. */
-    static constexpr size_t kDefaultMaxLine = ReadBuffer::kDefaultMaxLine;
-
-    explicit LineReader(int fd, size_t max_line = kDefaultMaxLine)
-        : fd_(fd), buf_(max_line)
-    {
-    }
+    explicit LineReader(int fd) : fd_(fd) {}
 
     /** Read the next line (blocking); copies into @p out. */
     Status next(std::string &out);

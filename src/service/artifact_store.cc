@@ -147,7 +147,6 @@ encodeStorePayload(const CacheKey &key, const CompileResult &result,
     // Rough upper bound keeps the append path at one allocation.
     out.reserve(200 + tail.size() +
                 result.usageCurve.size() * 12 +
-                result.trace.size() * 26 +
                 (result.primaryInitialSites.size() +
                  result.primaryFinalSites.size()) *
                     4 +
@@ -185,15 +184,9 @@ encodeStorePayload(const CacheKey &key, const CompileResult &result,
         putI64(out, u.time);
         putI32(out, u.live);
     }
-    putU32(out, static_cast<uint32_t>(result.trace.size()));
-    for (const TimedGate &g : result.trace) {
-        out.push_back(static_cast<char>(g.kind));
-        out.push_back(static_cast<char>(g.arity));
-        for (PhysQubit q : g.sites)
-            putI32(out, q);
-        putI64(out, g.start);
-        putI32(out, g.duration);
-    }
+    // Format 1's gate list, always empty: the schedule streams only to
+    // a compile's own TraceSink.
+    putU32(out, 0);
     putU32(out,
            static_cast<uint32_t>(result.primaryInitialSites.size()));
     for (PhysQubit q : result.primaryInitialSites)
@@ -248,22 +241,9 @@ decodeStorePayload(const uint8_t *data, size_t size, StoreRecord &out)
         u.time = r.i64();
         u.live = r.i32();
     }
-    n = r.u32();
-    if (!r.ok || n > size)
+    // No format-1 writer ever stored a gate.
+    if (r.u32() != 0 || !r.ok)
         return false;
-    res.trace.resize(n);
-    for (TimedGate &g : res.trace) {
-        if (!r.take(2))
-            return false;
-        g.kind = static_cast<GateKind>(r.p[0]);
-        g.arity = static_cast<int8_t>(r.p[1]);
-        r.p += 2;
-        r.n -= 2;
-        for (PhysQubit &q : g.sites)
-            q = r.i32();
-        g.start = r.i64();
-        g.duration = r.i32();
-    }
     n = r.u32();
     if (!r.ok || n > size)
         return false;
@@ -417,12 +397,12 @@ ArtifactStore::append(const CacheKey &key,
         std::lock_guard<std::mutex> lock(mu_);
         if (!running_)
             return;
-        if (queue_.size() >= opts_.maxQueuedRecords) {
+        if (queue_.size() >= kMaxQueuedRecords) {
             // The store is a cache of a cache: dropping under
             // backpressure only means this key restarts cold.
             metrics_.counter("dropped").add();
             obs::recordEvent(obs::Comp::Store, obs::Ev::StoreDrop,
-                             opts_.maxQueuedRecords);
+                             kMaxQueuedRecords);
             return;
         }
         queue_.push_back(

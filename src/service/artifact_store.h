@@ -26,8 +26,10 @@
  * warm hits write to the wire).  Fields are fixed-width little-endian
  * scalars with length-prefixed vectors/strings; doubles travel by bit
  * pattern, so a replayed result is bit-identical to the published
- * one.  The log is a same-host warm-restart artifact, not a portable
- * interchange format.
+ * one.  Between the usage curve and the primary sites sits a gate-list
+ * count that is always 0 (a result carries no schedule); the decoder
+ * refuses any other value.  The log is a same-host warm-restart
+ * artifact, not a portable interchange format.
  *
  * Crash safety is truncate-on-replay: appends are single write()s to
  * an O_APPEND fd, so the only torn state a crash can leave is a
@@ -108,9 +110,10 @@ class ArtifactStore
         /** fsync after every appended record (durability over
             latency); off = rely on the page cache like any log. */
         bool fsyncEachRecord = false;
-        /** Bounded appender queue; full = drop + count. */
-        size_t maxQueuedRecords = 4096;
     };
+
+    /** Bounded appender queue; full = drop + count. */
+    static constexpr size_t kMaxQueuedRecords = 4096;
 
     ArtifactStore() = default;
     ~ArtifactStore();

@@ -14,9 +14,10 @@ configFingerprint(const SquareConfig &cfg)
         h.dbl(cfg.serializationWeight);
         h.dbl(cfg.areaWeight);
         h.i32(cfg.candidateCap);
-        h.boolean(cfg.anchorBoxCutoff);
-        if (cfg.anchorBoxCutoff)
-            h.i32(cfg.anchorBoxMargin);
+        // Hashed where a since-removed "box cutoff on" flag was, so
+        // every key keeps its value.
+        h.boolean(true);
+        h.i32(cfg.anchorBoxMargin);
     }
 
     switch (cfg.reclaim) {

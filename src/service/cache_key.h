@@ -13,7 +13,7 @@
  *
  *  - `name` is display-only and always excluded (two configs differing
  *    only in name dedupe to one compilation);
- *  - LAA knobs (weights, candidateCap, anchor box) count only under
+ *  - LAA knobs (weights, candidateCap, anchorBoxMargin) count only under
  *    AllocPolicy::Locality;
  *  - CER cost-model toggles count only under ReclaimPolicy::Cer;
  *  - `resetLatency` counts only under MeasureReset, `forcedDecisions`

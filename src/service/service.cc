@@ -40,11 +40,7 @@ CompileService::CompileService(int workers, CacheLimits limits,
       coldLatencyUs_(metrics_.histogram("cold_latency_us")),
       queueWaitUs_(metrics_.histogram("queue_wait_us")),
       shedRetryMs_(metrics_.histogram("shed_retry_ms")),
-      // Compiles are background work relative to the event loops
-      // serving warm hits: nice the workers so a compile on a saturated
-      // host yields the CPU to a waking loop thread instead of costing
-      // the warm tail whole scheduler quanta.
-      pool_(workers, /*niceness=*/10)
+      pool_(workers)
 {
 }
 
@@ -130,7 +126,6 @@ CompileService::resultBytes(const CompileResult &result)
     // its heap artifacts.  SchedStats is flat (counters only).
     return sizeof(CompileResult) +
            result.usageCurve.capacity() * sizeof(UsagePoint) +
-           result.trace.capacity() * sizeof(TimedGate) +
            (result.primaryInitialSites.capacity() +
             result.primaryFinalSites.capacity()) *
                sizeof(PhysQubit) +

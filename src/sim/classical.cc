@@ -1,5 +1,7 @@
 #include "sim/classical.h"
 
+#include <utility>
+
 #include "common/logging.h"
 
 namespace square {
@@ -18,16 +20,16 @@ int64_t
 ClassicalSim::onesCount() const
 {
     int64_t n = 0;
-    for (bool b : bits_)
+    for (uint8_t b : bits_)
         n += b ? 1 : 0;
     return n;
 }
 
 void
-ClassicalSim::onGate(const TimedGate &g)
+applyClassical(const TimedGate &g, uint8_t *bits)
 {
-    auto at = [&](int i) -> std::vector<bool>::reference {
-        return bits_[static_cast<size_t>(g.sites[static_cast<size_t>(i)])];
+    auto at = [&](int i) -> uint8_t & {
+        return bits[static_cast<size_t>(g.sites[static_cast<size_t>(i)])];
     };
     switch (g.kind) {
       case GateKind::X:
@@ -41,12 +43,9 @@ ClassicalSim::onGate(const TimedGate &g)
         if (at(0) && at(1))
             at(2) = !at(2);
         return;
-      case GateKind::Swap: {
-        bool tmp = at(0);
-        at(0) = at(1);
-        at(1) = tmp;
+      case GateKind::Swap:
+        std::swap(at(0), at(1));
         return;
-      }
       case GateKind::Z:
       case GateKind::S:
       case GateKind::Sdg:
@@ -56,11 +55,11 @@ ClassicalSim::onGate(const TimedGate &g)
         // Phase gates act trivially on basis states.
         return;
       case GateKind::H:
-        fatal("classical simulation cannot execute H; compile with "
-              "macro Toffoli (Machine::nisqLatticeMacro or "
-              "fullyConnected) for functional runs");
+        fatal("classical replay cannot execute H; compile on "
+              "Machine::nisqLatticeMacro or Machine::fullyConnected "
+              "(macro Toffoli)");
       default:
-        panic("unhandled gate kind in classical simulation");
+        panic("unhandled gate kind in classical replay");
     }
 }
 
@@ -74,7 +73,7 @@ ClassicalSim::onReclaim(PhysQubit site)
 void
 ClassicalSim::onReset(PhysQubit site)
 {
-    bits_[static_cast<size_t>(site)] = false;
+    bits_[static_cast<size_t>(site)] = 0;
     ++resets_;
 }
 

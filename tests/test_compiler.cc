@@ -31,10 +31,6 @@ void
 verifyFunctional(const Program &prog, const Machine &machine,
                  const SquareConfig &cfg, uint64_t input)
 {
-    ClassicalSim sim(machine.numSites());
-    CompileOptions opts;
-    opts.extraSink = &sim;
-
     // Inputs must be set before gates run; primaries are placed first,
     // deterministically, so compile once to learn the initial sites...
     CompileResult probe = compile(prog, machine, cfg, {});
@@ -150,10 +146,12 @@ TEST(Compiler, TraceRecordingMatchesGateCounts)
 {
     Program prog = makeAdder(4);
     Machine m = Machine::fullyConnected(64);
+    VectorTrace schedule;
     CompileOptions opts;
-    opts.recordTrace = true;
+    opts.extraSink = &schedule;
     CompileResult r = compile(prog, m, SquareConfig::square(), opts);
-    EXPECT_EQ(static_cast<int64_t>(r.trace.size()), r.gates + r.swaps);
+    EXPECT_EQ(static_cast<int64_t>(schedule.gates().size()),
+              r.gates + r.swaps);
 }
 
 TEST(Compiler, AqvPositiveAndBounded)

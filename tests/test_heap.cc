@@ -533,12 +533,12 @@ TEST(AllocatorParity, ClippedAnchorBoxOnEdgesAndCorners)
     }
 }
 
-TEST(AllocatorParity, NoAnchorBoxCutoff)
+TEST(AllocatorParity, CoveringAnchorBoxMargin)
 {
-    // The margin must be ignored when the cutoff is off.
+    // A margin of the lattice's width plus height boxes in the whole
+    // 24x24 lattice: the unbounded sweep.
     SquareConfig cfg = SquareConfig::square();
-    cfg.anchorBoxCutoff = false;
-    cfg.anchorBoxMargin = 1;
+    cfg.anchorBoxMargin = 24 + 24;
     runEdgeAnchorScript(cfg);
 }
 

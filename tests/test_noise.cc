@@ -17,13 +17,14 @@
 namespace square {
 namespace {
 
+/** ADDER(3) on a 6x6 macro lattice; a non-null @p schedule records it. */
 CompileResult
-compileAdder(const SquareConfig &cfg, bool record = false)
+compileAdder(const SquareConfig &cfg, VectorTrace *schedule = nullptr)
 {
     Program prog = makeAdder(3);
     Machine m = Machine::nisqLatticeMacro(6, 6);
     CompileOptions opts;
-    opts.recordTrace = record;
+    opts.extraSink = schedule;
     return compile(prog, m, cfg, opts);
 }
 
@@ -54,7 +55,8 @@ TEST(Analytical, IonqCoherenceNearPerfect)
 
 TEST(Trajectory, NoiselessLimitIsExactlyIdeal)
 {
-    CompileResult r = compileAdder(SquareConfig::square(), true);
+    VectorTrace schedule;
+    CompileResult r = compileAdder(SquareConfig::square(), &schedule);
     TrajectoryConfig cfg;
     cfg.device.oneQubitError = 0.0;
     cfg.device.twoQubitError = 0.0;
@@ -62,7 +64,7 @@ TEST(Trajectory, NoiselessLimitIsExactlyIdeal)
     cfg.device.t1Us = 1e12;
     cfg.shots = 64;
     cfg.input = 1 | (3u << 1) | (2u << 4); // ctrl=1, a=3, b=2
-    auto res = runTrajectories(r, 36, cfg);
+    auto res = runTrajectories(r, schedule.gates(), 36, cfg);
     EXPECT_EQ(res.tvd, 0.0);
     ASSERT_EQ(res.counts.size(), 1u);
     EXPECT_EQ(res.counts.begin()->first, res.idealOutcome);
@@ -72,12 +74,13 @@ TEST(Trajectory, NoiselessLimitIsExactlyIdeal)
 
 TEST(Trajectory, NoiseProducesSpread)
 {
-    CompileResult r = compileAdder(SquareConfig::square(), true);
+    VectorTrace schedule;
+    CompileResult r = compileAdder(SquareConfig::square(), &schedule);
     TrajectoryConfig cfg;
     cfg.device = DeviceParams::simulation();
     cfg.shots = 512;
     cfg.input = 1 | (3u << 1) | (2u << 4);
-    auto res = runTrajectories(r, 36, cfg);
+    auto res = runTrajectories(r, schedule.gates(), 36, cfg);
     EXPECT_GT(res.tvd, 0.0);
     EXPECT_LE(res.tvd, 1.0);
     EXPECT_GT(res.counts.size(), 1u);
@@ -85,24 +88,25 @@ TEST(Trajectory, NoiseProducesSpread)
 
 TEST(Trajectory, DeterministicForSeed)
 {
-    CompileResult r = compileAdder(SquareConfig::square(), true);
+    VectorTrace schedule;
+    CompileResult r = compileAdder(SquareConfig::square(), &schedule);
     TrajectoryConfig cfg;
     cfg.shots = 256;
     cfg.input = 0b0110;
-    auto a = runTrajectories(r, 36, cfg);
-    auto b = runTrajectories(r, 36, cfg);
+    auto a = runTrajectories(r, schedule.gates(), 36, cfg);
+    auto b = runTrajectories(r, schedule.gates(), 36, cfg);
     EXPECT_EQ(a.tvd, b.tvd);
     cfg.seed ^= 1;
-    auto c = runTrajectories(r, 36, cfg);
+    auto c = runTrajectories(r, schedule.gates(), 36, cfg);
     // almost surely different histogram
     EXPECT_NE(a.counts, c.counts);
 }
 
 TEST(Trajectory, RequiresTrace)
 {
-    CompileResult r = compileAdder(SquareConfig::square(), false);
+    CompileResult r = compileAdder(SquareConfig::square());
     TrajectoryConfig cfg;
-    EXPECT_THROW(runTrajectories(r, 36, cfg), FatalError);
+    EXPECT_THROW(runTrajectories(r, {}, 36, cfg), FatalError);
 }
 
 TEST(Tvd, Identities)
@@ -127,7 +131,8 @@ TEST(Tvd, Identities)
 
 TEST(Trajectory, TvdMonotoneInErrorRate)
 {
-    CompileResult r = compileAdder(SquareConfig::square(), true);
+    VectorTrace schedule;
+    CompileResult r = compileAdder(SquareConfig::square(), &schedule);
     double prev = -1.0;
     for (double scale : {0.1, 1.0, 10.0}) {
         TrajectoryConfig cfg;
@@ -137,7 +142,7 @@ TEST(Trajectory, TvdMonotoneInErrorRate)
         cfg.device.toffoliError *= scale;
         cfg.shots = 2048;
         cfg.input = 0b0110;
-        auto res = runTrajectories(r, 36, cfg);
+        auto res = runTrajectories(r, schedule.gates(), 36, cfg);
         EXPECT_GT(res.tvd, prev) << "scale " << scale;
         prev = res.tvd;
     }
@@ -147,7 +152,8 @@ TEST(Trajectory, DampingDecaysExcitedInputs)
 {
     // With gate errors off and a short T1, |1> inputs decay toward 0:
     // the ideal outcome becomes rare.
-    CompileResult r = compileAdder(SquareConfig::square(), true);
+    VectorTrace schedule;
+    CompileResult r = compileAdder(SquareConfig::square(), &schedule);
     TrajectoryConfig cfg;
     cfg.device.oneQubitError = 0.0;
     cfg.device.twoQubitError = 0.0;
@@ -155,11 +161,11 @@ TEST(Trajectory, DampingDecaysExcitedInputs)
     cfg.device.t1Us = 0.5; // brutally short
     cfg.shots = 1024;
     cfg.input = 0b1111111; // many excited qubits
-    auto res = runTrajectories(r, 36, cfg);
+    auto res = runTrajectories(r, schedule.gates(), 36, cfg);
     EXPECT_GT(res.tvd, 0.5);
     // All-zero input with no flips cannot decay at all.
     cfg.input = 0;
-    auto res0 = runTrajectories(r, 36, cfg);
+    auto res0 = runTrajectories(r, schedule.gates(), 36, cfg);
     EXPECT_EQ(res0.tvd, 0.0);
 }
 

@@ -17,20 +17,35 @@
 namespace square {
 namespace {
 
-CompileResult
-compileTraced(bool record = true)
+/** A compile's result and the schedule a VectorTrace recorded. */
+struct Traced
+{
+    CompileResult r;
+    VectorTrace schedule;
+
+    std::string
+    qasm(const QasmOptions &options = {}) const
+    {
+        return exportQasm(r, schedule.gates(), 16, options);
+    }
+};
+
+Traced
+compileTraced()
 {
     Program prog = makeAdder(2);
     Machine m = Machine::fullyConnected(16);
+    Traced out;
     CompileOptions opts;
-    opts.recordTrace = record;
-    return compile(prog, m, SquareConfig::square(), opts);
+    opts.extraSink = &out.schedule;
+    out.r = compile(prog, m, SquareConfig::square(), opts);
+    return out;
 }
 
 TEST(Qasm, HeaderAndRegisters)
 {
-    CompileResult r = compileTraced();
-    std::string qasm = exportQasm(r, 16);
+    const Traced t = compileTraced();
+    std::string qasm = t.qasm();
     EXPECT_NE(qasm.find("OPENQASM 2.0;"), std::string::npos);
     EXPECT_NE(qasm.find("include \"qelib1.inc\";"), std::string::npos);
     EXPECT_NE(qasm.find("qreg q[16];"), std::string::npos);
@@ -39,8 +54,8 @@ TEST(Qasm, HeaderAndRegisters)
 
 TEST(Qasm, GateLineCountMatchesTrace)
 {
-    CompileResult r = compileTraced();
-    std::string qasm = exportQasm(r, 16);
+    const Traced t = compileTraced();
+    std::string qasm = t.qasm();
     std::istringstream in(qasm);
     std::string line;
     int64_t gate_lines = 0, measure_lines = 0;
@@ -53,45 +68,45 @@ TEST(Qasm, GateLineCountMatchesTrace)
             ++gate_lines;
         }
     }
-    EXPECT_EQ(gate_lines, static_cast<int64_t>(r.trace.size()));
+    EXPECT_EQ(gate_lines, static_cast<int64_t>(t.schedule.gates().size()));
     EXPECT_EQ(measure_lines,
-              static_cast<int64_t>(r.primaryFinalSites.size()));
+              static_cast<int64_t>(t.r.primaryFinalSites.size()));
 }
 
 TEST(Qasm, MacroToffoliUsesCcx)
 {
-    CompileResult r = compileTraced();
-    std::string qasm = exportQasm(r, 16);
+    const Traced t = compileTraced();
+    std::string qasm = t.qasm();
     // fullyConnected keeps Toffoli native -> ccx lines present.
     EXPECT_NE(qasm.find("ccx "), std::string::npos);
 }
 
 TEST(Qasm, TimingCommentsOptional)
 {
-    CompileResult r = compileTraced();
+    const Traced t = compileTraced();
     QasmOptions opts;
     opts.timingComments = true;
-    std::string with = exportQasm(r, 16, opts);
+    std::string with = t.qasm(opts);
     EXPECT_NE(with.find("// t="), std::string::npos);
-    std::string without = exportQasm(r, 16);
+    std::string without = t.qasm();
     EXPECT_EQ(without.find("ccx q"), without.find("ccx q")); // smoke
     EXPECT_EQ(without.find(" // t="), std::string::npos);
 }
 
 TEST(Qasm, NoMeasureWhenDisabled)
 {
-    CompileResult r = compileTraced();
+    const Traced t = compileTraced();
     QasmOptions opts;
     opts.measurePrimaries = false;
-    std::string qasm = exportQasm(r, 16, opts);
+    std::string qasm = t.qasm(opts);
     EXPECT_EQ(qasm.find("measure"), std::string::npos);
     EXPECT_EQ(qasm.find("creg"), std::string::npos);
 }
 
 TEST(Qasm, RequiresTrace)
 {
-    CompileResult r = compileTraced(false);
-    EXPECT_THROW(exportQasm(r, 16), FatalError);
+    const Traced t = compileTraced();
+    EXPECT_THROW(exportQasm(t.r, {}, 16), FatalError);
 }
 
 } // namespace

@@ -53,12 +53,30 @@ makeSuperpositionProgram()
     return pb.build("main");
 }
 
-/** Replay a compiled trace on a state vector over the machine sites. */
+/** A compile's result and the schedule a VectorTrace recorded. */
+struct Recorded
+{
+    CompileResult r;
+    VectorTrace schedule;
+};
+
+Recorded
+compileRecorded(const Program &prog, const Machine &m,
+                const SquareConfig &cfg)
+{
+    Recorded out;
+    CompileOptions opts;
+    opts.extraSink = &out.schedule;
+    out.r = compile(prog, m, cfg, opts);
+    return out;
+}
+
+/** Replay a recorded schedule on a state vector over the machine sites. */
 StateVector
-replay(const CompileResult &r, int num_sites)
+replay(const Recorded &rec, int num_sites)
 {
     StateVector sv(num_sites);
-    for (const TimedGate &g : r.trace)
+    for (const TimedGate &g : rec.schedule.gates())
         sv.apply(g);
     return sv;
 }
@@ -67,12 +85,11 @@ TEST(Quantum, UncomputedAncillaDisentangledUnderSuperposition)
 {
     Program prog = makeSuperpositionProgram();
     Machine m = Machine::fullyConnected(5);
-    CompileOptions opts;
-    opts.recordTrace = true;
-    CompileResult r = compile(prog, m, SquareConfig::eager(), opts);
+    const Recorded rec = compileRecorded(prog, m, SquareConfig::eager());
+    const CompileResult &r = rec.r;
     ASSERT_EQ(r.reclaimCount, 1);
 
-    StateVector sv = replay(r, 5);
+    StateVector sv = replay(rec, 5);
     // Primary sites hold the Bell-like state; every other site is |0>.
     for (int site = 0; site < 5; ++site) {
         bool is_primary = false;
@@ -96,12 +113,11 @@ TEST(Quantum, LazyLeavesAncillaEntangled)
 {
     Program prog = makeSuperpositionProgram();
     Machine m = Machine::fullyConnected(5);
-    CompileOptions opts;
-    opts.recordTrace = true;
-    CompileResult r = compile(prog, m, SquareConfig::lazy(), opts);
+    const Recorded rec = compileRecorded(prog, m, SquareConfig::lazy());
+    const CompileResult &r = rec.r;
     ASSERT_EQ(r.reclaimCount, 0);
 
-    StateVector sv = replay(r, 5);
+    StateVector sv = replay(rec, 5);
     // The garbage ancilla carries a copy of q0: P(1) = 1/2, entangled.
     int garbage_site = -1;
     for (int site = 0; site < 5; ++site) {
@@ -124,21 +140,19 @@ TEST(Quantum, PolicyDoesNotChangePrimaryMarginals)
     double pl[3], pe[3];
     {
         Machine m = Machine::fullyConnected(5);
-        CompileOptions opts;
-        opts.recordTrace = true;
-        CompileResult r = compile(prog, m, SquareConfig::lazy(), opts);
-        StateVector sv = replay(r, 5);
+        const Recorded rec = compileRecorded(prog, m, SquareConfig::lazy());
+        StateVector sv = replay(rec, 5);
         for (int i = 0; i < 3; ++i)
-            pl[i] = sv.probOne(r.primaryFinalSites[static_cast<size_t>(i)]);
+            pl[i] = sv.probOne(
+                rec.r.primaryFinalSites[static_cast<size_t>(i)]);
     }
     {
         Machine m = Machine::fullyConnected(5);
-        CompileOptions opts;
-        opts.recordTrace = true;
-        CompileResult r = compile(prog, m, SquareConfig::eager(), opts);
-        StateVector sv = replay(r, 5);
+        const Recorded rec = compileRecorded(prog, m, SquareConfig::eager());
+        StateVector sv = replay(rec, 5);
         for (int i = 0; i < 3; ++i)
-            pe[i] = sv.probOne(r.primaryFinalSites[static_cast<size_t>(i)]);
+            pe[i] = sv.probOne(
+                rec.r.primaryFinalSites[static_cast<size_t>(i)]);
     }
     for (int i = 0; i < 3; ++i)
         EXPECT_NEAR(pl[i], pe[i], 1e-9) << "qubit " << i;
@@ -162,13 +176,11 @@ TEST(Quantum, DecomposedScheduleMatchesMacroOnLattice)
     Program prog = pb.build("main");
 
     auto run = [&](Machine machine) {
-        CompileOptions opts;
-        opts.recordTrace = true;
-        CompileResult r =
-            compile(prog, machine, SquareConfig::eager(), opts);
-        StateVector sv = replay(r, machine.numSites());
+        const Recorded rec =
+            compileRecorded(prog, machine, SquareConfig::eager());
+        StateVector sv = replay(rec, machine.numSites());
         uint64_t expect = 0;
-        for (PhysQubit p : r.primaryFinalSites)
+        for (PhysQubit p : rec.r.primaryFinalSites)
             expect |= uint64_t{1} << p;
         return std::norm(sv.amp(expect));
     };

@@ -158,6 +158,145 @@ TEST(StorePayload, DecodeRejectsMalformedBytes)
         padded.size(), out));
 }
 
+/** A hand-built result with every field set, none to its default. */
+CompileResult
+pinnedResult()
+{
+    CompileResult r;
+    r.aqv = 1000;
+    r.qubitsUsed = 7;
+    r.peakLive = 5;
+    r.gates = 40;
+    r.swaps = 6;
+    r.depth = 30;
+    r.sched.totalGates = 40;
+    r.sched.oneQubitGates = 10;
+    r.sched.twoQubitGates = 20;
+    r.sched.tGates = 4;
+    r.sched.toffoliGates = 10;
+    r.sched.swaps = 6;
+    r.sched.routedGates = 3;
+    r.sched.braidConflicts = 2;
+    r.sched.braids = 8;
+    r.uncomputeIrGates = 12;
+    r.reclaimCount = 2;
+    r.skipCount = 1;
+    r.commFactor = 0.25;
+    r.avgBraidLength = 3.5;
+    r.usageCurve = {{0, 3}, {17, 5}};
+    r.primaryInitialSites = {0, 4};
+    r.primaryFinalSites = {9, 2};
+    r.machineLabel = "M";
+    r.policyLabel = "P";
+    return r;
+}
+
+// The format-1 frame of pinnedResult() under key {1, 2, 3} with tail
+// "T", little-endian, one field group per line: the frame header, the
+// payload up to the reserved gate count, and the rest.  It was captured
+// from the encoder as it stood while results still carried a gate
+// list: a log written then must keep replaying.
+constexpr const char *kPinnedHeaderHex =
+    "53515331" "ef000000" "3ffa631d0b85d322"; // magic, length, checksum
+constexpr const char *kPinnedBeforeCountHex =
+    "0100000000000000" "0200000000000000" "0300000000000000" // key
+    "e803000000000000" "07000000" "05000000" // aqv, qubitsUsed, peakLive
+    "2800000000000000" "0600000000000000" "1e00000000000000" // gates..depth
+    // sched: total, 1q, 2q, T, Toffoli, swaps, routed, conflicts, braids
+    "2800000000000000" "0a00000000000000" "1400000000000000"
+    "0400000000000000" "0a00000000000000" "0600000000000000"
+    "0300000000000000" "0200000000000000" "0800000000000000"
+    "0c00000000000000" "02000000" "01000000" // uncompute, reclaims, skips
+    "000000000000d03f" "0000000000000c40"    // commFactor, avgBraidLength
+    "02000000" "0000000000000000" "03000000" // usage curve: 2 points
+    "1100000000000000" "05000000";
+constexpr const char *kPinnedAfterCountHex =
+    "02000000" "00000000" "04000000" // primary initial sites
+    "02000000" "09000000" "02000000" // primary final sites
+    "01000000" "4d" "01000000" "50"  // labels "M", "P"
+    "01000000" "54";                 // tail "T"
+
+/** The pinned payload's hex with @p count_hex as its gate count. */
+std::string
+pinnedPayloadHex(const char *count_hex)
+{
+    return std::string(kPinnedBeforeCountHex) + count_hex +
+           kPinnedAfterCountHex;
+}
+
+std::string
+toHex(const std::string &bytes)
+{
+    static const char kDigits[] = "0123456789abcdef";
+    std::string out;
+    for (unsigned char c : bytes) {
+        out += kDigits[c >> 4];
+        out += kDigits[c & 15];
+    }
+    return out;
+}
+
+std::string
+fromHex(const std::string &hex)
+{
+    std::string out;
+    for (size_t i = 0; i + 1 < hex.size(); i += 2)
+        out += static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16));
+    return out;
+}
+
+TEST(StorePayload, FormatOneFrameIsPinned)
+{
+    const CacheKey key{1, 2, 3};
+    EXPECT_EQ(toHex(frameStoreRecord(
+                  encodeStorePayload(key, pinnedResult(), "T"))),
+              kPinnedHeaderHex + pinnedPayloadHex("00000000"));
+
+    const std::string payload = fromHex(pinnedPayloadHex("00000000"));
+    StoreRecord out;
+    ASSERT_TRUE(decodeStorePayload(
+        reinterpret_cast<const uint8_t *>(payload.data()), payload.size(),
+        out));
+    const CompileResult want = pinnedResult();
+    const CompileResult &got = out.result;
+    EXPECT_TRUE(out.key == key);
+    EXPECT_EQ(out.tail, "T");
+    EXPECT_EQ(got.aqv, want.aqv);
+    EXPECT_EQ(got.qubitsUsed, want.qubitsUsed);
+    EXPECT_EQ(got.peakLive, want.peakLive);
+    EXPECT_EQ(got.gates, want.gates);
+    EXPECT_EQ(got.swaps, want.swaps);
+    EXPECT_EQ(got.depth, want.depth);
+    EXPECT_EQ(got.sched.totalGates, want.sched.totalGates);
+    EXPECT_EQ(got.sched.oneQubitGates, want.sched.oneQubitGates);
+    EXPECT_EQ(got.sched.twoQubitGates, want.sched.twoQubitGates);
+    EXPECT_EQ(got.sched.tGates, want.sched.tGates);
+    EXPECT_EQ(got.sched.toffoliGates, want.sched.toffoliGates);
+    EXPECT_EQ(got.sched.swaps, want.sched.swaps);
+    EXPECT_EQ(got.sched.routedGates, want.sched.routedGates);
+    EXPECT_EQ(got.sched.braidConflicts, want.sched.braidConflicts);
+    EXPECT_EQ(got.sched.braids, want.sched.braids);
+    EXPECT_EQ(got.uncomputeIrGates, want.uncomputeIrGates);
+    EXPECT_EQ(got.reclaimCount, want.reclaimCount);
+    EXPECT_EQ(got.skipCount, want.skipCount);
+    EXPECT_EQ(got.commFactor, want.commFactor);
+    EXPECT_EQ(got.avgBraidLength, want.avgBraidLength);
+    ASSERT_EQ(got.usageCurve.size(), 2u);
+    for (size_t i = 0; i < 2; ++i) {
+        EXPECT_EQ(got.usageCurve[i].time, want.usageCurve[i].time);
+        EXPECT_EQ(got.usageCurve[i].live, want.usageCurve[i].live);
+    }
+    EXPECT_EQ(got.primaryInitialSites, want.primaryInitialSites);
+    EXPECT_EQ(got.primaryFinalSites, want.primaryFinalSites);
+    EXPECT_EQ(got.machineLabel, want.machineLabel);
+    EXPECT_EQ(got.policyLabel, want.policyLabel);
+
+    // No format-1 writer stored a gate; a non-zero count is refused.
+    const std::string bad = fromHex(pinnedPayloadHex("01000000"));
+    EXPECT_FALSE(decodeStorePayload(
+        reinterpret_cast<const uint8_t *>(bad.data()), bad.size(), out));
+}
+
 // -------------------------------------------------------------------
 // On-disk replay: crash safety
 // -------------------------------------------------------------------

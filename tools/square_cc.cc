@@ -108,8 +108,10 @@ main(int argc, char **argv)
         if (print_program)
             std::printf("%s\n", printProgram(prog).c_str());
 
+        VectorTrace schedule;
         CompileOptions opts;
-        opts.recordTrace = trace_head > 0;
+        if (trace_head > 0)
+            opts.extraSink = &schedule;
         const CompileResult r =
             compile(prog, machine.value_or(fallback).build(), cfg, opts);
 
@@ -135,11 +137,11 @@ main(int argc, char **argv)
 
         if (trace_head > 0) {
             std::printf("\nschedule head:\n");
+            const std::vector<TimedGate> &gates = schedule.gates();
             for (int i = 0;
-                 i < trace_head &&
-                 i < static_cast<int>(r.trace.size());
+                 i < trace_head && i < static_cast<int>(gates.size());
                  ++i) {
-                const TimedGate &g = r.trace[static_cast<size_t>(i)];
+                const TimedGate &g = gates[static_cast<size_t>(i)];
                 std::printf("  t=%-6lld %-8s",
                             static_cast<long long>(g.start),
                             std::string(gateName(g.kind)).c_str());
