@@ -5,14 +5,18 @@
  * Monte-Carlo noise trajectories - the Sec. V-C methodology on one
  * program.
  *
- * Run: ./build/examples/nisq_fidelity [benchmark] [shots]
+ * Run: ./build/example_nisq_fidelity [benchmark] [shots]
+ * (a Table II name, default 2OF5; shots >= 1, default 4096).  A bad
+ * argument exits 1 with a message naming it.
  */
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "arch/machine.h"
+#include "common/flags.h"
 #include "core/compiler.h"
 #include "noise/analytical.h"
 #include "noise/trajectory.h"
@@ -24,9 +28,27 @@ int
 main(int argc, char **argv)
 {
     const std::string name = argc > 1 ? argv[1] : "2OF5";
-    const int shots = argc > 2 ? std::atoi(argv[2]) : 4096;
+    int64_t shots_arg = 4096;
+    if (argc > 2 && !parseInt(argv[2], 1, std::numeric_limits<int>::max(),
+                              shots_arg)) {
+        std::fprintf(stderr,
+                     "nisq_fidelity: bad shots '%s' (an integer >= 1)\n",
+                     argv[2]);
+        return 1;
+    }
+    const int shots = static_cast<int>(shots_arg);
+    const BenchmarkInfo *bench = nullptr;
+    for (const BenchmarkInfo &b : benchmarkRegistry()) {
+        if (b.name == name)
+            bench = &b;
+    }
+    if (bench == nullptr) {
+        std::fprintf(stderr, "nisq_fidelity: unknown benchmark '%s'\n",
+                     name.c_str());
+        return 1;
+    }
 
-    Program prog = makeBenchmark(name);
+    Program prog = bench->build();
     std::printf("benchmark %s: %d primary qubits, %zu modules\n\n",
                 name.c_str(), prog.numPrimary(), prog.modules.size());
 

@@ -10,24 +10,56 @@
  * recomputation, and SQUARE adapts - reclaiming more aggressively under
  * pressure.
  *
- * Run: ./build/examples/shor_modexp [width_bits] [exponent_bits]
+ * Run: ./build/example_shor_modexp [width_bits] [exponent_bits]
+ * (width 1-31, default 8; exponent bits 1-64, default 6).  A bad
+ * argument exits 1 with a message naming it.
  */
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 
 #include "arch/machine.h"
+#include "common/flags.h"
 #include "common/logging.h"
 #include "core/compiler.h"
 #include "workloads/arith.h"
 
 using namespace square;
 
+namespace {
+
+/**
+ * Read positional argument @p i, when given, into @p out; false after
+ * printing why when it is not an integer in [@p min, @p max].
+ */
+bool
+intArg(int argc, char **argv, int i, const char *what, int min, int max,
+       int &out)
+{
+    int64_t value = 0;
+    if (argc <= i)
+        return true;
+    if (parseInt(argv[i], min, max, value)) {
+        out = static_cast<int>(value);
+        return true;
+    }
+    std::fprintf(stderr, "shor_modexp: bad %s '%s' (an integer in [%d, %d])\n",
+                 what, argv[i], min, max);
+    return false;
+}
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
-    const int n = argc > 1 ? std::atoi(argv[1]) : 8;
-    const int ebits = argc > 2 ? std::atoi(argv[2]) : 6;
+    // makeModexp asserts a width of 1-31 bits: squaring a constant
+    // below 2^31 stays inside 64 bits.
+    int n = 8;
+    int ebits = 6;
+    if (!intArg(argc, argv, 1, "width_bits", 1, 31, n) ||
+        !intArg(argc, argv, 2, "exponent_bits", 1, 64, ebits))
+        return 1;
     Program prog = makeModexp(n, ebits, /*g=*/7);
 
     std::printf("MODEXP: %d-bit registers, %d exponent bits, "

@@ -98,24 +98,4 @@ FullTopology::name() const
     return "full-" + std::to_string(n_);
 }
 
-// ---------------------------------------------------------------------
-// Factories
-// ---------------------------------------------------------------------
-
-std::unique_ptr<Topology>
-makeLinearTopology(int n)
-{
-    return std::make_unique<LatticeTopology>(n, 1);
-}
-
-std::unique_ptr<Topology>
-makeSquareLattice(int min_sites)
-{
-    if (min_sites <= 0)
-        fatal("lattice must hold at least one site");
-    int w = static_cast<int>(std::ceil(std::sqrt(min_sites)));
-    int h = (min_sites + w - 1) / w;
-    return std::make_unique<LatticeTopology>(w, h);
-}
-
 } // namespace square

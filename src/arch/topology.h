@@ -172,12 +172,6 @@ class FullTopology final : public Topology
     int n_;
 };
 
-/** 1-D chain of n sites. */
-std::unique_ptr<Topology> makeLinearTopology(int n);
-
-/** Smallest near-square lattice holding at least @p min_sites sites. */
-std::unique_ptr<Topology> makeSquareLattice(int min_sites);
-
 } // namespace square
 
 #endif // SQUARE_ARCH_TOPOLOGY_H

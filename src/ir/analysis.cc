@@ -135,37 +135,28 @@ ProgramAnalysis::computeCounts(const Program &prog)
         int64_t fwd_compute = 0, fwd_store = 0;
         int64_t eag_compute = 0, eag_store = 0;
         int64_t lazy_anc = m.numAncilla;
-        int height = 0;
         for (const Stmt &s : m.compute) {
             fwd_compute += forward_cost(s);
             eag_compute += eager_cost(s);
-            if (s.isGate()) {
-                ++st.directGates;
-            } else {
+            if (!s.isGate()) {
                 ++st.computeCalls;
                 lazy_anc += stats_[s.callee].lazyAncilla;
-                height = std::max(height, stats_[s.callee].height + 1);
             }
         }
         for (const Stmt &s : m.store) {
             fwd_store += forward_cost(s);
             eag_store += eager_cost(s);
-            if (s.isGate()) {
-                ++st.directGates;
-            } else {
+            if (!s.isGate()) {
                 ++st.storeCalls;
                 lazy_anc += stats_[s.callee].lazyAncilla;
-                height = std::max(height, stats_[s.callee].height + 1);
             }
         }
 
-        st.flatCompute = fwd_compute;
         st.flatForward = fwd_compute + fwd_store;
         // Eager semantics: compute runs forward and inverted; the
         // inverse of an eager-reclaimed callee costs a full recompute.
         st.flatEager = 2 * eag_compute + eag_store;
         st.lazyAncilla = lazy_anc;
-        st.height = height;
 
         // Suffix sums: gates remaining from statement k to the module's
         // own uncompute point (end of store).

@@ -73,14 +73,8 @@ class CsrRows
 /** Analysis results for one module; the tables are views (see file). */
 struct ModuleStats
 {
-    /** Gate statements appearing directly in compute + store. */
-    int64_t directGates = 0;
-
     /** Flattened forward-only gate count (lazy semantics): C + S. */
     int64_t flatForward = 0;
-
-    /** Flattened forward gate count of the compute block alone. */
-    int64_t flatCompute = 0;
 
     /** Flattened gate count under eager-everywhere semantics. */
     int64_t flatEager = 0;
@@ -99,9 +93,6 @@ struct ModuleStats
 
     /** Call-graph level: entry module is 0; max over call chains. */
     int level = 0;
-
-    /** Height of the call subtree (leaf = 0). */
-    int height = 0;
 
     /**
      * suffixCompute[k]: forward-flattened gates in compute statements

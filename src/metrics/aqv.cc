@@ -23,7 +23,6 @@ AqvTracker::onAlloc(LogicalQubit q, int64_t t)
               "allocating an already-live qubit");
     open_[static_cast<size_t>(q)] = t;
     events_.push_back({t, +1});
-    ++segments_;
 }
 
 void
@@ -40,13 +39,6 @@ AqvTracker::onFree(LogicalQubit q, int64_t t)
     aqv_ += t - start;
     open_[static_cast<size_t>(q)] = -1;
     events_.push_back({t, -1});
-}
-
-bool
-AqvTracker::isLive(LogicalQubit q) const
-{
-    return q >= 0 && static_cast<size_t>(q) < open_.size() &&
-           open_[static_cast<size_t>(q)] >= 0;
 }
 
 void
@@ -77,15 +69,6 @@ AqvTracker::usageCurve() const
             curve.push_back({e.time, live});
     }
     return curve;
-}
-
-int
-AqvTracker::peakLive() const
-{
-    int peak = 0;
-    for (const UsagePoint &p : usageCurve())
-        peak = std::max(peak, p.live);
-    return peak;
 }
 
 } // namespace square

@@ -46,26 +46,17 @@ class AqvTracker
     /** End the liveness segment of @p q at time @p t. */
     void onFree(LogicalQubit q, int64_t t);
 
-    /** True if @p q currently has an open segment. */
-    bool isLive(LogicalQubit q) const;
-
     /** Close all open segments at program end (@p makespan). */
     void finish(int64_t makespan);
 
     /** Total active quantum volume accumulated so far. */
     int64_t aqv() const { return aqv_; }
 
-    /** Number of liveness segments recorded (allocation events). */
-    int64_t segments() const { return segments_; }
-
     /**
      * The qubit-usage step curve: live-qubit count after each
      * allocation/reclamation event, ordered by time (Fig. 1).
      */
     std::vector<UsagePoint> usageCurve() const;
-
-    /** Peak simultaneous live qubits per the recorded events. */
-    int peakLive() const;
 
   private:
     struct Event
@@ -77,7 +68,6 @@ class AqvTracker
     std::vector<int64_t> open_;  // per logical qubit: start or -1
     std::vector<Event> events_;
     int64_t aqv_ = 0;
-    int64_t segments_ = 0;
 };
 
 } // namespace square

@@ -105,6 +105,9 @@ TrajectoryResult
 runTrajectories(const CompileResult &r, std::span<const TimedGate> schedule,
                 int num_sites, const TrajectoryConfig &cfg)
 {
+    if (cfg.shots <= 0)
+        fatal("trajectory simulation needs at least one shot, got ",
+              cfg.shots);
     if (schedule.empty())
         fatal("trajectory simulation requires a recorded schedule");
     if (r.primaryFinalSites.size() > 64)

@@ -60,8 +60,8 @@ struct TrajectoryResult
 /**
  * Run @p cfg.shots noisy trajectories of @p schedule, the gates a
  * VectorTrace recorded while compiling @p r on a Clifford-free
- * (macro-Toffoli) machine of @p num_sites sites; fatal on an empty
- * schedule or an H gate.
+ * (macro-Toffoli) machine of @p num_sites sites; fatal on a shot count
+ * below one, an empty schedule or an H gate.
  */
 TrajectoryResult runTrajectories(const CompileResult &r,
                                  std::span<const TimedGate> schedule,

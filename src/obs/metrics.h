@@ -13,7 +13,8 @@
  *     RMWs on pre-resolved metric objects — name lookup happens once
  *     at component construction, never per request.  Counters shard
  *     across cache-line-padded cells indexed by a thread-local slot so
- *     concurrent event loops do not bounce one line.
+ *     concurrent threads (event loop, workers) do not bounce one
+ *     line.
  *
  *  2. *Histograms must merge exactly.*  Stats fan out across
  *     transports and (via the router) whole shard processes;

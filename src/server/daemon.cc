@@ -32,7 +32,6 @@ daemonFlags(DaemonFlags &flags)
     return {
         textFlag("host", "A", flags.host),
         intFlag("port", flags.port, 0, 65535),
-        intFlag("event-threads", flags.eventThreads, 1, 256),
         uintFlag("trace-sample", flags.traceSample),
         {"trace-log", "PATH",
          [](std::string_view path, std::string &why) {

@@ -12,7 +12,6 @@
  *   --host=A           IPv4 bind address (default 127.0.0.1)
  *   --port=N           listen port (default 0 = ephemeral; the bound
  *                      port is announced on stderr and in --port-file)
- *   --event-threads=N  epoll event-loop threads (default 1)
  *   --trace-sample=N   head-sample 1 in N requests into traces (see
  *                      src/obs/trace.h; 0 = off, the default)
  *   --trace-log=PATH   append NDJSON span lines to PATH (overrides
@@ -67,7 +66,6 @@ struct DaemonFlags
 {
     std::string host = "127.0.0.1";
     uint16_t port = 0;
-    int eventThreads = 1;
     uint64_t traceSample = 0;
     std::string postmortem;
     int watchdogMs = 5000;
@@ -76,7 +74,7 @@ struct DaemonFlags
 };
 
 /**
- * The ten shared flag rows, writing into @p flags; --trace-log and
+ * The nine shared flag rows, writing into @p flags; --trace-log and
  * --faults configure their process-wide sinks as they parse.
  */
 std::vector<Flag> daemonFlags(DaemonFlags &flags);
@@ -92,8 +90,8 @@ bool setUpDaemon(const char *name, const DaemonFlags &flags);
 /**
  * Write the port file, wait for @p shutdownRequested or SIGINT/SIGTERM,
  * then @p stop the server and stop the watchdog.  The owning thread
- * stops the server because event-loop threads must not join
- * themselves.  False after printing why when the port file cannot be
+ * stops the server because the event-loop thread must not join
+ * itself.  False after printing why when the port file cannot be
  * written.
  */
 bool runDaemon(const char *name, uint16_t port, const DaemonFlags &flags,

@@ -90,9 +90,8 @@ class EpollTransport::Sink final : public AsyncReplySink
     Conn *const conn_;
 };
 
-EpollTransport::EpollTransport(int event_threads)
-    : eventThreads_(event_threads < 1 ? 1 : event_threads),
-      acceptedC_(metrics_.counter("accepted")),
+EpollTransport::EpollTransport()
+    : acceptedC_(metrics_.counter("accepted")),
       rejectedC_(metrics_.counter("rejected")),
       linesC_(metrics_.counter("lines")),
       activeG_(metrics_.gauge("active_connections")),
@@ -126,49 +125,30 @@ EpollTransport::start(const std::string &host, uint16_t port,
         return false;
     }
 
-    loops_.clear();
-    for (int i = 0; i < eventThreads_; ++i) {
-        auto loop = std::make_unique<Loop>();
-        loop->epfd = ::epoll_create1(0);
-        loop->wakeFd = ::eventfd(0, EFD_NONBLOCK);
-        loop->cq = std::make_shared<CompletionQueue>();
-        loop->cq->wakeFd = loop->wakeFd;
-        if (loop->epfd < 0 || loop->wakeFd < 0) {
-            error = "epoll/eventfd creation failed";
-            net::closeFd(loop->epfd);
-            net::closeFd(loop->wakeFd);
-            for (const std::unique_ptr<Loop> &l : loops_) {
-                net::closeFd(l->epfd);
-                net::closeFd(l->wakeFd);
-            }
-            loops_.clear();
-            net::closeFd(fd);
-            return false;
-        }
-        epoll_event ev{};
-        ev.events = EPOLLIN;
-        ev.data.u64 = kWakeTag;
-        ::epoll_ctl(loop->epfd, EPOLL_CTL_ADD, loop->wakeFd, &ev);
-        loops_.push_back(std::move(loop));
+    epfd_ = ::epoll_create1(0);
+    wakeFd_ = ::eventfd(0, EFD_NONBLOCK);
+    if (epfd_ < 0 || wakeFd_ < 0) {
+        error = "epoll/eventfd creation failed";
+        net::closeFd(epfd_);
+        net::closeFd(wakeFd_);
+        net::closeFd(fd);
+        epfd_ = wakeFd_ = -1;
+        return false;
     }
-    // The listener lives on loop 0; it dispatches accepted fds to
-    // every loop round-robin.
-    {
-        epoll_event ev{};
-        ev.events = EPOLLIN;
-        ev.data.u64 = kListenTag;
-        ::epoll_ctl(loops_[0]->epfd, EPOLL_CTL_ADD, fd, &ev);
-    }
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.u64 = kWakeTag;
+    ::epoll_ctl(epfd_, EPOLL_CTL_ADD, wakeFd_, &ev);
+    ev.data.u64 = kListenTag;
+    ::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev);
 
+    cq_ = std::make_shared<CompletionQueue>();
+    cq_->wakeFd = wakeFd_;
     handler_ = std::move(handler);
     port_ = bound;
     listenFd_ = fd;
-    nextLoop_ = 0;
     running_.store(true);
-    for (const std::unique_ptr<Loop> &loop : loops_) {
-        Loop *l = loop.get();
-        l->th = std::thread([this, l] { runLoop(*l); });
-    }
+    loop_ = std::thread([this] { runLoop(); });
     return true;
 }
 
@@ -177,48 +157,34 @@ EpollTransport::stop()
 {
     if (!running_.exchange(false))
         return;
-    for (const std::unique_ptr<Loop> &loop : loops_)
-        eventfdSignal(loop->wakeFd);
-    for (const std::unique_ptr<Loop> &loop : loops_) {
-        if (loop->th.joinable())
-            loop->th.join();
-    }
+    eventfdSignal(wakeFd_);
+    if (loop_.joinable())
+        loop_.join();
     net::closeFd(listenFd_);
     listenFd_ = -1;
-    for (const std::unique_ptr<Loop> &loop : loops_) {
-        // Seal the completion queue BEFORE closing any fd: a worker
-        // thread post()ing from now on sees open == false and drops
-        // its bytes instead of signalling a closed (possibly reused)
-        // eventfd.  Pending completions die with their connections.
-        {
-            std::lock_guard<std::mutex> lock(loop->cq->mu);
-            loop->cq->open = false;
-            loop->cq->items.clear();
-        }
-        for (const auto &[fd, conn] : loop->conns) {
-            net::shutdownFd(fd);
-            net::closeFd(fd);
-            activeG_.add(-1);
-        }
-        loop->conns.clear();
-        loop->byId.clear();
-        {
-            std::lock_guard<std::mutex> lock(loop->inboxMu);
-            for (int fd : loop->inbox) {
-                // Handed off by the acceptor but never adopted: these
-                // were counted active at accept time.
-                net::closeFd(fd);
-                activeG_.add(-1);
-            }
-            loop->inbox.clear();
-        }
-        net::closeFd(loop->epfd);
-        net::closeFd(loop->wakeFd);
+    // Seal the completion queue BEFORE closing any fd: a worker
+    // thread post()ing from now on sees open == false and drops its
+    // bytes instead of signalling a closed (possibly reused) eventfd.
+    // Pending completions die with their connections.
+    {
+        std::lock_guard<std::mutex> lock(cq_->mu);
+        cq_->open = false;
+        cq_->items.clear();
     }
+    for (const auto &[fd, conn] : conns_) {
+        net::shutdownFd(fd);
+        net::closeFd(fd);
+        activeG_.add(-1);
+    }
+    conns_.clear();
+    byId_.clear();
+    net::closeFd(epfd_);
+    net::closeFd(wakeFd_);
+    epfd_ = wakeFd_ = -1;
 }
 
 void
-EpollTransport::runLoop(Loop &loop)
+EpollTransport::runLoop()
 {
     // Watchdog discipline: idle while parked in epoll_wait (silence
     // is expected), beat on every wakeup.  A loop that wakes up and
@@ -228,7 +194,7 @@ EpollTransport::runLoop(Loop &loop)
     epoll_event events[128];
     while (running_.load(std::memory_order_acquire)) {
         wd.idle();
-        int n = ::epoll_wait(loop.epfd, events,
+        int n = ::epoll_wait(epfd_, events,
                              static_cast<int>(std::size(events)), -1);
         wd.beat();
         if (n < 0) {
@@ -239,13 +205,12 @@ EpollTransport::runLoop(Loop &loop)
         for (int i = 0; i < n; ++i) {
             const uint64_t tag = events[i].data.u64;
             if (tag == kWakeTag) {
-                eventfdDrain(loop.wakeFd);
-                drainInbox(loop);
-                drainCompletions(loop);
+                eventfdDrain(wakeFd_);
+                drainCompletions();
                 continue;
             }
             if (tag == kListenTag) {
-                acceptReady(loop);
+                acceptReady();
                 continue;
             }
             // epoll merges all readiness for one fd into one event
@@ -254,17 +219,17 @@ EpollTransport::runLoop(Loop &loop)
             Conn &conn = *static_cast<Conn *>(events[i].data.ptr);
             const uint32_t ev = events[i].events;
             if ((ev & EPOLLOUT) != 0) {
-                if (!serviceConn(loop, conn))
+                if (!serviceConn(conn))
                     continue;
             }
             if ((ev & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0)
-                onReadable(loop, conn);
+                onReadable(conn);
         }
     }
 }
 
 void
-EpollTransport::acceptReady(Loop &loop)
+EpollTransport::acceptReady()
 {
     for (;;) {
         int fd = ::accept4(listenFd_, nullptr, nullptr, SOCK_NONBLOCK);
@@ -296,42 +261,21 @@ EpollTransport::acceptReady(Loop &loop)
         activeG_.add(1);
         obs::recordEvent(obs::Comp::Transport, obs::Ev::Accept,
                          static_cast<uint64_t>(activeG_.value()));
-        Loop &target = *loops_[nextLoop_++ % loops_.size()];
-        if (&target == &loop) {
-            adoptConn(loop, fd);
-        } else {
-            {
-                std::lock_guard<std::mutex> lock(target.inboxMu);
-                target.inbox.push_back(fd);
-            }
-            eventfdSignal(target.wakeFd);
-        }
+        adoptConn(fd);
     }
 }
 
 void
-EpollTransport::drainInbox(Loop &loop)
-{
-    std::vector<int> fds;
-    {
-        std::lock_guard<std::mutex> lock(loop.inboxMu);
-        fds.swap(loop.inbox);
-    }
-    for (int fd : fds)
-        adoptConn(loop, fd);
-}
-
-void
-EpollTransport::drainCompletions(Loop &loop)
+EpollTransport::drainCompletions()
 {
     std::vector<std::pair<uint64_t, std::string>> items;
     {
-        std::lock_guard<std::mutex> lock(loop.cq->mu);
-        items.swap(loop.cq->items);
+        std::lock_guard<std::mutex> lock(cq_->mu);
+        items.swap(cq_->items);
     }
     for (auto &[id, bytes] : items) {
-        auto it = loop.byId.find(id);
-        if (it == loop.byId.end())
+        auto it = byId_.find(id);
+        if (it == byId_.end())
             continue; // connection died mid-compile: drop the bytes
         Conn &conn = *it->second;
         --conn.pendingAsync;
@@ -341,22 +285,22 @@ EpollTransport::drainCompletions(Loop &loop)
         // teardown, and parsing may have lines corked behind it.  It
         // may destroy the connection; later completions for the same
         // id then miss in byId and drop harmlessly.
-        serviceConn(loop, conn);
+        serviceConn(conn);
     }
 }
 
 void
-EpollTransport::adoptConn(Loop &loop, int fd)
+EpollTransport::adoptConn(int fd)
 {
     auto conn = std::make_unique<Conn>();
     conn->fd = fd;
-    conn->id = nextConnId_.fetch_add(1, std::memory_order_relaxed);
+    conn->id = nextConnId_++;
     conn->armed = EPOLLIN;
-    conn->sink = std::make_shared<Sink>(loop.cq, conn->id, conn.get());
+    conn->sink = std::make_shared<Sink>(cq_, conn->id, conn.get());
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.ptr = conn.get();
-    if (::epoll_ctl(loop.epfd, EPOLL_CTL_ADD, fd, &ev) != 0) {
+    if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
         // Shed: a connection that never became serviceable counts as
         // rejected, not accepted.
         acceptedC_.add(-1);
@@ -365,12 +309,12 @@ EpollTransport::adoptConn(Loop &loop, int fd)
         net::closeFd(fd);
         return;
     }
-    loop.byId.emplace(conn->id, conn.get());
-    loop.conns.emplace(fd, std::move(conn));
+    byId_.emplace(conn->id, conn.get());
+    conns_.emplace(fd, std::move(conn));
 }
 
 bool
-EpollTransport::onReadable(Loop &loop, Conn &conn)
+EpollTransport::onReadable(Conn &conn)
 {
     if (FaultInjector::instance().enabled())
         FaultInjector::instance().onReadStart();
@@ -387,7 +331,7 @@ EpollTransport::onReadable(Loop &loop, Conn &conn)
                 continue;
             if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
                 return true;
-            destroyConn(loop, conn); // EOF or error: fully closed now
+            destroyConn(conn); // EOF or error: fully closed now
             return false;
         }
     }
@@ -415,10 +359,10 @@ EpollTransport::onReadable(Loop &loop, Conn &conn)
             continue;
         if (errno == EAGAIN || errno == EWOULDBLOCK)
             break;
-        destroyConn(loop, conn);
+        destroyConn(conn);
         return false;
     }
-    return serviceConn(loop, conn);
+    return serviceConn(conn);
 }
 
 void
@@ -477,7 +421,7 @@ EpollTransport::noteFlushBatch(int batch)
 }
 
 bool
-EpollTransport::flushConn(Loop &loop, Conn &conn)
+EpollTransport::flushConn(Conn &conn)
 {
     if (!conn.wbuf.empty()) {
         int64_t sends = 0;
@@ -489,14 +433,14 @@ EpollTransport::flushConn(Loop &loop, Conn &conn)
         if (FaultInjector::instance().enabled() &&
             FaultInjector::instance().shouldFailWrite()) {
             // Injected mid-write socket failure.
-            destroyConn(loop, conn);
+            destroyConn(conn);
             return false;
         }
         net::WriteBuffer::FlushStatus st =
             conn.wbuf.flush(conn.fd, sends);
         writeCallsC_.add(sends);
         if (st == net::WriteBuffer::FlushStatus::Error) {
-            destroyConn(loop, conn);
+            destroyConn(conn);
             return false;
         }
     }
@@ -507,7 +451,7 @@ EpollTransport::flushConn(Loop &loop, Conn &conn)
         if (conn.sawEof) {
             // Peer's write half is already closed: nothing left to
             // drain, tear down now.
-            destroyConn(loop, conn);
+            destroyConn(conn);
             return false;
         }
         if (!conn.draining) {
@@ -519,11 +463,11 @@ EpollTransport::flushConn(Loop &loop, Conn &conn)
 }
 
 bool
-EpollTransport::serviceConn(Loop &loop, Conn &conn)
+EpollTransport::serviceConn(Conn &conn)
 {
     for (;;) {
         processLines(conn);
-        if (!flushConn(loop, conn))
+        if (!flushConn(conn))
             return false;
         if (conn.paused && !conn.closing &&
             conn.wbuf.pending() <= kWriteLowWater) {
@@ -534,12 +478,12 @@ EpollTransport::serviceConn(Loop &loop, Conn &conn)
         }
         break;
     }
-    updateInterest(loop, conn);
+    updateInterest(conn);
     return true;
 }
 
 void
-EpollTransport::updateInterest(Loop &loop, Conn &conn)
+EpollTransport::updateInterest(Conn &conn)
 {
     uint32_t want = 0;
     // After EOF there is nothing left to read, and a level-triggered
@@ -553,14 +497,14 @@ EpollTransport::updateInterest(Loop &loop, Conn &conn)
     epoll_event ev{};
     ev.events = want;
     ev.data.ptr = &conn;
-    ::epoll_ctl(loop.epfd, EPOLL_CTL_MOD, conn.fd, &ev);
+    ::epoll_ctl(epfd_, EPOLL_CTL_MOD, conn.fd, &ev);
     conn.armed = want;
 }
 
 void
-EpollTransport::destroyConn(Loop &loop, Conn &conn)
+EpollTransport::destroyConn(Conn &conn)
 {
-    ::epoll_ctl(loop.epfd, EPOLL_CTL_DEL, conn.fd, nullptr);
+    ::epoll_ctl(epfd_, EPOLL_CTL_DEL, conn.fd, nullptr);
     net::shutdownFd(conn.fd);
     net::closeFd(conn.fd);
     activeG_.add(-1);
@@ -569,8 +513,8 @@ EpollTransport::destroyConn(Loop &loop, Conn &conn)
     // In-flight completions for this id now miss in byId and drop;
     // the Sink object itself stays alive (shared_ptr in the done
     // callbacks) but only ever touches the mutex-guarded queue.
-    loop.byId.erase(conn.id);
-    loop.conns.erase(conn.fd); // frees conn — last use
+    byId_.erase(conn.id);
+    conns_.erase(conn.fd); // frees conn — last use
 }
 
 TransportStats

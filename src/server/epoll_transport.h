@@ -5,14 +5,14 @@
  *
  * Thread-per-connection serving pays a dedicated-thread wakeup and at
  * least one recv()+send() pair per request.  This transport
- * multiplexes all connections over N event-loop threads
- * (memcached/redis lineage — see PAPERS.md):
+ * multiplexes all connections over one event-loop thread per process
+ * (memcached/redis lineage — see PAPERS.md); to scale out, run more
+ * shard daemons behind square_router:
  *
  *  - every socket is non-blocking; readiness is level-triggered epoll;
- *  - each connection is owned by exactly ONE event loop for its whole
- *    life (the acceptor hands fresh fds round-robin to the loops via a
- *    per-loop inbox + eventfd wake), so per-connection state needs no
- *    locks — an invariant TSan checks in CI;
+ *  - the loop thread accepts every connection and owns it for its
+ *    whole life, so per-connection state needs no locks — an
+ *    invariant TSan checks in CI;
  *  - a read slurps until EAGAIN, then every complete buffered line is
  *    parsed and handled back-to-back; the replies of that pipelined
  *    batch are corked into the connection's WriteBuffer and flushed
@@ -33,13 +33,12 @@
  * a reply it hasn't read yet.
  *
  * Asynchronous completions: handlers still run on the event loop, so
- * a *blocking* handler would stall every connection mapped to that
- * loop — which is why the server's cold path doesn't block.  Each
- * loop owns a completion queue; a handler that goes asynchronous
- * (sink->expectReply()) returns immediately, and the worker thread
- * later post()s the framed reply bytes, which enqueue under the
- * queue's mutex and wake the owning loop through its existing eventfd
- * (the same wake the acceptor's inbox uses).  The loop drains
+ * a *blocking* handler would stall every connection — which is why
+ * the server's cold path doesn't block.  The loop owns a completion
+ * queue; a handler that goes asynchronous (sink->expectReply())
+ * returns immediately, and the worker thread later post()s the framed
+ * reply bytes, which enqueue under the queue's mutex and wake the loop
+ * through its eventfd (the same wake stop() uses).  The loop drains
  * completions on its own thread: it routes each by connection id (a
  * dead connection drops its bytes — nothing ever writes to a closed
  * or reused fd), appends to the write buffer, and flushes.  A
@@ -77,7 +76,7 @@ class EpollTransport final
     /** recv() chunk size, and the per-wakeup read budget multiplier. */
     static constexpr size_t kReadChunk = 16u << 10;
 
-    explicit EpollTransport(int event_threads = 1);
+    EpollTransport();
     ~EpollTransport();
 
     EpollTransport(const EpollTransport &) = delete;
@@ -95,7 +94,7 @@ class EpollTransport final
 
     /**
      * Shut down: close the listener and every live connection, join
-     * all event-loop threads.  Idempotent; must not be called from an
+     * the event-loop thread.  Idempotent; must not be called from the
      * event-loop thread.
      */
     void stop();
@@ -108,8 +107,6 @@ class EpollTransport final
      * structured view of the same counters.
      */
     const obs::Registry &metricsRegistry() const { return metrics_; }
-
-    int eventThreads() const { return static_cast<int>(loops_.size()); }
 
   private:
     struct Conn
@@ -130,7 +127,7 @@ class EpollTransport final
     };
 
     /**
-     * The cross-thread half of one loop: worker threads push framed
+     * The cross-thread half of the loop: worker threads push framed
      * reply bytes here (keyed by connection id) and kick the loop's
      * eventfd.  `open` flips false under `mu` during stop(), BEFORE
      * the eventfd closes — so no post() can ever write to a closed
@@ -144,44 +141,33 @@ class EpollTransport final
         std::vector<std::pair<uint64_t, std::string>> items;
     };
 
-    /** One event loop: epoll set + wake eventfd + owned connections. */
-    struct Loop
-    {
-        int epfd = -1;
-        int wakeFd = -1;
-        std::thread th;
-        std::mutex inboxMu;
-        std::vector<int> inbox; ///< fds handed off by the acceptor
-        std::unordered_map<int, std::unique_ptr<Conn>> conns;
-        /** Loop-thread-only index: connection id -> live Conn. */
-        std::unordered_map<uint64_t, Conn *> byId;
-        std::shared_ptr<CompletionQueue> cq;
-    };
-
     class Sink;
 
-    void runLoop(Loop &loop);
-    void acceptReady(Loop &loop);
-    void adoptConn(Loop &loop, int fd);
-    void drainInbox(Loop &loop);
-    void drainCompletions(Loop &loop);
+    void runLoop();
+    void acceptReady();
+    void adoptConn(int fd);
+    void drainCompletions();
     /** All return false when the connection was destroyed. */
-    bool onReadable(Loop &loop, Conn &conn);
-    bool serviceConn(Loop &loop, Conn &conn);
-    bool flushConn(Loop &loop, Conn &conn);
+    bool onReadable(Conn &conn);
+    bool serviceConn(Conn &conn);
+    bool flushConn(Conn &conn);
     void processLines(Conn &conn);
-    void updateInterest(Loop &loop, Conn &conn);
-    void destroyConn(Loop &loop, Conn &conn);
+    void updateInterest(Conn &conn);
+    void destroyConn(Conn &conn);
     void noteFlushBatch(int batch);
 
     LineHandler handler_;
     uint16_t port_ = 0;
     int listenFd_ = -1;
+    int epfd_ = -1;
+    int wakeFd_ = -1;
     std::atomic<bool> running_{false};
-    std::vector<std::unique_ptr<Loop>> loops_;
-    int eventThreads_;
-    size_t nextLoop_ = 0; ///< acceptor-thread only (round-robin)
-    std::atomic<uint64_t> nextConnId_{1};
+    /** Loop-thread-only state: the owned connections and their ids. */
+    std::unordered_map<int, std::unique_ptr<Conn>> conns_;
+    std::unordered_map<uint64_t, Conn *> byId_;
+    uint64_t nextConnId_ = 1;
+    /** Shared with every Sink, which may outlive the transport. */
+    std::shared_ptr<CompletionQueue> cq_;
 
     /**
      * Telemetry (obs/metrics.h): the registry owns every transport
@@ -202,6 +188,9 @@ class EpollTransport final
     obs::Gauge &maxFlushBatchG_;
     obs::Counter &backpressuredC_;
     obs::Histogram &flushBatchH_;
+
+    /** The event-loop thread; declared last, as it uses every member. */
+    std::thread loop_;
 };
 
 } // namespace square

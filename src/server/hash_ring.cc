@@ -1,7 +1,6 @@
 #include "server/hash_ring.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "common/hash.h"
 
@@ -40,12 +39,6 @@ vnodePoint(const std::string &node, int replica)
 
 } // namespace
 
-HashRing::HashRing(int vnodes) : vnodes_(vnodes)
-{
-    if (vnodes < 1)
-        throw std::invalid_argument("HashRing needs >= 1 vnode");
-}
-
 void
 HashRing::add(const std::string &node)
 {
@@ -82,9 +75,9 @@ HashRing::rebuild()
     // the affected node's arcs.  Membership changes are rare control-
     // plane events; O(N x vnodes log) is nothing next to a reconnect.
     ring_.clear();
-    ring_.reserve(names_.size() * static_cast<size_t>(vnodes_));
+    ring_.reserve(names_.size() * size_t{kVnodes});
     for (uint32_t n = 0; n < names_.size(); ++n) {
-        for (int r = 0; r < vnodes_; ++r)
+        for (int r = 0; r < kVnodes; ++r)
             ring_.push_back(Point{vnodePoint(names_[n], r), n});
     }
     std::sort(ring_.begin(), ring_.end());

@@ -10,7 +10,7 @@
  * space), so shard add/remove/failover preserves cache locality by
  * construction.
  *
- * Each node is projected onto the 64-bit ring at `vnodes` points
+ * Each node is projected onto the 64-bit ring at kVnodes = 128 points
  * (FNV-1a of "name#replica"); a key hash is owned by the first ring
  * point clockwise from it.  More virtual nodes mean smoother balance
  * and finer-grained movement at the cost of a larger sorted table —
@@ -35,10 +35,11 @@ namespace square {
 class HashRing
 {
   public:
-    /** @param vnodes ring points per node (>= 1). */
-    explicit HashRing(int vnodes = kDefaultVnodes);
-
-    static constexpr int kDefaultVnodes = 128;
+    /**
+     * Ring points per node.  A constant, not a setting: routers in
+     * front of the same shards must agree on which shard owns a key.
+     */
+    static constexpr int kVnodes = 128;
 
     /** Add a node (idempotent). */
     void add(const std::string &node);
@@ -53,7 +54,6 @@ class HashRing
 
     size_t nodes() const { return names_.size(); }
     bool empty() const { return names_.empty(); }
-    int vnodes() const { return vnodes_; }
 
     /**
      * Index (into members()) of the node owning @p key_hash, or -1 on
@@ -82,7 +82,6 @@ class HashRing
     /** Rebuild the sorted point table from names_. */
     void rebuild();
 
-    int vnodes_;
     std::vector<std::string> names_;
     std::vector<Point> ring_; ///< sorted by Point::at
 };

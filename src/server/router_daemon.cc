@@ -23,7 +23,7 @@ constexpr int kAdminRecvTimeoutMs = 2000;
 } // namespace
 
 RouterServer::RouterServer(const RouterConfig &cfg)
-    : cfg_(cfg), transport_(cfg.eventThreads),
+    : cfg_(cfg),
       resolveFailuresC_(metrics_.counter("resolve_failures")),
       traceSampler_(cfg.traceSample)
 {

@@ -57,9 +57,7 @@ struct RouterConfig
     uint16_t port = 0; ///< 0 = ephemeral
     /** Shard daemon addresses, "host:port" each. */
     std::vector<std::string> shards;
-    /** Event-loop threads for the client-facing epoll transport. */
-    int eventThreads = 1;
-    /** Upstream pool tunables (ring, health checks, retry hint). */
+    /** Upstream pool tunables (health checks, retry hint). */
     UpstreamConfig upstream;
     /** Forward "shutdown" to every shard before acknowledging it. */
     bool cascadeShutdown = false;

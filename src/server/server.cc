@@ -62,8 +62,7 @@ class BlockingSink final : public AsyncReplySink
 } // namespace
 
 CompileServer::CompileServer(const ServerConfig &cfg)
-    : service_(cfg.workers, cfg.limits, cfg.admission),
-      transport_(cfg.eventThreads), cfg_(cfg),
+    : service_(cfg.workers, cfg.limits, cfg.admission), cfg_(cfg),
       traceSampler_(cfg.traceSample)
 {
 }

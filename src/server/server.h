@@ -23,11 +23,12 @@
  * is additionally staged into an unsampled trace that is emitted only
  * when it ran longer than the threshold.
  *
- * Shutdown discipline: event-loop threads must not join themselves, so
+ * Shutdown discipline: the event-loop thread must not join itself, so
  * an in-protocol shutdown only *requests* it — the thread that owns
  * the server (square_served's main, a test, the bench harness)
  * observes shutdownRequested() and calls stop().  stop() closes the
- * listener and every connection and joins all transport threads.
+ * listener and every connection and joins the transport's loop
+ * thread.
  *
  * Malformed input never kills a connection prematurely: unparseable
  * lines, unknown fields, bad machine specs, and unknown workloads all
@@ -68,8 +69,6 @@ struct ServerConfig
     int shards = 1;
     /** Compile-pool workers. */
     int workers = 1;
-    /** Event-loop threads for the epoll transport. */
-    int eventThreads = 1;
     /** LRU result-cache bound (zero = unbounded). */
     CacheLimits limits;
     /** Compile-queue bound (zero maxPending = admit all). */

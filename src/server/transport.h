@@ -10,17 +10,18 @@
  * newline); the handler appends the complete framed reply — including
  * the trailing '\n' — to @p out, or appends nothing for protocol
  * no-ops.  Setting @p close_conn winds the connection down after the
- * pending replies are written.  Handlers are called concurrently from
- * event-loop threads and must be thread-safe.
+ * pending replies are written.  Handlers run on the event-loop thread,
+ * beside the worker threads that complete their asynchronous replies,
+ * and must be thread-safe.
  *
  * Asynchronous replies: the handler's fourth argument is the
  * connection's AsyncReplySink.  A handler that wants to defer a reply
  * (a cold compile dispatched to a worker pool) calls expectReply()
  * before returning — synchronously, on the event-loop thread — and
  * later, from any thread, post()s the framed reply bytes.  The
- * transport routes the bytes back to the owning event loop (completion
- * queue + eventfd wake), so a slow compile never stalls the loop's
- * other connections.  post() is safe after the connection dies: the
+ * transport routes the bytes back to the event loop (completion queue
+ * + eventfd wake), so a slow compile never stalls the loop's other
+ * connections.  post() is safe after the connection dies: the
  * bytes are dropped, never written to a closed or reused fd.  Replies
  * on one connection may interleave out of request order once a request
  * goes asynchronous; clients match replies by id.

@@ -14,7 +14,7 @@ namespace square {
 
 UpstreamPool::UpstreamPool(std::vector<std::string> addresses,
                            UpstreamConfig cfg)
-    : cfg_(cfg), ring_(cfg.vnodes),
+    : cfg_(cfg),
       forwardedC_(metrics_.counter("forwarded")),
       repliesC_(metrics_.counter("replies")),
       shardDownC_(metrics_.counter("shard_down_replies")),

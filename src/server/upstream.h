@@ -59,11 +59,12 @@
 
 namespace square {
 
-/** Tunables for the upstream pool. */
+/**
+ * Tunables for the upstream pool.  The ring has none: every router
+ * places each shard at HashRing::kVnodes points.
+ */
 struct UpstreamConfig
 {
-    /** Virtual nodes per shard on the hash ring. */
-    int vnodes = HashRing::kDefaultVnodes;
     /** Health-check cadence (ping + down-shard redial). */
     double pingIntervalMs = 200;
     /** Consecutive unanswered pings before an up shard is ejected. */

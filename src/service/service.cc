@@ -323,7 +323,7 @@ CompileService::admitLocked(const CompileRequest &req,
     size_t cap = admission_.maxPending;
     if (req.batch)
         cap = static_cast<size_t>(static_cast<double>(cap) *
-                                  admission_.batchFraction);
+                                  AdmissionLimits::kBatchFraction);
     if (pendingCompiles_ < cap)
         return true;
     reply.status = "overloaded";

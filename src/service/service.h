@@ -113,7 +113,7 @@ struct CompileRequest
 
     /**
      * Priority tier: batch requests are admitted only while the
-     * pending-compile queue is below AdmissionLimits::batchFraction of
+     * pending-compile queue is below AdmissionLimits::kBatchFraction of
      * the cap, so interactive traffic keeps headroom under load.  Not
      * part of the cache key.
      */
@@ -192,14 +192,16 @@ struct CacheLimits
  * retry_after_ms estimate derived from the observed compile-time EWMA
  * and the current queue depth, so well-behaved clients back off for
  * about as long as the backlog needs to drain.  Batch-tier requests
- * are admitted only below batchFraction * maxPending, reserving the
- * remaining headroom for interactive traffic.  Hits (and in-flight
+ * are admitted only below kBatchFraction * maxPending, reserving the
+ * other half for interactive traffic.  Hits (and in-flight
  * duplicates) are never shed: they cost no compile capacity.
  */
 struct AdmissionLimits
 {
-    size_t maxPending = 0;      ///< max queued+running compiles (0 = off)
-    double batchFraction = 0.5; ///< batch tier's share of maxPending
+    /** The batch tier's share of maxPending. */
+    static constexpr double kBatchFraction = 0.5;
+
+    size_t maxPending = 0; ///< max queued+running compiles (0 = off)
 };
 
 /** Monotonic service counters. */

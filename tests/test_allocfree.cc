@@ -27,7 +27,11 @@
  * ceilings keep set-up from growing with module count or width again.
  *
  * This file replaces the global operator new/delete to count, so it
- * must not be linked into any other test binary.
+ * must not be linked into any other test binary.  The nothrow forms of
+ * new are replaced too, so every block the deletes free came from
+ * std::malloc: std::stable_sort takes its buffer from nothrow new, and
+ * ASan's own nothrow new would otherwise report an alloc-dealloc
+ * mismatch.
  */
 
 #include <gtest/gtest.h>
@@ -60,6 +64,22 @@ void *
 operator new[](std::size_t n)
 {
     return ::operator new(n);
+}
+
+void *
+operator new(std::size_t n, const std::nothrow_t &) noexcept
+{
+    try {
+        return ::operator new(n);
+    } catch (const std::bad_alloc &) {
+        return nullptr;
+    }
+}
+
+void *
+operator new[](std::size_t n, const std::nothrow_t &) noexcept
+{
+    return ::operator new(n, std::nothrow);
 }
 
 void

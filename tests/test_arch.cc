@@ -59,14 +59,12 @@ TEST(Full, AllPairsAdjacent)
     EXPECT_EQ(t.neighbors(3).size(), 6u);
 }
 
-TEST(Factories, SquareLatticeCoversRequest)
+TEST(Lattice, OneRowIsAChain)
 {
-    auto t = makeSquareLattice(19);
-    EXPECT_GE(t->numSites(), 19);
-    auto lin = makeLinearTopology(9);
-    EXPECT_EQ(lin->numSites(), 9);
-    EXPECT_EQ(lin->neighbors(0).size(), 1u);
-    EXPECT_EQ(lin->neighbors(4).size(), 2u);
+    LatticeTopology lin(9, 1);
+    EXPECT_EQ(lin.numSites(), 9);
+    EXPECT_EQ(lin.neighbors(0).size(), 1u);
+    EXPECT_EQ(lin.neighbors(4).size(), 2u);
 }
 
 TEST(Layout, PlaceRemoveSwap)

@@ -210,26 +210,20 @@ TEST(Analysis, FlatCountsLinearChain)
 
     ProgramAnalysis pa(prog);
     const auto &leaf_st = pa.stats(prog.findModule("leaf"));
-    EXPECT_EQ(leaf_st.directGates, 3);
     EXPECT_EQ(leaf_st.flatForward, 3);
-    EXPECT_EQ(leaf_st.flatCompute, 2);
     // eager: 2*2 + 1
     EXPECT_EQ(leaf_st.flatEager, 5);
     EXPECT_EQ(leaf_st.level, 2);
-    EXPECT_EQ(leaf_st.height, 0);
 
     const auto &mid_st = pa.stats(prog.findModule("mid"));
     EXPECT_EQ(mid_st.flatForward, 2 * 3 + 1);
-    EXPECT_EQ(mid_st.flatCompute, 6);
     // eager: 2*(5+5) + 1
     EXPECT_EQ(mid_st.flatEager, 21);
     EXPECT_EQ(mid_st.level, 1);
-    EXPECT_EQ(mid_st.height, 1);
     EXPECT_EQ(mid_st.lazyAncilla, 1 + 2);
 
     const auto &main_st = pa.stats(prog.entry);
     EXPECT_EQ(main_st.level, 0);
-    EXPECT_EQ(main_st.height, 2);
     EXPECT_EQ(main_st.flatForward, 7);
     EXPECT_EQ(pa.maxLevel(), 2);
 }
@@ -382,15 +376,12 @@ TEST(Analysis, InteractionSetsMatchReferenceOnSyntheticShapes)
 void
 expectSameStats(const ModuleStats &got, const ModuleStats &want)
 {
-    EXPECT_EQ(got.directGates, want.directGates);
     EXPECT_EQ(got.flatForward, want.flatForward);
-    EXPECT_EQ(got.flatCompute, want.flatCompute);
     EXPECT_EQ(got.flatEager, want.flatEager);
     EXPECT_EQ(got.lazyAncilla, want.lazyAncilla);
     EXPECT_EQ(got.computeCalls, want.computeCalls);
     EXPECT_EQ(got.storeCalls, want.storeCalls);
     EXPECT_EQ(got.level, want.level);
-    EXPECT_EQ(got.height, want.height);
     auto same = [](std::span<const int64_t> a, std::span<const int64_t> b) {
         return std::vector<int64_t>(a.begin(), a.end()) ==
                std::vector<int64_t>(b.begin(), b.end());

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 #include "core/cer.h"
@@ -19,7 +21,6 @@ TEST(Aqv, SingleSegment)
     t.onAlloc(0, 10);
     t.onFree(0, 25);
     EXPECT_EQ(t.aqv(), 15);
-    EXPECT_EQ(t.segments(), 1);
 }
 
 TEST(Aqv, ReuseAccumulatesSegments)
@@ -30,7 +31,6 @@ TEST(Aqv, ReuseAccumulatesSegments)
     t.onAlloc(0, 50); // same qubit id reused later
     t.onFree(0, 55);
     EXPECT_EQ(t.aqv(), 15);
-    EXPECT_EQ(t.segments(), 2);
 }
 
 TEST(Aqv, HeapTimeExcluded)
@@ -54,7 +54,8 @@ TEST(Aqv, FinishClosesOpenSegments)
     t.onAlloc(1, 20);
     t.finish(100);
     EXPECT_EQ(t.aqv(), 90 + 80);
-    EXPECT_FALSE(t.isLive(0));
+    // Closed: allocating the same qubit again does not panic.
+    EXPECT_NO_THROW(t.onAlloc(0, 100));
 }
 
 TEST(Aqv, UsageCurveStepsAndPeak)
@@ -70,7 +71,10 @@ TEST(Aqv, UsageCurveStepsAndPeak)
     ASSERT_GE(curve.size(), 4u);
     EXPECT_EQ(curve.front().live, 1);
     EXPECT_EQ(curve.back().live, 0);
-    EXPECT_EQ(t.peakLive(), 3);
+    int peak = 0;
+    for (const UsagePoint &p : curve)
+        peak = std::max(peak, p.live);
+    EXPECT_EQ(peak, 3);
 }
 
 TEST(Aqv, MisusePanics)

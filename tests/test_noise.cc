@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+
 #include "common/logging.h"
 
 #include "arch/machine.h"
@@ -107,6 +110,26 @@ TEST(Trajectory, RequiresTrace)
     CompileResult r = compileAdder(SquareConfig::square());
     TrajectoryConfig cfg;
     EXPECT_THROW(runTrajectories(r, {}, 36, cfg), FatalError);
+}
+
+TEST(Trajectory, RefusesNonPositiveShots)
+{
+    VectorTrace schedule;
+    CompileResult r = compileAdder(SquareConfig::square(), &schedule);
+    TrajectoryConfig cfg;
+    for (int shots : {0, -5}) {
+        cfg.shots = shots;
+        try {
+            runTrajectories(r, schedule.gates(), 36, cfg);
+            ADD_FAILURE() << "ran " << shots << " shots";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "at least one shot, got " +
+                          std::to_string(shots)),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(Tvd, Identities)

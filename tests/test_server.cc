@@ -2,12 +2,12 @@
  * @file
  * Server-tier correctness: the epoll transport must frame the NDJSON
  * protocol (truncated trailing lines, line-cap overflow, fragmented
- * and pipelined input, write backpressure) and shut down cleanly with
- * one event loop or several; every connection must share the server's
- * one CompileService (concurrent duplicates compile once, forwarded
- * warm hits label like the full path).  This binary runs under the CI
- * ThreadSanitizer job — the epoll transport's one-loop-owns-a-connection
- * invariant is enforced there.
+ * and pipelined input, write backpressure) and shut down cleanly;
+ * every connection must share the server's one CompileService
+ * (concurrent duplicates compile once, forwarded warm hits label like
+ * the full path).  This binary runs under the CI ThreadSanitizer job —
+ * the epoll transport's one-loop-owns-every-connection invariant is
+ * enforced there.
  */
 
 #include <gtest/gtest.h>
@@ -42,18 +42,8 @@ namespace square {
 namespace {
 
 // -------------------------------------------------------------------
-// Transport framing and shutdown (one event loop and two)
+// Transport framing and shutdown
 // -------------------------------------------------------------------
-
-class TransportSuite : public ::testing::TestWithParam<int>
-{
-  protected:
-    std::unique_ptr<EpollTransport>
-    make()
-    {
-        return std::make_unique<EpollTransport>(GetParam());
-    }
-};
 
 /** The echo handler used by most framing tests. */
 LineHandler
@@ -67,9 +57,9 @@ echoHandler()
     };
 }
 
-TEST_P(TransportSuite, LinesRoundTripOnPersistentConnections)
+TEST(TransportSuite, LinesRoundTripOnPersistentConnections)
 {
-    std::unique_ptr<EpollTransport> transport = make();
+    auto transport = std::make_unique<EpollTransport>();
     std::string error;
     ASSERT_TRUE(
         transport->start("127.0.0.1", 0, echoHandler(), error))
@@ -106,9 +96,9 @@ TEST_P(TransportSuite, LinesRoundTripOnPersistentConnections)
     transport->stop();
 }
 
-TEST_P(TransportSuite, TruncatedTrailingLineStillGetsAReply)
+TEST(TransportSuite, TruncatedTrailingLineStillGetsAReply)
 {
-    std::unique_ptr<EpollTransport> transport = make();
+    auto transport = std::make_unique<EpollTransport>();
     std::string error;
     ASSERT_TRUE(transport->start(
         "127.0.0.1", 0,
@@ -136,12 +126,12 @@ TEST_P(TransportSuite, TruncatedTrailingLineStillGetsAReply)
     transport->stop();
 }
 
-TEST_P(TransportSuite, NewlinelessFloodIsBoundedAndDisconnected)
+TEST(TransportSuite, NewlinelessFloodIsBoundedAndDisconnected)
 {
     // A peer streaming bytes with no newline must not grow server
     // memory without bound: past the line cap it gets a reply for a
     // short prefix and is disconnected.
-    std::unique_ptr<EpollTransport> transport = make();
+    auto transport = std::make_unique<EpollTransport>();
     std::string error;
     std::atomic<size_t> seen_len{0};
     ASSERT_TRUE(transport->start(
@@ -171,12 +161,12 @@ TEST_P(TransportSuite, NewlinelessFloodIsBoundedAndDisconnected)
     transport->stop();
 }
 
-TEST_P(TransportSuite, PipelinedBatchIsAnsweredInOrder)
+TEST(TransportSuite, PipelinedBatchIsAnsweredInOrder)
 {
     // Many requests in ONE write: every complete line must be parsed
     // and answered, in order, on the same connection — the syscall-
     // amortizing traffic shape the epoll transport batches.
-    std::unique_ptr<EpollTransport> transport = make();
+    auto transport = std::make_unique<EpollTransport>();
     std::string error;
     ASSERT_TRUE(
         transport->start("127.0.0.1", 0, echoHandler(), error))
@@ -209,12 +199,12 @@ TEST_P(TransportSuite, PipelinedBatchIsAnsweredInOrder)
     transport->stop();
 }
 
-TEST_P(TransportSuite, SingleByteFragmentedWritesAcrossABatch)
+TEST(TransportSuite, SingleByteFragmentedWritesAcrossABatch)
 {
     // The opposite extreme of pipelining: a batch of requests trickled
     // one byte per write.  Framing must reassemble lines across
     // arbitrarily many reads.
-    std::unique_ptr<EpollTransport> transport = make();
+    auto transport = std::make_unique<EpollTransport>();
     std::string error;
     ASSERT_TRUE(
         transport->start("127.0.0.1", 0, echoHandler(), error))
@@ -234,11 +224,11 @@ TEST_P(TransportSuite, SingleByteFragmentedWritesAcrossABatch)
     transport->stop();
 }
 
-TEST_P(TransportSuite, HalfLineStraddlingTwoReadsThenShutdown)
+TEST(TransportSuite, HalfLineStraddlingTwoReadsThenShutdown)
 {
     // A line torn across two reads must reassemble; the half-line
     // left when the write half closes is answered as a partial.
-    std::unique_ptr<EpollTransport> transport = make();
+    auto transport = std::make_unique<EpollTransport>();
     std::string error;
     ASSERT_TRUE(
         transport->start("127.0.0.1", 0, echoHandler(), error))
@@ -260,14 +250,14 @@ TEST_P(TransportSuite, HalfLineStraddlingTwoReadsThenShutdown)
     transport->stop();
 }
 
-TEST_P(TransportSuite, SlowReaderBackpressureDeliversEverything)
+TEST(TransportSuite, SlowReaderBackpressureDeliversEverything)
 {
     // 64 pipelined requests x 64 KiB replies = 4 MiB owed to a client
     // that is not reading.  The transport must bound its own buffering
     // (the epoll transport pauses reads past the high-water mark) and
     // still deliver every reply, intact and in order, once the client
     // drains.
-    std::unique_ptr<EpollTransport> transport = make();
+    auto transport = std::make_unique<EpollTransport>();
     std::string error;
     const std::string payload(64 * 1024, 'x');
     ASSERT_TRUE(transport->start(
@@ -306,9 +296,9 @@ TEST_P(TransportSuite, SlowReaderBackpressureDeliversEverything)
     transport->stop();
 }
 
-TEST_P(TransportSuite, SyscallAndBatchStatsAreCounted)
+TEST(TransportSuite, SyscallAndBatchStatsAreCounted)
 {
-    std::unique_ptr<EpollTransport> transport = make();
+    auto transport = std::make_unique<EpollTransport>();
     std::string error;
     ASSERT_TRUE(
         transport->start("127.0.0.1", 0, echoHandler(), error))
@@ -331,12 +321,6 @@ TEST_P(TransportSuite, SyscallAndBatchStatsAreCounted)
     EXPECT_GE(stats.maxFlushBatch, 1);
     transport->stop();
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    EventLoops, TransportSuite, ::testing::Values(1, 2),
-    [](const ::testing::TestParamInfo<int> &info) {
-        return std::to_string(info.param) + "loops";
-    });
 
 // -------------------------------------------------------------------
 // CompileServer::handleLine: one service behind every connection

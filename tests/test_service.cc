@@ -1294,8 +1294,7 @@ TEST(AsyncService, OverloadShedsWithRetryAfterAndRecovers)
 TEST(AsyncService, BatchTierShedsBeforeInteractive)
 {
     AdmissionLimits admission;
-    admission.maxPending = 4;
-    admission.batchFraction = 0.5; // batch admitted while pending < 2
+    admission.maxPending = 4; // batch admitted while pending < 2
     CompileService service(1, {}, admission);
     CompileGate gate;
     service.setCompileHook(gate.hook());

@@ -18,16 +18,15 @@
  *
  * (tools/square_fabric.sh scripts exactly this arrangement.)
  *
- * Flags (beyond the ten every daemon takes — --host, --port,
- * --event-threads, --trace-sample, --trace-log, --faults, --postmortem,
- * --watchdog-ms, --port-file, --quiet — documented once in
+ * Flags (beyond the nine every daemon takes — --host, --port,
+ * --trace-sample, --trace-log, --faults, --postmortem, --watchdog-ms,
+ * --port-file, --quiet — documented once in
  * src/server/daemon.h; on the router, --trace-sample samples compile
  * requests and the id rides the forwarded framing, so the shard traces
- * the same request):
+ * the same request; the ring places every shard at HashRing::kVnodes
+ * = 128 points):
  *   --shard=HOST:PORT     one shard daemon address (repeatable; at
  *                         least one required, no duplicates)
- *   --vnodes=N            virtual nodes per shard on the hash ring
- *                         (default 128)
  *   --ping-interval-ms=N  health-check cadence (default 200)
  *   --failure-threshold=N consecutive unanswered pings before an up
  *                         shard is ejected (default 3)
@@ -45,6 +44,7 @@
 
 #include "common/logging.h"
 #include "server/daemon.h"
+#include "server/hash_ring.h"
 #include "server/router_daemon.h"
 #include "service/protocol.h"
 
@@ -59,7 +59,6 @@ main(int argc, char **argv)
     flags.insert(
         flags.end(),
         {listFlag("shard", "HOST:PORT", cfg.shards),
-         intFlag("vnodes", cfg.upstream.vnodes, 1, 65536),
          intFlag("ping-interval-ms", cfg.upstream.pingIntervalMs, 1,
                  3600000),
          intFlag("failure-threshold", cfg.upstream.failureThreshold, 1,
@@ -77,7 +76,6 @@ main(int argc, char **argv)
     }
     cfg.host = daemon.host;
     cfg.port = daemon.port;
-    cfg.eventThreads = daemon.eventThreads;
     cfg.traceSample = daemon.traceSample;
 
     setLogComponent("router");
@@ -95,7 +93,7 @@ main(int argc, char **argv)
                      "square_router: listening on %s:%u, routing over "
                      "%zu shard(s) (%d vnodes each)\n",
                      cfg.host.c_str(), server.port(),
-                     cfg.shards.size(), cfg.upstream.vnodes);
+                     cfg.shards.size(), HashRing::kVnodes);
     }
     if (!runDaemon(
             "square_router", server.port(), daemon,

@@ -5,9 +5,9 @@
  * The network face of the serving tier: square_serve's NDJSON protocol
  * (one JSON request per line, one JSON reply per line; see
  * src/service/protocol.h) over persistent loopback TCP connections
- * multiplexed by epoll event loops, served by one CompileService with
+ * multiplexed by one epoll event loop, served by one CompileService with
  * an LRU-bounded result cache.  Cold misses compile on its worker pool
- * and never block an event loop (src/server/server.h).  To shard, run
+ * and never block the event loop (src/server/server.h).  To shard, run
  * several daemons behind square_router (tools/square_fabric.sh).
  *
  *   square_served --port=7801 --workers=2 &
@@ -17,19 +17,18 @@
  *     '{"cmd":"stats"}' '{"cmd":"shutdown"}' \
  *     | square_client --port=7801
  *
- * Flags (beyond the ten every daemon takes — --host, --port,
- * --event-threads, --trace-sample, --trace-log, --faults, --postmortem,
- * --watchdog-ms, --port-file, --quiet — documented once in
- * src/server/daemon.h):
+ * Flags (beyond the nine every daemon takes — --host, --port,
+ * --trace-sample, --trace-log, --faults, --postmortem, --watchdog-ms,
+ * --port-file, --quiet — documented once in src/server/daemon.h):
  *   --shards=N         must be 1 (the default); shard with square_router
  *   --workers=N        compile-pool workers (default 1)
  *   --cache-entries=N  LRU bound, results (default unbounded)
  *   --cache-bytes=N    LRU bound, bytes (default unbounded)
  *   --max-pending=N    compile-queue bound; misses beyond it
  *                      are shed with {"status":"overloaded",
- *                      "retry_after_ms":...} (default 0 = admit all)
- *   --batch-fraction=F fraction of --max-pending admitted to
- *                      priority=batch requests (default 0.5)
+ *                      "retry_after_ms":...} (default 0 = admit all);
+ *                      priority=batch requests get half of it
+ *                      (AdmissionLimits::kBatchFraction)
  *   --trace-slow-ms=T  always emit a trace for requests slower than
  *                      T ms (0 = off; instruments every request)
  *   --store=PATH       persistent artifact store: replay PATH into the
@@ -73,7 +72,6 @@ main(int argc, char **argv)
          uintFlag("cache-entries", cfg.limits.maxEntries),
          uintFlag("cache-bytes", cfg.limits.maxBytes),
          uintFlag("max-pending", cfg.admission.maxPending),
-         realFlag("batch-fraction", "F", cfg.admission.batchFraction, 0, 1),
          realFlag("trace-slow-ms", "T", cfg.traceSlowMs, 0,
                   std::numeric_limits<double>::max()),
          textFlag("store", "PATH", cfg.storePath),
@@ -83,7 +81,6 @@ main(int argc, char **argv)
         return 1;
     cfg.host = daemon.host;
     cfg.port = daemon.port;
-    cfg.eventThreads = daemon.eventThreads;
     cfg.traceSample = daemon.traceSample;
 
     setLogComponent("shard");
@@ -102,12 +99,11 @@ main(int argc, char **argv)
     }
     if (!daemon.quiet) {
         std::fprintf(stderr,
-                     "square_served: listening on %s:%u (%d event "
-                     "threads, %d workers; cache bound: %zu entries, "
-                     "%zu bytes; 0 = unbounded)\n",
-                     cfg.host.c_str(), server.port(), cfg.eventThreads,
-                     cfg.workers, cfg.limits.maxEntries,
-                     cfg.limits.maxBytes);
+                     "square_served: listening on %s:%u (%d workers; "
+                     "cache bound: %zu entries, %zu bytes; 0 = "
+                     "unbounded)\n",
+                     cfg.host.c_str(), server.port(), cfg.workers,
+                     cfg.limits.maxEntries, cfg.limits.maxBytes);
         if (server.store() != nullptr) {
             ServiceStats warm = server.service().stats();
             std::fprintf(
