@@ -3,15 +3,14 @@
  * Machine connectivity models.
  *
  * A Topology describes the sites (physical locations for qubits) of a
- * machine and which pairs may interact directly.  Three concrete models
+ * machine and which pairs may interact directly.  Two concrete models
  * cover the paper's experiments:
  *
  *  - LatticeTopology: W x H grid with nearest-neighbor connectivity, the
  *    standard NISQ superconducting layout (and the site grid of the
  *    surface-code model);
  *  - FullTopology: all-to-all connectivity (trapped-ion style), used for
- *    the Fig. 5 locality experiment;
- *  - LinearTopology: 1-D chain (degenerate lattice), useful in tests.
+ *    the Fig. 5 locality experiment.
  *
  * The allocation-free forms forEachNeighbor() and pathInto() are the
  * virtual primitives; the vector-returning neighbors() and path() are

@@ -9,7 +9,8 @@
  * connectivity and assigns time steps.  The result carries every metric
  * the paper's evaluation reports; the timed gate schedule streams, gate
  * by gate, to the caller's TraceSink (CompileOptions::extraSink) and
- * nowhere else.
+ * nowhere else.  compile() is defined beside the Executor
+ * (core/executor.*), the one object that holds a compilation's state.
  */
 
 #ifndef SQUARE_CORE_COMPILER_H
@@ -56,10 +57,10 @@ struct CompileOptions
 
     /**
      * Phase-span consumer for per-request tracing (obs/trace.h):
-     * when non-null, the compiler reports wall-time spans for its
-     * phases — "analysis" (only when computed internally) and the
-     * fused "allocate_route_schedule" instrumentation-driven walk —
-     * against the request's trace.  Null costs nothing.
+     * when non-null, the compiler reports the wall time of its fused
+     * "allocate_route_schedule" instrumentation-driven walk against
+     * the request's trace (the caller times the analysis it passes
+     * in).  Null costs nothing.
      */
     obs::PhaseSink *phases = nullptr;
 };

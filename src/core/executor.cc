@@ -8,9 +8,83 @@
 
 namespace square {
 
-Executor::Executor(const Program &prog, CompileContext &ctx)
-    : prog_(prog), ctx_(ctx)
+namespace {
+
+/** The analysis to build: none when the options borrow one. */
+std::optional<ProgramAnalysis>
+makeOwnedAnalysis(const Program &prog, const CompileOptions &options)
 {
+    if (options.analysis != nullptr)
+        return std::nullopt;
+    return std::optional<ProgramAnalysis>(std::in_place, prog);
+}
+
+/**
+ * One scratch vector per call depth [0, maxLevel], each reserved to the
+ * largest @p width(m) over the modules m that can run at that depth: a
+ * module at call-graph level l runs at depth l or shallower.
+ */
+template <typename Width>
+std::vector<std::vector<LogicalQubit>>
+depthPool(const Program &prog, const ProgramAnalysis &analysis,
+          Width &&width)
+{
+    const size_t depths = static_cast<size_t>(analysis.maxLevel()) + 1;
+    std::vector<size_t> widest(depths, 0);
+    for (size_t id = 0; id < prog.modules.size(); ++id) {
+        const ModuleStats &st = analysis.stats(static_cast<ModuleId>(id));
+        size_t &w = widest[static_cast<size_t>(st.level)];
+        w = std::max(w, static_cast<size_t>(width(prog.modules[id])));
+    }
+    std::vector<std::vector<LogicalQubit>> pool(depths);
+    for (size_t d = depths; d-- > 0;) {
+        if (d + 1 < depths)
+            widest[d] = std::max(widest[d], widest[d + 1]);
+        pool[d].reserve(widest[d]);
+    }
+    return pool;
+}
+
+} // namespace
+
+CompileResult
+compile(const Program &prog, const Machine &machine,
+        const SquareConfig &cfg, const CompileOptions &options)
+{
+    return Executor(prog, machine, cfg, options).run();
+}
+
+Executor::Executor(const Program &prog, const Machine &machine,
+                   const SquareConfig &cfg, const CompileOptions &options)
+    : prog_(prog),
+      machine_(machine),
+      cfg_(cfg),
+      options_(options),
+      ownedAnalysis_(makeOwnedAnalysis(prog, options)),
+      analysis_(options.analysis ? *options.analysis : *ownedAnalysis_),
+      layout_(machine.numSites()),
+      heap_(machine.numSites()),
+      sched_(machine, layout_, heap_, options.extraSink),
+      alloc_(cfg, machine, layout_, sched_, heap_),
+      argsScratch_(depthPool(prog, analysis_,
+                             [](const Module &m) { return m.numParams; })),
+      replayAncScratch_(depthPool(
+          prog, analysis_, [](const Module &m) { return m.numAncilla; }))
+{
+    // Every forward invocation places its ancillas on fresh logical
+    // qubits, so the forward pass alone places the entry's parameters
+    // plus its lazyAncilla; recomputation can only add to that.
+    const size_t forward = static_cast<size_t>(
+        prog.entryModule().numParams +
+        analysis_.stats(prog.entry).lazyAncilla);
+    layout_.reserveLogical(forward);
+    aqv_.reserve(forward);
+
+    // An allocation anchors on at most one call's arguments.
+    int widest = 0;
+    for (const Module &m : prog.modules)
+        widest = std::max(widest, m.numParams);
+    alloc_.reserveAnchors(static_cast<size_t>(widest));
 }
 
 int64_t
@@ -18,7 +92,7 @@ Executor::readyTime(std::span<const LogicalQubit> args) const
 {
     int64_t t = 0;
     for (LogicalQubit q : args)
-        t = std::max(t, ctx_.sched.logicalClock(q));
+        t = std::max(t, sched_.logicalClock(q));
     return t;
 }
 
@@ -31,32 +105,38 @@ Executor::allocAncillaTracked(ModuleId id,
     if (m.numAncilla == 0)
         return;
     int64_t t_ready = readyTime(args);
-    ctx_.alloc.allocAncillaInto(m.numAncilla, ctx_.analysis.stats(id),
-                                args, t_ready, out);
+    alloc_.allocAncillaInto(m.numAncilla, analysis_.stats(id), args,
+                            t_ready, out);
     for (int i = 0; i < m.numAncilla; ++i) {
         LogicalQubit q = out[i];
         // Liveness cannot begin before the site's previous occupant was
         // reclaimed (the site clock covers the uncompute that grounded
         // it), nor before the invocation's inputs are ready.
-        int64_t t0 = std::max(t_ready,
-                              ctx_.sched.siteClock(ctx_.layout.siteOf(q)));
-        ctx_.aqv.onAlloc(q, t0);
+        int64_t t0 =
+            std::max(t_ready, sched_.siteClock(layout_.siteOf(q)));
+        aqv_.onAlloc(q, t0);
     }
 }
 
 void
-Executor::freeAncilla(std::span<const LogicalQubit> anc)
+Executor::releaseAncilla(std::span<const LogicalQubit> anc, bool reset)
 {
-    // Free in reverse allocation order so the LIFO heap hands the most
-    // recently grounded sites out first.
+    // Release in reverse allocation order so the LIFO heap hands the
+    // most recently grounded sites out first.
     for (size_t i = anc.size(); i-- > 0;) {
         LogicalQubit q = anc[i];
-        PhysQubit site = ctx_.layout.siteOf(q);
-        ctx_.aqv.onFree(q, ctx_.sched.siteClock(site));
-        ctx_.layout.remove(q);
-        ctx_.heap.push(site);
-        if (ctx_.options.extraSink)
-            ctx_.options.extraSink->onReclaim(site);
+        PhysQubit site = layout_.siteOf(q);
+        if (reset)
+            sched_.occupy(site, cfg_.resetLatency);
+        aqv_.onFree(q, sched_.siteClock(site));
+        layout_.remove(q);
+        heap_.push(site);
+        if (TraceSink *sink = options_.extraSink) {
+            if (reset)
+                sink->onReset(site);
+            else
+                sink->onReclaim(site);
+        }
     }
 }
 
@@ -68,8 +148,8 @@ Executor::execGate(const Stmt &s, const Binding &b, bool inverse)
     const int arity = gateArity(kind);
     for (int i = 0; i < arity; ++i)
         ops[i] = resolve(b, s.operands[static_cast<size_t>(i)]);
-    ctx_.sched.apply(kind, std::span<const LogicalQubit>(
-                               ops, static_cast<size_t>(arity)));
+    sched_.apply(kind, std::span<const LogicalQubit>(
+                           ops, static_cast<size_t>(arity)));
     if (uncompute_depth_ > 0)
         ++uncompute_ir_gates_;
 }
@@ -81,7 +161,7 @@ Executor::runBlockForward(const std::vector<Stmt> &block, const Binding &b,
                           bool force_kids, int64_t inherited_gates)
 {
     const int64_t carried = static_cast<int64_t>(
-        ctx_.cfg.holdHorizon * static_cast<double>(inherited_gates));
+        cfg_.holdHorizon * static_cast<double>(inherited_gates));
     for (size_t k = 0; k < block.size(); ++k) {
         const Stmt &s = block[k];
         if (s.isGate()) {
@@ -90,7 +170,7 @@ Executor::runBlockForward(const std::vector<Stmt> &block, const Binding &b,
             // The callee frame (depth + 1) owns this argument buffer
             // for the duration of the call; no deeper frame reuses it.
             std::vector<LogicalQubit> &args =
-                depthScratch(ctx_.argsScratch, depth + 1);
+                depthScratch(argsScratch_, depth + 1);
             for (const QubitRef &r : s.args)
                 args.push_back(resolve(b, r));
             int64_t g_parent =
@@ -116,7 +196,7 @@ Executor::invertBlock(const std::vector<Stmt> &block, const Binding &b,
             Invocation &kid = *kids[kid_idx];
             SQ_ASSERT(kid.mod == s.callee, "record/statement mismatch");
             std::vector<LogicalQubit> &args =
-                depthScratch(ctx_.argsScratch, depth + 1);
+                depthScratch(argsScratch_, depth + 1);
             for (const QubitRef &r : s.args)
                 args.push_back(resolve(b, r));
             invertInvocation(kid, args, depth + 1);
@@ -129,36 +209,81 @@ bool
 Executor::shouldReclaim(const Invocation &inv, int depth,
                         int64_t gates_to_parent_uncompute)
 {
-    switch (ctx_.cfg.reclaim) {
+    switch (cfg_.reclaim) {
       case ReclaimPolicy::Eager:
+      case ReclaimPolicy::MeasureReset:
         return true;
       case ReclaimPolicy::Forced: {
         size_t idx = forced_idx_++;
-        return idx < ctx_.cfg.forcedDecisions.size() &&
-               ctx_.cfg.forcedDecisions[idx];
+        return idx < cfg_.forcedDecisions.size() &&
+               cfg_.forcedDecisions[idx];
       }
-      case ReclaimPolicy::MeasureReset:
-        // Handled before the decision point in execCall (resets do not
-        // go through the uncompute machinery).
-        panic("MeasureReset must not reach shouldReclaim");
       case ReclaimPolicy::Lazy:
         // "Never reclaim" in practice (Fig. 1): garbage rides to the
         // end of the program.
         return false;
       case ReclaimPolicy::Cer: {
         CerInputs in;
-        in.numActive = ctx_.layout.numLive();
+        in.numActive = layout_.numLive();
         in.numAncilla = inv.garbage;
         in.uncomputeGates = inv.uncompCost;
         in.gatesToParentUncompute = gates_to_parent_uncompute;
         in.depth = depth;
-        in.commFactor = ctx_.sched.commFactor();
-        in.hasLocality = ctx_.machine.comm != CommModel::None;
-        in.freeSites = ctx_.layout.numSites() - ctx_.layout.numLive();
-        return cerDecide(ctx_.cfg, in).reclaim;
+        in.commFactor = sched_.commFactor();
+        in.hasLocality = machine_.comm != CommModel::None;
+        in.freeSites = layout_.numSites() - layout_.numLive();
+        return cerDecide(cfg_, in).reclaim;
       }
     }
     panic("unknown reclaim policy");
+}
+
+int
+Executor::garbageOf(const Invocation &inv)
+{
+    // Own ancillas stay live until the invocation is reclaimed.
+    int g = inv.reclaimed ? 0 : static_cast<int>(inv.numAnc);
+    for (const InvPtr &k : inv.computeKids)
+        g += k->garbage;
+    for (const InvPtr &k : inv.storeKids)
+        g += k->garbage;
+    return g;
+}
+
+int64_t
+Executor::invertCostOf(const std::vector<Stmt> &block, const KidList &kids)
+{
+    int64_t cost = 0;
+    size_t ki = 0;
+    for (const Stmt &s : block)
+        cost += s.isGate() ? 1 : kids[ki++]->invertCost;
+    return cost;
+}
+
+void
+Executor::uncompute(const Invocation &inv, const Binding &b, int depth)
+{
+    const Module &m = prog_.module(inv.mod);
+    ++uncompute_depth_;
+    if (m.hasExplicitUncompute()) {
+        KidList none = makeKids(0);
+        runBlockForward(m.uncompute, b, none, depth,
+                        analysis_.stats(inv.mod).suffixUncompute, true, 0);
+        SQ_ASSERT(none.empty(), "explicit uncompute spawned calls");
+    } else {
+        invertBlock(m.compute, b, inv.computeKids, depth);
+    }
+    --uncompute_depth_;
+}
+
+void
+Executor::reclaim(Invocation &inv, const Binding &b, int depth, bool reset)
+{
+    if (!reset)
+        uncompute(inv, b, depth);
+    releaseAncilla(inv.ancillas(), reset);
+    inv.reclaimed = true;
+    inv.garbage = garbageOf(inv);
 }
 
 Executor::InvPtr
@@ -167,113 +292,55 @@ Executor::execCall(ModuleId id, std::span<const LogicalQubit> args,
                    bool force_reclaim)
 {
     const Module &m = prog_.module(id);
-    const ModuleStats &st = ctx_.analysis.stats(id);
+    const ModuleStats &st = analysis_.stats(id);
 
-    Invocation *inv = ctx_.arena.make<Invocation>();
+    Invocation *inv = arena_.make<Invocation>();
     inv->mod = id;
     inv->numAnc = static_cast<uint32_t>(m.numAncilla);
-    inv->anc = ctx_.arena.makeArray<LogicalQubit>(inv->numAnc);
+    inv->anc = arena_.makeArray<LogicalQubit>(inv->numAnc);
     allocAncillaTracked(id, args, inv->anc);
-    inv->ancLive = inv->numAnc > 0;
     inv->computeKids = makeKids(st.computeCalls);
     inv->storeKids = makeKids(st.storeCalls);
 
     Binding b{args, inv->ancillas()};
-    const bool force_kids = m.hasExplicitUncompute();
     runBlockForward(m.compute, b, inv->computeKids, depth,
-                    st.suffixCompute, force_kids,
+                    st.suffixCompute, m.hasExplicitUncompute(),
                     gates_to_parent_uncompute);
     runBlockForward(m.store, b, inv->storeKids, depth, st.suffixStore,
                     false, gates_to_parent_uncompute);
 
     // Dynamic uncompute-cost estimate for CER, from the children's
     // actual decisions.
-    if (m.hasExplicitUncompute()) {
-        inv->uncompCost = st.suffixUncompute.empty()
-                              ? 0
-                              : st.suffixUncompute[0];
-    } else {
-        int64_t cost = 0;
-        size_t ki = 0;
-        for (const Stmt &s : m.compute) {
-            cost += s.isGate() ? 1 : inv->computeKids[ki++]->invertCost;
-        }
-        inv->uncompCost = cost;
-    }
+    if (m.hasExplicitUncompute())
+        inv->uncompCost =
+            st.suffixUncompute.empty() ? 0 : st.suffixUncompute[0];
+    else
+        inv->uncompCost = invertCostOf(m.compute, inv->computeKids);
 
-    auto recompute_garbage = [&]() {
-        int g = inv->ancLive ? static_cast<int>(inv->numAnc) : 0;
-        for (const InvPtr &k : inv->computeKids)
-            g += k->garbage;
-        for (const InvPtr &k : inv->storeKids)
-            g += k->garbage;
-        inv->garbage = g;
-    };
-    recompute_garbage();
-
-    // Measurement-and-reset reclamation (Sec. II-E): no uncompute;
-    // each invocation resets its own ancilla, paying the reset
-    // latency.  Only sound for classical-basis executions.
-    if (ctx_.cfg.reclaim == ReclaimPolicy::MeasureReset &&
-        !force_reclaim) {
-        if (inv->ancLive) {
-            for (size_t i = inv->numAnc; i-- > 0;) {
-                LogicalQubit q = inv->anc[i];
-                PhysQubit site = ctx_.layout.siteOf(q);
-                ctx_.sched.occupy(site, ctx_.cfg.resetLatency);
-                ctx_.aqv.onFree(q, ctx_.sched.siteClock(site));
-                ctx_.layout.remove(q);
-                ctx_.heap.push(site);
-                if (ctx_.options.extraSink)
-                    ctx_.options.extraSink->onReset(site);
-            }
-            inv->ancLive = false;
-            inv->reclaimed = true; // grounded; never invertible again
-            ++reclaim_count_;
-        }
-        recompute_garbage();
-        inv->invertCost = st.flatEager;
-        return inv;
-    }
-
-    bool do_reclaim = false;
+    // The Free point decides only when there is garbage to reclaim.
+    // Measurement-and-reset (Sec. II-E) resets the own ancillas in
+    // place instead of uncomputing, paying the reset latency; only
+    // sound for classical-basis executions.  Its children have all
+    // reset or reclaimed already, so the own ancillas are the whole
+    // garbage.  A forced callee always uncomputes, so its caller's
+    // explicit inverse stays sound.
+    inv->garbage = garbageOf(*inv);
     if (inv->garbage > 0) {
-        do_reclaim = force_reclaim ||
-                     shouldReclaim(*inv, depth, gates_to_parent_uncompute);
-        if (do_reclaim)
+        if (force_reclaim ||
+            shouldReclaim(*inv, depth, gates_to_parent_uncompute)) {
             ++reclaim_count_;
-        else
-            ++skip_count_;
-    }
-
-    if (do_reclaim) {
-        ++uncompute_depth_;
-        if (m.hasExplicitUncompute()) {
-            KidList none = makeKids(0);
-            runBlockForward(m.uncompute, b, none, depth,
-                            st.suffixUncompute, true, 0);
-            SQ_ASSERT(none.empty(), "explicit uncompute spawned calls");
+            const bool reset = !force_reclaim &&
+                               cfg_.reclaim == ReclaimPolicy::MeasureReset;
+            reclaim(*inv, b, depth, reset);
         } else {
-            invertBlock(m.compute, b, inv->computeKids, depth);
+            ++skip_count_;
         }
-        --uncompute_depth_;
-        if (inv->ancLive) {
-            freeAncilla(inv->ancillas());
-            inv->ancLive = false;
-        }
-        inv->reclaimed = true;
-        recompute_garbage();
     }
 
-    if (inv->reclaimed) {
-        inv->invertCost = st.flatEager;
-    } else {
-        int64_t store_cost = 0;
-        size_t ki = 0;
-        for (const Stmt &s : m.store)
-            store_cost += s.isGate() ? 1 : inv->storeKids[ki++]->invertCost;
-        inv->invertCost = store_cost + inv->uncompCost;
-    }
+    inv->invertCost =
+        inv->reclaimed
+            ? st.flatEager
+            : invertCostOf(m.store, inv->storeKids) + inv->uncompCost;
     return inv;
 }
 
@@ -282,7 +349,7 @@ Executor::invertInvocation(Invocation &rec,
                            std::span<const LogicalQubit> args, int depth)
 {
     const Module &m = prog_.module(rec.mod);
-    const ModuleStats &st = ctx_.analysis.stats(rec.mod);
+    const ModuleStats &st = analysis_.stats(rec.mod);
     ++uncompute_depth_;
 
     if (rec.reclaimed) {
@@ -292,43 +359,26 @@ Executor::invertInvocation(Invocation &rec,
         // comes from the per-depth scratch pool; the replayed child
         // records are arena-allocated like any other invocation.
         std::vector<LogicalQubit> &replay_anc =
-            depthScratch(ctx_.replayAncScratch, depth);
+            depthScratch(replayAncScratch_, depth);
         replay_anc.resize(static_cast<size_t>(m.numAncilla));
         allocAncillaTracked(rec.mod, args, replay_anc.data());
         Binding b{args, replay_anc};
-        const bool force_kids = m.hasExplicitUncompute();
         KidList replay_kids = makeKids(st.computeCalls);
         runBlockForward(m.compute, b, replay_kids, depth,
-                        st.suffixCompute, force_kids, /*inherited=*/0);
+                        st.suffixCompute, m.hasExplicitUncompute(),
+                        /*inherited=*/0);
         invertBlock(m.store, b, rec.storeKids, depth);
         invertBlock(m.compute, b, replay_kids, depth);
-        if (!replay_anc.empty())
-            freeAncilla(replay_anc);
+        releaseAncilla(replay_anc, false);
+        // Inverting the store children consumed their garbage.
+        rec.garbage = garbageOf(rec);
     } else {
-        // Garbage consumption: forward realized C;S, so the inverse
-        // S^-1;C^-1 grounds the recorded ancillas.
+        // Garbage consumption: forward realized C;S, so S^-1 and then
+        // the reclaim's undo ground the recorded ancillas.
         Binding b{args, rec.ancillas()};
         invertBlock(m.store, b, rec.storeKids, depth);
-        if (m.hasExplicitUncompute()) {
-            KidList none = makeKids(0);
-            runBlockForward(m.uncompute, b, none, depth,
-                            st.suffixUncompute, true, 0);
-        } else {
-            invertBlock(m.compute, b, rec.computeKids, depth);
-        }
-        if (rec.ancLive) {
-            freeAncilla(rec.ancillas());
-            rec.ancLive = false;
-        }
-        rec.reclaimed = true; // consumed; must not be inverted again
+        reclaim(rec, b, depth, /*reset=*/false);
     }
-
-    int g = 0;
-    for (const InvPtr &k : rec.computeKids)
-        g += k->garbage;
-    for (const InvPtr &k : rec.storeKids)
-        g += k->garbage;
-    rec.garbage = g;
     --uncompute_depth_;
 }
 
@@ -339,49 +389,48 @@ Executor::run()
     // interleaves the three, so one span covers the whole
     // instrumentation-driven walk.
     obs::SpanClock phase;
-    if (ctx_.options.phases != nullptr)
+    if (options_.phases != nullptr)
         phase = obs::SpanClock::now();
 
     const Module &entry = prog_.entryModule();
     std::vector<LogicalQubit> primaries =
-        ctx_.alloc.allocPrimaries(entry.numParams);
+        alloc_.allocPrimaries(entry.numParams);
     for (LogicalQubit q : primaries)
-        ctx_.aqv.onAlloc(q, 0);
+        aqv_.onAlloc(q, 0);
 
     CompileResult r;
-    r.machineLabel = ctx_.machine.label;
-    r.policyLabel = ctx_.cfg.name;
+    r.machineLabel = machine_.label;
+    r.policyLabel = cfg_.name;
     r.primaryInitialSites.reserve(primaries.size());
     r.primaryFinalSites.reserve(primaries.size());
     for (LogicalQubit q : primaries)
-        r.primaryInitialSites.push_back(ctx_.layout.siteOf(q));
+        r.primaryInitialSites.push_back(layout_.siteOf(q));
 
     InvPtr root = execCall(prog_.entry, primaries, 0, 0, false);
     (void)root; // the tree lives in the arena until we return
 
-    const int64_t makespan = ctx_.sched.makespan();
-    ctx_.aqv.finish(makespan);
+    const int64_t makespan = sched_.makespan();
+    aqv_.finish(makespan);
 
     for (LogicalQubit q : primaries)
-        r.primaryFinalSites.push_back(ctx_.layout.siteOf(q));
+        r.primaryFinalSites.push_back(layout_.siteOf(q));
 
-    r.aqv = ctx_.aqv.aqv();
-    r.qubitsUsed = ctx_.layout.sitesTouched();
-    r.peakLive = ctx_.layout.peakLive();
-    r.sched = ctx_.sched.stats();
+    r.aqv = aqv_.aqv();
+    r.qubitsUsed = layout_.sitesTouched();
+    r.peakLive = layout_.peakLive();
+    r.sched = sched_.stats();
     r.gates = r.sched.totalGates;
     r.swaps = r.sched.swaps;
     r.depth = makespan;
     r.uncomputeIrGates = uncompute_ir_gates_;
     r.reclaimCount = reclaim_count_;
     r.skipCount = skip_count_;
-    r.commFactor = ctx_.sched.commFactor();
-    r.avgBraidLength = ctx_.sched.avgBraidLength();
-    r.usageCurve = ctx_.aqv.usageCurve();
-    if (ctx_.options.phases != nullptr)
-        ctx_.options.phases->phaseSpan("allocate_route_schedule",
-                                       phase.wallUs,
-                                       obs::microsSince(phase));
+    r.commFactor = sched_.commFactor();
+    r.avgBraidLength = sched_.avgBraidLength();
+    r.usageCurve = aqv_.usageCurve();
+    if (options_.phases != nullptr)
+        options_.phases->phaseSpan("allocate_route_schedule", phase.wallUs,
+                                   obs::microsSince(phase));
     return r;
 }
 

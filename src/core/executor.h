@@ -6,56 +6,88 @@
  * the role of the instrumented classical executable the paper builds
  * with LLVM: each Allocate invokes the allocation heuristic, each Free
  * invokes the reclamation heuristic, and each gate goes to the
- * scheduler.
+ * scheduler.  compile() (core/compiler.h) is one Executor's run().
  *
  * Reclamation semantics (the correctness contract tested by the
  * functional simulator):
  *
- *  - a module invocation is Compute C, Store S, then a Free decision;
+ *  - a module invocation is Compute C, Store S, then a Free point;
+ *  - the Free point decides only when the invocation has garbage (own
+ *    live ancillas plus what its children kept);
  *  - reclaim:   run C^-1 (or the explicit Uncompute block); own
  *               ancillas return to |0> and are pushed on the heap;
+ *               under measurement-and-reset they are reset in place
+ *               instead (Sec. II-E);
  *  - keep:      ancillas become garbage recorded in the invocation
  *               record, handed to the parent (qubit reservation);
  *  - inverting a completed invocation (while an ancestor uncomputes):
  *      reclaimed case:  fresh-allocate, run C, S^-1, C^-1, free
  *                       (recursive recomputation - the 2^l cost);
- *      garbage case:    run S^-1 then C^-1 consuming the recorded
- *                       ancillas, which end in |0> and are freed.
+ *      garbage case:    run S^-1, then the reclaim's undo and release
+ *                       on the recorded ancillas.
  *
  * Explicit Uncompute{} blocks contain only gates (validated); when a
  * module with an explicit block has calls in its compute block, those
- * callees are forced to reclaim so the gate-level inverse is sound.
+ * callees are forced to reclaim by uncomputing, so the gate-level
+ * inverse is sound.
  *
- * Allocation discipline: all per-compilation state lives in a borrowed
- * CompileContext; the Executor itself holds only the program view and
- * walk counters.  The whole Invocation call tree lives until run()
- * returns, so records - including their child-pointer and ancilla
- * arrays, whose exact sizes are known from the static analysis - come
- * from the context's monotonic arena (records are trivially
- * destructible; steady-state execution performs no heap allocation).
- * The per-call argument/ancilla temporaries are pooled in the context's
- * depth-indexed scratch stacks - execution is a single call stack, so
- * at most one frame per depth is live and each depth's buffers can be
- * reused across the millions of calls of a large workload.
+ * Ownership: the Executor is the one object of a compilation.  It
+ * borrows the immutable inputs (Program, Machine, SquareConfig,
+ * CompileOptions, and a shared ProgramAnalysis when the options carry
+ * one) by const reference, and owns every piece of mutable state: the
+ * layout, the ancilla heap, the scheduler and its routers, the
+ * allocator, the AQV tracker, the invocation-record arena and the
+ * depth-indexed scratch pools, plus the analysis when none is borrowed.
+ * There are no globals and nothing is shared between Executors, so a
+ * compilation is a pure function of (Program, Machine, SquareConfig):
+ * the compile service's workers run one compilation each with
+ * bit-identical per-request results.
+ *
+ * Allocation discipline: construction sizes up front whatever the
+ * machine and the analysis determine: the heap's site table, the
+ * logical-qubit and AQV tables (for the forward pass's placements), the
+ * allocator's anchor scratch, the swap router's path scratch (off
+ * lattices) and one scratch row per call depth.  The whole Invocation
+ * call tree lives until run() returns, so records - including their
+ * child-pointer and ancilla arrays, whose exact sizes are known from
+ * the static analysis - come from the monotonic arena (records are
+ * trivially destructible).  The run then grows only what recomputation
+ * adds beyond the forward pass, the allocator's center-out order as it
+ * claims fresh sites, and the arena's chunks.
  */
 
 #ifndef SQUARE_CORE_EXECUTOR_H
 #define SQUARE_CORE_EXECUTOR_H
 
+#include <optional>
 #include <span>
 #include <vector>
 
+#include "arch/layout.h"
+#include "arch/machine.h"
+#include "common/arena.h"
 #include "common/logging.h"
-#include "core/context.h"
+#include "core/allocator.h"
+#include "core/compiler.h"
+#include "core/heap.h"
+#include "core/policy.h"
 #include "ir/analysis.h"
+#include "metrics/aqv.h"
+#include "schedule/scheduler.h"
 
 namespace square {
 
-/** One compilation run over a borrowed context; single-use. */
+/** One compilation: its inputs, its state and its walk; single-use. */
 class Executor
 {
   public:
-    Executor(const Program &prog, CompileContext &ctx);
+    Executor(const Program &prog, const Machine &machine,
+             const SquareConfig &cfg, const CompileOptions &options);
+
+    // The scheduler and the allocator hold references to the layout
+    // and the heap beside them.
+    Executor(const Executor &) = delete;
+    Executor &operator=(const Executor &) = delete;
 
     /** Execute the program and collect the result. */
     CompileResult run();
@@ -100,8 +132,8 @@ class Executor
         /** Arena-backed ancilla list (numAncilla of the module). */
         LogicalQubit *anc = nullptr;
         uint32_t numAnc = 0;
+        /** Own ancillas grounded; they are live until then. */
         bool reclaimed = false;
-        bool ancLive = false;
         /** Children per block, in forward execution order. */
         KidList computeKids;
         KidList storeKids;
@@ -134,8 +166,8 @@ class Executor
 
     /**
      * Cleared scratch buffer for @p depth.  Execution is a single call
-     * stack, so one live buffer per depth suffices; the context sizes
-     * the pools for every depth the program can reach.
+     * stack, so one live buffer per depth suffices; the constructor
+     * sizes the pools for every depth the program can reach.
      */
     static std::vector<LogicalQubit> &
     depthScratch(std::vector<std::vector<LogicalQubit>> &pool, int depth)
@@ -151,12 +183,11 @@ class Executor
     KidList
     makeKids(int calls)
     {
-        return KidList{ctx_.arena.makeArray<InvPtr>(
-                           static_cast<size_t>(calls)),
+        return KidList{arena_.makeArray<InvPtr>(static_cast<size_t>(calls)),
                        0, static_cast<uint32_t>(calls)};
     }
 
-    /** Forward call: allocate, compute, store, Free decision. */
+    /** Forward call: allocate, compute, store, Free point. */
     InvPtr execCall(ModuleId id, std::span<const LogicalQubit> args,
                     int depth, int64_t gates_to_parent_uncompute,
                     bool force_reclaim);
@@ -185,6 +216,29 @@ class Executor
                        int64_t gates_to_parent_uncompute);
 
     /**
+     * Ground @p inv's own ancillas and mark it reclaimed: reset them in
+     * place when @p reset, else undo its compute block first; then
+     * release them and recount its garbage.
+     */
+    void reclaim(Invocation &inv, const Binding &b, int depth, bool reset);
+
+    /** Run the explicit Uncompute block, or invert the compute block. */
+    void uncompute(const Invocation &inv, const Binding &b, int depth);
+
+    /**
+     * Release @p anc to the heap in reverse order, closing their AQV
+     * segments; with @p reset, each site first pays the reset latency.
+     */
+    void releaseAncilla(std::span<const LogicalQubit> anc, bool reset);
+
+    /** Own live ancillas plus every child's garbage. */
+    static int garbageOf(const Invocation &inv);
+
+    /** Gates to invert @p block: one per gate plus each child's cost. */
+    static int64_t invertCostOf(const std::vector<Stmt> &block,
+                                const KidList &kids);
+
+    /**
      * Allocate and AQV-track the ancillas of one invocation into
      * @p out, which must hold the module's numAncilla slots.
      */
@@ -192,18 +246,46 @@ class Executor
                              std::span<const LogicalQubit> args,
                              LogicalQubit *out);
 
-    /** Free a set of ancillas to the heap, closing AQV segments. */
-    void freeAncilla(std::span<const LogicalQubit> anc);
-
     /** Apply one gate statement (possibly inverted). */
     void execGate(const Stmt &s, const Binding &b, bool inverse);
 
     /** Invocation ready time: max clock over its argument qubits. */
     int64_t readyTime(std::span<const LogicalQubit> args) const;
 
+    // -- borrowed immutable inputs ---------------------------------------
     const Program &prog_;
-    CompileContext &ctx_;
+    const Machine &machine_;
+    const SquareConfig &cfg_;
+    const CompileOptions &options_;
 
+    /** Engaged only when the options carry no shared analysis. */
+    const std::optional<ProgramAnalysis> ownedAnalysis_;
+    /** The analysis in use: borrowed from the options, or owned. */
+    const ProgramAnalysis &analysis_;
+
+    // -- owned state (construction order matters) ------------------------
+    Layout layout_;
+    AncillaHeap heap_;
+    GateScheduler sched_;
+    Allocator alloc_;
+    AqvTracker aqv_;
+
+    /** Backing store for every Invocation record of the run. */
+    Arena arena_;
+
+    /**
+     * Depth-indexed scratch pools, one vector per call depth
+     * [0, maxLevel()].  Execution is a single call stack, so at most one
+     * frame per depth is live and each depth's buffer is reused across
+     * the millions of calls of a large workload.  A module at call-graph
+     * level l runs at depth l or shallower, so each buffer is reserved
+     * to the widest module that can run at its depth and never grows;
+     * frames hold spans over them across recursive calls.
+     */
+    std::vector<std::vector<LogicalQubit>> argsScratch_;
+    std::vector<std::vector<LogicalQubit>> replayAncScratch_;
+
+    // -- walk counters ---------------------------------------------------
     int64_t uncompute_ir_gates_ = 0;
     int uncompute_depth_ = 0; ///< >0 while executing uncompute/inverse
     int reclaim_count_ = 0;

@@ -54,7 +54,7 @@ UpstreamPool::start(std::string &error)
     }
     for (size_t i = 0; i < shards_.size(); ++i) {
         std::string connect_error;
-        if (!connectShard(i, connect_error)) {
+        if (!connectShard(i, /*redial=*/false, connect_error)) {
             // Down at start is not fatal: the health loop keeps
             // dialing, and the ring serves the survivors meanwhile.
             std::fprintf(stderr,
@@ -169,7 +169,7 @@ UpstreamPool::sendOn(Shard &s, const char *data, size_t len)
 }
 
 bool
-UpstreamPool::connectShard(size_t idx, std::string &error)
+UpstreamPool::connectShard(size_t idx, bool redial, std::string &error)
 {
     Shard &s = *shards_[idx];
     // A previous reader (if any) has exited by now: this is only
@@ -201,6 +201,12 @@ UpstreamPool::connectShard(size_t idx, std::string &error)
     s.healthFailures.store(0, std::memory_order_relaxed);
     s.pingInFlight.store(0, std::memory_order_relaxed);
     s.reader = std::thread([this, idx, fd] { readerLoop(idx, fd); });
+    // Counted before the shard shows as up, so stats() never reads a
+    // rejoined shard without its reconnect.
+    if (redial) {
+        reconnectsC_.add(1);
+        obs::recordEvent(obs::Comp::Upstream, obs::Ev::Redial, idx);
+    }
     s.up.store(true, std::memory_order_release);
     {
         std::unique_lock<std::shared_mutex> lock(ringMu_);
@@ -440,11 +446,7 @@ UpstreamPool::healthLoop()
                 // Redial: a shard that answers again rejoins the ring,
                 // reclaiming exactly its own arc of the key space.
                 std::string error;
-                if (connectShard(i, error)) {
-                    reconnectsC_.add(1);
-                    obs::recordEvent(obs::Comp::Upstream,
-                                     obs::Ev::Redial, i);
-                }
+                connectShard(i, /*redial=*/true, error);
                 continue;
             }
             const uint64_t outstanding =

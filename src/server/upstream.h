@@ -187,8 +187,12 @@ class UpstreamPool
     /** Send bytes on the shard's data connection (false = failed). */
     bool sendOn(Shard &s, const char *data, size_t len);
 
-    /** Dial one shard; true = connected and reader running. */
-    bool connectShard(size_t idx, std::string &error);
+    /**
+     * Dial one shard; true = connected and reader running.  A
+     * @p redial of a down shard counts its reconnect before the shard
+     * shows as up.
+     */
+    bool connectShard(size_t idx, bool redial, std::string &error);
 
     /**
      * Transition a shard to down: eject from the ring, wake its

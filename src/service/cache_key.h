@@ -3,7 +3,7 @@
  * Content-addressed compilation cache keys.
  *
  * A compilation is a pure function of (Program, Machine, SquareConfig)
- * — the re-entrancy contract established in core/context.h — so its
+ * — the re-entrancy contract established in core/executor.h — so its
  * result can be addressed by content: the program's structural
  * fingerprint, the machine spec's fingerprint, and a *canonicalized*
  * configuration fingerprint.

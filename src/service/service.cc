@@ -1,5 +1,6 @@
 #include "service/service.h"
 
+#include <algorithm>
 #include <chrono>
 #include <exception>
 #include <utility>
@@ -321,9 +322,12 @@ CompileService::admitLocked(const CompileRequest &req,
     if (admission_.maxPending == 0)
         return true;
     size_t cap = admission_.maxPending;
+    // The batch share rounds down but keeps at least one slot, so an
+    // idle service with a cap of 1 still compiles batch requests.
     if (req.batch)
-        cap = static_cast<size_t>(static_cast<double>(cap) *
-                                  AdmissionLimits::kBatchFraction);
+        cap = std::max<size_t>(
+            1, static_cast<size_t>(static_cast<double>(cap) *
+                                   AdmissionLimits::kBatchFraction));
     if (pendingCompiles_ < cap)
         return true;
     reply.status = "overloaded";

@@ -6,7 +6,7 @@
  * SQUARE's production shape is many clients compiling the *same*
  * modular programs under many policy/machine configurations.  Because
  * a compilation is a pure function of (Program, Machine, SquareConfig)
- * — the re-entrancy contract of core/context.h — its result can be
+ * — the re-entrancy contract of core/executor.h — its result can be
  * served by content address instead of recomputed:
  *
  *   CacheKey = Program::fingerprint()
@@ -114,8 +114,8 @@ struct CompileRequest
     /**
      * Priority tier: batch requests are admitted only while the
      * pending-compile queue is below AdmissionLimits::kBatchFraction of
-     * the cap, so interactive traffic keeps headroom under load.  Not
-     * part of the cache key.
+     * the cap (rounded down, at least one slot), so interactive traffic
+     * keeps headroom under load.  Not part of the cache key.
      */
     bool batch = false;
 
@@ -192,8 +192,9 @@ struct CacheLimits
  * retry_after_ms estimate derived from the observed compile-time EWMA
  * and the current queue depth, so well-behaved clients back off for
  * about as long as the backlog needs to drain.  Batch-tier requests
- * are admitted only below kBatchFraction * maxPending, reserving the
- * other half for interactive traffic.  Hits (and in-flight
+ * are admitted only below kBatchFraction * maxPending, rounded down but
+ * never below one slot, reserving the rest for interactive traffic (at
+ * maxPending 1 both tiers share the one slot).  Hits (and in-flight
  * duplicates) are never shed: they cost no compile capacity.
  */
 struct AdmissionLimits

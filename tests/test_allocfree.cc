@@ -9,8 +9,8 @@
  * slices.  Nor does per-compilation set-up grow with the program:
  * ProgramAnalysis keeps every module's tables in a few program-wide
  * arrays sized before they are filled (9 allocations for any program),
- * and the CompileContext sizes its layout, heap, AQV, anchor, route
- * and per-depth tables once from the machine and the analysis.  What
+ * and the Executor sizes its layout, heap, AQV, anchor, route and
+ * per-depth tables once from the machine and the analysis.  What
  * remains is a fixed set-up of a few dozen allocations, plus the arena
  * chunks and what recomputation adds beyond the forward pass.
  *

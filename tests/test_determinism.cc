@@ -24,15 +24,23 @@
  * on the macro-Toffoli FT machine as well, whose 10-cycle Toffoli
  * braids beside 2-cycle CNOT braids exercise stalls and detours that a
  * single braid window does not.
+ *
+ * The reclaim-policy goldens pin every Free-point path of the executor:
+ * SQUARE's cost model, LAA's keep-everything, measurement-and-reset and
+ * two forced decision scripts, each with its reclaim, skip and
+ * uncompute-gate counts, on a NISQ lattice and on a braid machine, plus
+ * one program whose explicit Uncompute block calls a child.
  */
 
 #include <gtest/gtest.h>
 
 #include <span>
 #include <string>
+#include <vector>
 
 #include "core/compiler.h"
 #include "core/policy.h"
+#include "ir/builder.h"
 #include "workloads/registry.h"
 
 namespace square {
@@ -73,6 +81,16 @@ const Golden kMacroNisqGoldens[] = {
     {"Belle", "SQUARE", 199, 653, 1100, 323, 7, 222387},
 };
 
+/** Forced script that reclaims every @p period-th Free decision. */
+SquareConfig
+forcedEvery(int period)
+{
+    std::vector<bool> script(64);
+    for (size_t i = 0; i < script.size(); ++i)
+        script[i] = i % static_cast<size_t>(period) == 0;
+    return SquareConfig::forced(std::move(script));
+}
+
 SquareConfig
 policyByName(const std::string &name)
 {
@@ -80,6 +98,14 @@ policyByName(const std::string &name)
         return SquareConfig::lazy();
     if (name == "EAGER")
         return SquareConfig::eager();
+    if (name == "LAA")
+        return SquareConfig::squareLaaOnly();
+    if (name == "M&R(100)")
+        return SquareConfig::measureReset(100);
+    if (name == "FORCED/2")
+        return forcedEvery(2);
+    if (name == "FORCED/3")
+        return forcedEvery(3);
     return SquareConfig::square();
 }
 
@@ -208,6 +234,129 @@ TEST(Determinism, GoldenFaultTolerantCompileResults)
 TEST(Determinism, GoldenMacroToffoliFtResults)
 {
     expectFtGoldens(kMacroFtGoldens, Machine::ftBraidMacro);
+}
+
+/**
+ * A program whose explicit Uncompute block meets every Free-point path.
+ * `mark` has an explicit block and calls `copy` in its compute block, so
+ * `copy` is forced to reclaim; `mix` has none and calls `mark` in its
+ * compute block, so `mix`'s uncompute consumes a kept `mark` through
+ * the explicit block and recomputes a reclaimed one.
+ */
+Program
+makeExplicitUncomputeProgram()
+{
+    ProgramBuilder pb;
+    // copy: p1 ^= p0 through its own ancilla.
+    auto copy = pb.module("copy", 2, 1);
+    copy.cnot(copy.p(0), copy.a(0));
+    copy.inStore().cnot(copy.a(0), copy.p(1));
+    // mark: a0 = p0 through copy; stores p2 ^= a0 & p1.
+    auto mark = pb.module("mark", 3, 1);
+    mark.call(copy.id(), {mark.p(0), mark.a(0)});
+    mark.inStore().toffoli(mark.a(0), mark.p(1), mark.p(2));
+    mark.inUncompute().cnot(mark.p(0), mark.a(0));
+    // mix: a0 = p0, a1 = a0 & p1 through mark; stores p2 ^= a1.
+    auto mix = pb.module("mix", 3, 2);
+    mix.cnot(mix.p(0), mix.a(0));
+    mix.call(mark.id(), {mix.a(0), mix.p(1), mix.a(1)});
+    mix.inStore().cnot(mix.a(1), mix.p(2));
+    auto main = pb.module("main", 4, 0);
+    main.inStore()
+        .call(mix.id(), {main.p(0), main.p(1), main.p(2)})
+        .call(mix.id(), {main.p(1), main.p(2), main.p(3)});
+    return pb.build("main");
+}
+
+struct PolicyGolden
+{
+    const char *workload; ///< registry name, or "explicit"
+    const char *machine;  ///< "lattice" or "ft"
+    const char *policy;
+    int64_t gates;
+    int64_t depth;
+    int64_t aqv;
+    int reclaimCount;
+    int skipCount;
+    int64_t uncomputeIrGates;
+};
+
+// Captured before the executor's Free point became one decision and one
+// release step.  Registry programs run on their paper lattice (5x5 at
+// NISQ scale, boundary scale otherwise) and on
+// ftBraid(boundaryEdge, boundaryEdge); the explicit-Uncompute program
+// runs on 5x5 machines.
+const PolicyGolden kPolicyGoldens[] = {
+    {"RD53", "lattice", "SQUARE", 135, 340, 5575, 1, 3, 0},
+    {"RD53", "lattice", "LAA", 135, 340, 5575, 0, 4, 0},
+    {"RD53", "lattice", "M&R(100)", 135, 540, 8007, 3, 0, 0},
+    {"RD53", "lattice", "FORCED/2", 264, 610, 9955, 2, 2, 17},
+    {"RD53", "lattice", "FORCED/3", 150, 367, 5953, 2, 2, 1},
+    {"RD53", "ft", "SQUARE", 135, 212, 3347, 1, 3, 0},
+    {"RD53", "ft", "LAA", 135, 212, 3347, 0, 4, 0},
+    {"RD53", "ft", "M&R(100)", 135, 312, 4554, 3, 0, 0},
+    {"RD53", "ft", "FORCED/2", 264, 528, 8626, 2, 2, 17},
+    {"RD53", "ft", "FORCED/3", 150, 264, 4280, 2, 2, 1},
+    {"Belle-s", "lattice", "SQUARE", 752, 1811, 26352, 0, 15, 0},
+    {"Belle-s", "lattice", "LAA", 752, 1811, 26352, 0, 15, 0},
+    {"Belle-s", "lattice", "M&R(100)", 752, 2053, 17401, 15, 0, 0},
+    {"Belle-s", "lattice", "FORCED/2", 3818, 9939, 97182, 14, 13, 322},
+    {"Belle-s", "lattice", "FORCED/3", 1566, 3996, 37920, 5, 10, 86},
+    {"Belle-s", "ft", "SQUARE", 752, 2476, 35376, 0, 15, 0},
+    {"Belle-s", "ft", "LAA", 752, 2476, 35376, 0, 15, 0},
+    {"Belle-s", "ft", "M&R(100)", 752, 2576, 22263, 15, 0, 0},
+    {"Belle-s", "ft", "FORCED/2", 3818, 12414, 121328, 14, 13, 322},
+    {"Belle-s", "ft", "FORCED/3", 1566, 5082, 47904, 5, 10, 86},
+    {"MODEXP", "lattice", "SQUARE", 7398, 16221, 1201746, 41, 7, 84},
+    {"MODEXP", "lattice", "LAA", 6138, 15535, 2213344, 0, 55, 0},
+    {"MODEXP", "lattice", "M&R(100)", 6138, 14669, 854857, 43, 0, 0},
+    {"MODEXP", "lattice", "FORCED/2", 12810, 30471, 3298939, 28, 27, 862},
+    {"MODEXP", "lattice", "FORCED/3", 12330, 31088, 3533885, 19, 36, 830},
+    {"MODEXP", "ft", "SQUARE", 7398, 15192, 1122940, 41, 7, 84},
+    {"MODEXP", "ft", "LAA", 6138, 12240, 1715441, 0, 55, 0},
+    {"MODEXP", "ft", "M&R(100)", 6138, 13440, 663955, 43, 0, 0},
+    {"MODEXP", "ft", "FORCED/2", 12810, 23830, 2542108, 28, 27, 862},
+    {"MODEXP", "ft", "FORCED/3", 12330, 23866, 2628220, 19, 36, 830},
+    {"explicit", "lattice", "SQUARE", 40, 138, 1272, 3, 4, 2},
+    {"explicit", "lattice", "LAA", 40, 138, 1272, 2, 5, 2},
+    {"explicit", "lattice", "M&R(100)", 40, 423, 3109, 6, 0, 2},
+    {"explicit", "lattice", "FORCED/2", 42, 120, 986, 5, 2, 4},
+    {"explicit", "lattice", "FORCED/3", 58, 158, 1316, 4, 3, 6},
+    {"explicit", "ft", "SQUARE", 40, 104, 889, 3, 4, 2},
+    {"explicit", "ft", "LAA", 40, 104, 889, 2, 5, 2},
+    {"explicit", "ft", "M&R(100)", 40, 204, 1646, 6, 0, 2},
+    {"explicit", "ft", "FORCED/2", 42, 106, 858, 5, 2, 4},
+    {"explicit", "ft", "FORCED/3", 58, 160, 1335, 4, 3, 6},
+};
+
+TEST(Determinism, GoldenReclaimPolicyResults)
+{
+    for (const PolicyGolden &g : kPolicyGoldens) {
+        SCOPED_TRACE(std::string(g.workload) + "/" + g.machine + "/" +
+                     g.policy);
+        Program prog;
+        int lattice_edge = 5;
+        int ft_edge = 5;
+        if (std::string(g.workload) == "explicit") {
+            prog = makeExplicitUncomputeProgram();
+        } else {
+            const BenchmarkInfo &info = findBenchmark(g.workload);
+            prog = info.build();
+            if (!info.nisqScale)
+                lattice_edge = info.boundaryEdge;
+            ft_edge = info.boundaryEdge;
+        }
+        Machine m = std::string(g.machine) == "ft"
+                        ? Machine::ftBraid(ft_edge, ft_edge)
+                        : Machine::nisqLattice(lattice_edge, lattice_edge);
+        CompileResult r = compile(prog, m, policyByName(g.policy), {});
+        EXPECT_EQ(r.gates, g.gates);
+        EXPECT_EQ(r.depth, g.depth);
+        EXPECT_EQ(r.aqv, g.aqv);
+        EXPECT_EQ(r.reclaimCount, g.reclaimCount);
+        EXPECT_EQ(r.skipCount, g.skipCount);
+        EXPECT_EQ(r.uncomputeIrGates, g.uncomputeIrGates);
+    }
 }
 
 TEST(Determinism, RepeatedCompilesAreIdentical)

@@ -4,8 +4,8 @@
  * CompileService::submitAsync without waiting run their unique misses
  * in parallel on the service's worker pool, and every result must be
  * bit-identical to a serial run of the same requests, regardless of
- * worker count or thread scheduling.  This is the contract that makes the re-entrant
- * CompileContext design observable: any hidden shared mutable state
+ * worker count or thread scheduling.  This is the contract that makes the
+ * re-entrant Executor design observable: any hidden shared mutable state
  * between concurrent compilations shows up here (and under the CI
  * ThreadSanitizer job, which runs exactly this binary).
  *

@@ -1335,6 +1335,39 @@ TEST(AsyncService, BatchTierShedsBeforeInteractive)
     EXPECT_EQ(s.compiles, 3);
 }
 
+TEST(AsyncService, BatchTierAdmittedWhenIdle)
+{
+    // At maxPending 1 half the cap rounds down to no slot at all; the
+    // batch share keeps one, so an idle service compiles a batch miss
+    // and sheds a second one only while the first holds the slot.
+    AdmissionLimits admission;
+    admission.maxPending = 1;
+    CompileService service(1, {}, admission);
+    CompileGate gate;
+    service.setCompileHook(gate.hook());
+
+    CompileRequest first = namedRequest("ADDER4", SquareConfig::square());
+    first.batch = true;
+    std::future<ServiceReply> done = submitDeferred(service, first);
+    // The gate holds an admitted compile, so a ready reply was a shed.
+    const bool answered = done.wait_for(std::chrono::seconds(0)) ==
+                          std::future_status::ready;
+    ASSERT_FALSE(answered) << "a batch miss on an idle service was shed";
+    gate.waitParked(1);
+
+    CompileRequest second = namedRequest("ADDER4", SquareConfig::eager());
+    second.batch = true;
+    ServiceReply shed;
+    EXPECT_TRUE(service.submitAsync(second, shed, [](ServiceReply &&) {}));
+    EXPECT_EQ(shed.status, "overloaded");
+
+    gate.release();
+    EXPECT_TRUE(done.get().error.empty());
+    ServiceStats s = service.stats();
+    EXPECT_EQ(s.shed, 1);
+    EXPECT_EQ(s.compiles, 1);
+}
+
 TEST(AsyncService, EveryEntryPointShedsOverMaxPending)
 {
     // With the one compile slot held by a parked compile, a fresh miss

@@ -27,7 +27,8 @@
  *   --max-pending=N    compile-queue bound; misses beyond it
  *                      are shed with {"status":"overloaded",
  *                      "retry_after_ms":...} (default 0 = admit all);
- *                      priority=batch requests get half of it
+ *                      priority=batch requests get half of it,
+ *                      rounded down but at least one slot
  *                      (AdmissionLimits::kBatchFraction)
  *   --trace-slow-ms=T  always emit a trace for requests slower than
  *                      T ms (0 = off; instruments every request)
