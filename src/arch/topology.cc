@@ -65,6 +65,13 @@ FullTopology::FullTopology(int n) : n_(n)
 {
     if (n <= 0)
         fatal("fully-connected topology needs a positive size, got ", n);
+    // Sites arranged on a circle: coordinates exist for heuristic use
+    // but all pairs are adjacent.
+    coords_.reserve(static_cast<size_t>(n));
+    for (PhysQubit site = 0; site < n; ++site) {
+        double theta = 2.0 * std::numbers::pi * site / n_;
+        coords_.emplace_back(std::cos(theta), std::sin(theta));
+    }
 }
 
 int
@@ -81,15 +88,6 @@ FullTopology::pathInto(PhysQubit a, PhysQubit b,
     out.push_back(a);
     if (a != b)
         out.push_back(b);
-}
-
-std::pair<double, double>
-FullTopology::coords(PhysQubit site) const
-{
-    // Sites arranged on a circle: coordinates exist for heuristic use
-    // but all pairs are adjacent.
-    double theta = 2.0 * std::numbers::pi * site / n_;
-    return {std::cos(theta), std::sin(theta)};
 }
 
 std::string

@@ -163,12 +163,19 @@ class FullTopology final : public Topology
     int distance(PhysQubit a, PhysQubit b) const override;
     void pathInto(PhysQubit a, PhysQubit b,
                   std::vector<PhysQubit> &out) const override;
-    std::pair<double, double> coords(PhysQubit site) const override;
+    std::pair<double, double>
+    coords(PhysQubit site) const override
+    {
+        return coords_[static_cast<size_t>(site)];
+    }
     int diameter() const override { return n_ > 1 ? 1 : 0; }
     std::string name() const override;
 
   private:
     int n_;
+    /** Site positions on a circle, computed once (sweeps and sorts
+        read them per visit and per comparison). */
+    std::vector<std::pair<double, double>> coords_;
 };
 
 } // namespace square

@@ -36,9 +36,7 @@ class Scorer
           cx_(cx),
           cy_(cy),
           t_ready_(t_ready),
-          // Bound the sweep: on large machines with few heap sites it
-          // would otherwise flood the whole machine on every allocation.
-          visit_budget_(std::max(256, 32 * cfg.candidateCap))
+          visit_budget_(Allocator::visitBudget(cfg))
     {
     }
 
@@ -459,6 +457,12 @@ Allocator::bfsSweep(const std::vector<PhysQubit> &anchor_sites,
     };
     enqueue(start);
 
+    // One site is dequeued per visit, so only the first budget queue
+    // entries are ever dequeued: once the queue holds that many, no
+    // further expansion can change a visit, and a ring boundary
+    // recorded at or past the budget is never reached.  On an
+    // all-to-all machine the first expansion already fills the queue.
+    const size_t budget = static_cast<size_t>(visitBudget(cfg_));
     // A site dequeued after ring_end is one hop further from the start.
     int64_t ring = 0;
     size_t ring_end = 1;
@@ -472,7 +476,8 @@ Allocator::bfsSweep(const std::vector<PhysQubit> &anchor_sites,
         const PhysQubit s = bfs_queue_[q_head++];
         auto [x, y] = topo.coords(s);
         sc.visit(s, x, y, [&] { return anchor_dist_sum(s); });
-        topo.forEachNeighbor(s, enqueue);
+        if (bfs_queue_.size() < budget)
+            topo.forEachNeighbor(s, enqueue);
     }
     return claim(sc.bestSite(), sc.bestInHeap());
 }

@@ -45,6 +45,7 @@
 #ifndef SQUARE_CORE_ALLOCATOR_H
 #define SQUARE_CORE_ALLOCATOR_H
 
+#include <algorithm>
 #include <span>
 #include <utility>
 #include <vector>
@@ -127,6 +128,17 @@ class Allocator
      * grows it.
      */
     void reserveAnchors(size_t n);
+
+    /**
+     * Sites one candidate sweep may visit: max(256, 32 x
+     * candidateCap).  On large machines with few heap sites the sweep
+     * would otherwise flood the whole machine on every allocation.
+     */
+    static int
+    visitBudget(const SquareConfig &cfg)
+    {
+        return std::max(256, 32 * cfg.candidateCap);
+    }
 
   private:
     /** Next never-used site in center-out order (fatal when full). */

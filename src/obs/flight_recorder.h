@@ -63,7 +63,7 @@ enum class Comp : uint16_t {
     Router,    ///< router request forwarding
     Fault,     ///< fault injection (every injected fault records)
     Watchdog,  ///< stall detection
-    Store,     ///< persistent artifact store (replay + appender)
+    Store,     ///< persistent artifact store (replay + append)
     kCount
 };
 
@@ -104,8 +104,8 @@ enum class Ev : uint16_t {
     // artifact store
     StoreReplay,  ///< log replayed at startup (a0 = records, a1 = bytes)
     StoreCorrupt, ///< torn/corrupt tail truncated (a0 = good bytes)
-    StoreAppend,  ///< record appended (a0 = bytes, a1 = queue depth)
-    StoreDrop,    ///< append dropped on a full queue (a0 = queue cap)
+    StoreAppend,  ///< record appended (a0 = bytes)
+    StoreDrop,    ///< append write failed (a0 = bytes written)
     kCount
 };
 

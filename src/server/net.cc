@@ -6,6 +6,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include "common/flags.h"
@@ -122,6 +123,17 @@ setNoDelay(int fd)
 {
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+}
+
+void
+setSendTimeout(int fd, double ms)
+{
+    const int64_t us =
+        ms >= 1 ? static_cast<int64_t>(ms * 1000) : int64_t{1000};
+    timeval tv = {};
+    tv.tv_sec = static_cast<time_t>(us / 1000000);
+    tv.tv_usec = static_cast<suseconds_t>(us % 1000000);
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
 }
 
 bool

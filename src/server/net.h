@@ -65,6 +65,13 @@ sendLine(int fd, std::string line)
  */
 void setNoDelay(int fd);
 
+/**
+ * Bound every blocking send() on @p fd to @p ms milliseconds (at
+ * least 1; SO_SNDTIMEO): a send to a peer that stops reading then
+ * fails instead of blocking forever once the socket buffers fill.
+ */
+void setSendTimeout(int fd, double ms);
+
 /** Best-effort full-duplex shutdown (wakes blocked reads). */
 void shutdownFd(int fd);
 

@@ -96,7 +96,8 @@ CompileServer::start(std::string &error)
     // connection: replay this server's own log into the result cache
     // (entries beyond CacheLimits evict normally — log order is
     // recency order), truncate any torn tail, and point the service's
-    // publish sink at the store's append queue.
+    // publish sink at the store, which writes each record on the
+    // publishing worker before its reply goes out.
     if (!cfg_.storePath.empty()) {
         store_ = std::make_unique<ArtifactStore>();
         ArtifactStore::Options sopts;
@@ -111,7 +112,7 @@ CompileServer::start(std::string &error)
             [store](const CacheKey &key,
                     const std::shared_ptr<const CompileResult> &r,
                     const std::shared_ptr<const std::string> &t) {
-                store->append(key, r, t);
+                store->append(key, *r, *t);
             });
     }
     // Shard pre-warming: bulk-load a donor shard's log read-only.
@@ -150,9 +151,9 @@ CompileServer::stop()
 {
     unregisterPostmortem(registries());
     transport_.stop();
-    // Drain the append queue before the fd closes: a clean shutdown
-    // (SIGTERM, {"cmd": "shutdown"}) persists every publish it
-    // acknowledged.
+    // Every acknowledged publish is already in the log (the worker
+    // wrote it before the reply); close() fsyncs it, and a worker
+    // that publishes after this point appends nothing.
     if (store_ != nullptr)
         store_->close();
 }

@@ -79,9 +79,10 @@ struct ServerConfig
      * Persistent artifact store (service/artifact_store.h).  When
      * set, the log at this path is mmap'd and replayed into the result
      * cache before the transport accepts its first connection, and
-     * every successful publish appends asynchronously — a restart
-     * starts warm instead of re-paying the working set's compiles.
-     * "" = no persistence (the pre-PR-10 behaviour).
+     * every successful publish is written to it by the publishing
+     * worker before the reply goes out — a restart starts warm
+     * instead of re-paying the working set's compiles.
+     * "" = no persistence.
      */
     std::string storePath;
     /**
@@ -91,7 +92,7 @@ struct ServerConfig
      * up — content addressing makes over-replay harmless.
      */
     std::string prewarmPath;
-    /** fsync the store after every appended record. */
+    /** fsync every appended record before its reply goes out. */
     bool storeFsync = false;
     /**
      * Emit a trace for any request slower than this many ms (0 = off).

@@ -192,7 +192,13 @@ UpstreamPool::connectShard(size_t idx, bool redial, std::string &error)
     const int fd = net::connectTcp(s.host, s.port, error);
     if (fd < 0)
         return false;
-    net::setNoDelay(fd);
+    // Sends run under sendMu, forward()'s on the router's one event
+    // loop: a send stuck on a shard that stopped reading would hang
+    // every client and the health loop's pings with it.  Bound it by
+    // the health loop's own ejection window, so such a send fails
+    // like any send error and the shard is marked down.
+    net::setSendTimeout(fd, pingIntervalMs() *
+                                std::max(1, cfg_.failureThreshold));
     {
         std::lock_guard<std::mutex> lock(s.sendMu);
         s.fd = fd;
@@ -429,8 +435,8 @@ UpstreamPool::sendPing(size_t idx)
 void
 UpstreamPool::healthLoop()
 {
-    const auto interval = std::chrono::duration<double, std::milli>(
-        cfg_.pingIntervalMs > 0 ? cfg_.pingIntervalMs : 200.0);
+    const auto interval =
+        std::chrono::duration<double, std::milli>(pingIntervalMs());
     for (;;) {
         {
             std::unique_lock<std::mutex> lock(healthMu_);

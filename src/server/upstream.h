@@ -27,6 +27,12 @@
  *  - forward() guarantees exactly one reply post per request: the
  *    shard's answer, or the shard_down flush, or — when the pool is
  *    stopped with requests in flight — the teardown flush;
+ *  - every send on a data connection is bounded by the health loop's
+ *    own ejection window (pingIntervalMs x failureThreshold): a shard
+ *    that accepts but stops reading (SIGSTOPped, a wedged loop) fails
+ *    the send that would block on its full socket buffer, and is
+ *    marked down like on any send error, instead of wedging the
+ *    router's event loop and the health loop behind it;
  *  - the health thread keeps dialing down shards; a shard that comes
  *    back (or a fresh process on the same address) is re-added to the
  *    ring, which by consistent-hashing moves only its own arc back.
@@ -183,6 +189,13 @@ class UpstreamPool
         std::atomic<uint64_t> pingInFlight{0};
         std::thread reader;
     };
+
+    /** The health loop's cadence, ms (200 when unset). */
+    double
+    pingIntervalMs() const
+    {
+        return cfg_.pingIntervalMs > 0 ? cfg_.pingIntervalMs : 200.0;
+    }
 
     /** Send bytes on the shard's data connection (false = failed). */
     bool sendOn(Shard &s, const char *data, size_t len);

@@ -337,6 +337,14 @@ replayStoreFile(const std::string &path,
     return true;
 }
 
+ArtifactStore::ArtifactStore()
+    : appendedC_(metrics_.counter("appended")),
+      appendBytesC_(metrics_.counter("append_bytes")),
+      droppedC_(metrics_.counter("dropped")),
+      logBytesG_(metrics_.gauge("log_bytes"))
+{
+}
+
 ArtifactStore::~ArtifactStore() { close(); }
 
 bool
@@ -351,19 +359,18 @@ ArtifactStore::open(const Options &opts,
                          error))
         return false;
 
-    fd_ = ::open(opts_.path.c_str(), O_WRONLY | O_CREAT | O_APPEND,
-                 0644);
-    if (fd_ < 0) {
+    const int fd = ::open(opts_.path.c_str(),
+                          O_WRONLY | O_CREAT | O_APPEND, 0644);
+    if (fd < 0) {
         error = opts_.path + ": " + std::strerror(errno);
         return false;
     }
     if (corrupt != 0) {
         // Truncate the torn tail in place so the next append extends
         // a clean log (O_APPEND writes land at the new end).
-        if (::ftruncate(fd_, static_cast<off_t>(good_bytes)) != 0) {
+        if (::ftruncate(fd, static_cast<off_t>(good_bytes)) != 0) {
             error = opts_.path + ": ftruncate: " + std::strerror(errno);
-            ::close(fd_);
-            fd_ = -1;
+            ::close(fd);
             return false;
         }
         obs::recordEvent(obs::Comp::Store, obs::Ev::StoreCorrupt,
@@ -373,131 +380,62 @@ ArtifactStore::open(const Options &opts,
     metrics_.counter("replayed").add(static_cast<int64_t>(replayed));
     metrics_.counter("corrupt_records")
         .add(static_cast<int64_t>(corrupt));
-    metrics_.gauge("log_bytes").set(static_cast<int64_t>(good_bytes));
+    logBytesG_.set(static_cast<int64_t>(good_bytes));
     obs::recordEvent(obs::Comp::Store, obs::Ev::StoreReplay, replayed,
                      good_bytes);
 
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        running_ = true;
-        stop_ = false;
-    }
-    appender_ = std::thread([this] { appenderMain(); });
+    std::lock_guard<std::mutex> lock(mu_);
+    fd_ = fd;
     return true;
 }
 
 void
-ArtifactStore::append(const CacheKey &key,
-                      std::shared_ptr<const CompileResult> result,
-                      std::shared_ptr<const std::string> tail)
+ArtifactStore::append(const CacheKey &key, const CompileResult &result,
+                      const std::string &tail)
 {
-    if (result == nullptr || tail == nullptr)
-        return;
+    const std::string frame =
+        frameStoreRecord(encodeStorePayload(key, result, tail));
+    size_t done = 0;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        if (!running_)
-            return;
-        if (queue_.size() >= kMaxQueuedRecords) {
-            // The store is a cache of a cache: dropping under
-            // backpressure only means this key restarts cold.
-            metrics_.counter("dropped").add();
-            obs::recordEvent(obs::Comp::Store, obs::Ev::StoreDrop,
-                             kMaxQueuedRecords);
-            return;
+        if (fd_ < 0)
+            return; // closed: a late publish during teardown
+        // One write() per record: either the whole frame lands or the
+        // replay checksum rejects the tail — never a half-applied
+        // record presented as whole.
+        while (done < frame.size()) {
+            const ssize_t wrote = ::write(fd_, frame.data() + done,
+                                          frame.size() - done);
+            if (wrote <= 0)
+                break;
+            done += static_cast<size_t>(wrote);
         }
-        queue_.push_back(
-            Pending{key, std::move(result), std::move(tail)});
-        metrics_.gauge("queue_depth")
-            .set(static_cast<int64_t>(queue_.size()));
+        if (done == frame.size() && opts_.fsyncEachRecord)
+            ::fsync(fd_);
     }
-    cv_.notify_one();
-}
-
-void
-ArtifactStore::flush()
-{
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!running_)
+    if (done != frame.size()) {
+        // The store is a cache of a cache: a lost record only means
+        // this key restarts cold.
+        droppedC_.add();
+        obs::recordEvent(obs::Comp::Store, obs::Ev::StoreDrop, done);
         return;
-    idleCv_.wait(lock,
-                 [this] { return queue_.empty() && inFlight_ == 0; });
+    }
+    appendedC_.add();
+    appendBytesC_.add(static_cast<int64_t>(frame.size()));
+    logBytesG_.add(static_cast<int64_t>(frame.size()));
+    obs::recordEvent(obs::Comp::Store, obs::Ev::StoreAppend,
+                     frame.size());
 }
 
 void
 ArtifactStore::close()
 {
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (!running_ && !appender_.joinable())
-            return;
-        stop_ = true;
-    }
-    cv_.notify_all();
-    if (appender_.joinable())
-        appender_.join();
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        running_ = false;
-    }
-    if (fd_ >= 0) {
-        ::fsync(fd_);
-        ::close(fd_);
-        fd_ = -1;
-    }
-}
-
-void
-ArtifactStore::appenderMain()
-{
-    obs::Counter &appended = metrics_.counter("appended");
-    obs::Counter &bytes = metrics_.counter("append_bytes");
-    obs::Gauge &log_bytes = metrics_.gauge("log_bytes");
-    for (;;) {
-        Pending job;
-        size_t depth = 0;
-        {
-            std::unique_lock<std::mutex> lock(mu_);
-            cv_.wait(lock,
-                     [this] { return stop_ || !queue_.empty(); });
-            if (queue_.empty())
-                return; // stop_ with a drained queue
-            job = std::move(queue_.front());
-            queue_.pop_front();
-            depth = queue_.size();
-            ++inFlight_;
-        }
-        const std::string frame = frameStoreRecord(
-            encodeStorePayload(job.key, *job.result, *job.tail));
-        // One write() per record: either the whole frame lands or the
-        // replay checksum rejects the tail — never a half-applied
-        // record presented as whole.
-        ssize_t wrote = 0;
-        size_t done = 0;
-        while (done < frame.size()) {
-            wrote = ::write(fd_, frame.data() + done,
-                            frame.size() - done);
-            if (wrote <= 0)
-                break;
-            done += static_cast<size_t>(wrote);
-        }
-        if (done == frame.size()) {
-            if (opts_.fsyncEachRecord)
-                ::fsync(fd_);
-            appended.add();
-            bytes.add(static_cast<int64_t>(frame.size()));
-            log_bytes.add(static_cast<int64_t>(frame.size()));
-            obs::recordEvent(obs::Comp::Store, obs::Ev::StoreAppend,
-                             frame.size(), depth);
-        } else {
-            metrics_.counter("dropped").add();
-        }
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            --inFlight_;
-            if (queue_.empty() && inFlight_ == 0)
-                idleCv_.notify_all();
-        }
-    }
+    std::lock_guard<std::mutex> lock(mu_);
+    if (fd_ < 0)
+        return;
+    ::fsync(fd_);
+    ::close(fd_);
+    fd_ = -1;
 }
 
 } // namespace square

@@ -39,26 +39,25 @@
  * truncated, and never replayed.  An empty (or absent) file is a
  * valid empty store.
  *
- * Appends stay off the serving path: publish() hands the shared
- * result + tail refs to a bounded queue consumed by one appender
- * thread, which serializes and writes (and optionally fsyncs — the
- * fsync policy flag trades crash-window bytes for append latency).  A
- * full queue drops the record with a counter instead of blocking —
- * the store is a cache, so a dropped append only means that key
- * starts cold after the next restart.
+ * Appends are synchronous and ordered before the reply: append()
+ * encodes the record on the calling thread (the compile worker that
+ * publishes it) and writes the whole frame under the store's one
+ * mutex, then fsyncs when fsyncEachRecord is set, before it returns.
+ * The service fires its publish sink before the entry turns ready, so
+ * a record is in the log before any reply for its key leaves the
+ * shard, and with --store-fsync it is on stable storage too.  A write
+ * that fails is counted (square_store_dropped_total) and not retried:
+ * the store is a cache, so a lost record only means that key starts
+ * cold after the next restart.
  */
 
 #ifndef SQUARE_SERVICE_ARTIFACT_STORE_H
 #define SQUARE_SERVICE_ARTIFACT_STORE_H
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 
 #include "core/compiler.h"
 #include "obs/metrics.h"
@@ -107,15 +106,13 @@ class ArtifactStore
     struct Options
     {
         std::string path;
-        /** fsync after every appended record (durability over
-            latency); off = rely on the page cache like any log. */
+        /** fsync every appended record before append() returns
+            (durability over latency); off = rely on the page cache
+            like any log. */
         bool fsyncEachRecord = false;
     };
 
-    /** Bounded appender queue; full = drop + count. */
-    static constexpr size_t kMaxQueuedRecords = 4096;
-
-    ArtifactStore() = default;
+    ArtifactStore();
     ~ArtifactStore();
 
     ArtifactStore(const ArtifactStore &) = delete;
@@ -127,34 +124,30 @@ class ArtifactStore
      * order, so a replayer inserting into an LRU naturally keeps the
      * most recently published tail of an over-limit log.  A torn tail
      * is truncated in place so the next append extends a clean log.
-     * Starts the appender thread on success.  False with a message on
-     * I/O failure (bad path, permissions).
+     * False with a message on I/O failure (bad path, permissions).
      */
     bool open(const Options &opts,
               const std::function<void(StoreRecord &&)> &fn,
               std::string &error);
 
     /**
-     * Enqueue one published entry for appending.  Cheap (refcount
-     * bumps + queue push); serialization and the write happen on the
-     * appender thread.  Safe from any thread; a no-op after close().
+     * Write one published entry to the log.  The frame is encoded on
+     * the calling thread, then written whole with one write() under
+     * the store's mutex (and fsynced when fsyncEachRecord is set)
+     * before this returns.  Safe from any thread; a no-op after
+     * close().
      */
-    void append(const CacheKey &key,
-                std::shared_ptr<const CompileResult> result,
-                std::shared_ptr<const std::string> tail);
+    void append(const CacheKey &key, const CompileResult &result,
+                const std::string &tail);
 
-    /** Block until every queued append has reached the fd. */
-    void flush();
-
-    /** Flush, stop the appender thread, and close the fd. */
+    /** fsync and close the log; later appends are no-ops. */
     void close();
 
     /**
      * Store telemetry: square_store_replayed_total,
      * square_store_corrupt_records_total, square_store_appended_total,
-     * square_store_append_bytes_total, square_store_dropped_total,
-     * square_store_log_bytes (gauge), square_store_queue_depth
-     * (gauge, refreshed per append).
+     * square_store_append_bytes_total, square_store_dropped_total
+     * (failed writes), square_store_log_bytes (gauge).
      */
     const obs::Registry &metricsRegistry() const { return metrics_; }
 
@@ -172,28 +165,17 @@ class ArtifactStore
     const std::string &path() const { return opts_.path; }
 
   private:
-    struct Pending
-    {
-        CacheKey key;
-        std::shared_ptr<const CompileResult> result;
-        std::shared_ptr<const std::string> tail;
-    };
-
-    void appenderMain();
-
     Options opts_;
-    int fd_ = -1;
 
     obs::Registry metrics_;
+    obs::Counter &appendedC_;
+    obs::Counter &appendBytesC_;
+    obs::Counter &droppedC_;
+    obs::Gauge &logBytesG_;
 
-    mutable std::mutex mu_;
-    std::condition_variable cv_;      ///< work available
-    std::condition_variable idleCv_;  ///< queue drained (flush)
-    std::deque<Pending> queue_;
-    size_t inFlight_ = 0; ///< records popped but not yet written
-    bool running_ = false;
-    bool stop_ = false;
-    std::thread appender_;
+    /** Serializes writes, the fsync and close() on the log fd. */
+    std::mutex mu_;
+    int fd_ = -1; ///< guarded by mu_; -1 before open() and once closed
 };
 
 } // namespace square

@@ -246,6 +246,21 @@ CompileService::publish(const std::shared_ptr<Entry> &entry,
         // can find the failed entry: it claims a fresh miss instead.
         uncache(key, entry);
     }
+    if (tail != nullptr) {
+        // The sink runs before the entry turns ready, so no reply for
+        // this key — a parked waiter's or a concurrent hit's — leaves
+        // before it returns: the store's record is in the log first,
+        // and a kill right after any acknowledged reply can never lose
+        // it.  It writes one record on this worker, outside every
+        // service lock.
+        PublishSink sink;
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            sink = publishSink_;
+        }
+        if (sink)
+            sink(key, result, tail);
+    }
     std::vector<Waiter> waiters;
     {
         std::lock_guard<std::mutex> lock(entry->m);
@@ -256,28 +271,18 @@ CompileService::publish(const std::shared_ptr<Entry> &entry,
         waiters.swap(entry->waiters);
     }
     // Settle everything a woken requester can observe before the first
-    // wakeup: LRU accounting (and any eviction it triggers), the
-    // pending-compile slot, and the publish sink.  The sink runs ahead
-    // of every waiter so that once a client holds the reply, the record
-    // already sits in the store's append queue — a shutdown right after
-    // the last acknowledged reply (close() drains the queue) can never
-    // lose it.  It only bumps refcounts and pushes onto a bounded
-    // queue, and it runs outside every lock.
-    PublishSink sink;
+    // wakeup: LRU accounting (and any eviction it triggers) and the
+    // pending-compile slot.
     {
         std::lock_guard<std::mutex> lock(mu_);
-        if (entry->result != nullptr) {
+        if (entry->result != nullptr)
             noteReadyLocked(key, entry);
-            sink = publishSink_;
-        }
         if (pendingCompiles_ > 0)
             --pendingCompiles_;
         if (compile_millis >= 0)
             ewmaCompileMs_ =
                 0.8 * ewmaCompileMs_ + 0.2 * compile_millis;
     }
-    if (sink)
-        sink(key, entry->result, entry->tail);
     obs::recordEvent(
         obs::Comp::Service, obs::Ev::Publish, waiters.size(),
         compile_millis >= 0 ? static_cast<uint64_t>(compile_millis)

@@ -313,16 +313,17 @@ class CompileService
 
     /**
      * Persistence sink, fired once per successful publish — from
-     * inside publish(), BEFORE any waiter is notified and outside
-     * every service lock — with the shared result and preserialized
-     * reply tail.  The ordering is the durability contract: once a
-     * client holds a reply, the record is already in the store's
-     * append queue, so a clean shutdown (whose close() drains that
-     * queue) persists every acknowledged publish.  The server tier
-     * points this at the ArtifactStore's append queue; this layer
+     * inside publish(), on the publishing worker, BEFORE the entry
+     * turns ready and outside every service lock — with the shared
+     * result and preserialized reply tail.  The ordering is the
+     * durability contract: no reply for the key (a parked waiter's or
+     * a concurrent hit's) leaves before the sink returns, so the
+     * server tier's sink (ArtifactStore::append, which writes the
+     * record before returning) has the record in the log — a SIGKILL
+     * right after any acknowledged reply cannot lose it.  This layer
      * stays free of storage concerns.  Replayed entries
      * (insertReplayed) never fire it, so replay cannot re-append.
-     * Set before traffic; the sink must be thread-safe and fast.
+     * Set before traffic; the sink must be thread-safe.
      */
     using PublishSink = std::function<void(
         const CacheKey &, const std::shared_ptr<const CompileResult> &,
@@ -447,9 +448,9 @@ class CompileService
      * invoking its AsyncDone callback on this (the publishing) thread.
      * Everything a woken requester can observe is settled first: a
      * failed or cancelled key is uncached (later requests retry it), a
-     * success joins the LRU order (evicting over-limit entries) and
-     * reaches the publish sink, and the entry's pending-compile slot
-     * is retired.  Success carries the preserialized reply tail for
+     * success reaches the publish sink before the entry turns ready
+     * and then joins the LRU order (evicting over-limit entries), and
+     * the entry's pending-compile slot is retired.  Success carries the preserialized reply tail for
      * @p key — encoded once here, never on the hit path.
      * @p compile_millis, when non-negative, feeds the retry_after EWMA.
      */

@@ -24,8 +24,12 @@
 #include <thread>
 #include <vector>
 
+#include <atomic>
 #include <fstream>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "common/hash.h"
@@ -261,6 +265,89 @@ TEST(Fabric, BadShardAddressFailsStart)
         EXPECT_EQ(error, message);
         router.stop();
     }
+}
+
+/** A reply sink that only counts its posts. */
+struct CountingSink final : AsyncReplySink
+{
+    std::atomic<int> posts{0};
+
+    void expectReply() override {}
+    void post(std::string &&) override { posts.fetch_add(1); }
+};
+
+TEST(Fabric, ShardThatStopsReadingIsEjected)
+{
+    // A "shard" that accepts one connection and never reads from it
+    // (a SIGSTOPped process, a wedged loop).  Forwarding into it fills
+    // the socket buffers; the send that would then block must fail
+    // within the health loop's ejection window (50 ms x 2), mark the
+    // shard down and answer every request exactly once — not hang the
+    // forwarding thread, the health loop and every client behind them.
+    const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(listener, 0);
+    const int rcvbuf = 4096;
+    ::setsockopt(listener, SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                 sizeof rcvbuf);
+    sockaddr_in addr = {};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr *>(&addr),
+                     sizeof addr),
+              0);
+    ASSERT_EQ(::listen(listener, 1), 0);
+    socklen_t len = sizeof addr;
+    ASSERT_EQ(::getsockname(listener,
+                            reinterpret_cast<sockaddr *>(&addr), &len),
+              0);
+
+    UpstreamConfig cfg;
+    cfg.pingIntervalMs = 50;
+    cfg.failureThreshold = 2;
+    UpstreamPool pool(
+        {"127.0.0.1:" + std::to_string(ntohs(addr.sin_port))}, cfg);
+    std::string error;
+    ASSERT_TRUE(pool.start(error)) << error;
+    ASSERT_TRUE(pool.isUp(0));
+    // Take the pool's connection, then stop listening: redials are
+    // refused, so an ejected shard stays down.
+    const int black_hole = ::accept(listener, nullptr, nullptr);
+    ::close(listener);
+    ASSERT_GE(black_hole, 0);
+
+    constexpr size_t kMaxForwards = 200000; // far past any socket buffer
+    std::vector<std::shared_ptr<CountingSink>> sinks;
+    sinks.reserve(kMaxForwards);
+    std::atomic<bool> finished{false};
+    std::thread forwarder([&] {
+        while (sinks.size() < kMaxForwards && pool.isUp(0)) {
+            sinks.push_back(std::make_shared<CountingSink>());
+            const uint64_t seq = pool.allocSeq();
+            pool.forward(0, seq, sinks.back(),
+                         "\"id\": " + std::to_string(seq) + ", ",
+                         std::string(199, 'x'));
+        }
+        finished.store(true);
+    });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!finished.load() && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const bool in_time = finished.load();
+    const bool up = pool.isUp(0);
+    // Closing the black hole resets the connection, so a send still
+    // blocked on it returns and the forwarder can be joined.
+    ::close(black_hole);
+    forwarder.join();
+    pool.stop();
+
+    EXPECT_TRUE(in_time) << "forward() blocked on a shard that stopped "
+                            "reading, after "
+                         << sinks.size() << " requests";
+    EXPECT_FALSE(up);
+    ASSERT_FALSE(sinks.empty());
+    for (size_t i = 0; i < sinks.size(); ++i)
+        ASSERT_EQ(sinks[i]->posts.load(), 1) << "request " << i;
 }
 
 /** One shard daemon's in-process stand-in. */

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -16,7 +17,9 @@
 #include "common/logging.h"
 
 #include "core/allocator.h"
+#include "core/compiler.h"
 #include "core/heap.h"
+#include "ir/builder.h"
 #include "opaque_lattice.h"
 
 namespace square {
@@ -617,6 +620,75 @@ TEST(AllocatorParity, EmptyAnchorList)
         rig.reclaim(anc[1]);
         rig.reclaim(anc[2]);
     }
+}
+
+// -------------------------------------------------------------------
+// All-to-all machines
+// -------------------------------------------------------------------
+
+/** An all-to-all topology that counts its forEachNeighbor calls. */
+class CountingFull final : public Topology
+{
+  public:
+    explicit CountingFull(int n) : inner_(n) {}
+
+    int numSites() const override { return inner_.numSites(); }
+    void
+    forEachNeighbor(PhysQubit site, NeighborFn fn) const override
+    {
+        ++neighborCalls;
+        inner_.forEachNeighbor(site, fn);
+    }
+    int
+    distance(PhysQubit a, PhysQubit b) const override
+    {
+        return inner_.distance(a, b);
+    }
+    void
+    pathInto(PhysQubit a, PhysQubit b,
+             std::vector<PhysQubit> &out) const override
+    {
+        inner_.pathInto(a, b, out);
+    }
+    std::pair<double, double>
+    coords(PhysQubit site) const override
+    {
+        return inner_.coords(site);
+    }
+    std::string name() const override { return "counting-" + inner_.name(); }
+
+    mutable int64_t neighborCalls = 0;
+
+  private:
+    FullTopology inner_;
+};
+
+TEST(AllToAll, EachSweepExpandsOneSite)
+{
+    // The first expansion of a sweep on an all-to-all machine queues
+    // every site, far more than the visit budget, so one expansion per
+    // sweep is all the sweep can use.  Expanding every visited site as
+    // well made one compile cost sites x budget neighbour steps per
+    // allocation: seconds per compile on full:4096.
+    ASSERT_LT(Allocator::visitBudget(SquareConfig::squareLaaOnly()), 2048);
+    constexpr int kCalls = 64;
+    ProgramBuilder pb;
+    auto leaf = pb.module("leaf", 1, 1);
+    leaf.cnot(leaf.p(0), leaf.a(0));
+    auto main = pb.module("main", 1, 0);
+    for (int i = 0; i < kCalls; ++i)
+        main.call(leaf.id(), {main.p(0)});
+    Program prog = pb.build("main");
+
+    Machine m = Machine::fullyConnected(2048);
+    auto counting = std::make_unique<CountingFull>(2048);
+    const CountingFull &topo = *counting;
+    m.topology = std::move(counting);
+    // LAA without CER recomputes nothing: one sweep per call.
+    CompileResult r =
+        compile(prog, m, SquareConfig::squareLaaOnly(), {});
+    EXPECT_EQ(r.qubitsUsed, 1 + kCalls);
+    EXPECT_LE(topo.neighborCalls, kCalls);
 }
 
 } // namespace

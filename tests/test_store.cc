@@ -6,13 +6,16 @@
  * replay must be crash-safe (torn tails and bit-flipped checksums are
  * detected, skipped, and truncated — never replayed), replayed
  * entries must join the service LRU as ordinary resident entries
- * (warm hits, recency order, eviction under CacheLimits), and a
+ * (warm hits, recency order, eviction under CacheLimits), a record
+ * must be in the log once its append — or its reply — returns, and a
  * CompileServer restarted over its own log — or pre-warmed from a
  * donor's — must serve its working set with zero compiles.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -418,9 +421,9 @@ TEST(ArtifactStore, AppendedRecordsReplayBitIdenticalToFreshCompile)
             ServiceReply r =
                 service.submit(namedRequest("ADDER4", cfg));
             ASSERT_TRUE(r.error.empty()) << r.error;
-            store.append(r.key, r.result, r.replyTail);
+            store.append(r.key, *r.result, *r.replyTail);
         }
-        store.close(); // drains the appender queue before closing
+        store.close();
     }
 
     uint64_t good_bytes = 0;
@@ -452,11 +455,10 @@ TEST(ArtifactStore, AppendedRecordsReplayBitIdenticalToFreshCompile)
     }
 }
 
-TEST(ArtifactStore, CloseWithoutFlushDrainsTheQueue)
+TEST(ArtifactStore, CloseKeepsEveryAppendAndIgnoresLaterOnes)
 {
     // SIGTERM-path contract: a clean shutdown persists every append
-    // acknowledged before close(), even with nothing explicitly
-    // flushed.
+    // made before close().
     ScratchFile scratch("drain.store");
     CompileService service(1);
     ServiceReply r =
@@ -471,17 +473,50 @@ TEST(ArtifactStore, CloseWithoutFlushDrainsTheQueue)
         opts, [](StoreRecord &&) {}, error))
         << error;
     for (int i = 0; i < 64; ++i)
-        store.append(r.key, r.result, r.replyTail);
+        store.append(r.key, *r.result, *r.replyTail);
     store.close();
     // Appends after close are silent no-ops (late publishes during
     // teardown), not crashes.
-    store.append(r.key, r.result, r.replyTail);
+    store.append(r.key, *r.result, *r.replyTail);
 
     uint64_t good_bytes = 0;
     uint64_t corrupt = 0;
     EXPECT_EQ(replayAll(scratch.path, good_bytes, corrupt).size(),
               64u);
     EXPECT_EQ(corrupt, 0u);
+}
+
+TEST(ArtifactStore, AppendIsInTheLogWhenItReturns)
+{
+    // append() writes on the calling thread: the record replays from
+    // the file as soon as the call returns, with the store still open.
+    ScratchFile scratch("sync.store");
+    CompileService service(1);
+    StoreRecord rec =
+        publishedRecord(service, "ADDER4", SquareConfig::square());
+
+    ArtifactStore store;
+    ArtifactStore::Options opts;
+    opts.path = scratch.path;
+    std::string error;
+    ASSERT_TRUE(store.open(
+        opts, [](StoreRecord &&) {}, error))
+        << error;
+    store.append(rec.key, rec.result, rec.tail);
+
+    uint64_t good_bytes = 0;
+    uint64_t corrupt = 0;
+    std::vector<StoreRecord> records =
+        replayAll(scratch.path, good_bytes, corrupt);
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(corrupt, 0u);
+    EXPECT_EQ(good_bytes, scratch.size());
+    EXPECT_TRUE(records[0].key == rec.key);
+    EXPECT_EQ(records[0].tail, rec.tail);
+    EXPECT_EQ(encodeStorePayload(records[0].key, records[0].result,
+                                 records[0].tail),
+              encodeStorePayload(rec.key, rec.result, rec.tail));
+    store.close();
 }
 
 // -------------------------------------------------------------------
@@ -514,6 +549,44 @@ TEST(Service, PublishSinkFiresOncePerPublishedKey)
     ASSERT_EQ(published.size(), 1u);
     EXPECT_TRUE(published[0].first == miss.key);
     EXPECT_EQ(published[0].second, *miss.replyTail);
+}
+
+TEST(Service, NoReplyLeavesBeforeThePublishSinkReturns)
+{
+    // While the sink writes the record, a second request for the same
+    // key must wait with the compile's own waiter, not be served from
+    // the entry as a hit: every reply for a key follows its record.
+    CompileService service(2);
+    std::atomic<bool> in_sink{false};
+    std::atomic<bool> release{false};
+    service.setPublishSink(
+        [&](const CacheKey &, const std::shared_ptr<const CompileResult> &,
+            const std::shared_ptr<const std::string> &) {
+            in_sink.store(true);
+            while (!release.load())
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        });
+    const CompileRequest req =
+        namedRequest("ADDER4", SquareConfig::square());
+    std::atomic<int> replies{0};
+    std::thread miss([&] {
+        EXPECT_TRUE(service.submit(req).error.empty());
+        replies.fetch_add(1);
+    });
+    while (!in_sink.load())
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::thread hit([&] {
+        ServiceReply r = service.submit(req);
+        EXPECT_TRUE(r.error.empty());
+        EXPECT_TRUE(r.hit);
+        replies.fetch_add(1);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_EQ(replies.load(), 0);
+    release.store(true);
+    miss.join();
+    hit.join();
+    EXPECT_EQ(replies.load(), 2);
 }
 
 // -------------------------------------------------------------------
@@ -599,7 +672,7 @@ TEST(Service, ReplayRespectsCacheLimitsInRecencyOrder)
 TEST(Service, ConcurrentPublishesAppendOneRecordPerKey)
 {
     // Four pool workers publish distinct keys at once into one store:
-    // the appender must serialize them into whole frames, one each.
+    // its write mutex must serialize them into whole frames, one each.
     ScratchFile scratch("concurrent.store");
     ArtifactStore store;
     ArtifactStore::Options opts;
@@ -614,7 +687,7 @@ TEST(Service, ConcurrentPublishesAppendOneRecordPerKey)
         [&store](const CacheKey &key,
                  const std::shared_ptr<const CompileResult> &result,
                  const std::shared_ptr<const std::string> &tail) {
-            store.append(key, result, tail);
+            store.append(key, *result, *tail);
         });
     constexpr int kThreads = 4;
     constexpr int kKeysEach = 4;
@@ -670,11 +743,13 @@ restartLines()
 
 /** A started server over @p store (and @p prewarm). */
 std::unique_ptr<CompileServer>
-startStoreServer(const std::string &store, const std::string &prewarm)
+startStoreServer(const std::string &store, const std::string &prewarm,
+                 bool fsync = false)
 {
     ServerConfig cfg;
     cfg.storePath = store;
     cfg.prewarmPath = prewarm;
+    cfg.storeFsync = fsync;
     auto server = std::make_unique<CompileServer>(cfg);
     std::string error;
     EXPECT_TRUE(server->start(error)) << error;
@@ -717,13 +792,20 @@ expectWarmReplies(CompileServer &server,
         << stats;
 }
 
-TEST(CompileServerStore, RestartOverOwnLogServesEveryKeyWarm)
+/**
+ * Populate a store-backed server with the working set, stop it, and
+ * restart over the same log: every key must be a hit with zero
+ * compiles, and the hits must append nothing.
+ */
+void
+expectRestartOverOwnLogServesEveryKeyWarm(const std::string &name,
+                                          bool fsync)
 {
-    ScratchFile own("restart.store");
+    ScratchFile own(name);
     const std::vector<std::string> lines = restartLines();
     std::vector<std::string> golden;
     {
-        auto server = startStoreServer(own.path, "");
+        auto server = startStoreServer(own.path, "", fsync);
         for (const std::string &line : lines) {
             const std::string reply = serveLine(*server, line);
             ASSERT_NE(reply.find("\"cache\": \"miss\""),
@@ -734,15 +816,48 @@ TEST(CompileServerStore, RestartOverOwnLogServesEveryKeyWarm)
         }
         EXPECT_EQ(server->service().stats().cachedResults,
                   lines.size());
-        server->stop(); // drains the appender
+        server->stop();
     }
     const uint64_t log_bytes = own.size();
     ASSERT_GT(log_bytes, 0u);
 
-    auto restarted = startStoreServer(own.path, "");
+    auto restarted = startStoreServer(own.path, "", fsync);
     expectWarmReplies(*restarted, lines, golden);
     restarted->stop();
     EXPECT_EQ(own.size(), log_bytes); // hits append nothing
+}
+
+TEST(CompileServerStore, RestartOverOwnLogServesEveryKeyWarm)
+{
+    expectRestartOverOwnLogServesEveryKeyWarm("restart.store", false);
+}
+
+TEST(CompileServerStore, FsyncEachRecordRestartsWarm)
+{
+    expectRestartOverOwnLogServesEveryKeyWarm("fsync.store", true);
+}
+
+TEST(CompileServerStore, ReplyMeansTheRecordIsOnDisk)
+{
+    // The publishing worker writes the record before the reply goes
+    // out, so the log replays the key while the server still runs:
+    // a kill right after the reply, with no stop() or close(), loses
+    // nothing.
+    ScratchFile own("reply.store");
+    auto server = startStoreServer(own.path, "");
+    const std::string line = restartLines().front();
+    const std::string reply = serveLine(*server, line);
+    ASSERT_NE(reply.find("\"cache\": \"miss\""), std::string::npos)
+        << reply;
+
+    uint64_t good_bytes = 0;
+    uint64_t corrupt = 0;
+    std::vector<StoreRecord> records =
+        replayAll(own.path, good_bytes, corrupt);
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(corrupt, 0u);
+    EXPECT_EQ(records[0].tail, replyTailOf(reply));
+    server->stop();
 }
 
 TEST(CompileServerStore, PrewarmFromDonorLogServesEveryKeyWarm)

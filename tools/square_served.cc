@@ -35,10 +35,10 @@
  *   --store=PATH       persistent artifact store: replay PATH into the
  *                      result cache before accepting connections (warm
  *                      restart), then append every published result to
- *                      it off the serving path; the SQUARE_STORE env
+ *                      it before replying; the SQUARE_STORE env
  *                      var is the no-flag fallback (inspect/compact
  *                      with tools/square_storetool)
- *   --store-fsync      fsync the store after every appended record
+ *   --store-fsync      fsync every appended record before its reply
  *                      (durability over append latency)
  *   --prewarm=PATH     bulk-load a donor shard's log read-only at
  *                      startup (fabric shard pre-warming); keys this
